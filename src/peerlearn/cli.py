@@ -34,11 +34,10 @@ from .models import (
     LinearGaussianModel,
     NotGloballyLearnableError,
     ParameterSet,
-    assumption_bounds,
     separation_table,
 )
-from .sim import Scenario, make_regression_test_set, run_experiment
-from .theory import BoundInputs, sample_complexity
+from .sim import Scenario, make_regression_test_set, run_experiment, sample_bound_inputs
+from .theory import sample_complexity
 
 SCHEMA_VERSION = 1
 
@@ -399,7 +398,7 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
         test_set=test_set,
         delta=data["delta"],
         kl_mc_samples=data["kl_mc_samples"],
-        likelihood_log_range_override=data.get("bound", {}).get("likelihood_log_range"),
+        bound_overrides=data.get("bound", {}),
     )
     try:
         scenario.validate()
@@ -513,7 +512,10 @@ def _summary_dict(report, scenario) -> dict:
 
 def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
             trials=None, workers: int = 1) -> int:
-    """Run the configured experiment and write metrics plus a summary."""
+    """Run the configured experiment and write metrics plus a summary.
+
+    ``workers`` is accepted for compatibility and has no effect.
+    """
     scenario = build_scenario(doc)
     if seed is not None:
         scenario.master_seed = seed
@@ -536,7 +538,6 @@ def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
 def cmd_bound(doc: ConfigDocument) -> int:
     """Print the sample-complexity inputs and result as one JSON object."""
     scenario = build_scenario(doc)
-    overrides = doc.scenario.get("bound", {})
     spectral = spectral_gap(scenario.graph)
 
     if scenario.theta_set is None:
@@ -544,40 +545,21 @@ def cmd_bound(doc: ConfigDocument) -> int:
             "scenario.parameters",
             "the sample-complexity bound requires a parameter set",
         )
-    if "separation_rate" in overrides:
-        separation_rate = overrides["separation_rate"]
-    else:
-        table = separation_table(
+    separation_rate = None
+    if "separation_rate" not in scenario.bound_overrides:
+        separation_rate = separation_table(
             scenario.models,
             scenario.theta_set,
             spectral.stationary,
             mc_samples=scenario.kl_mc_samples,
             seed=scenario.master_seed,
-        )
-        separation_rate = table.separation_rate
-
-    bounds = assumption_bounds(scenario.models, scenario.theta_set)
-    if "likelihood_log_range" in overrides:
-        log_range = overrides["likelihood_log_range"]
-        assumption_violated = bounds is None
-    elif bounds is not None:
-        log_range = abs(math.log(bounds[1] / bounds[0]))
-        assumption_violated = False
-    else:
+        ).separation_rate
+    inputs, assumption_violated = sample_bound_inputs(scenario, spectral, separation_rate)
+    if inputs is None:
         raise ConfigValidationError(
             "scenario.bound.likelihood_log_range",
             "likelihoods are unbounded; supply an explicit value",
         )
-
-    n_params = scenario.theta_set.n_points
-    inputs = BoundInputs(
-        n_nodes=scenario.graph.n_nodes,
-        n_params=n_params,
-        delta=scenario.delta,
-        likelihood_log_range=float(log_range),
-        separation_rate=float(separation_rate),
-        lambda_max=spectral.lambda_max,
-    )
     payload = {
         "n_nodes": inputs.n_nodes,
         "n_params": inputs.n_params,
@@ -598,7 +580,7 @@ def cmd_check_graph(doc: ConfigDocument, horizon=None) -> int:
     graph = validate_weight_matrix(weights)  # GraphError propagates to main
     horizon = horizon if horizon is not None else doc.scenario["mixing_horizon"]
     report = verify_mixing_bound(graph, horizon)
-    summary = spectral_gap(graph)
+    summary = report.spectral
     payload = {
         "valid": True,
         "n_nodes": graph.n_nodes,
@@ -613,6 +595,23 @@ def cmd_check_graph(doc: ConfigDocument, horizon=None) -> int:
     return EXIT_OK
 
 
+def _bounded_int(minimum: int, maximum: int | None = None):
+    """An argparse type: an integer in ``[minimum, maximum]``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peerlearn",
@@ -622,22 +621,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run the configured experiment")
     run_p.add_argument("config", help="path to a JSON config")
-    run_p.add_argument("--seed", type=int, default=None, help="override master_seed")
-    run_p.add_argument("--trials", type=int, default=None, help="override trial count")
+    run_p.add_argument("--seed", type=_bounded_int(0, 2**64 - 1), default=None,
+                       help="override master_seed")
+    run_p.add_argument("--trials", type=_bounded_int(1), default=None,
+                       help="override trial count")
     run_p.add_argument("--out", default=None, help="override output directory")
     run_p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="override metrics format")
-    run_p.add_argument("--workers", type=int, default=1,
-                       help="parallel trial workers for the discrete engine "
-                            "(does not affect results; the gaussian engine runs "
-                            "all trials as one batch and ignores it)")
+    run_p.add_argument("--workers", type=_bounded_int(1), default=1,
+                       help="accepted for compatibility; has no effect, because "
+                            "both engines run all trials as one batch")
 
     bound_p = sub.add_parser("bound", help="print the sample-complexity bound")
     bound_p.add_argument("config", help="path to a JSON config")
 
     check_p = sub.add_parser("check-graph", help="validate the weight matrix")
     check_p.add_argument("config", help="path to a JSON config")
-    check_p.add_argument("--horizon", type=int, default=None,
+    check_p.add_argument("--horizon", type=_bounded_int(1), default=None,
                          help="override the mixing-bound check horizon")
     return parser
 

@@ -96,8 +96,12 @@ class SpectralSummary:
 
 @dataclass(frozen=True)
 class MixingBoundReport:
-    """Partial sums of |W^k - v| per node against the mixing bound."""
+    """Partial sums of |W^k - v| per node against the mixing bound.
 
+    ``spectral`` is the summary the bound was taken from.
+    """
+
+    spectral: SpectralSummary
     horizon: int
     partial_sums: np.ndarray
     bound: float
@@ -278,6 +282,7 @@ def verify_mixing_bound(w: WeightMatrix, horizon: int) -> MixingBoundReport:
         partial += np.abs(power - v[None, :]).sum(axis=1)
     within = partial <= summary.mixing_bound + 1e-12
     return MixingBoundReport(
+        spectral=summary,
         horizon=horizon,
         partial_sums=partial,
         bound=summary.mixing_bound,

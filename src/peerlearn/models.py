@@ -82,7 +82,6 @@ class LikelihoodModel:
     """
 
     node_id: int
-    bounds: tuple[float, float] | None
     param_dim: int
 
     def sample_instances(self, rng: np.random.Generator, size: int):
@@ -118,7 +117,7 @@ class LikelihoodModel:
 
     def likelihood_bounds(self, thetas: np.ndarray) -> tuple[float, float] | None:
         """(alpha, L) with alpha <= likelihood <= L over the set, or None."""
-        return self.bounds
+        return None
 
     def validate_parameters(self, thetas: np.ndarray) -> None:
         """Reject parameter vectors the family cannot interpret."""
@@ -146,7 +145,6 @@ class BernoulliContextModel(LikelihoodModel):
         if np.any(self.visible < 0) or np.any(self.visible >= self.true_probs.size):
             raise ValueError("visible context index out of range")
         self.param_dim = self.true_probs.size
-        self.bounds = None  # computed per parameter set via likelihood_bounds
 
     def sample_instances(self, rng, size):
         return self.visible[rng.integers(0, self.visible.size, size=size)]
@@ -217,7 +215,6 @@ class CategoricalContextModel(LikelihoodModel):
         if np.any(self.visible < 0) or np.any(self.visible >= self.n_contexts):
             raise ValueError("visible context index out of range")
         self.param_dim = self.n_contexts * self.n_labels
-        self.bounds = None
 
     def _tables(self, thetas):
         return thetas.reshape(thetas.shape[0], self.n_contexts, self.n_labels)
@@ -297,7 +294,6 @@ class LinearGaussianModel(LikelihoodModel):
         if self.true_theta.shape != (self.instance_dim + 1,):
             raise ValueError("true_theta must have length instance_dim + 1")
         self.param_dim = self.instance_dim + 1
-        self.bounds = None
 
     def augment(self, xs) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -337,9 +333,6 @@ class LinearGaussianModel(LikelihoodModel):
     def density_l1(self, theta, psi, xs):
         gap = np.abs(self.augment(xs) @ (theta - psi))
         return 2.0 * erf(gap / (2.0 * math.sqrt(2.0) * self.noise_std))
-
-    def likelihood_bounds(self, thetas):
-        return None
 
     def validate_parameters(self, thetas):
         if thetas.shape[1] != self.param_dim:

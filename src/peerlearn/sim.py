@@ -6,18 +6,22 @@ produce a public belief, and only after a full-round barrier merges its
 in-neighbors' public beliefs through the weighted consensus rule, then
 records its estimate.
 
+There is one engine per belief family, and each runs all trials of an
+experiment as one batch, with its state held as arrays over (trial, node):
+log-beliefs for the discrete engine, precision and shift for the gaussian
+one. A round is a few array operations, whatever the number of trials.
+
 Randomness is counter-based: every (master_seed, trial, node) triple keys
 an independent Philox stream, and each node consumes a fixed number of
 draws per round (all instances first, then all labels). Results are
 therefore a pure function of the scenario and master seed, independent of
-how many workers execute the trials or how many trials share a batch.
+how many trials share a batch.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +53,7 @@ class Scenario:
     record_beliefs: bool = True
     delta: float = 0.1
     kl_mc_samples: int = 2000
-    likelihood_log_range_override: float | None = None
+    bound_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.engine not in ENGINES:
@@ -98,7 +102,6 @@ class TrialResult:
     mse_history: np.ndarray | None = None
     instances: list | None = None
     labels: list | None = None
-    message_log: list | None = None
     clamp_events: int = 0
 
 
@@ -154,140 +157,87 @@ def make_regression_test_set(size: int, ranges, true_theta, noise_std: float,
 
 
 def run_trial(scenario: Scenario, trial_index: int, global_optima=None,
-              record_samples: bool = False,
-              record_messages: bool = False) -> TrialResult:
+              record_samples: bool = False) -> TrialResult:
     """Execute one full synchronous trial, deterministic in (scenario, trial)."""
     scenario.validate()
     if scenario.engine == "discrete":
-        return _run_discrete_trial(
-            scenario, trial_index, global_optima, record_samples, record_messages
-        )
-    increments = _gaussian_increments(scenario, [trial_index])
-    result = _gaussian_rounds(scenario, increments, merge=scenario.cooperative)[0]
-    if record_samples:
-        result.instances, result.labels = _draw_trial_samples(scenario, trial_index)
-    return result
-
-
-def _run_discrete_trial(scenario, trial_index, global_optima,
-                        record_samples, record_messages) -> TrialResult:
-    # The instrumented reference path walks the per-node belief operations
-    # and records the message log; the default path runs the identical
-    # arithmetic row-vectorized across nodes.
-    if record_messages:
-        result = _discrete_trial_reference(scenario, trial_index)
+        result = _discrete_rounds(scenario, [trial_index], global_optima)[0]
     else:
-        result = _discrete_trial_fast(scenario, trial_index)
-    if global_optima is not None:
-        star = set(int(g) for g in global_optima)
-        result.success = bool(all(int(e) in star for e in result.final_estimates))
+        increments = _gaussian_increments(scenario, [trial_index])
+        result = _gaussian_rounds(scenario, increments, merge=scenario.cooperative)[0]
     if record_samples:
         result.instances, result.labels = _draw_trial_samples(scenario, trial_index)
     return result
 
 
-def _row_normalize(log_rows: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Clamp at the floor and log-sum-exp normalize each row in place."""
-    fired = bool(np.any(log_rows < bel.LOG_FLOOR))
+def _row_normalize(log_rows: np.ndarray) -> np.ndarray:
+    """Clamp at the floor and log-sum-exp normalize each row in place.
+
+    ``log_rows`` is ``(T, N, M)``; returns, per trial, whether the floor fired.
+    """
+    fired = np.any(log_rows < bel.LOG_FLOOR, axis=(1, 2))
     np.maximum(log_rows, bel.LOG_FLOOR, out=log_rows)
-    peak = log_rows.max(axis=1, keepdims=True)
-    log_rows -= peak + np.log(np.exp(log_rows - peak).sum(axis=1, keepdims=True))
-    return log_rows, fired
+    peak = log_rows.max(axis=-1, keepdims=True)
+    log_rows -= peak + np.log(np.exp(log_rows - peak).sum(axis=-1, keepdims=True))
+    return fired
 
 
-def _discrete_trial_fast(scenario, trial_index) -> TrialResult:
-    graph, theta_set = scenario.graph, scenario.theta_set
-    n_nodes, n_rounds = graph.n_nodes, scenario.n_rounds
-    n_params = theta_set.n_points
-    weights = graph.weights
+def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[TrialResult]:
+    """The log-linear round engine over a finite parameter set, batched over (trial, node).
 
-    instances, labels = _draw_trial_samples(scenario, trial_index)
-    log_lik = np.stack(
-        [
-            model.log_likelihood_matrix(theta_set.points, instances[i], labels[i])
-            for i, model in enumerate(scenario.models)
-        ],
-        axis=1,
-    )  # (n_rounds, n_nodes, n_params)
+    State is the log-beliefs ``(T, N, M)``. Each round adds every node's
+    log-likelihood of its sample (the Bayes update) and normalizes; then, if
+    the scenario is cooperative, one product with the graph weights takes
+    each node's weighted log-geometric mean of its in-neighbors. The result
+    is normalized again either way. A trial's ``clamp_events`` counts, over
+    its rounds, each of these two normalizations in which the floor fired
+    for some node.
+    """
+    points = scenario.theta_set.points
+    n_trials, n_rounds = len(trials), scenario.n_rounds
+    n_nodes, n_params = scenario.graph.n_nodes, scenario.theta_set.n_points
+    draws = [_draw_trial_samples(scenario, t) for t in trials]
+    instances = [np.stack([xs[i] for xs, _ in draws]) for i in range(n_nodes)]
+    labels = [np.stack([ys[i] for _, ys in draws]) for i in range(n_nodes)]
 
-    private = np.full((n_nodes, n_params), -np.log(n_params))
-    estimate_history = np.empty((n_rounds, n_nodes), dtype=np.int64)
-    belief_history = (
-        np.empty((n_rounds, n_nodes, n_params)) if scenario.record_beliefs else None
+    private = np.full((n_trials, n_nodes, n_params), -np.log(n_params))
+    estimates = np.empty((n_trials, n_rounds, n_nodes), dtype=np.int64)
+    beliefs = (
+        np.empty((n_trials, n_rounds, n_nodes, n_params)) if scenario.record_beliefs else None
     )
-    clamp_events = 0
+    clamp_events = np.zeros(n_trials, dtype=np.int64)
     for k in range(n_rounds):
-        public = private + log_lik[k]
-        if not np.all(np.isfinite(public.max(axis=1))):
+        log_lik = np.stack(
+            [
+                model.log_likelihood_matrix(points, instances[i][:, k], labels[i][:, k])
+                for i, model in enumerate(scenario.models)
+            ],
+            axis=1,
+        )
+        public = private + log_lik
+        if not np.all(np.isfinite(public.max(axis=-1))):
             raise bel.ZeroLikelihoodError(
                 f"round {k}: every likelihood underflowed for some node"
             )
-        public, fired_pub = _row_normalize(public)
-        # Barrier: the merge below only ever sees this round's publics.
-        merged = weights @ public if scenario.cooperative else public
-        merged, fired_prv = _row_normalize(merged)
-        private = merged
-        clamp_events += int(fired_pub) + int(fired_prv)
-        estimate_history[k] = np.argmax(private, axis=1)
-        if belief_history is not None:
-            belief_history[k] = private
+        clamp_events += _row_normalize(public)
+        # Barrier: the merge only ever sees this round's publics.
+        private = np.matmul(scenario.graph.weights, public) if scenario.cooperative else public
+        clamp_events += _row_normalize(private)
+        estimates[:, k] = np.argmax(private, axis=-1)
+        if beliefs is not None:
+            beliefs[:, k] = private
 
-    return TrialResult(
-        final_estimates=estimate_history[-1].copy(),
-        estimate_history=estimate_history,
-        belief_history=belief_history,
-        clamp_events=clamp_events,
-    )
-
-
-def _discrete_trial_reference(scenario, trial_index) -> TrialResult:
-    graph, theta_set = scenario.graph, scenario.theta_set
-    n_nodes, n_rounds = graph.n_nodes, scenario.n_rounds
-    n_params = theta_set.n_points
-    neighbors = [graph.in_neighbors(i) for i in range(n_nodes)]
-    weights = graph.weights
-
-    instances, labels = _draw_trial_samples(scenario, trial_index)
-    privates = [bel.uniform_prior(n_params) for _ in range(n_nodes)]
-    estimate_history = np.empty((n_rounds, n_nodes), dtype=np.int64)
-    belief_history = (
-        np.empty((n_rounds, n_nodes, n_params)) if scenario.record_beliefs else None
-    )
-    message_log = []
-    clamp_events = 0
-
-    public_rounds = np.full(n_nodes, -1, dtype=int)
-    for k in range(n_rounds):
-        publics = []
-        for i, model in enumerate(scenario.models):
-            public = bel.bayesian_update(
-                privates[i], model, theta_set, instances[i][k], labels[i][k]
-            )
-            publics.append(public)
-            public_rounds[i] = k
-        # Barrier: all round-k publics exist before any private update.
-        for i in range(n_nodes):
-            if scenario.cooperative:
-                merged = bel.consensus_update(
-                    [(publics[j], weights[i, j]) for j in neighbors[i]]
-                )
-                for j in neighbors[i]:
-                    message_log.append((k, i, int(j), int(public_rounds[j])))
-            else:
-                merged = publics[i]
-            privates[i] = merged
-            clamp_events += int(merged.clamped)
-            estimate_history[k, i] = bel.map_estimate(merged)
-            if belief_history is not None:
-                belief_history[k, i] = merged.log_weights
-
-    return TrialResult(
-        final_estimates=estimate_history[-1].copy(),
-        estimate_history=estimate_history,
-        belief_history=belief_history,
-        message_log=message_log,
-        clamp_events=clamp_events,
-    )
+    star = None if global_optima is None else list(global_optima)
+    return [
+        TrialResult(
+            final_estimates=estimates[t, -1].copy(),
+            success=None if star is None else bool(np.isin(estimates[t, -1], star).all()),
+            estimate_history=estimates[t],
+            belief_history=None if beliefs is None else beliefs[t],
+            clamp_events=int(clamp_events[t]),
+        )
+        for t in range(n_trials)
+    ]
 
 
 def _gaussian_increments(scenario: Scenario, trials) -> tuple[np.ndarray, np.ndarray]:
@@ -380,48 +330,47 @@ def central_baseline(scenario: Scenario, trial_index: int = 0) -> TrialResult:
     return _gaussian_rounds(scenario, _pooled(increments), merge=False)[0]
 
 
-def _sample_bound(scenario: Scenario, spectral: SpectralSummary,
-                   separation: SeparationTable | None):
-    """(bound, assumption_violated) from declared or overridden likelihood bounds."""
-    if separation is None:
-        return None, None
+def sample_bound_inputs(scenario: Scenario, spectral: SpectralSummary,
+                        separation_rate: float | None) -> tuple[BoundInputs | None, bool]:
+    """Inputs of the sample-complexity bound, and whether its likelihood assumption fails.
+
+    ``scenario.bound_overrides`` may replace the separation rate (then
+    ``separation_rate`` may be None) and the likelihood log-range. The
+    assumption fails when some likelihood family declares no bounds; the
+    inputs are then None unless the log-range is overridden.
+    """
+    overrides = scenario.bound_overrides
     bounds = assumption_bounds(scenario.models, scenario.theta_set)
-    override = scenario.likelihood_log_range_override
-    if bounds is not None:
-        low, high = bounds
-        log_range = abs(np.log(high / low)) if override is None else override
-        violated = False
-    elif override is not None:
-        log_range = override
-        violated = True
-    else:
+    log_range = overrides.get("likelihood_log_range")
+    if log_range is None and bounds is not None:
+        log_range = abs(np.log(bounds[1] / bounds[0]))
+    if log_range is None:
         return None, True
     inputs = BoundInputs(
         n_nodes=scenario.graph.n_nodes,
         n_params=scenario.theta_set.n_points,
         delta=scenario.delta,
         likelihood_log_range=float(log_range),
-        separation_rate=separation.separation_rate,
+        separation_rate=float(overrides.get("separation_rate", separation_rate)),
         lambda_max=spectral.lambda_max,
     )
-    return sample_complexity(inputs), violated
+    return inputs, bounds is None
 
 
 def run_experiment(scenario: Scenario, workers: int = 1,
                    include_baseline: bool = True) -> ExperimentReport:
     """Run all trials with derived seeds and aggregate the results.
 
-    Discrete trials run on ``workers`` threads; the gaussian engine runs
-    all trials as one batch and ignores ``workers``. Neither changes the
-    results. ``include_baseline`` controls whether gaussian runs also
-    compute the central reference curve.
+    Both engines run all trials as one batch. ``workers`` is accepted for
+    compatibility and has no effect. ``include_baseline`` controls whether
+    gaussian runs also compute the central reference curve.
     """
     started = time.perf_counter()
     scenario.validate()
     spectral = spectral_gap(scenario.graph)
 
-    separation = None
-    global_optima = None
+    separation = bound = violated = None
+    baselines = None
     if scenario.engine == "discrete":
         separation = separation_table(
             scenario.models,
@@ -430,23 +379,14 @@ def run_experiment(scenario: Scenario, workers: int = 1,
             mc_samples=scenario.kl_mc_samples,
             seed=scenario.master_seed,
         )
-        global_optima = separation.global_optima
-    bound, violated = _sample_bound(scenario, spectral, separation)
-
-    def one_trial(t: int) -> TrialResult:
-        return run_trial(scenario, t, global_optima=global_optima)
-
-    baselines = None
-    if scenario.engine == "gaussian":
+        inputs, violated = sample_bound_inputs(scenario, spectral, separation.separation_rate)
+        bound = None if inputs is None else sample_complexity(inputs)
+        results = _discrete_rounds(scenario, range(scenario.trials), separation.global_optima)
+    else:
         increments = _gaussian_increments(scenario, range(scenario.trials))
         results = _gaussian_rounds(scenario, increments, merge=scenario.cooperative)
         if include_baseline and scenario.test_set is not None:
             baselines = _gaussian_rounds(scenario, _pooled(increments), merge=False)
-    elif workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_trial, range(scenario.trials)))
-    else:
-        results = [one_trial(t) for t in range(scenario.trials)]
 
     report = ExperimentReport(
         engine=scenario.engine,
@@ -463,7 +403,7 @@ def run_experiment(scenario: Scenario, workers: int = 1,
         failures = sum(1 for r in results if r.success is False)
         report.empirical_error = failures / scenario.trials
         star_mask = np.zeros(scenario.theta_set.n_points, dtype=bool)
-        star_mask[list(global_optima)] = True
+        star_mask[list(separation.global_optima)] = True
         per_round_ok = np.stack(
             [star_mask[r.estimate_history].all(axis=1) for r in results]
         ).all(axis=0)

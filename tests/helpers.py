@@ -8,10 +8,14 @@ from peerlearn import (
     ParameterSet,
     Scenario,
     WeightMatrix,
+    bayesian_update,
+    consensus_update,
     from_mean_covariance_diag,
     gaussian_bayes_update,
     gaussian_consensus,
     make_regression_test_set,
+    map_estimate,
+    uniform_prior,
     validate_weight_matrix,
 )
 
@@ -117,6 +121,54 @@ def covering_grid_world():
         BernoulliContextModel(1, truth, [1]),
     ]
     return graph, theta_set, models, star_index
+
+
+def floor_clamp_scenario(n_rounds=400, trials=1, cooperative=True) -> Scenario:
+    """2-node Bernoulli world in which the -700 log-belief floor fires.
+
+    One candidate puts probability 1e-300 on the label the truth emits
+    almost always, so its log-belief falls below the floor in the second
+    round and is clamped in every round after that.
+    """
+    truth = [0.999999]
+    return Scenario(
+        graph=validate_weight_matrix([[0.9, 0.1], [0.6, 0.4]]),
+        engine="discrete",
+        models=[BernoulliContextModel(i, truth, [0]) for i in range(2)],
+        n_rounds=n_rounds,
+        trials=trials,
+        master_seed=3,
+        theta_set=ParameterSet(np.array([truth, [1e-300], [0.5]])),
+        cooperative=cooperative,
+    )
+
+
+def discrete_oracle(scenario: Scenario, instances, labels):
+    """Per-node loop over the public discrete belief operations.
+
+    The reference the batched discrete engine is checked against: returns
+    the log-belief and estimate histories of one trial and its clamp-event
+    count, which counts, per round, the Bayes step and the merge step in
+    which the floor fired for some node. An isolated node merges with
+    itself alone, so both of its steps normalize as in a cooperative run.
+    """
+    graph, theta_set = scenario.graph, scenario.theta_set
+    weights = graph.weights if scenario.cooperative else np.eye(graph.n_nodes)
+    privates = [uniform_prior(theta_set.n_points)] * graph.n_nodes
+    beliefs, estimates, clamp_events = [], [], 0
+    for k in range(scenario.n_rounds):
+        publics = [
+            bayesian_update(q, model, theta_set, instances[i][k], labels[i][k])
+            for i, (q, model) in enumerate(zip(privates, scenario.models))
+        ]
+        privates = [
+            consensus_update([(publics[j], weights[i, j]) for j in np.flatnonzero(weights[i])])
+            for i in range(graph.n_nodes)
+        ]
+        clamp_events += any(p.clamped for p in publics) + any(q.clamped for q in privates)
+        beliefs.append([q.log_weights for q in privates])
+        estimates.append([map_estimate(q) for q in privates])
+    return np.array(beliefs), np.array(estimates), clamp_events
 
 
 def gaussian_oracle(scenario: Scenario, instances, labels, central=False):

@@ -233,6 +233,19 @@ class TestBoundCommand:
         assert out["separation_rate"] > 0
         assert out["likelihood_log_range"] == pytest.approx(np.log(0.8 / 0.2))
 
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"separation_rate": 0.01},
+        {"likelihood_log_range": 2.0},
+        {"likelihood_log_range": 2.0, "separation_rate": 0.01},
+    ], ids=["none", "separation_rate", "likelihood_log_range", "both"])
+    def test_run_reports_the_same_bound(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path, discrete_config(bound=overrides))
+        assert main(["bound", config]) == 0
+        printed = json.loads(capsys.readouterr().out)["n"]
+        assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["sample_bound"] == printed
+
 
 class TestCheckGraphCommand:
     def test_reference_matrix(self, tmp_path, capsys):
@@ -263,3 +276,22 @@ class TestCheckGraphCommand:
     def test_missing_config_file_exits_runtime(self, tmp_path, capsys):
         assert main(["check-graph", str(tmp_path / "missing.json")]) == 3
         assert capsys.readouterr().err
+
+
+class TestOverrideValidation:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("run", "--seed", "-1"),
+        ("run", "--seed", str(2**64)),
+        ("run", "--trials", "0"),
+        ("run", "--workers", "0"),
+        ("run", "--workers", "-3"),
+        ("check-graph", "--horizon", "0"),
+    ])
+    def test_out_of_range_flag_exits_2_naming_it(self, tmp_path, capsys, command, flag, value):
+        config = write_config(tmp_path, discrete_config())
+        with pytest.raises(SystemExit) as info:
+            main([command, config, flag, value])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""

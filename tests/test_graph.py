@@ -160,6 +160,7 @@ class TestMixingBound:
         report = verify_mixing_bound(w, 50)
         bound = 4.0 * math.log(2.0) / 0.5
         assert report.bound == pytest.approx(bound, rel=1e-12)
+        assert report.spectral.lambda_max == pytest.approx(0.5, abs=1e-12)
         assert np.all(report.partial_sums <= bound)
 
     def test_matches_bruteforce_matrix_powers(self, rng):

@@ -20,6 +20,8 @@ from peerlearn import (
 
 from helpers import (
     REGRESSION_THETA,
+    discrete_oracle,
+    floor_clamp_scenario,
     gaussian_oracle,
     random_weight_matrix,
     regression_scenario,
@@ -42,29 +44,22 @@ class TestDiscreteEngine:
         assert result.success
         assert result.final_estimates[0] == 0
 
-    def test_fast_and_reference_paths_agree(self):
+    @pytest.mark.parametrize("cooperative", [True, False])
+    def test_batched_engine_matches_per_node_oracle(self, cooperative):
         graph, theta, models = three_node_bernoulli()
-        scenario = Scenario(graph=graph, engine="discrete", models=models,
-                            n_rounds=60, trials=1, master_seed=5,
-                            theta_set=theta)
-        fast = run_trial(scenario, 0)
-        reference = run_trial(scenario, 0, record_messages=True)
-        np.testing.assert_allclose(
-            fast.belief_history, reference.belief_history, atol=1e-12
-        )
-        np.testing.assert_array_equal(
-            fast.estimate_history, reference.estimate_history
-        )
-
-    def test_round_barrier_message_log(self):
-        graph, theta, models = three_node_bernoulli()
-        scenario = Scenario(graph=graph, engine="discrete", models=models,
-                            n_rounds=25, trials=1, master_seed=3,
-                            theta_set=theta)
-        result = run_trial(scenario, 0, record_messages=True)
-        assert result.message_log
-        for round_index, _, _, sender_round in result.message_log:
-            assert sender_round == round_index
+        worlds = [
+            Scenario(graph=graph, engine="discrete", models=models, n_rounds=60,
+                     trials=1, master_seed=5, theta_set=theta, cooperative=cooperative),
+            floor_clamp_scenario(n_rounds=60, cooperative=cooperative),
+        ]
+        for scenario in worlds:
+            result = run_trial(scenario, 0, record_samples=True)
+            beliefs, estimates, clamp_events = discrete_oracle(
+                scenario, result.instances, result.labels
+            )
+            np.testing.assert_allclose(result.belief_history, beliefs, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(result.estimate_history, estimates)
+            assert result.clamp_events == clamp_events
 
     def test_recorded_samples_deterministic(self):
         scenario = single_node_scenario(n_rounds=40)
@@ -208,6 +203,29 @@ class TestDeterminism:
                 central_baseline(scenario, t).mse_history,
                 report.baseline_results[t].mse_history,
             )
+
+    def test_discrete_trial_rows_do_not_depend_on_batch_size(self):
+        # Each trial's rows must be the same bits alone as in a 20-trial
+        # batch, also where the log-belief floor fires.
+        graph, theta, models = three_node_bernoulli()
+        floor_world = floor_clamp_scenario(n_rounds=400, trials=20)
+        worlds = [
+            Scenario(graph=graph, engine="discrete", models=models, n_rounds=120,
+                     trials=20, master_seed=21, theta_set=theta),
+            floor_world,
+        ]
+        for scenario in worlds:
+            report = run_experiment(scenario)
+            for t in range(scenario.trials):
+                lone = run_trial(scenario, t, global_optima=report.separation.global_optima)
+                batched = report.trial_results[t]
+                np.testing.assert_array_equal(lone.belief_history, batched.belief_history)
+                np.testing.assert_array_equal(lone.estimate_history, batched.estimate_history)
+                assert lone.success == batched.success
+                assert lone.clamp_events == batched.clamp_events
+            if scenario is floor_world:
+                # The floor fires in every round after the first.
+                assert [r.clamp_events for r in report.trial_results] == [399] * 20
 
     def test_different_seeds_differ(self):
         base = regression_scenario(n_rounds=50, master_seed=1)
