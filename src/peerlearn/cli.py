@@ -503,7 +503,8 @@ def _summary_dict(report, scenario) -> dict:
     }
     if report.separation is not None:
         summary["global_optima"] = list(report.separation.global_optima)
-        summary["separation_rate"] = _jsonable(report.separation.separation_rate)
+        summary["separation_rate"] = _jsonable(
+            (report.bound_inputs or report.separation).separation_rate)
     if report.final_mse_per_node is not None:
         summary["final_mse_per_node"] = _jsonable(report.final_mse_per_node)
         summary["baseline_final_mse"] = _jsonable(report.baseline_final_mse)

@@ -15,12 +15,9 @@ Three built-in model families cover every in-scope experiment:
 
 Expectations over the instance distribution are Monte Carlo with
 closed-form conditional KL per sampled instance; the inner divergence is
-exact, so antisymmetry identities hold to float precision when estimates
-share samples.
+exact, and every estimate for one node shares the same instance draws.
 
-Model instances carry their own sampling methods but no generator state;
-a model is confined to one worker at a time, while separate instances may
-run in parallel.
+Model instances carry their own sampling methods but no generator state.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import erf, rel_entr
 
 DUPLICATE_TOL = 1e-12
@@ -50,17 +48,17 @@ class ParameterSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValueError("parameter points must form a 2-D array (M, d)")
         if pts.shape[0] < 2:
             raise ValueError("parameter set needs at least two points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("parameter points must be finite")
-        diffs = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
-        np.fill_diagonal(diffs, np.inf)
-        if np.any(diffs <= DUPLICATE_TOL):
-            a, b = np.unravel_index(int(np.argmin(diffs)), diffs.shape)
+        pairs = cKDTree(pts).query_pairs(DUPLICATE_TOL, p=np.inf, output_type="ndarray")
+        if len(pairs):
+            gaps = np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]]).max(axis=1)
+            a, b = pairs[np.lexsort((pairs[:, 1], pairs[:, 0], gaps))[0]]
             raise ValueError(f"duplicate parameter points at indices {a} and {b}")
         object.__setattr__(self, "points", pts)
         pts.setflags(write=False)
@@ -346,16 +344,16 @@ class LinearGaussianModel(LikelihoodModel):
 class SeparationTable:
     """Per-node KL geometry of a parameter set.
 
-    ``kl_advantage[j, a, b]`` is how strongly node j's data favors
-    parameter a over parameter b (difference of expected KLs to the
-    truth). ``local_optima[j]`` holds node j's KL-minimizing indices,
+    ``kl_to_truth[j, a]`` is node j's expected KL from the truth to
+    parameter a. ``local_optima[j]`` holds node j's KL-minimizing indices,
     ``global_optima`` their intersection, and ``separation_rate`` the
-    minimum stationary-weighted advantage of a globally optimal parameter
-    over any other; it is +inf when every parameter is globally optimal.
+    minimum, over a globally optimal a and any other b, of the
+    stationary-weighted KL gap ``sum_j v_j (kl_to_truth[j, b] -
+    kl_to_truth[j, a])``; it is +inf when every parameter is globally
+    optimal.
     """
 
     kl_to_truth: np.ndarray
-    kl_advantage: np.ndarray
     local_optima: tuple[tuple[int, ...], ...]
     global_optima: tuple[int, ...]
     separation_rate: float
@@ -401,10 +399,12 @@ def expected_kl_to_truth(model, theta_set: ParameterSet, theta_index: int,
 
 def separation_table(models, theta_set: ParameterSet, stationary,
                      mc_samples: int = 2000, seed: int = 0) -> SeparationTable:
-    """Expected-KL geometry over all nodes and parameter pairs.
+    """Expected KL to the truth per (node, parameter), and the separation rate.
 
-    Each node's expectations share one set of instance draws, so the
-    advantage array is exactly antisymmetric and has a zero diagonal.
+    Each node's expectations share one set of instance draws. The rate's
+    pairwise minimum splits into the weighted vector ``V = v @ kl``: it is
+    the least ``V`` over non-optimal parameters minus the greatest over
+    the global optima, so memory stays linear in the parameter count.
     Raises ``NotGloballyLearnableError`` when no parameter minimizes every
     node's expected KL simultaneously.
     """
@@ -421,32 +421,21 @@ def separation_table(models, theta_set: ParameterSet, stationary,
             raise UnboundedKLError(f"node {j}: some parameter lacks support for the truth")
         kl[j] = per_sample.mean(axis=1)
 
-    advantage = kl[:, None, :] - kl[:, :, None]
-    local = tuple(
-        tuple(int(i) for i in np.flatnonzero(kl[j] <= kl[j].min() + ARGMIN_TIE_TOL))
-        for j in range(n_nodes)
-    )
-    shared = set(local[0])
-    for indices in local[1:]:
-        shared &= set(indices)
-    if not shared:
+    near_min = kl <= kl.min(axis=1, keepdims=True) + ARGMIN_TIE_TOL
+    local = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in near_min)
+    optimal = near_min.all(axis=0)
+    if not optimal.any():
         raise NotGloballyLearnableError(
             "no parameter is optimal for every node; per-node optima are "
             + ", ".join(str(list(ix)) for ix in local)
         )
-    global_optima = tuple(sorted(shared))
 
-    others = [i for i in range(n_params) if i not in shared]
-    if not others:
-        rate = math.inf
-    else:
-        weighted = np.einsum("j,jab->ab", stationary, advantage)
-        rate = float(weighted[np.ix_(global_optima, others)].min())
+    weighted = stationary @ kl
+    rate = math.inf if optimal.all() else float(weighted[~optimal].min() - weighted[optimal].max())
     return SeparationTable(
         kl_to_truth=kl,
-        kl_advantage=advantage,
         local_optima=local,
-        global_optima=global_optima,
+        global_optima=tuple(int(i) for i in np.flatnonzero(optimal)),
         separation_rate=rate,
     )
 

@@ -107,7 +107,11 @@ class TrialResult:
 
 @dataclass
 class ExperimentReport:
-    """Aggregate over independent trials of one scenario."""
+    """Aggregate over independent trials of one scenario.
+
+    ``bound_inputs`` are the inputs ``sample_bound`` was computed from,
+    with ``scenario.bound_overrides`` applied.
+    """
 
     engine: str
     trials: int
@@ -116,6 +120,7 @@ class ExperimentReport:
     baseline_results: list | None = None
     empirical_error: float | None = None
     separation: SeparationTable | None = None
+    bound_inputs: BoundInputs | None = None
     sample_bound: int | None = None
     assumption_violated: bool | None = None
     first_all_success_round: int | None = None
@@ -369,7 +374,7 @@ def run_experiment(scenario: Scenario, workers: int = 1,
     scenario.validate()
     spectral = spectral_gap(scenario.graph)
 
-    separation = bound = violated = None
+    separation = inputs = bound = violated = None
     baselines = None
     if scenario.engine == "discrete":
         separation = separation_table(
@@ -395,6 +400,7 @@ def run_experiment(scenario: Scenario, workers: int = 1,
         trial_results=results,
         baseline_results=baselines,
         separation=separation,
+        bound_inputs=inputs,
         sample_bound=bound,
         assumption_violated=violated,
     )

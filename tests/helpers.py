@@ -123,6 +123,20 @@ def covering_grid_world():
     return graph, theta_set, models, star_index
 
 
+def pairwise_separation_rate(kl, stationary, global_optima) -> float:
+    """Brute-force separation rate over every (optimal a, other b) pair.
+
+    The minimum of ``sum_j v_j (kl[j, b] - kl[j, a])`` over a in
+    ``global_optima`` and b outside it; +inf when there is no such b.
+    """
+    kl = np.asarray(kl, dtype=float)
+    others = [b for b in range(kl.shape[1]) if b not in global_optima]
+    if not others:
+        return float("inf")
+    gaps = kl[:, None, others] - kl[:, list(global_optima), None]
+    return float(np.einsum("j,jab->ab", np.asarray(stationary, dtype=float), gaps).min())
+
+
 def floor_clamp_scenario(n_rounds=400, trials=1, cooperative=True) -> Scenario:
     """2-node Bernoulli world in which the -700 log-belief floor fires.
 

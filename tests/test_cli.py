@@ -242,9 +242,11 @@ class TestBoundCommand:
     def test_run_reports_the_same_bound(self, tmp_path, capsys, overrides):
         config = write_config(tmp_path, discrete_config(bound=overrides))
         assert main(["bound", config]) == 0
-        printed = json.loads(capsys.readouterr().out)["n"]
+        printed = json.loads(capsys.readouterr().out)
         assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
-        assert json.loads(capsys.readouterr().out)["sample_bound"] == printed
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["sample_bound"] == printed["n"]
+        assert summary["separation_rate"] == printed["separation_rate"]
 
 
 class TestCheckGraphCommand:

@@ -1,6 +1,7 @@
 """Likelihood families, expected-KL geometry, covering verification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,12 @@ from peerlearn import (
     assumption_bounds,
     expected_kl_to_truth,
     separation_table,
+    spectral_gap,
+    validate_weight_matrix,
     verify_r_covering,
 )
+
+from helpers import pairwise_separation_rate
 
 
 def binary_kl(p, q):
@@ -32,6 +37,14 @@ def binary_kl(p, q):
     return sum(terms)
 
 
+def _planted_points(n_points, pairs, gap):
+    """Random points with point b set to point a plus ``gap`` per pair (a, b)."""
+    points = np.random.default_rng(3).uniform(0.0, 1.0, (n_points, 3))
+    for a, b in pairs:
+        points[b] = points[a] + gap
+    return points
+
+
 class TestParameterSet:
     def test_basic_properties(self):
         ps = ParameterSet(np.array([[0.1, 0.2], [0.3, 0.4]]))
@@ -41,9 +54,27 @@ class TestParameterSet:
         with pytest.raises(ValueError):
             ParameterSet(np.array([[0.1]]))
 
-    def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            ParameterSet(np.array([[0.1, 0.2], [0.1, 0.2 + 1e-13]]))
+    @pytest.mark.parametrize("points, named", [
+        (np.array([[0.1, 0.2], [0.1, 0.2 + 1e-13]]), (0, 1)),
+        (np.array([[0.1, 0.2], [0.1, 0.2 + 2e-12]]), None),
+        (np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 5e-13], [0.5, 0.5 + 1e-13]]), (1, 3)),
+        (_planted_points(500, [(0, 499)], 1e-14), (0, 499)),
+        (_planted_points(8, [(2, 5), (1, 4)], 0.0), (1, 4)),
+    ], ids=["1e-13-apart", "2e-12-apart", "closer-pair-named", "first-and-last",
+            "tie-lowest-indices"])
+    def test_rejects_duplicates(self, points, named):
+        if named is None:
+            assert ParameterSet(points).n_points == len(points)
+            return
+        with pytest.raises(ValueError, match=f"indices {named[0]} and {named[1]}$"):
+            ParameterSet(points)
+
+    def test_leaves_the_callers_array_alone(self):
+        arr = np.array([[0.1, 0.2], [0.3, 0.4]])
+        ps = ParameterSet(arr)
+        assert arr.flags.writeable and not ps.points.flags.writeable
+        arr[0, 0] = 0.5
+        assert ps.points[0, 0] == 0.1
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -138,7 +169,8 @@ class TestSeparationTable:
         assert table.local_optima == ((0, 1), (0, 2))
         assert table.global_optima == (0,)
         # Realizable case: the truth is never at a KL disadvantage anywhere.
-        assert np.all(table.kl_advantage[:, 0, :] >= -1e-12)
+        kl = table.kl_to_truth
+        assert np.all(kl[:, 0] <= kl.min(axis=1) + 1e-12)
 
     def test_all_equivalent_parameters_give_infinite_rate(self):
         model = BernoulliContextModel(0, true_probs=[0.5, 0.1], visible=[0])
@@ -157,19 +189,6 @@ class TestSeparationTable:
         with pytest.raises(NotGloballyLearnableError):
             separation_table(models, theta, [0.5, 0.5], mc_samples=100, seed=0)
 
-    def test_advantage_antisymmetric_with_zero_diagonal(self):
-        truth = np.array([0.6, 0.4, 0.2])
-        models = [
-            BernoulliContextModel(0, truth, [0, 1]),
-            BernoulliContextModel(1, truth, [1, 2]),
-        ]
-        theta = ParameterSet(np.array([truth, [0.3, 0.4, 0.9], [0.6, 0.8, 0.2]]))
-        table = separation_table(models, theta, [0.5, 0.5], mc_samples=500, seed=11)
-        for j in range(2):
-            adv = table.kl_advantage[j]
-            np.testing.assert_allclose(adv, -adv.T, atol=1e-12)
-            np.testing.assert_allclose(np.diag(adv), 0.0, atol=1e-15)
-
     def test_reindexing_equivariance(self):
         truth = np.array([0.7, 0.2])
         points = np.array([truth, [0.4, 0.5], [0.9, 0.8], [0.1, 0.3]])
@@ -183,12 +202,33 @@ class TestSeparationTable:
         shuffled = separation_table(models, ParameterSet(points[perm]), [0.4, 0.6],
                                     mc_samples=300, seed=13)
         inverse = np.argsort(perm)
-        np.testing.assert_allclose(
-            shuffled.kl_advantage[:, inverse][:, :, inverse],
-            base.kl_advantage,
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(shuffled.kl_to_truth[:, inverse], base.kl_to_truth,
+                                   atol=1e-12)
         assert base.separation_rate == pytest.approx(shuffled.separation_rate, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_rate_matches_pairwise_oracle(self, seed):
+        # Random Bernoulli world. The last context is seen by no node, so
+        # every copy of the truth that differs only there is also globally
+        # optimal.
+        rng = np.random.default_rng([17, seed])
+        n_nodes, n_contexts = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        truth = rng.uniform(0.1, 0.9, n_contexts)
+        models = [
+            BernoulliContextModel(j, truth, rng.choice(
+                n_contexts - 1, size=int(rng.integers(1, n_contexts)), replace=False))
+            for j in range(n_nodes)
+        ]
+        copies = np.repeat(truth[None, :], int(rng.integers(0, 3)), axis=0)
+        copies[:, -1] = rng.uniform(0.1, 0.9, len(copies))
+        points = np.vstack([truth, copies, rng.uniform(0.05, 0.95, (12, n_contexts))])
+        stationary = rng.dirichlet(np.ones(n_nodes))
+        table = separation_table(models, ParameterSet(points), stationary,
+                                 mc_samples=200, seed=seed)
+        assert len(table.global_optima) == 1 + len(copies)
+        expected = pairwise_separation_rate(table.kl_to_truth, stationary,
+                                            table.global_optima)
+        assert table.separation_rate == pytest.approx(expected, rel=1e-12)
 
     def test_rate_stable_under_sample_doubling(self):
         truth = np.array([0.8, 0.3])
@@ -205,6 +245,37 @@ class TestSeparationTable:
         replicates = np.array([rate(1500, s) for s in range(40, 50)])
         se = replicates.std(ddof=1)
         assert abs(rate(1500, 0) - rate(3000, 1)) < 3 * se + 1e-9
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLinearMemory:
+    """Parameter geometry must not take memory quadratic in M (M = 4,096 here)."""
+
+    axis = np.linspace(0.02, 0.98, 64)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+    def test_parameter_set_peak(self):
+        assert _peak_bytes(lambda: ParameterSet(self.grid)) < 1 * 2**20
+
+    def test_separation_table_peak(self):
+        theta = ParameterSet(self.grid)
+        truth = self.grid[1234]
+        models = [BernoulliContextModel(j, truth, [j]) for j in range(2)]
+        stationary = spectral_gap(validate_weight_matrix([[0.8, 0.2], [0.3, 0.7]])).stationary
+        tables = []
+        peak = _peak_bytes(lambda: tables.append(
+            separation_table(models, theta, stationary, mc_samples=50, seed=5)))
+        assert tables[0].global_optima == (1234,)
+        assert peak < 32 * 2**20
 
 
 class TestCoveringVerifier:
