@@ -82,7 +82,7 @@ def bayesian_update(prior, model, theta_set, x, y) -> BeliefVector:
     (x, y) pair over ``theta_set``. Raises ``ZeroLikelihoodError`` when no
     parameter assigns the label positive density.
     """
-    log_lik = model.log_likelihood_vector(theta_set.points, x, y)
+    log_lik = model.log_likelihood_matrix(theta_set.points, [x], [y])[0]
     combined = prior.log_weights + log_lik
     if not np.any(combined > -np.inf) or np.any(np.isnan(combined)):
         raise ZeroLikelihoodError(

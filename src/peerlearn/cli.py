@@ -109,6 +109,11 @@ def _number_list(value, path: str) -> list:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _integer_list(value, path: str, minimum=None) -> list:
+    _require(isinstance(value, list), path, "expected an array")
+    return [_integer(v, f"{path}[{i}]", minimum=minimum) for i, v in enumerate(value)]
+
+
 def _matrix(value, path: str) -> list:
     _require(isinstance(value, list) and len(value) > 0, path, "expected a non-empty array")
     rows = [_number_list(row, f"{path}[{i}]") for i, row in enumerate(value)]
@@ -141,28 +146,18 @@ def _validate_model(entry, path: str) -> dict:
             )
         ]
         _require(bool(out["true_probs"]), f"{path}.true_probs", "expected a non-empty array")
-        out["visible"] = [
-            _integer(v, f"{path}.visible[{i}]", minimum=0)
-            for i, v in enumerate(entry["visible"] if isinstance(entry["visible"], list) else [])
-        ]
-        _require(bool(out["visible"]), f"{path}.visible", "expected a non-empty array")
     elif family == "categorical":
         out["true_table"] = _matrix(entry["true_table"], f"{path}.true_table")
-        out["visible"] = [
-            _integer(v, f"{path}.visible[{i}]", minimum=0)
-            for i, v in enumerate(entry["visible"] if isinstance(entry["visible"], list) else [])
-        ]
-        _require(bool(out["visible"]), f"{path}.visible", "expected a non-empty array")
     else:
-        out["observed"] = [
-            _integer(v, f"{path}.observed[{i}]", minimum=0)
-            for i, v in enumerate(entry["observed"] if isinstance(entry["observed"], list) else [])
-        ]
+        out["observed"] = _integer_list(entry["observed"], f"{path}.observed", minimum=0)
         ranges = _matrix(entry["ranges"], f"{path}.ranges")
         for i, row in enumerate(ranges):
             _require(len(row) == 2, f"{path}.ranges[{i}]", "expected a [low, high] pair")
             _require(row[0] < row[1], f"{path}.ranges[{i}]", "low bound must be below high")
         out["ranges"] = ranges
+    if "visible" in required:
+        out["visible"] = _integer_list(entry["visible"], f"{path}.visible", minimum=0)
+        _require(bool(out["visible"]), f"{path}.visible", "expected a non-empty array")
     return out
 
 

@@ -13,9 +13,16 @@ Three built-in model families cover every in-scope experiment:
   with per-coordinate uniform instance ranges and a coordinate mask, so a
   node only excites the parameter directions it observes.
 
-Expectations over the instance distribution are Monte Carlo with
-closed-form conditional KL per sampled instance; the inner divergence is
-exact, and every estimate for one node shares the same instance draws.
+The two context families share one implementation: each maps a parameter
+vector to an (n_contexts, K) label table, and a sample's likelihood is
+one entry of it.
+
+Expectations over the instance distribution are Monte Carlo, and every
+estimate for one node shares the same instance draws. The inner
+divergence is exact. The context families count the draws per context
+and weight each context's closed-form KL by its count, so their cost
+does not grow with the number of draws; only the Gaussian family
+averages its closed-form KL sample by sample.
 
 Model instances carry their own sampling methods but no generator state.
 """
@@ -88,17 +95,12 @@ class LikelihoodModel:
     def sample_labels(self, rng: np.random.Generator, xs):
         raise NotImplementedError
 
-    def log_likelihood_vector(self, thetas: np.ndarray, x, y) -> np.ndarray:
-        raise NotImplementedError
-
     def log_likelihood_matrix(self, thetas: np.ndarray, xs, ys) -> np.ndarray:
         """Log likelihoods for a whole sample batch, shape (len(xs), M)."""
-        return np.stack(
-            [self.log_likelihood_vector(thetas, x, y) for x, y in zip(xs, ys)]
-        )
+        raise NotImplementedError
 
     def kl_to_truth(self, thetas: np.ndarray, xs) -> np.ndarray:
-        """Conditional KL(truth || likelihood(theta)) per (theta, instance)."""
+        """Conditional KL(truth || likelihood(theta)) averaged over the draws, shape (M,)."""
         raise NotImplementedError
 
     def kl_between(self, thetas: np.ndarray, psi: np.ndarray, xs) -> np.ndarray:
@@ -114,108 +116,50 @@ class LikelihoodModel:
         raise NotImplementedError
 
     def likelihood_bounds(self, thetas: np.ndarray) -> tuple[float, float] | None:
-        """(alpha, L) with alpha <= likelihood <= L over the set, or None."""
+        """(alpha, L) with 0 < alpha <= likelihood <= L over the set, or None."""
         return None
 
     def validate_parameters(self, thetas: np.ndarray) -> None:
         """Reject parameter vectors the family cannot interpret."""
-
-
-def _bernoulli_kl(p, q):
-    return rel_entr(p, q) + rel_entr(1.0 - p, 1.0 - q)
-
-
-class BernoulliContextModel(LikelihoodModel):
-    """Binary labels with per-context success probabilities.
-
-    ``true_probs`` is the label law per context; ``visible`` lists the
-    context indices this node draws uniformly at random.
-    """
-
-    def __init__(self, node_id: int, true_probs, visible):
-        self.node_id = node_id
-        self.true_probs = np.asarray(true_probs, dtype=float)
-        if self.true_probs.ndim != 1 or np.any((self.true_probs < 0) | (self.true_probs > 1)):
-            raise ValueError("true_probs must be probabilities in [0, 1]")
-        self.visible = np.asarray(sorted(set(int(i) for i in visible)), dtype=int)
-        if self.visible.size == 0:
-            raise ValueError("a node must observe at least one context")
-        if np.any(self.visible < 0) or np.any(self.visible >= self.true_probs.size):
-            raise ValueError("visible context index out of range")
-        self.param_dim = self.true_probs.size
-
-    def sample_instances(self, rng, size):
-        return self.visible[rng.integers(0, self.visible.size, size=size)]
-
-    def sample_labels(self, rng, xs):
-        return (rng.random(len(xs)) < self.true_probs[xs]).astype(np.int64)
-
-    def log_likelihood_vector(self, thetas, x, y):
-        p = thetas[:, x]
-        with np.errstate(divide="ignore"):
-            return np.log(p) if y == 1 else np.log1p(-p)
-
-    def log_likelihood_matrix(self, thetas, xs, ys):
-        with np.errstate(divide="ignore"):
-            log_p = np.log(thetas)
-            log_q = np.log1p(-thetas)
-        return np.where((ys == 1)[:, None], log_p[:, xs].T, log_q[:, xs].T)
-
-    def kl_to_truth(self, thetas, xs):
-        p = self.true_probs[xs][None, :]
-        q = thetas[:, xs]
-        return _bernoulli_kl(p, q)
-
-    def kl_between(self, thetas, psi, xs):
-        return _bernoulli_kl(thetas[:, xs], psi[xs][None, :])
-
-    def label_expectation(self, theta, xs, fn):
-        p = theta[xs]
-        return p * fn(xs, 1) + (1.0 - p) * fn(xs, 0)
-
-    def density_l1(self, theta, psi, xs):
-        return 2.0 * np.abs(theta[xs] - psi[xs])
-
-    def likelihood_bounds(self, thetas):
-        values = np.concatenate([thetas[:, self.visible].ravel(),
-                                 1.0 - thetas[:, self.visible].ravel()])
-        return float(values.min()), float(values.max())
-
-    def validate_parameters(self, thetas):
         if thetas.shape[1] != self.param_dim:
             raise ValueError(
                 f"node {self.node_id}: parameters have dimension {thetas.shape[1]}, "
                 f"expected {self.param_dim}"
             )
-        if np.any((thetas < 0) | (thetas > 1)):
-            raise ValueError(f"node {self.node_id}: parameter entries must lie in [0, 1]")
 
 
-class CategoricalContextModel(LikelihoodModel):
-    """Labels in {0..K-1} with a probability row per context.
+class ContextModel(LikelihoodModel):
+    """Discrete labels whose law depends only on a context index.
 
-    Parameter vectors are row-major flattenings of (n_contexts, K) tables
-    whose rows each sum to 1.
+    ``true_table`` is the (n_contexts, K) label law; ``visible`` lists the
+    context indices this node draws uniformly at random. A family maps its
+    parameter vectors to (M, n_contexts, K) label tables in ``_tables``.
     """
 
     def __init__(self, node_id: int, true_table, visible):
         self.node_id = node_id
         table = np.asarray(true_table, dtype=float)
-        if table.ndim != 2 or np.any(table < 0):
+        if table.ndim != 2 or table.min() < 0:
             raise ValueError("true_table must be a nonnegative (contexts, labels) matrix")
-        if np.any(np.abs(table.sum(axis=1) - 1.0) > 1e-9):
+        if np.abs(table.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("every true_table row must sum to 1")
         self.true_table = table
         self.n_contexts, self.n_labels = table.shape
         self.visible = np.asarray(sorted(set(int(i) for i in visible)), dtype=int)
         if self.visible.size == 0:
             raise ValueError("a node must observe at least one context")
-        if np.any(self.visible < 0) or np.any(self.visible >= self.n_contexts):
+        if self.visible[0] < 0 or self.visible[-1] >= self.n_contexts:
             raise ValueError("visible context index out of range")
-        self.param_dim = self.n_contexts * self.n_labels
 
-    def _tables(self, thetas):
-        return thetas.reshape(thetas.shape[0], self.n_contexts, self.n_labels)
+    def _tables(self, thetas) -> np.ndarray:
+        raise NotImplementedError
+
+    def _log_tables(self, thetas) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self._tables(thetas))
+
+    def _table(self, theta) -> np.ndarray:
+        return self._tables(theta[None, :])[0]
 
     def sample_instances(self, rng, size):
         return self.visible[rng.integers(0, self.visible.size, size=size)]
@@ -225,47 +169,84 @@ class CategoricalContextModel(LikelihoodModel):
         u = rng.random(len(xs))
         return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
 
-    def log_likelihood_vector(self, thetas, x, y):
-        with np.errstate(divide="ignore"):
-            return np.log(self._tables(thetas)[:, x, y])
-
     def log_likelihood_matrix(self, thetas, xs, ys):
-        with np.errstate(divide="ignore"):
-            logs = np.log(self._tables(thetas))
-        return logs[:, xs, ys].T
+        return self._log_tables(thetas)[:, xs, ys].T
 
     def kl_to_truth(self, thetas, xs):
-        p = self.true_table[xs][None, :, :]
-        q = self._tables(thetas)[:, xs, :]
-        return rel_entr(p, q).sum(axis=2)
+        """Each drawn context's closed-form KL, weighted by its share of the draws.
+
+        Contexts never drawn are left out, so an infinite KL there never
+        meets a zero count.
+        """
+        counts = np.bincount(xs, minlength=self.n_contexts)
+        drawn = np.flatnonzero(counts)
+        per_context = rel_entr(self.true_table[drawn], self._tables(thetas)[:, drawn]).sum(axis=2)
+        return per_context @ counts[drawn] / len(xs)
 
     def kl_between(self, thetas, psi, xs):
-        p = self._tables(thetas)[:, xs, :]
-        q = psi.reshape(self.n_contexts, self.n_labels)[xs][None, :, :]
-        return rel_entr(p, q).sum(axis=2)
+        return rel_entr(self._tables(thetas)[:, xs], self._table(psi)[xs]).sum(axis=2)
 
     def label_expectation(self, theta, xs, fn):
-        rows = theta.reshape(self.n_contexts, self.n_labels)[xs]
         values = np.stack([fn(xs, label) for label in range(self.n_labels)], axis=1)
-        return (rows * values).sum(axis=1)
+        return (self._table(theta)[xs] * values).sum(axis=1)
 
     def density_l1(self, theta, psi, xs):
-        shape = (self.n_contexts, self.n_labels)
-        return np.abs(theta.reshape(shape)[xs] - psi.reshape(shape)[xs]).sum(axis=1)
+        return np.abs(self._table(theta)[xs] - self._table(psi)[xs]).sum(axis=1)
 
     def likelihood_bounds(self, thetas):
-        rows = self._tables(thetas)[:, self.visible, :].ravel()
-        return float(rows.min()), float(rows.max())
+        """None when some visible label has probability 0: the log-ratio is unbounded."""
+        values = self._tables(thetas)[:, self.visible]
+        low = float(values.min())
+        return None if low == 0.0 else (low, float(values.max()))
 
     def validate_parameters(self, thetas):
-        if thetas.shape[1] != self.param_dim:
-            raise ValueError(
-                f"node {self.node_id}: parameters have dimension {thetas.shape[1]}, "
-                f"expected {self.param_dim}"
-            )
+        super().validate_parameters(thetas)
         tables = self._tables(thetas)
-        if np.any(tables < 0) or np.any(np.abs(tables.sum(axis=2) - 1.0) > 1e-9):
-            raise ValueError(f"node {self.node_id}: parameter rows must be distributions")
+        if tables.min() < 0 or np.abs(tables.sum(axis=2) - 1.0).max() > 1e-9:
+            raise ValueError(
+                f"node {self.node_id}: parameters must give a label distribution per context"
+            )
+
+
+class BernoulliContextModel(ContextModel):
+    """Binary labels with per-context success probabilities.
+
+    ``true_probs`` is the success probability per context; a parameter
+    vector holds one success probability per context.
+    """
+
+    def __init__(self, node_id: int, true_probs, visible):
+        probs = np.asarray(true_probs, dtype=float)
+        if probs.ndim != 1 or probs.min() < 0 or probs.max() > 1:
+            raise ValueError("true_probs must be probabilities in [0, 1]")
+        super().__init__(node_id, self._table(probs), visible)
+        self.param_dim = self.n_contexts
+
+    def _tables(self, thetas):
+        return np.concatenate([1.0 - thetas[..., None], thetas[..., None]], axis=2)
+
+    def _log_tables(self, thetas):
+        with np.errstate(divide="ignore"):
+            return np.concatenate([np.log1p(-thetas)[..., None], np.log(thetas)[..., None]],
+                                  axis=2)
+
+    def sample_labels(self, rng, xs):
+        return (rng.random(len(xs)) < self.true_table[xs, 1]).astype(np.int64)
+
+
+class CategoricalContextModel(ContextModel):
+    """Labels in {0..K-1} with a probability row per context.
+
+    Parameter vectors are row-major flattenings of (n_contexts, K) tables
+    whose rows each sum to 1.
+    """
+
+    def __init__(self, node_id: int, true_table, visible):
+        super().__init__(node_id, true_table, visible)
+        self.param_dim = self.n_contexts * self.n_labels
+
+    def _tables(self, thetas):
+        return thetas.reshape(thetas.shape[0], self.n_contexts, self.n_labels)
 
 
 class LinearGaussianModel(LikelihoodModel):
@@ -308,12 +289,6 @@ class LinearGaussianModel(LikelihoodModel):
         means = self.augment(xs) @ self.true_theta
         return means + self.noise_std * rng.standard_normal(len(means))
 
-    def log_likelihood_vector(self, thetas, x, y):
-        means = thetas @ self.augment(x)[0]
-        return -0.5 * ((y - means) / self.noise_std) ** 2 - math.log(
-            self.noise_std * math.sqrt(2.0 * math.pi)
-        )
-
     def log_likelihood_matrix(self, thetas, xs, ys):
         means = self.augment(xs) @ thetas.T
         return -0.5 * ((np.asarray(ys)[:, None] - means) / self.noise_std) ** 2 - math.log(
@@ -322,7 +297,7 @@ class LinearGaussianModel(LikelihoodModel):
 
     def kl_to_truth(self, thetas, xs):
         proj = self.augment(xs) @ (self.true_theta[None, :] - thetas).T
-        return proj.T**2 / (2.0 * self.noise_var)
+        return (proj.T**2 / (2.0 * self.noise_var)).mean(axis=1)
 
     def kl_between(self, thetas, psi, xs):
         proj = self.augment(xs) @ (thetas - psi[None, :]).T
@@ -331,13 +306,6 @@ class LinearGaussianModel(LikelihoodModel):
     def density_l1(self, theta, psi, xs):
         gap = np.abs(self.augment(xs) @ (theta - psi))
         return 2.0 * erf(gap / (2.0 * math.sqrt(2.0) * self.noise_std))
-
-    def validate_parameters(self, thetas):
-        if thetas.shape[1] != self.param_dim:
-            raise ValueError(
-                f"node {self.node_id}: parameters have dimension {thetas.shape[1]}, "
-                f"expected {self.param_dim}"
-            )
 
 
 @dataclass(frozen=True)
@@ -388,13 +356,13 @@ def expected_kl_to_truth(model, theta_set: ParameterSet, theta_index: int,
     if mc_samples < 1:
         raise ValueError("mc_samples must be at least 1")
     xs = _instance_draws(model, mc_samples, seed, model.node_id)
-    kls = model.kl_to_truth(theta_set.points[[theta_index]], xs)[0]
-    if np.any(np.isinf(kls)):
+    kl = float(model.kl_to_truth(theta_set.points[[theta_index]], xs)[0])
+    if math.isinf(kl):
         raise UnboundedKLError(
             f"node {model.node_id}: likelihood at parameter {theta_index} "
             "has no support where the truth does"
         )
-    return float(kls.mean())
+    return kl
 
 
 def separation_table(models, theta_set: ParameterSet, stationary,
@@ -416,10 +384,9 @@ def separation_table(models, theta_set: ParameterSet, stationary,
     for j, model in enumerate(models):
         model.validate_parameters(theta_set.points)
         xs = _instance_draws(model, mc_samples, seed, model.node_id)
-        per_sample = model.kl_to_truth(theta_set.points, xs)
-        if np.any(np.isinf(per_sample)):
+        kl[j] = model.kl_to_truth(theta_set.points, xs)
+        if np.any(np.isinf(kl[j])):
             raise UnboundedKLError(f"node {j}: some parameter lacks support for the truth")
-        kl[j] = per_sample.mean(axis=1)
 
     near_min = kl <= kl.min(axis=1, keepdims=True) + ARGMIN_TIE_TOL
     local = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in near_min)

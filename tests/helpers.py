@@ -1,6 +1,7 @@
 """Shared scenario builders for the test suite."""
 
 import numpy as np
+from scipy.special import rel_entr
 
 from peerlearn import (
     BernoulliContextModel,
@@ -135,6 +136,17 @@ def pairwise_separation_rate(kl, stationary, global_optima) -> float:
         return float("inf")
     gaps = kl[:, None, others] - kl[:, list(global_optima), None]
     return float(np.einsum("j,jab->ab", np.asarray(stationary, dtype=float), gaps).min())
+
+
+def per_sample_kl_mean(true_table, tables, xs) -> np.ndarray:
+    """Mean over the draws ``xs`` of KL(true_table[x] || tables[a, x]), per parameter a.
+
+    The sample-by-sample form of a context family's expected KL; ``tables``
+    holds each parameter's (n_contexts, K) label table.
+    """
+    true_table = np.asarray(true_table, dtype=float)
+    tables = np.asarray(tables, dtype=float)
+    return rel_entr(true_table[xs][None, :, :], tables[:, xs, :]).sum(axis=2).mean(axis=1)
 
 
 def floor_clamp_scenario(n_rounds=400, trials=1, cooperative=True) -> Scenario:

@@ -103,6 +103,22 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError):
             parse_config(json.dumps(payload))
 
+    @pytest.mark.parametrize("observed", [3, "0"], ids=["number", "string"])
+    def test_non_array_observed_names_the_path(self, tmp_path, capsys, observed):
+        payload = gaussian_config()
+        payload["scenario"]["models"][0]["observed"] = observed
+        with pytest.raises(ConfigValidationError) as info:
+            parse_config(json.dumps(payload))
+        assert info.value.path == "scenario.models[0].observed"
+        assert main(["run", write_config(tmp_path, payload)]) == 2
+        assert "scenario.models[0].observed" in capsys.readouterr().err
+
+    def test_empty_observed_is_valid(self):
+        payload = gaussian_config()
+        payload["scenario"]["models"][0]["observed"] = []
+        doc = parse_config(json.dumps(payload))
+        assert doc.scenario["models"][0]["observed"] == []
+
     def test_gaussian_requires_prior(self):
         payload = gaussian_config()
         del payload["scenario"]["prior"]
@@ -247,6 +263,42 @@ class TestBoundCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["sample_bound"] == printed["n"]
         assert summary["separation_rate"] == printed["separation_rate"]
+
+
+    @pytest.mark.parametrize("scenario", [
+        {
+            "models": [
+                {"family": "bernoulli", "true_probs": [0.0, 0.6], "visible": [0]},
+                {"family": "bernoulli", "true_probs": [0.0, 0.6], "visible": [1]},
+            ],
+            "parameters": {"points": [[0.0, 0.6], [0.5, 0.6], [0.0, 0.3]]},
+        },
+        {
+            "models": [
+                {"family": "linear_gaussian", "observed": [0],
+                 "ranges": [[-1, 1], [-1.5, 1.5]]},
+                {"family": "linear_gaussian", "observed": [1],
+                 "ranges": [[-1, 1], [-1.5, 1.5]]},
+            ],
+            "true_theta": [-0.3, 0.5, 0.8],
+            "noise_std": 0.8,
+            "parameters": {"points": [[-0.3, 0.5, 0.8], [0.0, 0.5, 0.8],
+                                      [-0.3, 0.0, 0.8], [-0.3, 0.5, 0.0]]},
+        },
+    ], ids=["zero-probability", "linear-gaussian"])
+    def test_unbounded_likelihoods(self, tmp_path, capsys, scenario):
+        # ``bound`` needs the log-range and asks for it; ``run`` does not
+        # need the bound and reports none.
+        config = write_config(tmp_path, discrete_config(**scenario))
+        assert main(["bound", config]) == 2
+        captured = capsys.readouterr()
+        assert "scenario.bound.likelihood_log_range" in captured.err
+        assert captured.out == ""
+        assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["sample_bound"] is None
+        assert summary["assumption_violated"] is True
+        assert summary["global_optima"] == [0]
 
 
 class TestCheckGraphCommand:

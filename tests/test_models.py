@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerlearn import (
     BernoulliContextModel,
@@ -21,7 +23,7 @@ from peerlearn import (
     verify_r_covering,
 )
 
-from helpers import pairwise_separation_rate
+from helpers import pairwise_separation_rate, per_sample_kl_mean
 
 
 def binary_kl(p, q):
@@ -43,6 +45,102 @@ def _planted_points(n_points, pairs, gap):
     for a, b in pairs:
         points[b] = points[a] + gap
     return points
+
+
+def _context_world(family, seed, n_nodes=1):
+    """Random context world: models sharing one truth, its candidates and their label tables.
+
+    The truth is the first candidate. Every label has positive probability
+    under the truth and under each candidate.
+    """
+    rng = np.random.default_rng(seed)
+    n_contexts = int(rng.integers(1, 5))
+    if family == "bernoulli":
+        truth = rng.uniform(0.05, 0.95, n_contexts)
+        points = np.vstack([truth, rng.uniform(0.02, 0.98, (10, n_contexts))])
+        tables = np.stack([1.0 - points, points], axis=2)
+    else:
+        n_labels = int(rng.integers(2, 5))
+        truth = rng.dirichlet(np.ones(n_labels), n_contexts)
+        rows = rng.dirichlet(np.ones(n_labels), (10, n_contexts))
+        points = np.vstack([truth.ravel(), rows.reshape(10, -1)])
+        tables = points.reshape(len(points), n_contexts, n_labels)
+    family_cls = BernoulliContextModel if family == "bernoulli" else CategoricalContextModel
+    models = [
+        family_cls(j, truth, rng.choice(n_contexts, size=int(rng.integers(1, n_contexts + 1)),
+                                        replace=False))
+        for j in range(n_nodes)
+    ]
+    return models, points, tables
+
+
+_WORLDS = settings(max_examples=40, deadline=None, derandomize=True)
+_FAMILIES = st.sampled_from(["bernoulli", "categorical"])
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestContextFamilies:
+    @_WORLDS
+    @given(family=_FAMILIES, seed=_SEEDS)
+    def test_log_likelihood_matrix_is_the_per_sample_formula(self, family, seed):
+        (model,), points, _ = _context_world(family, seed)
+        # Candidates with zero-probability labels give -inf entries.
+        n_contexts = model.n_contexts
+        if family == "bernoulli":
+            points = np.vstack([points, np.zeros(n_contexts), np.ones(n_contexts)])
+        else:
+            one_hot = np.tile(np.eye(model.n_labels)[0], n_contexts)
+            points = np.vstack([points, one_hot, one_hot[::-1]])
+        rng = np.random.default_rng(seed)
+        xs = rng.integers(0, n_contexts, 30)
+        ys = rng.integers(0, model.n_labels, 30)
+        with np.errstate(divide="ignore"):
+            if family == "bernoulli":
+                expected = [np.log(points[:, x]) if y == 1 else np.log1p(-points[:, x])
+                            for x, y in zip(xs, ys)]
+            else:
+                tables = points.reshape(len(points), n_contexts, model.n_labels)
+                expected = [np.log(tables[:, x, y]) for x, y in zip(xs, ys)]
+        np.testing.assert_array_equal(model.log_likelihood_matrix(points, xs, ys),
+                                      np.array(expected))
+
+    @_WORLDS
+    @given(family=_FAMILIES, seed=_SEEDS)
+    def test_kl_to_truth_matches_the_per_sample_mean(self, family, seed):
+        (model,), points, tables = _context_world(family, seed)
+        xs = model.sample_instances(np.random.default_rng(seed), 500)
+        np.testing.assert_allclose(model.kl_to_truth(points, xs),
+                                   per_sample_kl_mean(model.true_table, tables, xs),
+                                   rtol=1e-12, atol=0)
+
+    @_WORLDS
+    @given(family=_FAMILIES, seed=_SEEDS, n_nodes=st.integers(1, 4))
+    def test_separation_rate_matches_the_pairwise_oracle(self, family, seed, n_nodes):
+        models, points, tables = _context_world(family, seed, n_nodes)
+        stationary = np.random.default_rng(seed).dirichlet(np.ones(n_nodes))
+        table = separation_table(models, ParameterSet(points), stationary,
+                                 mc_samples=300, seed=seed)
+        kl = np.stack([
+            per_sample_kl_mean(m.true_table, tables,
+                               m.sample_instances(np.random.default_rng([seed, j]), 300))
+            for j, m in enumerate(models)
+        ])
+        assert 0 in table.global_optima
+        expected = pairwise_separation_rate(kl, stationary, table.global_optima)
+        assert table.separation_rate == pytest.approx(expected, rel=1e-12)
+
+    def test_one_gaussian_sample_is_a_row_of_the_batch(self):
+        model = LinearGaussianModel(0, [-0.3, 0.5, 0.8], [[-1, 1], [-1.5, 1.5]], [0, 1], 0.8)
+        rng = np.random.default_rng(4)
+        points = rng.uniform(-1.0, 1.0, (50, 3))
+        xs = model.sample_instances(rng, 20)
+        ys = model.sample_labels(rng, xs)
+        batch = model.log_likelihood_matrix(points, xs, ys)
+        # Not bitwise: the BLAS product may take another kernel for one row.
+        for k in range(len(xs)):
+            np.testing.assert_allclose(
+                model.log_likelihood_matrix(points, [xs[k]], [ys[k]])[0], batch[k],
+                rtol=1e-14, atol=0)
 
 
 class TestParameterSet:
@@ -129,6 +227,14 @@ class TestExpectedKL:
         theta = ParameterSet(np.array([[0.0], [0.5]]))
         with pytest.raises(UnboundedKLError):
             expected_kl_to_truth(model, theta, 0, mc_samples=10, seed=0)
+
+    def test_unseen_context_never_enters_the_kl(self):
+        # The candidate gives the truth's label zero mass only on context 1,
+        # which this node never draws.
+        model = BernoulliContextModel(0, true_probs=[0.7, 0.5], visible=[0])
+        theta = ParameterSet(np.array([[0.7, 0.5], [0.4, 0.0]]))
+        kl = expected_kl_to_truth(model, theta, 1, mc_samples=20, seed=0)
+        assert kl == pytest.approx(binary_kl(0.7, 0.4), rel=1e-12)
 
     def test_categorical_binary_matches_bernoulli(self):
         bern = BernoulliContextModel(0, true_probs=[0.8], visible=[0])
@@ -266,16 +372,24 @@ class TestLinearMemory:
     def test_parameter_set_peak(self):
         assert _peak_bytes(lambda: ParameterSet(self.grid)) < 1 * 2**20
 
-    def test_separation_table_peak(self):
+    def _separation_table_peak(self, **kwargs):
         theta = ParameterSet(self.grid)
         truth = self.grid[1234]
         models = [BernoulliContextModel(j, truth, [j]) for j in range(2)]
         stationary = spectral_gap(validate_weight_matrix([[0.8, 0.2], [0.3, 0.7]])).stationary
         tables = []
         peak = _peak_bytes(lambda: tables.append(
-            separation_table(models, theta, stationary, mc_samples=50, seed=5)))
+            separation_table(models, theta, stationary, seed=5, **kwargs)))
         assert tables[0].global_optima == (1234,)
-        assert peak < 32 * 2**20
+        return peak
+
+    def test_separation_table_peak(self):
+        assert self._separation_table_peak(mc_samples=50) < 32 * 2**20
+
+    def test_separation_table_peak_at_default_mc_samples(self):
+        # A context family's KL is counted per context, so the draws add no
+        # (M, mc_samples) table.
+        assert self._separation_table_peak() < 4 * 2**20
 
 
 class TestCoveringVerifier:
@@ -334,6 +448,20 @@ class TestAssumptionBounds:
         low, high = assumption_bounds(models, theta)
         assert low == pytest.approx(0.1)
         assert high == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("model, points", [
+        (BernoulliContextModel(0, [0.0, 0.6], [0]), [[0.0, 0.6], [0.5, 0.6]]),
+        (BernoulliContextModel(0, [1.0, 0.6], [0]), [[1.0, 0.6], [0.5, 0.6]]),
+        (CategoricalContextModel(0, [[0.5, 0.5], [1.0, 0.0]], [0, 1]),
+         [[0.5, 0.5, 1.0, 0.0], [0.3, 0.7, 0.4, 0.6]]),
+    ], ids=["bernoulli-zero", "bernoulli-one", "categorical-zero"])
+    def test_zero_probability_on_a_visible_context_is_unbounded(self, model, points):
+        assert assumption_bounds([model], ParameterSet(np.array(points))) is None
+
+    def test_zero_probability_on_an_unseen_context_is_bounded(self):
+        model = BernoulliContextModel(0, [0.6, 0.0], [0])
+        theta = ParameterSet(np.array([[0.6, 0.0], [0.3, 1.0]]))
+        assert assumption_bounds([model], theta) == (0.3, 0.7)
 
     def test_gaussian_family_is_unbounded(self):
         models = [LinearGaussianModel(0, [0.0, 1.0], [[-1, 1]], [0], 0.5)]
