@@ -18,7 +18,6 @@ go to stderr only.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -402,68 +401,68 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
     return scenario
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.12g}"
+# A chunk of the metrics table holds about this many cells, so writing it
+# takes memory independent of the round and trial counts.
+_CHUNK_CELLS = 2**16
 
 
-def _metric_columns_and_rows(report, scenario):
+def _metric_columns(report, scenario):
+    """Column names and each cell's %-format; ``mse`` is an empty cell without a test set."""
     if report.engine == "discrete":
         n_params = scenario.theta_set.n_points
-        columns = ["trial", "round", "node", "estimate_index"] + [
-            f"belief_{m}" for m in range(n_params)
-        ]
-
-        def rows():
-            for t, result in enumerate(report.trial_results):
-                probs = np.exp(result.belief_history)
-                for k in range(scenario.n_rounds):
-                    for i in range(scenario.graph.n_nodes):
-                        yield [str(t), str(k), str(i),
-                               str(int(result.estimate_history[k, i]))] + [
-                            _fmt(p) for p in probs[k, i]
-                        ]
-
-        return columns, rows
-
+        columns = ["trial", "round", "node", "estimate_index"]
+        columns += [f"belief_{m}" for m in range(n_params)]
+        return columns, ["%d"] * 4 + ["%.12g"] * n_params
     dim = len(scenario.prior_mean)
-    columns = ["trial", "round", "node"] + [f"mu_{m}" for m in range(dim)] + [
-        f"sigma_{m}" for m in range(dim)
-    ] + ["mse"]
+    columns = ["trial", "round", "node", *(f"mu_{m}" for m in range(dim)),
+               *(f"sigma_{m}" for m in range(dim)), "mse"]
+    mse = "%.12g" if scenario.test_set is not None else ""
+    return columns, ["%d"] * 3 + ["%.12g"] * (2 * dim) + [mse]
 
-    def rows():
-        for t, result in enumerate(report.trial_results):
-            for k in range(scenario.n_rounds):
-                for i in range(scenario.graph.n_nodes):
-                    mse = (
-                        _fmt(result.mse_history[k, i])
-                        if result.mse_history is not None
-                        else ""
-                    )
-                    yield (
-                        [str(t), str(k), str(i)]
-                        + [_fmt(v) for v in result.mean_history[k, i]]
-                        + [_fmt(v) for v in result.variance_diag_history[k, i]]
-                        + [mse]
-                    )
 
-    return columns, rows
+def _metric_chunks(report, scenario, n_cells: int):
+    """The metrics rows as float arrays of about ``_CHUNK_CELLS`` cells each.
+
+    A trial's rows run over (round, node): trial, round and node, then the
+    estimate index and beliefs (as probabilities) for discrete runs, or the
+    means, variances and test MSE for gaussian ones.
+    """
+    n_nodes = scenario.graph.n_nodes
+    n_rows = scenario.n_rounds * n_nodes
+    step = max(1, _CHUNK_CELLS // n_cells)
+    for t, result in enumerate(report.trial_results):
+        if report.engine == "discrete":
+            blocks = [result.estimate_history, result.belief_history]
+        else:
+            blocks = [result.mean_history, result.variance_diag_history, result.mse_history]
+        blocks = [b.reshape(n_rows, -1) for b in blocks if b is not None]
+        for start in range(0, n_rows, step):
+            values = [b[start:start + step] for b in blocks]
+            if report.engine == "discrete":
+                values[1] = np.exp(values[1])
+            round_, node = np.divmod(np.arange(start, start + len(values[0])), n_nodes)
+            yield np.column_stack([np.full(len(round_), t), round_, node, *values])
 
 
 def _write_metrics(report, scenario, directory: Path, fmt: str) -> Path:
-    columns, rows = _metric_columns_and_rows(report, scenario)
+    """Write the metrics table chunk by chunk, one %-template per chunk.
+
+    ``metrics.json`` is ``{"columns": [...], "rows": [[...], ...]}``, each
+    cell a string with the CSV's text.
+    """
+    columns, cells = _metric_columns(report, scenario)
+    target = directory / f"metrics.{fmt}"
     if fmt == "csv":
-        target = directory / "metrics.csv"
-        with open(target, "w", newline="\n") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows():
-                writer.writerow(row)
+        head, row, sep, tail = ",".join(columns) + "\n", ",".join(cells) + "\n", "", ""
     else:
-        target = directory / "metrics.json"
-        payload = {"columns": columns, "rows": [row for row in rows()]}
-        with open(target, "w") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
-            handle.write("\n")
+        head = '{"columns":%s,"rows":[' % json.dumps(columns, separators=(",", ":"))
+        row, sep, tail = "[%s]" % ",".join(f'"{c}"' for c in cells), ",", "]}\n"
+    with open(target, "w", newline="\n") as handle:
+        handle.write(head)
+        for i, chunk in enumerate(_metric_chunks(report, scenario, len(cells))):
+            text = sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+            handle.write(sep * (i > 0) + text)
+        handle.write(tail)
     return target
 
 
@@ -496,6 +495,8 @@ def _summary_dict(report, scenario) -> dict:
         "first_all_success_round": report.first_all_success_round,
         "runtime_seconds": report.runtime_seconds,
     }
+    if report.sample_bound_reason is not None:
+        summary["sample_bound_reason"] = report.sample_bound_reason
     if report.separation is not None:
         summary["global_optima"] = list(report.separation.global_optima)
         summary["separation_rate"] = _jsonable(
@@ -550,12 +551,9 @@ def cmd_bound(doc: ConfigDocument) -> int:
             mc_samples=scenario.kl_mc_samples,
             seed=scenario.master_seed,
         ).separation_rate
-    inputs, assumption_violated = sample_bound_inputs(scenario, spectral, separation_rate)
+    inputs, assumption_violated, reason = sample_bound_inputs(scenario, spectral, separation_rate)
     if inputs is None:
-        raise ConfigValidationError(
-            "scenario.bound.likelihood_log_range",
-            "likelihoods are unbounded; supply an explicit value",
-        )
+        raise ConfigError(reason)
     payload = {
         "n_nodes": inputs.n_nodes,
         "n_params": inputs.n_params,

@@ -110,7 +110,8 @@ class ExperimentReport:
     """Aggregate over independent trials of one scenario.
 
     ``bound_inputs`` are the inputs ``sample_bound`` was computed from,
-    with ``scenario.bound_overrides`` applied.
+    with ``scenario.bound_overrides`` applied; ``sample_bound_reason`` says
+    why a discrete run has no bound.
     """
 
     engine: str
@@ -122,6 +123,7 @@ class ExperimentReport:
     separation: SeparationTable | None = None
     bound_inputs: BoundInputs | None = None
     sample_bound: int | None = None
+    sample_bound_reason: str | None = None
     assumption_violated: bool | None = None
     first_all_success_round: int | None = None
     mean_mse_curves: np.ndarray | None = None
@@ -335,14 +337,16 @@ def central_baseline(scenario: Scenario, trial_index: int = 0) -> TrialResult:
     return _gaussian_rounds(scenario, _pooled(increments), merge=False)[0]
 
 
-def sample_bound_inputs(scenario: Scenario, spectral: SpectralSummary,
-                        separation_rate: float | None) -> tuple[BoundInputs | None, bool]:
-    """Inputs of the sample-complexity bound, and whether its likelihood assumption fails.
+def sample_bound_inputs(
+    scenario: Scenario, spectral: SpectralSummary, separation_rate: float | None
+) -> tuple[BoundInputs | None, bool, str | None]:
+    """The bound's inputs, whether its likelihood assumption fails, and why inputs are missing.
 
     ``scenario.bound_overrides`` may replace the separation rate (then
     ``separation_rate`` may be None) and the likelihood log-range. The
     assumption fails when some likelihood family declares no bounds; the
-    inputs are then None unless the log-range is overridden.
+    inputs are then None, with the reason as a path-qualified message,
+    unless the log-range is overridden.
     """
     overrides = scenario.bound_overrides
     bounds = assumption_bounds(scenario.models, scenario.theta_set)
@@ -350,7 +354,8 @@ def sample_bound_inputs(scenario: Scenario, spectral: SpectralSummary,
     if log_range is None and bounds is not None:
         log_range = abs(np.log(bounds[1] / bounds[0]))
     if log_range is None:
-        return None, True
+        return None, True, ("scenario.bound.likelihood_log_range: likelihoods are unbounded; "
+                            "supply an explicit value")
     inputs = BoundInputs(
         n_nodes=scenario.graph.n_nodes,
         n_params=scenario.theta_set.n_points,
@@ -359,7 +364,7 @@ def sample_bound_inputs(scenario: Scenario, spectral: SpectralSummary,
         separation_rate=float(overrides.get("separation_rate", separation_rate)),
         lambda_max=spectral.lambda_max,
     )
-    return inputs, bounds is None
+    return inputs, bounds is None, None
 
 
 def run_experiment(scenario: Scenario, workers: int = 1,
@@ -374,7 +379,7 @@ def run_experiment(scenario: Scenario, workers: int = 1,
     scenario.validate()
     spectral = spectral_gap(scenario.graph)
 
-    separation = inputs = bound = violated = None
+    separation = inputs = bound = violated = reason = None
     baselines = None
     if scenario.engine == "discrete":
         separation = separation_table(
@@ -384,7 +389,8 @@ def run_experiment(scenario: Scenario, workers: int = 1,
             mc_samples=scenario.kl_mc_samples,
             seed=scenario.master_seed,
         )
-        inputs, violated = sample_bound_inputs(scenario, spectral, separation.separation_rate)
+        inputs, violated, reason = sample_bound_inputs(
+            scenario, spectral, separation.separation_rate)
         bound = None if inputs is None else sample_complexity(inputs)
         results = _discrete_rounds(scenario, range(scenario.trials), separation.global_optima)
     else:
@@ -402,6 +408,7 @@ def run_experiment(scenario: Scenario, workers: int = 1,
         separation=separation,
         bound_inputs=inputs,
         sample_bound=bound,
+        sample_bound_reason=reason,
         assumption_violated=violated,
     )
 

@@ -1,5 +1,10 @@
 """Shared scenario builders for the test suite."""
 
+import csv
+import io
+import json
+import tracemalloc
+
 import numpy as np
 from scipy.special import rel_entr
 
@@ -24,6 +29,16 @@ REGRESSION_THETA = [-0.3, 0.5, 0.8]
 REGRESSION_RANGES = [[-1.0, 1.0], [-1.5, 1.5]]
 REGRESSION_NOISE_STD = 0.8
 REGRESSION_W = [[0.9, 0.1], [0.6, 0.4]]
+
+
+def peak_bytes(fn) -> int:
+    """Peak traced allocation while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_weight_matrix(rng, n_nodes: int) -> WeightMatrix:
@@ -231,3 +246,49 @@ def gaussian_oracle(scenario: Scenario, instances, labels, central=False):
         variances.append([np.diag(q.covariance()) for q in privates])
         mses.append([np.mean((aug_test @ q.mean - y_test) ** 2) for q in privates])
     return np.array(means), np.array(variances), np.array(mses)
+
+
+def reference_metrics_bytes(report, scenario, fmt: str) -> bytes:
+    """The metrics file ``peerlearn run`` writes, built one value at a time.
+
+    The oracle for the chunked writer: every float through ``f"{x:.12g}"``,
+    rows through ``csv.writer`` or, for JSON, one ``json.dump`` of every row.
+    """
+
+    def fmt_value(value) -> str:
+        return f"{float(value):.12g}"
+
+    rows = []
+    for t, result in enumerate(report.trial_results):
+        probs = None if result.belief_history is None else np.exp(result.belief_history)
+        for k in range(scenario.n_rounds):
+            for i in range(scenario.graph.n_nodes):
+                row = [str(t), str(k), str(i)]
+                if report.engine == "discrete":
+                    row.append(str(int(result.estimate_history[k, i])))
+                    row += [fmt_value(p) for p in probs[k, i]]
+                else:
+                    row += [fmt_value(v) for v in result.mean_history[k, i]]
+                    row += [fmt_value(v) for v in result.variance_diag_history[k, i]]
+                    mse = result.mse_history
+                    row.append("" if mse is None else fmt_value(mse[k, i]))
+                rows.append(row)
+    if report.engine == "discrete":
+        n_params = scenario.theta_set.n_points
+        columns = ["trial", "round", "node", "estimate_index"] + [
+            f"belief_{m}" for m in range(n_params)
+        ]
+    else:
+        dim = len(scenario.prior_mean)
+        columns = ["trial", "round", "node"] + [f"mu_{m}" for m in range(dim)] + [
+            f"sigma_{m}" for m in range(dim)
+        ] + ["mse"]
+    handle = io.StringIO(newline="\n")
+    if fmt == "csv":
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+    else:
+        json.dump({"columns": columns, "rows": rows}, handle, separators=(",", ":"))
+        handle.write("\n")
+    return handle.getvalue().encode()

@@ -4,13 +4,26 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from peerlearn import (
+    BernoulliContextModel,
+    ParameterSet,
+    Scenario,
+    run_experiment,
+    validate_weight_matrix,
+)
+from peerlearn import cli
 from peerlearn.cli import (
     ConfigSyntaxError,
     ConfigValidationError,
+    build_scenario,
     main,
     parse_config,
 )
+
+from helpers import floor_clamp_scenario, peak_bytes, reference_metrics_bytes
 
 
 def discrete_config(**scenario_overrides):
@@ -52,6 +65,20 @@ def gaussian_config(**scenario_overrides):
     }
     scenario.update(scenario_overrides)
     return {"schema_version": 1, "scenario": scenario}
+
+
+def categorical_config(**scenario_overrides):
+    truth = [0.6, 0.3, 0.1, 0.2, 0.2, 0.6]
+    return discrete_config(
+        n_rounds=33,
+        models=[
+            {"family": "categorical", "true_table": [truth[:3], truth[3:]], "visible": [0]},
+            {"family": "categorical", "true_table": [truth[:3], truth[3:]], "visible": [1]},
+        ],
+        parameters={"points": [truth, [0.2, 0.5, 0.3, 0.2, 0.2, 0.6],
+                               [0.6, 0.3, 0.1, 0.5, 0.25, 0.25]]},
+        **scenario_overrides,
+    )
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -263,6 +290,7 @@ class TestBoundCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["sample_bound"] == printed["n"]
         assert summary["separation_rate"] == printed["separation_rate"]
+        assert "sample_bound_reason" not in summary
 
 
     @pytest.mark.parametrize("scenario", [
@@ -288,17 +316,21 @@ class TestBoundCommand:
     ], ids=["zero-probability", "linear-gaussian"])
     def test_unbounded_likelihoods(self, tmp_path, capsys, scenario):
         # ``bound`` needs the log-range and asks for it; ``run`` does not
-        # need the bound and reports none.
+        # need the bound, reports none and says why, with the same message.
         config = write_config(tmp_path, discrete_config(**scenario))
         assert main(["bound", config]) == 2
         captured = capsys.readouterr()
-        assert "scenario.bound.likelihood_log_range" in captured.err
+        message = ("scenario.bound.likelihood_log_range: likelihoods are unbounded; "
+                   "supply an explicit value")
+        assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["sample_bound"] is None
+        assert summary["sample_bound_reason"] == message
         assert summary["assumption_violated"] is True
         assert summary["global_optima"] == [0]
+
 
 
 class TestCheckGraphCommand:
@@ -349,3 +381,74 @@ class TestOverrideValidation:
         captured = capsys.readouterr()
         assert flag in captured.err
         assert captured.out == ""
+
+
+def _config_world(payload):
+    return lambda: build_scenario(parse_config(json.dumps(payload)))
+
+
+def _gaussian_without_test_set():
+    payload = gaussian_config()
+    del payload["scenario"]["test_set"]
+    return payload
+
+
+class TestMetricsWriter:
+    """The chunked writer against the value-at-a-time oracle, and its memory."""
+
+    worlds = {
+        "bernoulli": _config_world(discrete_config()),
+        "categorical": _config_world(categorical_config()),
+        "floor-clamp": lambda: floor_clamp_scenario(n_rounds=45, trials=2),
+        "gaussian": _config_world(gaussian_config()),
+        "gaussian-no-test-set": _config_world(_gaussian_without_test_set()),
+    }
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-chunks", "7-row-chunks"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("world", sorted(worlds))
+    def test_bytes_equal_the_oracle(self, tmp_path, monkeypatch, world, fmt, chunk_rows):
+        scenario = self.worlds[world]()
+        report = run_experiment(scenario)
+        if chunk_rows is not None:
+            # Chunks split a trial's rows, and the last one of each trial is short.
+            n_cells = len(cli._metric_columns(report, scenario)[1])
+            monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk_rows * n_cells)
+            assert scenario.trials > 1
+            assert (scenario.n_rounds * scenario.graph.n_nodes) % chunk_rows != 0
+        target = cli._write_metrics(report, scenario, tmp_path, fmt)
+        assert target.read_bytes() == reference_metrics_bytes(report, scenario, fmt)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(float("nan"))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.225073858507201e-308)
+    @example(0.1 + 0.2)
+    @example(123456789012.5)
+    def test_percent_template_formats_as_the_format_spec(self, x):
+        assert "%.12g" % x == f"{x:.12g}"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_is_bounded_on_a_wide_run(self, tmp_path, fmt):
+        # 32x32 grid, 500 rounds, 2 trials: 2,000 rows of 1,028 cells, whose
+        # formatted text alone is far above the bound.
+        axis = np.linspace(0.02, 0.98, 32)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        scenario = Scenario(
+            graph=validate_weight_matrix([[0.8, 0.2], [0.3, 0.7]]),
+            engine="discrete",
+            models=[BernoulliContextModel(j, grid[300], [j]) for j in range(2)],
+            n_rounds=500,
+            trials=2,
+            master_seed=5,
+            theta_set=ParameterSet(grid),
+            kl_mc_samples=50,
+        )
+        report = run_experiment(scenario)
+        peak = peak_bytes(lambda: cli._write_metrics(report, scenario, tmp_path, fmt))
+        assert peak < 8 * 2**20

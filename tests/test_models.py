@@ -1,7 +1,6 @@
 """Likelihood families, expected-KL geometry, covering verification."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from peerlearn import (
     verify_r_covering,
 )
 
-from helpers import pairwise_separation_rate, per_sample_kl_mean
+from helpers import pairwise_separation_rate, peak_bytes, per_sample_kl_mean
 
 
 def binary_kl(p, q):
@@ -353,16 +352,6 @@ class TestSeparationTable:
         assert abs(rate(1500, 0) - rate(3000, 1)) < 3 * se + 1e-9
 
 
-def _peak_bytes(fn):
-    """Peak traced allocation while ``fn()`` runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestLinearMemory:
     """Parameter geometry must not take memory quadratic in M (M = 4,096 here)."""
 
@@ -370,7 +359,7 @@ class TestLinearMemory:
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
 
     def test_parameter_set_peak(self):
-        assert _peak_bytes(lambda: ParameterSet(self.grid)) < 1 * 2**20
+        assert peak_bytes(lambda: ParameterSet(self.grid)) < 1 * 2**20
 
     def _separation_table_peak(self, **kwargs):
         theta = ParameterSet(self.grid)
@@ -378,7 +367,7 @@ class TestLinearMemory:
         models = [BernoulliContextModel(j, truth, [j]) for j in range(2)]
         stationary = spectral_gap(validate_weight_matrix([[0.8, 0.2], [0.3, 0.7]])).stationary
         tables = []
-        peak = _peak_bytes(lambda: tables.append(
+        peak = peak_bytes(lambda: tables.append(
             separation_table(models, theta, stationary, seed=5, **kwargs)))
         assert tables[0].global_optima == (1234,)
         return peak
