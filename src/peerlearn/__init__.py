@@ -31,7 +31,6 @@ from .graph import (
     EigenFailureError,
     GraphError,
     MixingBoundReport,
-    NoConvergenceError,
     NotStochasticError,
     NotStronglyConnectedError,
     PeriodicError,

@@ -91,7 +91,7 @@ def bayesian_update(prior, model, theta_set, x, y) -> BeliefVector:
     return _normalized_belief(combined)
 
 
-def consensus_update(publics, row_sum_check: bool = True) -> BeliefVector:
+def consensus_update(publics) -> BeliefVector:
     """Weighted geometric mean of public beliefs, renormalized.
 
     ``publics`` is a sequence of (BeliefVector, weight) pairs; the output
@@ -108,7 +108,7 @@ def consensus_update(publics, row_sum_check: bool = True) -> BeliefVector:
         raise DimensionMismatchError("input beliefs cover different parameter sets")
     if np.any(weights < 0.0):
         raise WeightMismatchError("consensus weights must be nonnegative")
-    if row_sum_check and abs(weights.sum() - 1.0) > _NORM_TOL:
+    if abs(weights.sum() - 1.0) > _NORM_TOL:
         raise WeightMismatchError(f"weights sum to {weights.sum()!r}, expected 1")
     stacked = np.stack([v.log_weights for v in vectors])
     return _normalized_belief(weights @ stacked)

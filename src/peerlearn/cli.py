@@ -26,17 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import GraphError, NotStochasticError, validate_weight_matrix, verify_mixing_bound, spectral_gap
+from .graph import NotStochasticError, spectral_gap, validate_weight_matrix, verify_mixing_bound
 from .models import (
     BernoulliContextModel,
     CategoricalContextModel,
     LinearGaussianModel,
     NotGloballyLearnableError,
     ParameterSet,
-    separation_table,
 )
-from .sim import Scenario, make_regression_test_set, run_experiment, sample_bound_inputs
-from .theory import sample_complexity
+from .sim import Scenario, make_regression_test_set, run_experiment, sample_bound
 
 SCHEMA_VERSION = 1
 
@@ -103,6 +101,12 @@ def _integer(value, path: str, minimum=None, maximum=None) -> int:
     return value
 
 
+def _nonempty(value, path: str) -> list:
+    # ``_number_list`` inlines this check: it runs once per parameter point.
+    _require(isinstance(value, list) and len(value) > 0, path, "expected a non-empty array")
+    return value
+
+
 def _number_list(value, path: str) -> list:
     _require(isinstance(value, list) and len(value) > 0, path, "expected a non-empty array")
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
@@ -114,18 +118,25 @@ def _integer_list(value, path: str, minimum=None) -> list:
 
 
 def _matrix(value, path: str) -> list:
-    _require(isinstance(value, list) and len(value) > 0, path, "expected a non-empty array")
-    rows = [_number_list(row, f"{path}[{i}]") for i, row in enumerate(value)]
+    rows = [_number_list(row, f"{path}[{i}]") for i, row in enumerate(_nonempty(value, path))]
     width = len(rows[0])
     for i, row in enumerate(rows):
         _require(len(row) == width, f"{path}[{i}]", "ragged matrix row")
     return rows
 
 
+def _ranges(value, path: str) -> list:
+    rows = _matrix(value, path)
+    for i, row in enumerate(rows):
+        _require(len(row) == 2, f"{path}[{i}]", "expected a [low, high] pair")
+        _require(row[0] < row[1], f"{path}[{i}]", "low bound must be below high")
+    return rows
+
+
 _MODEL_KEYS = {
-    "bernoulli": ({"family", "true_probs", "visible"}, set()),
-    "categorical": ({"family", "true_table", "visible"}, set()),
-    "linear_gaussian": ({"family", "observed", "ranges"}, set()),
+    "bernoulli": {"family", "true_probs", "visible"},
+    "categorical": {"family", "true_table", "visible"},
+    "linear_gaussian": {"family", "observed", "ranges"},
 }
 
 
@@ -134,26 +145,19 @@ def _validate_model(entry, path: str) -> dict:
     family = entry.get("family")
     _require(family in _MODEL_KEYS, f"{path}.family",
              f"expected one of {sorted(_MODEL_KEYS)}")
-    required, optional = _MODEL_KEYS[family]
-    _check_keys(entry, path, required, optional)
+    required = _MODEL_KEYS[family]
+    _check_keys(entry, path, required, set())
     out = {"family": family}
     if family == "bernoulli":
         out["true_probs"] = [
             _number(v, f"{path}.true_probs[{i}]", minimum=0.0, maximum=1.0)
-            for i, v in enumerate(
-                entry["true_probs"] if isinstance(entry["true_probs"], list) else []
-            )
+            for i, v in enumerate(_nonempty(entry["true_probs"], f"{path}.true_probs"))
         ]
-        _require(bool(out["true_probs"]), f"{path}.true_probs", "expected a non-empty array")
     elif family == "categorical":
         out["true_table"] = _matrix(entry["true_table"], f"{path}.true_table")
     else:
         out["observed"] = _integer_list(entry["observed"], f"{path}.observed", minimum=0)
-        ranges = _matrix(entry["ranges"], f"{path}.ranges")
-        for i, row in enumerate(ranges):
-            _require(len(row) == 2, f"{path}.ranges[{i}]", "expected a [low, high] pair")
-            _require(row[0] < row[1], f"{path}.ranges[{i}]", "low bound must be below high")
-        out["ranges"] = ranges
+        out["ranges"] = _ranges(entry["ranges"], f"{path}.ranges")
     if "visible" in required:
         out["visible"] = _integer_list(entry["visible"], f"{path}.visible", minimum=0)
         _require(bool(out["visible"]), f"{path}.visible", "expected a non-empty array")
@@ -178,12 +182,11 @@ def _validate_scenario(raw, path: str = "scenario") -> dict:
     _check_keys(raw["graph"], f"{path}.graph", {"weights"}, set())
     weights = _matrix(raw["graph"]["weights"], f"{path}.graph.weights")
     try:
-        validate_weight_matrix(weights)
+        out["graph"] = validate_weight_matrix(weights)
     except NotStochasticError as exc:
         raise ConfigValidationError(f"{path}.graph.weights[{exc.row}]", str(exc)) from exc
-    except (GraphError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigValidationError(f"{path}.graph.weights", str(exc)) from exc
-    out["graph"] = {"weights": weights}
 
     out["n_rounds"] = _integer(raw["n_rounds"], f"{path}.n_rounds", minimum=1)
     out["trials"] = _integer(raw["trials"], f"{path}.trials", minimum=1)
@@ -199,11 +202,9 @@ def _validate_scenario(raw, path: str = "scenario") -> dict:
     out["mixing_horizon"] = _integer(raw.get("mixing_horizon", 100),
                                      f"{path}.mixing_horizon", minimum=1)
 
-    _require(isinstance(raw["models"], list) and raw["models"],
-             f"{path}.models", "expected a non-empty array")
     out["models"] = [
         _validate_model(entry, f"{path}.models[{i}]")
-        for i, entry in enumerate(raw["models"])
+        for i, entry in enumerate(_nonempty(raw["models"], f"{path}.models"))
     ]
 
     if "parameters" in raw:
@@ -214,15 +215,12 @@ def _validate_scenario(raw, path: str = "scenario") -> dict:
     if "prior" in raw:
         _check_keys(raw["prior"], f"{path}.prior", {"mean", "variance_diag"}, set())
         mean = _number_list(raw["prior"]["mean"], f"{path}.prior.mean")
+        var_path = f"{path}.prior.variance_diag"
         var = [
-            _number(v, f"{path}.prior.variance_diag[{i}]", exclusive_min=0.0)
-            for i, v in enumerate(
-                raw["prior"]["variance_diag"]
-                if isinstance(raw["prior"]["variance_diag"], list) else []
-            )
+            _number(v, f"{var_path}[{i}]", exclusive_min=0.0)
+            for i, v in enumerate(_nonempty(raw["prior"]["variance_diag"], var_path))
         ]
-        _require(len(var) == len(mean), f"{path}.prior.variance_diag",
-                 "length must match prior.mean")
+        _require(len(var) == len(mean), var_path, "length must match prior.mean")
         out["prior"] = {"mean": mean, "variance_diag": var}
     if "true_theta" in raw:
         out["true_theta"] = _number_list(raw["true_theta"], f"{path}.true_theta")
@@ -232,39 +230,35 @@ def _validate_scenario(raw, path: str = "scenario") -> dict:
     if "test_set" in raw:
         _check_keys(raw["test_set"], f"{path}.test_set",
                     {"size", "ranges", "seed"}, set())
-        ranges = _matrix(raw["test_set"]["ranges"], f"{path}.test_set.ranges")
-        for i, row in enumerate(ranges):
-            _require(len(row) == 2 and row[0] < row[1],
-                     f"{path}.test_set.ranges[{i}]", "expected a [low, high] pair")
         out["test_set"] = {
             "size": _integer(raw["test_set"]["size"], f"{path}.test_set.size", minimum=1),
-            "ranges": ranges,
+            "ranges": _ranges(raw["test_set"]["ranges"], f"{path}.test_set.ranges"),
             "seed": _integer(raw["test_set"]["seed"], f"{path}.test_set.seed", minimum=0),
         }
     if "bound" in raw:
         _check_keys(raw["bound"], f"{path}.bound", set(),
                     {"likelihood_log_range", "separation_rate"})
-        block = {}
-        if "likelihood_log_range" in raw["bound"]:
-            block["likelihood_log_range"] = _number(
-                raw["bound"]["likelihood_log_range"],
-                f"{path}.bound.likelihood_log_range", exclusive_min=0.0,
-            )
-        if "separation_rate" in raw["bound"]:
-            block["separation_rate"] = _number(
-                raw["bound"]["separation_rate"],
-                f"{path}.bound.separation_rate", exclusive_min=0.0,
-            )
-        out["bound"] = block
+        out["bound"] = {
+            key: _number(value, f"{path}.bound.{key}", exclusive_min=0.0)
+            for key, value in raw["bound"].items()
+        }
 
-    # Engine-specific completeness.
+    # Engine-specific completeness and dimensions.
     if engine == "discrete":
         _require("parameters" in out, f"{path}.parameters",
                  "discrete engine requires a parameter set")
+        _require("test_set" not in out, f"{path}.test_set",
+                 "test sets apply to the gaussian engine only")
     else:
         for key in ("prior", "true_theta", "noise_std"):
             _require(key in out, f"{path}.{key}",
                      "gaussian engine requires this key")
+        dim = len(out["true_theta"])
+        _require(len(out["prior"]["mean"]) == dim, f"{path}.prior.mean",
+                 f"expected {dim} entries, one per true_theta entry")
+        if "test_set" in out:
+            _require(len(out["test_set"]["ranges"]) == dim - 1, f"{path}.test_set.ranges",
+                     f"expected {dim - 1} rows, one per input coordinate of true_theta")
     needs_truth = any(m["family"] == "linear_gaussian" for m in out["models"])
     if needs_truth:
         for key in ("true_theta", "noise_std"):
@@ -275,21 +269,10 @@ def _validate_scenario(raw, path: str = "scenario") -> dict:
 
 @dataclass
 class ConfigDocument:
-    """Validated configuration with defaults filled in."""
+    """Validated configuration with defaults filled in; scenario["graph"] is a WeightMatrix."""
 
-    schema_version: int
     scenario: dict
     output: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "scenario": self.scenario,
-            "output": self.output,
-        }
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def parse_config(text) -> ConfigDocument:
@@ -320,7 +303,6 @@ def parse_config(text) -> ConfigDocument:
     fmt = output.get("format", "csv")
     _require(fmt in ("csv", "json"), "output.format", "expected 'csv' or 'json'")
     return ConfigDocument(
-        schema_version=version,
         scenario=scenario,
         output={"directory": directory, "format": fmt},
     )
@@ -329,13 +311,6 @@ def parse_config(text) -> ConfigDocument:
 def build_scenario(doc: ConfigDocument) -> Scenario:
     """Construct the simulator scenario from a validated document."""
     data = doc.scenario
-    try:
-        graph = validate_weight_matrix(data["graph"]["weights"])
-    except NotStochasticError as exc:
-        raise ConfigValidationError(f"scenario.graph.weights[{exc.row}]", str(exc)) from exc
-    except GraphError as exc:
-        raise ConfigValidationError("scenario.graph.weights", str(exc)) from exc
-
     models = []
     for node_id, spec in enumerate(data["models"]):
         path = f"scenario.models[{node_id}]"
@@ -376,7 +351,7 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
         )
 
     scenario = Scenario(
-        graph=graph,
+        graph=data["graph"],
         engine=data["engine"],
         models=models,
         n_rounds=data["n_rounds"],
@@ -535,23 +510,13 @@ def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
 def cmd_bound(doc: ConfigDocument) -> int:
     """Print the sample-complexity inputs and result as one JSON object."""
     scenario = build_scenario(doc)
-    spectral = spectral_gap(scenario.graph)
-
     if scenario.theta_set is None:
         raise ConfigValidationError(
             "scenario.parameters",
             "the sample-complexity bound requires a parameter set",
         )
-    separation_rate = None
-    if "separation_rate" not in scenario.bound_overrides:
-        separation_rate = separation_table(
-            scenario.models,
-            scenario.theta_set,
-            spectral.stationary,
-            mc_samples=scenario.kl_mc_samples,
-            seed=scenario.master_seed,
-        ).separation_rate
-    inputs, assumption_violated, reason = sample_bound_inputs(scenario, spectral, separation_rate)
+    spectral = spectral_gap(scenario.graph)
+    _, inputs, n, assumption_violated, reason = sample_bound(scenario, spectral)
     if inputs is None:
         raise ConfigError(reason)
     payload = {
@@ -561,7 +526,7 @@ def cmd_bound(doc: ConfigDocument) -> int:
         "likelihood_log_range": inputs.likelihood_log_range,
         "separation_rate": _jsonable(inputs.separation_rate),
         "lambda_max": _jsonable(inputs.lambda_max),
-        "n": sample_complexity(inputs),
+        "n": n,
         "assumption_violated": assumption_violated,
     }
     print(json.dumps(payload, sort_keys=True))
@@ -570,8 +535,7 @@ def cmd_bound(doc: ConfigDocument) -> int:
 
 def cmd_check_graph(doc: ConfigDocument, horizon=None) -> int:
     """Print the graph verdict with stationary, spectral and mixing data."""
-    weights = doc.scenario["graph"]["weights"]
-    graph = validate_weight_matrix(weights)  # GraphError propagates to main
+    graph = doc.scenario["graph"]
     horizon = horizon if horizon is not None else doc.scenario["mixing_horizon"]
     report = verify_mixing_bound(graph, horizon)
     summary = report.spectral
@@ -648,13 +612,10 @@ def main(argv=None) -> int:
         if args.command == "bound":
             return cmd_bound(doc)
         return cmd_check_graph(doc, horizon=args.horizon)
-    except (ConfigError, GraphError, NotGloballyLearnableError) as exc:
+    except (ConfigError, NotGloballyLearnableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (RuntimeError, ValueError) as exc:
+    except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -18,10 +18,6 @@ import numpy as np
 
 ROW_SUM_TOL = 1e-9
 
-_POWER_TOL = 1e-12
-_POWER_MAX_ITER = 10**6
-_DIRECT_SOLVE_MAX = 64
-
 
 class GraphError(ValueError):
     """Base class for weight-matrix validation failures."""
@@ -52,10 +48,6 @@ class PeriodicError(GraphError):
     def __init__(self, period: int):
         self.period = period
         super().__init__(f"chain is periodic with period {period}")
-
-
-class NoConvergenceError(RuntimeError):
-    """Power iteration hit the iteration cap; signals a near-periodic chain."""
 
 
 class EigenFailureError(RuntimeError):
@@ -195,49 +187,23 @@ def validate_weight_matrix(raw) -> WeightMatrix:
     return WeightMatrix(n_nodes=n, weights=w)
 
 
-def stationary_distribution(w: WeightMatrix, method: str = "auto") -> np.ndarray:
-    """Unique probability vector v with v W = v.
+def stationary_distribution(w: WeightMatrix) -> np.ndarray:
+    """Unique probability vector v with v W = v, by one linear solve.
 
-    ``method`` is one of ``auto`` (direct solve for small N, else power
-    iteration), ``direct`` or ``power``. Power iteration runs on the
-    transpose until the max-norm residual drops below 1e-12 and raises
-    ``NoConvergenceError`` at 10^6 iterations, which is unreachable for a
-    validated matrix.
+    The system is ``(W^T - I) v = 0`` with its last equation replaced by
+    ``sum(v) = 1``. It is nonsingular for a validated W: W is irreducible,
+    so the eigenvalue 1 is simple and ``W^T - I`` has rank N - 1. Its rows
+    add up to zero, and that is their only dependency, so the first N - 1
+    rows are independent; the all-ones row lies outside their span, which
+    is orthogonal to v while ``1 . v = 1``.
     """
-    if method == "auto":
-        method = "direct" if w.n_nodes <= _DIRECT_SOLVE_MAX else "power"
-    if method == "direct":
-        return _stationary_direct(w.weights)
-    if method == "power":
-        return _stationary_power(w.weights)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _stationary_direct(weights: np.ndarray) -> np.ndarray:
-    n = weights.shape[0]
-    system = weights.T - np.eye(n)
+    n = w.n_nodes
+    system = w.weights.T - np.eye(n)
     system[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
-    try:
-        v = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        return _stationary_power(weights)
+    v = np.linalg.solve(system, rhs)
     return v / v.sum()
-
-
-def _stationary_power(weights: np.ndarray) -> np.ndarray:
-    n = weights.shape[0]
-    v = np.full(n, 1.0 / n)
-    for _ in range(_POWER_MAX_ITER):
-        nxt = v @ weights
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - v)) < _POWER_TOL:
-            return nxt
-        v = nxt
-    raise NoConvergenceError(
-        f"power iteration did not reach residual {_POWER_TOL} in {_POWER_MAX_ITER} steps"
-    )
 
 
 def spectral_gap(w: WeightMatrix) -> SpectralSummary:

@@ -337,34 +337,43 @@ def central_baseline(scenario: Scenario, trial_index: int = 0) -> TrialResult:
     return _gaussian_rounds(scenario, _pooled(increments), merge=False)[0]
 
 
-def sample_bound_inputs(
-    scenario: Scenario, spectral: SpectralSummary, separation_rate: float | None
-) -> tuple[BoundInputs | None, bool, str | None]:
-    """The bound's inputs, whether its likelihood assumption fails, and why inputs are missing.
+def sample_bound(
+    scenario: Scenario, spectral: SpectralSummary
+) -> tuple[SeparationTable, BoundInputs | None, int | None, bool, str | None]:
+    """The separation table and the sample bound that ``run`` and ``bound`` both report.
 
-    ``scenario.bound_overrides`` may replace the separation rate (then
-    ``separation_rate`` may be None) and the likelihood log-range. The
-    assumption fails when some likelihood family declares no bounds; the
-    inputs are then None, with the reason as a path-qualified message,
-    unless the log-range is overridden.
+    Returns ``(table, inputs, n, assumption_violated, reason)``. The table
+    is always built, so a scenario with no globally optimal parameter raises
+    ``NotGloballyLearnableError`` whatever the overrides.
+    ``scenario.bound_overrides`` may replace the separation rate and the
+    likelihood log-range. The assumption fails when some likelihood family
+    declares no bounds; ``inputs`` and ``n`` are then None, with ``reason``
+    a path-qualified message, unless the log-range is overridden.
     """
+    table = separation_table(
+        scenario.models,
+        scenario.theta_set,
+        spectral.stationary,
+        mc_samples=scenario.kl_mc_samples,
+        seed=scenario.master_seed,
+    )
     overrides = scenario.bound_overrides
     bounds = assumption_bounds(scenario.models, scenario.theta_set)
     log_range = overrides.get("likelihood_log_range")
     if log_range is None and bounds is not None:
         log_range = abs(np.log(bounds[1] / bounds[0]))
     if log_range is None:
-        return None, True, ("scenario.bound.likelihood_log_range: likelihoods are unbounded; "
-                            "supply an explicit value")
+        return table, None, None, True, ("scenario.bound.likelihood_log_range: likelihoods "
+                                         "are unbounded; supply an explicit value")
     inputs = BoundInputs(
         n_nodes=scenario.graph.n_nodes,
         n_params=scenario.theta_set.n_points,
         delta=scenario.delta,
         likelihood_log_range=float(log_range),
-        separation_rate=float(overrides.get("separation_rate", separation_rate)),
+        separation_rate=float(overrides.get("separation_rate", table.separation_rate)),
         lambda_max=spectral.lambda_max,
     )
-    return inputs, bounds is None, None
+    return table, inputs, sample_complexity(inputs), bounds is None, None
 
 
 def run_experiment(scenario: Scenario, workers: int = 1,
@@ -382,16 +391,7 @@ def run_experiment(scenario: Scenario, workers: int = 1,
     separation = inputs = bound = violated = reason = None
     baselines = None
     if scenario.engine == "discrete":
-        separation = separation_table(
-            scenario.models,
-            scenario.theta_set,
-            spectral.stationary,
-            mc_samples=scenario.kl_mc_samples,
-            seed=scenario.master_seed,
-        )
-        inputs, violated, reason = sample_bound_inputs(
-            scenario, spectral, separation.separation_rate)
-        bound = None if inputs is None else sample_complexity(inputs)
+        separation, inputs, bound, violated, reason = sample_bound(scenario, spectral)
         results = _discrete_rounds(scenario, range(scenario.trials), separation.global_optima)
     else:
         increments = _gaussian_increments(scenario, range(scenario.trials))

@@ -75,12 +75,6 @@ def risk_bound(label_risk_bound: float, covering_radius: float) -> float:
     return label_risk_bound * math.sqrt(covering_radius) / 2.0
 
 
-def _expected_risks(model, theta_set, indices, risk_fn, xs) -> np.ndarray:
-    return np.array(
-        [model.label_expectation(theta_set.points[i], xs, risk_fn).mean() for i in indices]
-    )
-
-
 def empirical_risk_gap(models, theta_set, optimal_index: int, estimates,
                        risk_fn, mc_samples: int = 2000, seed: int = 0) -> float:
     """Monte Carlo network-average |risk(optimal) - risk(estimate)|.
@@ -88,16 +82,10 @@ def empirical_risk_gap(models, theta_set, optimal_index: int, estimates,
     ``risk_fn(x, y)`` must be bounded as declared by the caller;
     expectations over labels are exact for the discrete families and the
     optimal and estimated parameters share instance draws node by node.
+    This is the first link of ``risk_gap_chain``, on the same draws.
     """
-    gaps = []
-    for model, estimate in zip(models, estimates):
-        rng = np.random.default_rng([int(seed), int(model.node_id)])
-        xs = model.sample_instances(rng, mc_samples)
-        risk_opt, risk_est = _expected_risks(
-            model, theta_set, (optimal_index, int(estimate)), risk_fn, xs
-        )
-        gaps.append(abs(risk_opt - risk_est))
-    return float(np.mean(gaps))
+    return risk_gap_chain(models, theta_set, optimal_index, estimates, risk_fn,
+                          1.0, mc_samples=mc_samples, seed=seed)["risk_gap"]
 
 
 def risk_gap_chain(models, theta_set, optimal_index: int, estimates,
@@ -117,8 +105,8 @@ def risk_gap_chain(models, theta_set, optimal_index: int, estimates,
         xs = model.sample_instances(rng, mc_samples)
         opt_point = theta_set.points[optimal_index]
         est_point = theta_set.points[int(estimate)]
-        risk_opt, risk_est = _expected_risks(
-            model, theta_set, (optimal_index, int(estimate)), risk_fn, xs
+        risk_opt, risk_est = (
+            model.label_expectation(point, xs, risk_fn).mean() for point in (opt_point, est_point)
         )
         gaps.append(abs(risk_opt - risk_est))
         l1_terms.append(model.density_l1(opt_point, est_point, xs).mean())

@@ -121,15 +121,6 @@ class TestConsensusUpdate:
                  (belief_from_probs([0.2, 0.3, 0.5]), 0.5)]
             )
 
-    def test_row_sum_check_can_be_disabled(self):
-        # Weights summing to 0.5 act as exponents: the merged mass is the
-        # square root of the input, renormalized.
-        a = belief_from_probs([0.6, 0.4])
-        merged = consensus_update([(a, 0.25), (a, 0.25)], row_sum_check=False)
-        expected = np.sqrt([0.6, 0.4])
-        expected /= expected.sum()
-        np.testing.assert_allclose(merged.probabilities(), expected, atol=1e-12)
-
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_shift_invariance(self, data):
@@ -146,12 +137,10 @@ class TestConsensusUpdate:
         weights = raw_w / raw_w.sum()
         shifts = [data.draw(st.floats(-100, 100)) for _ in range(k)]
         plain = consensus_update(
-            [(BeliefVector(lw), w) for lw, w in zip(logs, weights)],
-            row_sum_check=False,
+            [(BeliefVector(lw), w) for lw, w in zip(logs, weights)]
         )
         shifted = consensus_update(
-            [(BeliefVector(lw + c), w) for lw, c, w in zip(logs, shifts, weights)],
-            row_sum_check=False,
+            [(BeliefVector(lw + c), w) for lw, c, w in zip(logs, shifts, weights)]
         )
         np.testing.assert_allclose(
             plain.probabilities(), shifted.probabilities(), atol=1e-12

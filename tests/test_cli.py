@@ -1,4 +1,4 @@
-"""Config schema, canonical serialization, subcommands, exit codes."""
+"""Config schema, subcommands, exit codes, metrics serialization."""
 
 import json
 
@@ -88,12 +88,6 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 class TestParseConfig:
-    def test_canonical_roundtrip_is_fixed_point(self):
-        doc = parse_config(json.dumps(discrete_config()))
-        once = doc.canonical_json()
-        again = parse_config(once).canonical_json()
-        assert once == again
-
     def test_bad_row_sum_names_the_row(self):
         payload = discrete_config(graph={"weights": [[0.5, 0.6], [0.5, 0.5]]})
         with pytest.raises(ConfigValidationError) as info:
@@ -152,6 +146,38 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError) as info:
             parse_config(json.dumps(payload))
         assert info.value.path == "scenario.prior"
+
+    @pytest.mark.parametrize("command", ["run", "bound"])
+    @pytest.mark.parametrize("payload, message", [
+        (discrete_config(test_set={"size": 10, "ranges": [[-1, 1]], "seed": 0}),
+         "scenario.test_set: test sets apply to the gaussian engine only"),
+        (gaussian_config(test_set={"size": 10, "ranges": [[-1, 1]] * 3, "seed": 0}),
+         "scenario.test_set.ranges: expected 2 rows, one per input coordinate of true_theta"),
+        (gaussian_config(prior={"mean": [0, 0], "variance_diag": [0.5, 0.5]}),
+         "scenario.prior.mean: expected 3 entries, one per true_theta entry"),
+        *[(gaussian_config(prior={"mean": [0, 0, 0], "variance_diag": bad}),
+           "scenario.prior.variance_diag: expected a non-empty array")
+          for bad in (5, "abc", {}, [])],
+    ], ids=["discrete-test-set", "test-set-width", "prior-mean-length",
+            *(f"variance-diag-{name}" for name in ("number", "string", "object", "empty"))])
+    def test_config_defect_exits_2_at_its_path(self, tmp_path, capsys, command, payload,
+                                               message):
+        assert main([command, write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["run", "bound", "check-graph"])
+    def test_weight_matrix_is_validated_once(self, tmp_path, monkeypatch, command):
+        calls = []
+
+        def counting(raw):
+            calls.append(raw)
+            return validate_weight_matrix(raw)
+
+        monkeypatch.setattr(cli, "validate_weight_matrix", counting)
+        config = write_config(tmp_path, discrete_config())
+        argv = [command, config] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert main(argv) == 0
+        assert len(calls) == 1
 
 
 class TestRunCommand:
@@ -242,16 +268,30 @@ class TestBoundCommand:
         assert out["assumption_violated"] is False
 
     def test_not_globally_learnable_exits_2(self, tmp_path, capsys):
-        payload = discrete_config(
+        config = write_config(tmp_path, self.not_learnable())
+        assert main(["bound", config]) == 2
+        assert "optimal for every node" in capsys.readouterr().err
+
+    def test_rate_override_does_not_make_a_world_learnable(self, tmp_path, capsys):
+        # ``bound`` builds the separation table as ``run`` does, so both fail alike.
+        config = write_config(tmp_path, self.not_learnable(bound={"separation_rate": 0.05}))
+        assert main(["bound", config]) == 2
+        captured = capsys.readouterr()
+        assert "optimal for every node" in captured.err
+        assert captured.out == ""
+        assert main(["run", config, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == captured
+
+    @staticmethod
+    def not_learnable(**overrides):
+        return discrete_config(
             models=[
                 {"family": "bernoulli", "true_probs": [0.2], "visible": [0]},
                 {"family": "bernoulli", "true_probs": [0.8], "visible": [0]},
             ],
             parameters={"points": [[0.2], [0.8]]},
+            **overrides,
         )
-        config = write_config(tmp_path, payload)
-        assert main(["bound", config]) == 2
-        assert "optimal for every node" in capsys.readouterr().err
 
     def test_infinite_rate_sentinel_yields_one(self, tmp_path, capsys):
         # Both parameters agree on the only visible context.
@@ -434,21 +474,26 @@ class TestMetricsWriter:
         assert "%.12g" % x == f"{x:.12g}"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_peak_is_bounded_on_a_wide_run(self, tmp_path, fmt):
-        # 32x32 grid, 500 rounds, 2 trials: 2,000 rows of 1,028 cells, whose
-        # formatted text alone is far above the bound.
-        axis = np.linspace(0.02, 0.98, 32)
+    def test_peak_does_not_grow_with_the_round_count(self, tmp_path, monkeypatch, fmt):
+        # An 8x8 grid written in 16-row chunks: the peak is one chunk's (about
+        # 110 KB traced) at 50 and at 200 rounds, while a whole trial's beliefs
+        # (200 KB at 200 rounds) or every row's text grows with the round count.
+        axis = np.linspace(0.05, 0.95, 8)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        scenario = Scenario(
-            graph=validate_weight_matrix([[0.8, 0.2], [0.3, 0.7]]),
-            engine="discrete",
-            models=[BernoulliContextModel(j, grid[300], [j]) for j in range(2)],
-            n_rounds=500,
-            trials=2,
-            master_seed=5,
-            theta_set=ParameterSet(grid),
-            kl_mc_samples=50,
-        )
-        report = run_experiment(scenario)
-        peak = peak_bytes(lambda: cli._write_metrics(report, scenario, tmp_path, fmt))
-        assert peak < 8 * 2**20
+        monkeypatch.setattr(cli, "_CHUNK_CELLS", 16 * (4 + len(grid)))
+        peaks = []
+        for n_rounds in (50, 200):
+            scenario = Scenario(
+                graph=validate_weight_matrix([[0.8, 0.2], [0.3, 0.7]]),
+                engine="discrete",
+                models=[BernoulliContextModel(j, grid[20], [j]) for j in range(2)],
+                n_rounds=n_rounds,
+                trials=1,
+                master_seed=5,
+                theta_set=ParameterSet(grid),
+                kl_mc_samples=50,
+            )
+            report = run_experiment(scenario)
+            peaks.append(peak_bytes(lambda: cli._write_metrics(report, scenario, tmp_path, fmt)))
+        assert max(peaks) < 128 * 2**10
+        assert peaks[1] < 1.2 * peaks[0]

@@ -92,16 +92,10 @@ class TestStationary:
         w = validate_weight_matrix(W_SYMMETRIC)
         np.testing.assert_allclose(stationary_distribution(w), [0.5, 0.5], atol=1e-10)
 
-    def test_power_matches_direct(self, rng):
-        for n in range(2, 21):
-            w = random_weight_matrix(rng, n)
-            direct = stationary_distribution(w, method="direct")
-            power = stationary_distribution(w, method="power")
-            assert np.max(np.abs(direct - power)) < 1e-9
-
     def test_fixed_point_and_normalization(self, rng):
-        for _ in range(20):
-            w = random_weight_matrix(rng, int(rng.integers(2, 9)))
+        # N = 100 is beyond every graph the tests and benchmark build (N <= 64).
+        for n in [*rng.integers(2, 9, size=20), 100]:
+            w = random_weight_matrix(rng, int(n))
             v = stationary_distribution(w)
             assert abs(v.sum() - 1.0) < 1e-9
             assert np.all(v > 0)
