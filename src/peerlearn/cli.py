@@ -250,6 +250,9 @@ def _validate_scenario(raw, path: str = "scenario") -> dict:
         _require("test_set" not in out, f"{path}.test_set",
                  "test sets apply to the gaussian engine only")
     else:
+        for i, model in enumerate(out["models"]):
+            _require(model["family"] == "linear_gaussian", f"{path}.models[{i}].family",
+                     "the gaussian engine requires 'linear_gaussian' models")
         for key in ("prior", "true_theta", "noise_std"):
             _require(key in out, f"{path}.{key}",
                      "gaussian engine requires this key")

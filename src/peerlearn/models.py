@@ -99,6 +99,10 @@ class LikelihoodModel:
         """Log likelihoods for a whole sample batch, shape (len(xs), M)."""
         raise NotImplementedError
 
+    def log_likelihood_lookup(self, thetas: np.ndarray):
+        """``log_likelihood_matrix`` with ``thetas`` bound: ``(xs, ys) -> (len(xs), M)``."""
+        return lambda xs, ys: self.log_likelihood_matrix(thetas, xs, ys)
+
     def kl_to_truth(self, thetas: np.ndarray, xs) -> np.ndarray:
         """Conditional KL(truth || likelihood(theta)) averaged over the draws, shape (M,)."""
         raise NotImplementedError
@@ -170,7 +174,12 @@ class ContextModel(LikelihoodModel):
         return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
 
     def log_likelihood_matrix(self, thetas, xs, ys):
-        return self._log_tables(thetas)[:, xs, ys].T
+        return self.log_likelihood_lookup(thetas)(xs, ys)
+
+    def log_likelihood_lookup(self, thetas):
+        """One gather into the (n_contexts, K, M) log table, built once."""
+        table = np.ascontiguousarray(self._log_tables(thetas).transpose(1, 2, 0))
+        return lambda xs, ys: table[xs, ys]
 
     def kl_to_truth(self, thetas, xs):
         """Each drawn context's closed-form KL, weighted by its share of the draws.

@@ -9,7 +9,8 @@ records its estimate.
 There is one engine per belief family, and each runs all trials of an
 experiment as one batch, with its state held as arrays over (trial, node):
 log-beliefs for the discrete engine, precision and shift for the gaussian
-one. A round is a few array operations, whatever the number of trials.
+one. The round loop carries only the recursion (Bayes step, merge); per-run
+tables and buffers come before it, the gaussian moments in batches after it.
 
 Randomness is counter-based: every (master_seed, trial, node) triple keys
 an independent Philox stream, and each node consumes a fixed number of
@@ -32,6 +33,8 @@ from .models import ParameterSet, SeparationTable, assumption_bounds, separation
 from .theory import BoundInputs, sample_complexity
 
 ENGINES = ("discrete", "gaussian")
+
+_CHUNK_ROUNDS = 128  # gaussian rounds whose moments are computed in one batch
 
 
 @dataclass
@@ -177,15 +180,17 @@ def run_trial(scenario: Scenario, trial_index: int, global_optima=None,
     return result
 
 
-def _row_normalize(log_rows: np.ndarray) -> np.ndarray:
-    """Clamp at the floor and log-sum-exp normalize each row in place.
+def _row_normalize(log_rows: np.ndarray, scratch: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Clamp at the floor and log-sum-exp normalize each row of ``log_rows`` in place.
 
-    ``log_rows`` is ``(T, N, M)``; returns, per trial, whether the floor fired.
+    ``peak`` is each row's maximum before clamping; ``scratch`` is a buffer
+    of the rows' shape. Returns, per trial, whether the floor fired.
     """
-    fired = np.any(log_rows < bel.LOG_FLOOR, axis=(1, 2))
+    fired = log_rows.min(axis=(1, 2)) < bel.LOG_FLOOR
     np.maximum(log_rows, bel.LOG_FLOOR, out=log_rows)
-    peak = log_rows.max(axis=-1, keepdims=True)
-    log_rows -= peak + np.log(np.exp(log_rows - peak).sum(axis=-1, keepdims=True))
+    peak = np.maximum(peak, bel.LOG_FLOOR)  # the clamped rows' maximum
+    np.exp(np.subtract(log_rows, peak, out=scratch), out=scratch)
+    log_rows -= peak + np.log(scratch.sum(axis=-1, keepdims=True))
     return fired
 
 
@@ -193,43 +198,38 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
     """The log-linear round engine over a finite parameter set, batched over (trial, node).
 
     State is the log-beliefs ``(T, N, M)``. Each round adds every node's
-    log-likelihood of its sample (the Bayes update) and normalizes; then, if
-    the scenario is cooperative, one product with the graph weights takes
-    each node's weighted log-geometric mean of its in-neighbors. The result
-    is normalized again either way. A trial's ``clamp_events`` counts, over
-    its rounds, each of these two normalizations in which the floor fired
-    for some node.
+    log-likelihood of its sample (the Bayes update, one gather from a
+    per-run table) and normalizes; then, if the scenario is cooperative,
+    one product with the graph weights takes each node's weighted
+    log-geometric mean of its in-neighbors. The result is normalized again
+    either way. A trial's ``clamp_events`` counts, over its rounds, each of
+    these two normalizations in which the floor fired for some node.
     """
-    points = scenario.theta_set.points
     n_trials, n_rounds = len(trials), scenario.n_rounds
     n_nodes, n_params = scenario.graph.n_nodes, scenario.theta_set.n_points
     draws = [_draw_trial_samples(scenario, t) for t in trials]
     instances = [np.stack([xs[i] for xs, _ in draws]) for i in range(n_nodes)]
     labels = [np.stack([ys[i] for _, ys in draws]) for i in range(n_nodes)]
+    lookups = [model.log_likelihood_lookup(scenario.theta_set.points) for model in scenario.models]
 
     private = np.full((n_trials, n_nodes, n_params), -np.log(n_params))
+    public, scratch = np.empty_like(private), np.empty_like(private)
     estimates = np.empty((n_trials, n_rounds, n_nodes), dtype=np.int64)
-    beliefs = (
-        np.empty((n_trials, n_rounds, n_nodes, n_params)) if scenario.record_beliefs else None
-    )
+    beliefs = np.empty(estimates.shape + (n_params,)) if scenario.record_beliefs else None
     clamp_events = np.zeros(n_trials, dtype=np.int64)
     for k in range(n_rounds):
-        log_lik = np.stack(
-            [
-                model.log_likelihood_matrix(points, instances[i][:, k], labels[i][:, k])
-                for i, model in enumerate(scenario.models)
-            ],
-            axis=1,
-        )
-        public = private + log_lik
-        if not np.all(np.isfinite(public.max(axis=-1))):
-            raise bel.ZeroLikelihoodError(
-                f"round {k}: every likelihood underflowed for some node"
-            )
-        clamp_events += _row_normalize(public)
+        for i, lookup in enumerate(lookups):
+            np.add(private[:, i], lookup(instances[i][:, k], labels[i][:, k]), out=public[:, i])
+        peak = public.max(axis=-1, keepdims=True)
+        if not np.all(np.isfinite(peak)):
+            raise bel.ZeroLikelihoodError(f"round {k}: every likelihood underflowed for some node")
+        clamp_events += _row_normalize(public, scratch, peak)
         # Barrier: the merge only ever sees this round's publics.
-        private = np.matmul(scenario.graph.weights, public) if scenario.cooperative else public
-        clamp_events += _row_normalize(private)
+        if scenario.cooperative:
+            np.matmul(scenario.graph.weights, public, out=private)
+        else:
+            private, public = public, private
+        clamp_events += _row_normalize(private, scratch, private.max(axis=-1, keepdims=True))
         estimates[:, k] = np.argmax(private, axis=-1)
         if beliefs is not None:
             beliefs[:, k] = private
@@ -273,16 +273,15 @@ def _gaussian_rounds(scenario: Scenario, increments, merge: bool) -> list[TrialR
     State is the precision ``P (T, N, d, d)`` and the shift ``h = P m``.
     Each round adds the sample increments (the Bayes update), then, if
     ``merge``, mixes in-neighbors with the graph weights: for Gaussian
-    beliefs the log-geometric-mean rule is linear in ``(P, h)``. A Cholesky
-    factorization of every precision is the positive-definiteness gate.
+    beliefs the log-geometric-mean rule is linear in ``(P, h)``. Each
+    round's state overwrites its spent increments (they are consumed);
+    moments follow per ``_CHUNK_ROUNDS`` rounds, after a Cholesky PD gate.
     """
     d_precision, d_shift = increments
     n_rounds, n_trials, n_nodes, dim = d_shift.shape
     prior = gau.from_mean_covariance_diag(scenario.prior_mean, scenario.prior_variance_diag)
     precision = np.broadcast_to(prior.precision, (n_trials, n_nodes, dim, dim)).copy()
     shift = np.broadcast_to(prior.precision @ prior.mean, (n_trials, n_nodes, dim)).copy()
-    means = np.empty((n_trials, n_rounds, n_nodes, dim))
-    variances = np.empty_like(means)
     for k in range(n_rounds):
         precision += d_precision[k]
         shift += d_shift[k]
@@ -290,15 +289,26 @@ def _gaussian_rounds(scenario: Scenario, increments, merge: bool) -> list[TrialR
             # Barrier: the merge only ever sees this round's publics.
             precision = np.einsum("ij,tjab->tiab", scenario.graph.weights, precision)
             shift = np.einsum("ij,tja->tia", scenario.graph.weights, shift)
+        d_precision[k], d_shift[k] = precision, shift
+
+    means = np.empty((n_trials, n_rounds, n_nodes, dim))
+    variances = np.empty_like(means)
+    for start in range(0, n_rounds, _CHUNK_ROUNDS):
+        rounds = slice(start, start + _CHUNK_ROUNDS)
         try:
-            np.linalg.cholesky(precision)
+            np.linalg.cholesky(d_precision[rounds])
         except np.linalg.LinAlgError as exc:
+            for k, precision in enumerate(d_precision[rounds], start):
+                try:
+                    np.linalg.cholesky(precision)
+                except np.linalg.LinAlgError:
+                    break
             raise gau.SingularPrecisionError(
                 f"round {k}: precision is not positive definite"
             ) from exc
-        covariance = np.linalg.inv(precision)
-        means[:, k] = np.einsum("tnab,tnb->tna", covariance, shift)
-        variances[:, k] = np.diagonal(covariance, axis1=-2, axis2=-1)
+        covariance = np.linalg.inv(d_precision[rounds])
+        means[:, rounds] = np.einsum("ktnab,ktnb->tkna", covariance, d_shift[rounds])
+        variances[:, rounds] = np.diagonal(covariance, axis1=-2, axis2=-1).swapaxes(0, 1)
 
     # The MSE runs per trial so that its BLAS calls never see the batch size.
     return [
@@ -394,10 +404,13 @@ def run_experiment(scenario: Scenario, workers: int = 1,
         separation, inputs, bound, violated, reason = sample_bound(scenario, spectral)
         results = _discrete_rounds(scenario, range(scenario.trials), separation.global_optima)
     else:
+        baseline = include_baseline and scenario.test_set is not None
         increments = _gaussian_increments(scenario, range(scenario.trials))
+        pooled = _pooled(increments) if baseline else None  # the pass below consumes them
         results = _gaussian_rounds(scenario, increments, merge=scenario.cooperative)
-        if include_baseline and scenario.test_set is not None:
-            baselines = _gaussian_rounds(scenario, _pooled(increments), merge=False)
+        del increments
+        if baseline:
+            baselines = _gaussian_rounds(scenario, pooled, merge=False)
 
     report = ExperimentReport(
         engine=scenario.engine,

@@ -158,8 +158,12 @@ class TestParseConfig:
         *[(gaussian_config(prior={"mean": [0, 0, 0], "variance_diag": bad}),
            "scenario.prior.variance_diag: expected a non-empty array")
           for bad in (5, "abc", {}, [])],
+        (gaussian_config(models=[{"family": "bernoulli", "true_probs": [0.8, 0.3],
+                                  "visible": [0]}] * 2),
+         "scenario.models[0].family: the gaussian engine requires 'linear_gaussian' models"),
     ], ids=["discrete-test-set", "test-set-width", "prior-mean-length",
-            *(f"variance-diag-{name}" for name in ("number", "string", "object", "empty"))])
+            *(f"variance-diag-{name}" for name in ("number", "string", "object", "empty")),
+            "gaussian-bernoulli-models"])
     def test_config_defect_exits_2_at_its_path(self, tmp_path, capsys, command, payload,
                                                message):
         assert main([command, write_config(tmp_path, payload)]) == 2

@@ -128,6 +128,23 @@ class TestContextFamilies:
         expected = pairwise_separation_rate(kl, stationary, table.global_optima)
         assert table.separation_rate == pytest.approx(expected, rel=1e-12)
 
+    @_WORLDS
+    @given(family=st.sampled_from(["bernoulli", "categorical", "linear_gaussian"]), seed=_SEEDS)
+    def test_lookup_is_the_log_likelihood_matrix(self, family, seed):
+        # One lookup serves many batches, each the same bits as a direct call.
+        rng = np.random.default_rng(seed)
+        if family == "linear_gaussian":
+            model = LinearGaussianModel(0, [-0.3, 0.5], [[-1, 1]], [0], 0.8)
+            points = rng.uniform(-1.0, 1.0, (12, 2))
+        else:
+            (model,), points, _ = _context_world(family, seed)
+        lookup = model.log_likelihood_lookup(points)
+        for size in (1, 7, 30):
+            xs = model.sample_instances(rng, size)
+            ys = model.sample_labels(rng, xs)
+            np.testing.assert_array_equal(lookup(xs, ys),
+                                          model.log_likelihood_matrix(points, xs, ys))
+
     def test_one_gaussian_sample_is_a_row_of_the_batch(self):
         model = LinearGaussianModel(0, [-0.3, 0.5, 0.8], [[-1, 1], [-1.5, 1.5]], [0, 1], 0.8)
         rng = np.random.default_rng(4)

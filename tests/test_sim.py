@@ -2,24 +2,32 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerlearn import (
     BeliefVector,
     BernoulliContextModel,
+    CategoricalContextModel,
     LinearGaussianModel,
     ParameterSet,
     Scenario,
+    SingularPrecisionError,
+    ZeroLikelihoodError,
     bayesian_update,
     central_baseline,
     consensus_update,
+    node_stream,
     run_experiment,
     run_trial,
+    sim,
     uniform_prior,
     validate_weight_matrix,
 )
 
 from helpers import (
     REGRESSION_THETA,
+    REGRESSION_W,
     discrete_oracle,
     floor_clamp_scenario,
     gaussian_oracle,
@@ -38,6 +46,35 @@ def single_node_scenario(n_rounds=500, seed=7) -> Scenario:
                     theta_set=theta)
 
 
+def categorical_scenario(n_rounds=60, cooperative=True, points=None) -> Scenario:
+    """2-node world with 3 labels per context; each node sees one context."""
+    truth = np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
+    if points is None:
+        points = [truth.ravel(), [0.2, 0.5, 0.3, 0.2, 0.2, 0.6],
+                  [0.6, 0.3, 0.1, 0.5, 0.3, 0.2], np.full(6, 1 / 3)]
+    return Scenario(graph=validate_weight_matrix(REGRESSION_W), engine="discrete",
+                    models=[CategoricalContextModel(i, truth, [i]) for i in range(2)],
+                    n_rounds=n_rounds, trials=1, master_seed=9,
+                    theta_set=ParameterSet(np.array(points)), cooperative=cooperative)
+
+
+def intercept_grid_scenario(n_rounds=60, cooperative=True) -> Scenario:
+    """Intercept-only regression on a grid: gaussian likelihoods on the discrete engine."""
+    return Scenario(graph=validate_weight_matrix(REGRESSION_W), engine="discrete",
+                    models=[LinearGaussianModel(i, [0.9], [], [], 0.6) for i in range(2)],
+                    n_rounds=n_rounds, trials=1, master_seed=31,
+                    theta_set=ParameterSet(np.linspace(-2.0, 2.0, 81)[:, None]),
+                    cooperative=cooperative)
+
+
+def assert_matches_discrete_oracle(scenario: Scenario) -> None:
+    result = run_trial(scenario, 0, record_samples=True)
+    beliefs, estimates, clamp_events = discrete_oracle(scenario, result.instances, result.labels)
+    np.testing.assert_allclose(result.belief_history, beliefs, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(result.estimate_history, estimates)
+    assert result.clamp_events == clamp_events
+
+
 class TestDiscreteEngine:
     def test_single_node_reduces_to_plain_bayes(self):
         result = run_trial(single_node_scenario(), 0, global_optima=(0,))
@@ -51,15 +88,38 @@ class TestDiscreteEngine:
             Scenario(graph=graph, engine="discrete", models=models, n_rounds=60,
                      trials=1, master_seed=5, theta_set=theta, cooperative=cooperative),
             floor_clamp_scenario(n_rounds=60, cooperative=cooperative),
+            categorical_scenario(cooperative=cooperative),
+            intercept_grid_scenario(cooperative=cooperative),
         ]
         for scenario in worlds:
-            result = run_trial(scenario, 0, record_samples=True)
-            beliefs, estimates, clamp_events = discrete_oracle(
-                scenario, result.instances, result.labels
-            )
-            np.testing.assert_allclose(result.belief_history, beliefs, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(result.estimate_history, estimates)
-            assert result.clamp_events == clamp_events
+            assert_matches_discrete_oracle(scenario)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 4), cooperative=st.booleans())
+    def test_engine_matches_oracle_on_random_graphs(self, seed, n_nodes, cooperative):
+        rng = np.random.default_rng(seed)
+        truth = rng.uniform(0.1, 0.9, 3)
+        models = [
+            BernoulliContextModel(i, truth, rng.choice(3, int(rng.integers(1, 4)), replace=False))
+            for i in range(n_nodes)
+        ]
+        points = np.vstack([truth, rng.uniform(0.05, 0.95, (7, 3))])
+        assert_matches_discrete_oracle(Scenario(
+            graph=random_weight_matrix(rng, n_nodes), engine="discrete", models=models,
+            n_rounds=40, trials=1, master_seed=seed, theta_set=ParameterSet(points),
+            cooperative=cooperative))
+
+    def test_zero_likelihood_names_its_round(self):
+        # Label 2 has probability 0.1 under the truth and 0 under every candidate.
+        scenario = categorical_scenario(n_rounds=100, points=[[0.5, 0.5, 0.0, 0.2, 0.2, 0.6],
+                                                              [0.9, 0.1, 0.0, 0.2, 0.2, 0.6]])
+        rng = node_stream(scenario.master_seed, 0, 0)
+        model = scenario.models[0]
+        labels = model.sample_labels(rng, model.sample_instances(rng, scenario.n_rounds))
+        first = int(np.flatnonzero(labels == 2)[0])
+        assert first > 0
+        with pytest.raises(ZeroLikelihoodError, match=rf"^round {first}: "):
+            run_trial(scenario, 0)
 
     def test_recorded_samples_deterministic(self):
         scenario = single_node_scenario(n_rounds=40)
@@ -156,6 +216,29 @@ class TestGaussianEngine:
             )
             np.testing.assert_allclose(batched.mse_history, mses, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_pd_gate_names_the_failing_round(self, monkeypatch, merge):
+        monkeypatch.setattr(sim, "_CHUNK_ROUNDS", 4)
+        scenario = regression_scenario(n_rounds=12, trials=2)
+        d_precision, d_shift = np.zeros((12, 2, 2, 3, 3)), np.zeros((12, 2, 2, 3))
+        d_precision[5, 1, 0] = -10.0 * np.eye(3)  # one round past the first batch
+        with pytest.raises(SingularPrecisionError,
+                           match=r"^round 5: precision is not positive definite$"):
+            sim._gaussian_rounds(scenario, (d_precision, d_shift), merge=merge)
+
+    def test_moments_do_not_depend_on_the_round_batch(self, monkeypatch):
+        # 7 does not divide 300, so the last batch is a short one.
+        scenario = regression_scenario(n_rounds=300, trials=3)
+        default = run_experiment(scenario)
+        monkeypatch.setattr(sim, "_CHUNK_ROUNDS", 7)
+        small = run_experiment(scenario)
+        pairs = zip(default.trial_results + default.baseline_results,
+                    small.trial_results + small.baseline_results)
+        for a, b in pairs:
+            np.testing.assert_array_equal(a.mean_history, b.mean_history)
+            np.testing.assert_array_equal(a.variance_diag_history, b.variance_diag_history)
+            np.testing.assert_array_equal(a.mse_history, b.mse_history)
+
     def test_central_baseline_approaches_noise_floor(self):
         scenario = regression_scenario(n_rounds=1500)
         baseline = central_baseline(scenario, 0)
@@ -199,10 +282,12 @@ class TestDeterminism:
                 lone.variance_diag_history, batched.variance_diag_history
             )
             np.testing.assert_array_equal(lone.mse_history, batched.mse_history)
+            central, pooled = central_baseline(scenario, t), report.baseline_results[t]
+            np.testing.assert_array_equal(central.mean_history, pooled.mean_history)
             np.testing.assert_array_equal(
-                central_baseline(scenario, t).mse_history,
-                report.baseline_results[t].mse_history,
+                central.variance_diag_history, pooled.variance_diag_history
             )
+            np.testing.assert_array_equal(central.mse_history, pooled.mse_history)
 
     def test_discrete_trial_rows_do_not_depend_on_batch_size(self):
         # Each trial's rows must be the same bits alone as in a 20-trial
