@@ -220,6 +220,8 @@ def _validate_scenario(raw, path: str = "scenario") -> dict:
             _number(v, f"{var_path}[{i}]", exclusive_min=0.0)
             for i, v in enumerate(_nonempty(raw["prior"]["variance_diag"], var_path))
         ]
+        for i, v in enumerate(var):
+            _require(math.isfinite(1.0 / v), f"{var_path}[{i}]", "its reciprocal must be finite")
         _require(len(var) == len(mean), var_path, "length must match prior.mean")
         out["prior"] = {"mean": mean, "variance_diag": var}
     if "true_theta" in raw:
@@ -227,6 +229,8 @@ def _validate_scenario(raw, path: str = "scenario") -> dict:
     if "noise_std" in raw:
         out["noise_std"] = _number(raw["noise_std"], f"{path}.noise_std",
                                    exclusive_min=0.0)
+        _require(0.0 < out["noise_std"] * out["noise_std"] < math.inf, f"{path}.noise_std",
+                 "its square, the noise variance, must be positive and finite")
     if "test_set" in raw:
         _check_keys(raw["test_set"], f"{path}.test_set",
                     {"size", "ranges", "seed"}, set())

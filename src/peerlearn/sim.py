@@ -10,7 +10,9 @@ There is one engine per belief family, and each runs all trials of an
 experiment as one batch, with its state held as arrays over (trial, node):
 log-beliefs for the discrete engine, precision and shift for the gaussian
 one. The round loop carries only the recursion (Bayes step, merge); per-run
-tables and buffers come before it, the gaussian moments in batches after it.
+tables and buffers come before it. The gaussian engine takes the rounds in
+batches: each forms its own increments from the samples, then runs the
+recursion, the positive-definiteness gate and the moments.
 
 Randomness is counter-based: every (master_seed, trial, node) triple keys
 an independent Philox stream, and each node consumes a fixed number of
@@ -173,8 +175,9 @@ def run_trial(scenario: Scenario, trial_index: int, global_optima=None,
     if scenario.engine == "discrete":
         result = _discrete_rounds(scenario, [trial_index], global_optima)[0]
     else:
-        increments = _gaussian_increments(scenario, [trial_index])
-        result = _gaussian_rounds(scenario, increments, merge=scenario.cooperative)[0]
+        aug, ys = _gaussian_samples(scenario, [trial_index])
+        result = _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
+                                  merge=scenario.cooperative)[0]
     if record_samples:
         result.instances, result.labels = _draw_trial_samples(scenario, trial_index)
     return result
@@ -247,58 +250,60 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
     ]
 
 
-def _gaussian_increments(scenario: Scenario, trials) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample precision and shift increments, ``(K, T, N, d, d)`` and ``(K, T, N, d)``.
-
-    A sample ``(x, y)`` adds ``a a^T / s^2`` to a node's precision and
-    ``a y / s^2`` to its shift (precision times mean), where ``a`` is ``x``
-    with a leading 1 for the intercept and ``s^2`` is the noise variance.
-    """
+def _gaussian_samples(scenario: Scenario, trials) -> tuple[np.ndarray, np.ndarray]:
+    """Instances with a leading 1, ``a (K, T, N, d)``, and labels over ``s^2``, ``(K, T, N)``."""
     samples = [_draw_trial_samples(scenario, t) for t in trials]
     xs = np.array([instances for instances, _ in samples], dtype=float)  # (T, N, K, d-1)
     ys = np.array([labels for _, labels in samples]).transpose(2, 0, 1) / scenario.noise_var
     aug = np.concatenate([np.ones(xs.shape[:-1] + (1,)), xs], axis=-1)
-    aug = np.ascontiguousarray(aug.transpose(2, 0, 1, 3))
-    return aug[..., :, None] * aug[..., None, :] / scenario.noise_var, aug * ys[..., None]
+    return np.ascontiguousarray(aug.transpose(2, 0, 1, 3)), ys
 
 
-def _pooled(increments):
-    """Feed every node's samples to one central node."""
-    return tuple(inc.sum(axis=2, keepdims=True) for inc in increments)
+def _increments(aug: np.ndarray, ys: np.ndarray, noise_var: float):
+    """Precision and shift increments of a node's samples in each round, summed.
+
+    A sample ``(a, y / s^2)`` adds ``a a^T / s^2`` to a node's precision and
+    ``a y / s^2`` to its shift (precision times mean), with ``s^2 = noise_var``.
+    """
+    d_precision = aug[..., :, None] * aug[..., None, :] / noise_var
+    return d_precision.sum(axis=-3), (aug * ys[..., None]).sum(axis=-2)
 
 
-def _gaussian_rounds(scenario: Scenario, increments, merge: bool) -> list[TrialResult]:
+def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResult]:
     """The conjugate round engine in information form, batched over (trial, node).
 
+    ``samples`` are ``a (K, T, N, S, d)`` and ``y / s^2 (K, T, N, S)``: each
+    round a node takes its own sample (S = 1) or, centrally, every node's.
     State is the precision ``P (T, N, d, d)`` and the shift ``h = P m``.
     Each round adds the sample increments (the Bayes update), then, if
     ``merge``, mixes in-neighbors with the graph weights: for Gaussian
-    beliefs the log-geometric-mean rule is linear in ``(P, h)``. Each
-    round's state overwrites its spent increments (they are consumed);
-    moments follow per ``_CHUNK_ROUNDS`` rounds, after a Cholesky PD gate.
+    beliefs the log-geometric-mean rule is linear in ``(P, h)``. Per
+    ``_CHUNK_ROUNDS`` rounds the engine forms the batch's increments, runs
+    the recursion, each round's state overwriting its spent increments,
+    then applies a Cholesky PD gate and computes the batch's moments.
     """
-    d_precision, d_shift = increments
-    n_rounds, n_trials, n_nodes, dim = d_shift.shape
+    aug, ys = samples
+    n_rounds, n_trials, n_nodes, _, dim = aug.shape
     prior = gau.from_mean_covariance_diag(scenario.prior_mean, scenario.prior_variance_diag)
     precision = np.broadcast_to(prior.precision, (n_trials, n_nodes, dim, dim)).copy()
     shift = np.broadcast_to(prior.precision @ prior.mean, (n_trials, n_nodes, dim)).copy()
-    for k in range(n_rounds):
-        precision += d_precision[k]
-        shift += d_shift[k]
-        if merge:
-            # Barrier: the merge only ever sees this round's publics.
-            precision = np.einsum("ij,tjab->tiab", scenario.graph.weights, precision)
-            shift = np.einsum("ij,tja->tia", scenario.graph.weights, shift)
-        d_precision[k], d_shift[k] = precision, shift
-
     means = np.empty((n_trials, n_rounds, n_nodes, dim))
     variances = np.empty_like(means)
     for start in range(0, n_rounds, _CHUNK_ROUNDS):
         rounds = slice(start, start + _CHUNK_ROUNDS)
+        d_precision, d_shift = _increments(aug[rounds], ys[rounds], scenario.noise_var)
+        for k in range(len(d_shift)):
+            precision += d_precision[k]
+            shift += d_shift[k]
+            if merge:
+                # Barrier: the merge only ever sees this round's publics.
+                precision = np.einsum("ij,tjab->tiab", scenario.graph.weights, precision)
+                shift = np.einsum("ij,tja->tia", scenario.graph.weights, shift)
+            d_precision[k], d_shift[k] = precision, shift
         try:
-            np.linalg.cholesky(d_precision[rounds])
+            np.linalg.cholesky(d_precision)
         except np.linalg.LinAlgError as exc:
-            for k, precision in enumerate(d_precision[rounds], start):
+            for k, precision in enumerate(d_precision, start):
                 try:
                     np.linalg.cholesky(precision)
                 except np.linalg.LinAlgError:
@@ -306,8 +311,8 @@ def _gaussian_rounds(scenario: Scenario, increments, merge: bool) -> list[TrialR
             raise gau.SingularPrecisionError(
                 f"round {k}: precision is not positive definite"
             ) from exc
-        covariance = np.linalg.inv(d_precision[rounds])
-        means[:, rounds] = np.einsum("ktnab,ktnb->tkna", covariance, d_shift[rounds])
+        covariance = np.linalg.inv(d_precision)
+        means[:, rounds] = np.einsum("ktnab,ktnb->tkna", covariance, d_shift)
         variances[:, rounds] = np.diagonal(covariance, axis1=-2, axis2=-1).swapaxes(0, 1)
 
     # The MSE runs per trial so that its BLAS calls never see the batch size.
@@ -343,8 +348,8 @@ def central_baseline(scenario: Scenario, trial_index: int = 0) -> TrialResult:
     scenario.validate()
     if scenario.engine != "gaussian":
         raise ValueError("the central baseline is defined for the gaussian engine")
-    increments = _gaussian_increments(scenario, [trial_index])
-    return _gaussian_rounds(scenario, _pooled(increments), merge=False)[0]
+    aug, ys = _gaussian_samples(scenario, [trial_index])
+    return _gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]), merge=False)[0]
 
 
 def sample_bound(
@@ -404,13 +409,11 @@ def run_experiment(scenario: Scenario, workers: int = 1,
         separation, inputs, bound, violated, reason = sample_bound(scenario, spectral)
         results = _discrete_rounds(scenario, range(scenario.trials), separation.global_optima)
     else:
-        baseline = include_baseline and scenario.test_set is not None
-        increments = _gaussian_increments(scenario, range(scenario.trials))
-        pooled = _pooled(increments) if baseline else None  # the pass below consumes them
-        results = _gaussian_rounds(scenario, increments, merge=scenario.cooperative)
-        del increments
-        if baseline:
-            baselines = _gaussian_rounds(scenario, pooled, merge=False)
+        aug, ys = _gaussian_samples(scenario, range(scenario.trials))
+        results = _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
+                                   merge=scenario.cooperative)
+        if include_baseline and scenario.test_set is not None:
+            baselines = _gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]), merge=False)
 
     report = ExperimentReport(
         engine=scenario.engine,

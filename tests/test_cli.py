@@ -161,9 +161,15 @@ class TestParseConfig:
         (gaussian_config(models=[{"family": "bernoulli", "true_probs": [0.8, 0.3],
                                   "visible": [0]}] * 2),
          "scenario.models[0].family: the gaussian engine requires 'linear_gaussian' models"),
+        (gaussian_config(prior={"mean": [0, 0, 0], "variance_diag": [1e-320, 0.5, 0.5]}),
+         "scenario.prior.variance_diag[0]: its reciprocal must be finite"),
+        *[(gaussian_config(noise_std=bad),
+           "scenario.noise_std: its square, the noise variance, must be positive and finite")
+          for bad in (1e-200, 1e200)],
     ], ids=["discrete-test-set", "test-set-width", "prior-mean-length",
             *(f"variance-diag-{name}" for name in ("number", "string", "object", "empty")),
-            "gaussian-bernoulli-models"])
+            "gaussian-bernoulli-models", "variance-diag-subnormal", "noise-std-underflow",
+            "noise-std-overflow"])
     def test_config_defect_exits_2_at_its_path(self, tmp_path, capsys, command, payload,
                                                message):
         assert main([command, write_config(tmp_path, payload)]) == 2

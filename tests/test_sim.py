@@ -1,5 +1,7 @@
 """Round engine: determinism, barriers, learning behavior, baselines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from peerlearn import (
     bayesian_update,
     central_baseline,
     consensus_update,
+    make_regression_test_set,
     node_stream,
     run_experiment,
     run_trial,
@@ -31,6 +34,7 @@ from helpers import (
     discrete_oracle,
     floor_clamp_scenario,
     gaussian_oracle,
+    peak_bytes,
     random_weight_matrix,
     regression_scenario,
     three_node_bernoulli,
@@ -73,6 +77,20 @@ def assert_matches_discrete_oracle(scenario: Scenario) -> None:
     np.testing.assert_allclose(result.belief_history, beliefs, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(result.estimate_history, estimates)
     assert result.clamp_events == clamp_events
+
+
+def assert_matches_gaussian_oracle(scenario: Scenario) -> None:
+    """Trial 0's pass, and the central baseline's on the same data, against the oracle."""
+    result = run_trial(scenario, 0, record_samples=True)
+    runs = [
+        (result, gaussian_oracle(scenario, result.instances, result.labels)),
+        (central_baseline(scenario, 0),
+         gaussian_oracle(scenario, result.instances, result.labels, central=True)),
+    ]
+    for batched, (means, variances, mses) in runs:
+        np.testing.assert_allclose(batched.mean_history, means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batched.variance_diag_history, variances, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batched.mse_history, mses, rtol=0, atol=1e-12)
 
 
 class TestDiscreteEngine:
@@ -202,29 +220,68 @@ class TestGaussianEngine:
 
     @pytest.mark.parametrize("cooperative", [True, False])
     def test_batched_engine_matches_per_node_oracle(self, cooperative):
-        scenario = regression_scenario(n_rounds=300, cooperative=cooperative)
-        result = run_trial(scenario, 0, record_samples=True)
-        runs = [(result, gaussian_oracle(scenario, result.instances, result.labels))]
-        if cooperative:
-            baseline = central_baseline(scenario, 0)
-            runs.append((baseline, gaussian_oracle(
-                scenario, result.instances, result.labels, central=True)))
-        for batched, (means, variances, mses) in runs:
-            np.testing.assert_allclose(batched.mean_history, means, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(
-                batched.variance_diag_history, variances, rtol=0, atol=1e-12
-            )
-            np.testing.assert_allclose(batched.mse_history, mses, rtol=0, atol=1e-12)
+        assert_matches_gaussian_oracle(regression_scenario(n_rounds=300, cooperative=cooperative))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 4), dim=st.integers(2, 4),
+           chunk=st.integers(2, 9))
+    def test_engine_matches_oracle_on_random_graphs(self, seed, n_nodes, dim, chunk):
+        # 19 rounds: no batch size in 2..9 divides them, so the last batch is short.
+        rng = np.random.default_rng(seed)
+        theta, ranges = rng.uniform(-1.0, 1.0, dim), [[-1.0, 1.0]] * (dim - 1)
+        models = [
+            LinearGaussianModel(i, theta, ranges, np.flatnonzero(rng.random(dim - 1) < 0.6), 0.7)
+            for i in range(n_nodes)
+        ]
+        scenario = Scenario(
+            graph=random_weight_matrix(rng, n_nodes), engine="gaussian", models=models,
+            n_rounds=19, trials=1, master_seed=seed, prior_mean=rng.normal(size=dim),
+            prior_variance_diag=rng.uniform(0.2, 2.0, dim), noise_var=0.49,
+            test_set=make_regression_test_set(30, ranges, theta, 0.7, seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_CHUNK_ROUNDS", chunk)
+            for cooperative in (True, False):
+                assert_matches_gaussian_oracle(
+                    dataclasses.replace(scenario, cooperative=cooperative))
 
     @pytest.mark.parametrize("merge", [True, False])
     def test_pd_gate_names_the_failing_round(self, monkeypatch, merge):
         monkeypatch.setattr(sim, "_CHUNK_ROUNDS", 4)
-        scenario = regression_scenario(n_rounds=12, trials=2)
-        d_precision, d_shift = np.zeros((12, 2, 2, 3, 3)), np.zeros((12, 2, 2, 3))
-        d_precision[5, 1, 0] = -10.0 * np.eye(3)  # one round past the first batch
+        # Every sample is zero but one at round 5, one round past the first
+        # batch; the negative noise variance makes its increment -100 e0 e0^T,
+        # so that round's precision is indefinite, for either node after a merge.
+        scenario = dataclasses.replace(regression_scenario(n_rounds=12, trials=2),
+                                       noise_var=-0.01)
+        aug, ys = np.zeros((12, 2, 2, 1, 3)), np.zeros((12, 2, 2, 1))
+        aug[5, 1, 0, 0, 0] = 1.0
         with pytest.raises(SingularPrecisionError,
                            match=r"^round 5: precision is not positive definite$"):
-            sim._gaussian_rounds(scenario, (d_precision, d_shift), merge=merge)
+            sim._gaussian_rounds(scenario, (aug, ys), merge=merge)
+
+    def test_peak_does_not_grow_with_the_round_count(self):
+        # d = 6 and two trials: the traced peak less the output moments is
+        # about 0.65 MB at 250 and at 1,000 rounds, mostly one 128-round
+        # batch's increments and factorizations. Increments held for every
+        # round, (K, T, N, d, d), would take 2 MB at 1,000 rounds.
+        dim = 6
+        theta, ranges = np.linspace(-0.5, 0.5, dim), [[-1.0, 1.0]] * (dim - 1)
+        for n_rounds in (250, 1000):
+            scenario = Scenario(
+                graph=validate_weight_matrix(REGRESSION_W), engine="gaussian",
+                models=[LinearGaussianModel(i, theta, ranges, [2 * i, 2 * i + 1, 4], 0.5)
+                        for i in range(2)],
+                n_rounds=n_rounds, trials=2, master_seed=3, prior_mean=np.zeros(dim),
+                prior_variance_diag=np.ones(dim), noise_var=0.25,
+                test_set=make_regression_test_set(20, ranges, theta, 0.5, 1))
+            reports = []
+            peak = peak_bytes(lambda: reports.append(run_experiment(scenario)))
+            outputs = sum(
+                history.nbytes
+                for result in reports[0].trial_results + reports[0].baseline_results
+                for history in (result.mean_history, result.variance_diag_history,
+                                result.mse_history)
+            )
+            assert peak - outputs < 2**20
 
     def test_moments_do_not_depend_on_the_round_batch(self, monkeypatch):
         # 7 does not divide 300, so the last batch is a short one.
