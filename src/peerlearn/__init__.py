@@ -13,22 +13,16 @@ from .beliefs import (
     DimensionMismatchError,
     WeightMismatchError,
     ZeroLikelihoodError,
-    bayesian_update,
     consensus_update,
-    map_estimate,
-    uniform_prior,
 )
 from .gaussian import (
     GaussianBelief,
     SingularPrecisionError,
     discretized_consensus_oracle,
     from_mean_covariance_diag,
-    gaussian_bayes_update,
     gaussian_consensus,
-    predictive,
 )
 from .graph import (
-    EigenFailureError,
     GraphError,
     MixingBoundReport,
     NotStochasticError,
@@ -52,7 +46,6 @@ from .models import (
     SeparationTable,
     UnboundedKLError,
     assumption_bounds,
-    expected_kl_to_truth,
     separation_table,
     verify_r_covering,
 )

@@ -1,10 +1,10 @@
 """Log-space belief vectors over a finite parameter set.
 
-Implements the per-node belief machinery: uniform priors, the local
-Bayesian posterior step, the weighted log-geometric-mean consensus merge,
-and the argmax estimator. All arithmetic stays in natural-log space with
-log-sum-exp normalization so that products over thousands of rounds never
-underflow.
+Implements the weighted log-geometric-mean consensus merge and the one
+normalization kernel that the merge and the discrete round engine share:
+clamp at the floating floor, then log-sum-exp normalize. All arithmetic
+stays in natural-log space so that products over thousands of rounds
+never underflow.
 
 BeliefVector is a value type and every operation is pure.
 """
@@ -55,40 +55,20 @@ class BeliefVector:
             logs = logs - logsumexp(logs)
         return np.exp(logs)
 
-    def is_normalized(self, tol: float = _NORM_TOL) -> bool:
-        return bool(abs(logsumexp(self.log_weights)) <= tol)
 
+def row_normalize(log_rows: np.ndarray, scratch: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Clamp at the floor and log-sum-exp normalize each row of ``log_rows`` in place.
 
-def _normalized_belief(raw_logs: np.ndarray) -> BeliefVector:
-    """Clamp at the floating floor, then log-sum-exp normalize."""
-    clipped = np.maximum(raw_logs, LOG_FLOOR)
-    fired = bool(np.any(raw_logs < LOG_FLOOR))
-    logs = clipped - logsumexp(clipped)
-    return BeliefVector(log_weights=logs, normalized=True, clamped=fired)
-
-
-def uniform_prior(n_params: int) -> BeliefVector:
-    """Normalized belief placing mass 1/M on each of M parameters."""
-    if n_params < 1:
-        raise ValueError("parameter set must contain at least one point")
-    logs = np.full(n_params, -np.log(n_params))
-    return BeliefVector(log_weights=logs, normalized=True)
-
-
-def bayesian_update(prior, model, theta_set, x, y) -> BeliefVector:
-    """Posterior proportional to likelihood(y; theta, x) times the prior.
-
-    ``model`` supplies per-parameter log likelihoods for the observed
-    (x, y) pair over ``theta_set``. Raises ``ZeroLikelihoodError`` when no
-    parameter assigns the label positive density.
+    ``log_rows`` is ``(T, N, M)``; ``peak`` is each row's maximum before
+    clamping, and ``scratch`` is a buffer of the rows' shape. Returns, per
+    trial, whether the floor fired.
     """
-    log_lik = model.log_likelihood_matrix(theta_set.points, [x], [y])[0]
-    combined = prior.log_weights + log_lik
-    if not np.any(combined > -np.inf) or np.any(np.isnan(combined)):
-        raise ZeroLikelihoodError(
-            "every likelihood underflowed; model/support mismatch for the label"
-        )
-    return _normalized_belief(combined)
+    fired = log_rows.min(axis=(1, 2)) < LOG_FLOOR
+    np.maximum(log_rows, LOG_FLOOR, out=log_rows)
+    peak = np.maximum(peak, LOG_FLOOR)  # the clamped rows' maximum
+    np.exp(np.subtract(log_rows, peak, out=scratch), out=scratch)
+    log_rows -= peak + np.log(scratch.sum(axis=-1, keepdims=True))
+    return fired
 
 
 def consensus_update(publics) -> BeliefVector:
@@ -111,9 +91,6 @@ def consensus_update(publics) -> BeliefVector:
     if abs(weights.sum() - 1.0) > _NORM_TOL:
         raise WeightMismatchError(f"weights sum to {weights.sum()!r}, expected 1")
     stacked = np.stack([v.log_weights for v in vectors])
-    return _normalized_belief(weights @ stacked)
-
-
-def map_estimate(belief: BeliefVector) -> int:
-    """Argmax parameter index; ties break deterministically to the lowest index."""
-    return int(np.argmax(belief.log_weights))
+    rows = (weights @ stacked)[None, None]
+    fired = row_normalize(rows, np.empty_like(rows), rows.max(axis=-1, keepdims=True))
+    return BeliefVector(log_weights=rows[0, 0], normalized=True, clamped=bool(fired[0]))

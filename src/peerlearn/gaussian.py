@@ -1,10 +1,10 @@
 """Conjugate-Gaussian beliefs for distributed linear regression.
 
-Beliefs are kept in information form (mean plus precision matrix): both
-the conjugate Bayes update and the consensus merge are additive in the
-precision, so no repeated inversions are needed. Positive definiteness is
-enforced by a symmetric factorization at every construction; a failure is
-a hard error because it always indicates a scenario bug.
+Beliefs are kept in information form (mean plus precision matrix): the
+consensus merge is additive in the precision, so no repeated inversions
+are needed. Positive definiteness is enforced by a symmetric
+factorization at every construction; a failure is a hard error because it
+always indicates a scenario bug.
 
 The discretized consensus oracle evaluates the same merge through the
 discrete belief engine on a grid and exists to certify the closed form.
@@ -86,30 +86,6 @@ def from_mean_covariance_diag(mean, variance_diag) -> GaussianBelief:
                           precision=np.diag(1.0 / variances))
 
 
-def _augment(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    return np.concatenate(([1.0], x))
-
-
-def gaussian_bayes_update(prior: GaussianBelief, x, y: float,
-                          noise_var: float) -> GaussianBelief:
-    """Conjugate posterior after observing label ``y`` at instance ``x``.
-
-    The instance is augmented with a leading 1 for the intercept. The
-    precision gains the scaled outer product of the augmented instance and
-    the mean solves the updated normal equations.
-    """
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    aug = _augment(x)
-    if aug.size != prior.dim:
-        raise ValueError(f"instance of dimension {aug.size - 1} does not match belief")
-    precision = prior.precision + np.outer(aug, aug) / noise_var
-    shift = prior.precision @ prior.mean + aug * (y / noise_var)
-    mean = cho_solve(_factor(precision), shift)
-    return GaussianBelief(mean=mean, precision=precision)
-
-
 def gaussian_consensus(beliefs) -> GaussianBelief:
     """Merge (belief, weight) pairs: precisions average, means solve the blend.
 
@@ -135,17 +111,6 @@ def gaussian_consensus(beliefs) -> GaussianBelief:
         shift += weight * (belief.precision @ belief.mean)
     mean = cho_solve(_factor(precision), shift)
     return GaussianBelief(mean=mean, precision=precision)
-
-
-def predictive(belief: GaussianBelief, x, noise_var: float) -> tuple[float, float]:
-    """Predictive mean and variance of the label at instance ``x``."""
-    if noise_var <= 0:
-        raise ValueError("noise_var must be positive")
-    aug = _augment(x)
-    if aug.size != belief.dim:
-        raise ValueError(f"instance of dimension {aug.size - 1} does not match belief")
-    solved = cho_solve(belief._chol, aug)
-    return float(belief.mean @ aug), float(aug @ solved + noise_var)
 
 
 def discretized_consensus_oracle(beliefs, weights, grid: ParameterSet) -> BeliefVector:

@@ -50,10 +50,6 @@ class PeriodicError(GraphError):
         super().__init__(f"chain is periodic with period {period}")
 
 
-class EigenFailureError(RuntimeError):
-    """The eigensolver failed to converge on the weight matrix."""
-
-
 @dataclass(frozen=True)
 class WeightMatrix:
     """Row-stochastic confidence matrix over a directed graph.
@@ -68,10 +64,6 @@ class WeightMatrix:
 
     def __post_init__(self):
         self.weights.setflags(write=False)
-
-    def in_neighbors(self, node: int) -> np.ndarray:
-        """Indices j with weights[node, j] > 0, including the node itself if looped."""
-        return np.flatnonzero(self.weights[node] > 0.0)
 
 
 @dataclass(frozen=True)
@@ -215,10 +207,7 @@ def spectral_gap(w: WeightMatrix) -> SpectralSummary:
     with the natural logarithm.
     """
     stationary = stationary_distribution(w)
-    try:
-        eigenvalues = np.linalg.eigvals(w.weights)
-    except np.linalg.LinAlgError as exc:
-        raise EigenFailureError(f"eigensolver failed: {exc}") from exc
+    eigenvalues = np.linalg.eigvals(w.weights)
     if w.n_nodes == 1:
         lambda_max = 0.0
     else:

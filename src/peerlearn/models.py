@@ -355,25 +355,6 @@ def _instance_draws(model, mc_samples: int, seed, node_index: int):
     return model.sample_instances(rng, mc_samples)
 
 
-def expected_kl_to_truth(model, theta_set: ParameterSet, theta_index: int,
-                         mc_samples: int = 2000, seed: int = 0) -> float:
-    """Monte Carlo estimate of the node's expected KL from truth to a parameter.
-
-    Deterministic given the seed. Raises ``UnboundedKLError`` when the
-    truth has support where the candidate likelihood vanishes.
-    """
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be at least 1")
-    xs = _instance_draws(model, mc_samples, seed, model.node_id)
-    kl = float(model.kl_to_truth(theta_set.points[[theta_index]], xs)[0])
-    if math.isinf(kl):
-        raise UnboundedKLError(
-            f"node {model.node_id}: likelihood at parameter {theta_index} "
-            "has no support where the truth does"
-        )
-    return kl
-
-
 def separation_table(models, theta_set: ParameterSet, stationary,
                      mc_samples: int = 2000, seed: int = 0) -> SeparationTable:
     """Expected KL to the truth per (node, parameter), and the separation rate.

@@ -183,20 +183,6 @@ def run_trial(scenario: Scenario, trial_index: int, global_optima=None,
     return result
 
 
-def _row_normalize(log_rows: np.ndarray, scratch: np.ndarray, peak: np.ndarray) -> np.ndarray:
-    """Clamp at the floor and log-sum-exp normalize each row of ``log_rows`` in place.
-
-    ``peak`` is each row's maximum before clamping; ``scratch`` is a buffer
-    of the rows' shape. Returns, per trial, whether the floor fired.
-    """
-    fired = log_rows.min(axis=(1, 2)) < bel.LOG_FLOOR
-    np.maximum(log_rows, bel.LOG_FLOOR, out=log_rows)
-    peak = np.maximum(peak, bel.LOG_FLOOR)  # the clamped rows' maximum
-    np.exp(np.subtract(log_rows, peak, out=scratch), out=scratch)
-    log_rows -= peak + np.log(scratch.sum(axis=-1, keepdims=True))
-    return fired
-
-
 def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[TrialResult]:
     """The log-linear round engine over a finite parameter set, batched over (trial, node).
 
@@ -226,13 +212,13 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
         peak = public.max(axis=-1, keepdims=True)
         if not np.all(np.isfinite(peak)):
             raise bel.ZeroLikelihoodError(f"round {k}: every likelihood underflowed for some node")
-        clamp_events += _row_normalize(public, scratch, peak)
+        clamp_events += bel.row_normalize(public, scratch, peak)
         # Barrier: the merge only ever sees this round's publics.
         if scenario.cooperative:
             np.matmul(scenario.graph.weights, public, out=private)
         else:
             private, public = public, private
-        clamp_events += _row_normalize(private, scratch, private.max(axis=-1, keepdims=True))
+        clamp_events += bel.row_normalize(private, scratch, private.max(axis=-1, keepdims=True))
         estimates[:, k] = np.argmax(private, axis=-1)
         if beliefs is not None:
             beliefs[:, k] = private
@@ -250,6 +236,7 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
     ]
 
 
+@np.errstate(over="ignore")  # overflow reaches the state, which _gaussian_rounds gates
 def _gaussian_samples(scenario: Scenario, trials) -> tuple[np.ndarray, np.ndarray]:
     """Instances with a leading 1, ``a (K, T, N, d)``, and labels over ``s^2``, ``(K, T, N)``."""
     samples = [_draw_trial_samples(scenario, t) for t in trials]
@@ -269,6 +256,7 @@ def _increments(aug: np.ndarray, ys: np.ndarray, noise_var: float):
     return d_precision.sum(axis=-3), (aug * ys[..., None]).sum(axis=-2)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the finiteness gate reports these
 def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResult]:
     """The conjugate round engine in information form, batched over (trial, node).
 
@@ -280,7 +268,9 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
     beliefs the log-geometric-mean rule is linear in ``(P, h)``. Per
     ``_CHUNK_ROUNDS`` rounds the engine forms the batch's increments, runs
     the recursion, each round's state overwriting its spent increments,
-    then applies a Cholesky PD gate and computes the batch's moments.
+    then gates the state, which must be finite (the inputs may overflow,
+    and the Cholesky factorization does not reject NaN) and positive
+    definite, and computes the batch's moments.
     """
     aug, ys = samples
     n_rounds, n_trials, n_nodes, _, dim = aug.shape
@@ -300,6 +290,10 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
                 precision = np.einsum("ij,tjab->tiab", scenario.graph.weights, precision)
                 shift = np.einsum("ij,tja->tia", scenario.graph.weights, shift)
             d_precision[k], d_shift[k] = precision, shift
+        finite = np.isfinite(d_precision).all(axis=(-2, -1)) & np.isfinite(d_shift).all(axis=-1)
+        if not finite.all():
+            k = start + int(np.argmin(finite.all(axis=(1, 2))))
+            raise ValueError(f"round {k}: precision or shift is not finite; an input overflows")
         try:
             np.linalg.cholesky(d_precision)
         except np.linalg.LinAlgError as exc:

@@ -6,24 +6,24 @@ import json
 import tracemalloc
 
 import numpy as np
-from scipy.special import rel_entr
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import logsumexp, rel_entr
 
 from peerlearn import (
+    BeliefVector,
     BernoulliContextModel,
+    GaussianBelief,
     LinearGaussianModel,
     ParameterSet,
     Scenario,
     WeightMatrix,
-    bayesian_update,
-    consensus_update,
+    ZeroLikelihoodError,
     from_mean_covariance_diag,
-    gaussian_bayes_update,
     gaussian_consensus,
     make_regression_test_set,
-    map_estimate,
-    uniform_prior,
     validate_weight_matrix,
 )
+from peerlearn.beliefs import LOG_FLOOR
 
 REGRESSION_THETA = [-0.3, 0.5, 0.8]
 REGRESSION_RANGES = [[-1.0, 1.0], [-1.5, 1.5]]
@@ -53,6 +53,71 @@ def random_weight_matrix(rng, n_nodes: int) -> WeightMatrix:
         w[i, i] = rng.uniform(0.2, 1.0)
     w /= w.sum(axis=1, keepdims=True)
     return validate_weight_matrix(w)
+
+
+def in_neighbors(graph: WeightMatrix, node: int) -> np.ndarray:
+    """Indices j with weights[node, j] > 0, including the node itself if looped."""
+    return np.flatnonzero(graph.weights[node] > 0.0)
+
+
+def normalized_belief(raw_logs) -> BeliefVector:
+    """The reference normalization: clamp at the floor, then scipy's log-sum-exp.
+
+    The oracles normalize with this, not with the engine's kernel
+    ``peerlearn.beliefs.row_normalize``, so that they stay independent of
+    the code they certify.
+    """
+    raw_logs = np.asarray(raw_logs, dtype=float)
+    clipped = np.maximum(raw_logs, LOG_FLOOR)
+    fired = bool(np.any(raw_logs < LOG_FLOOR))
+    logs = clipped - logsumexp(clipped)
+    return BeliefVector(log_weights=logs, normalized=True, clamped=fired)
+
+
+def uniform_prior(n_params: int) -> BeliefVector:
+    """Normalized belief placing mass 1/M on each of M parameters."""
+    if n_params < 1:
+        raise ValueError("parameter set must contain at least one point")
+    return BeliefVector(log_weights=np.full(n_params, -np.log(n_params)), normalized=True)
+
+
+def bayesian_update(prior: BeliefVector, model, theta_set, x, y) -> BeliefVector:
+    """Posterior proportional to likelihood(y; theta, x) times the prior.
+
+    Raises ``ZeroLikelihoodError`` when no parameter assigns the label
+    positive density.
+    """
+    log_lik = model.log_likelihood_matrix(theta_set.points, [x], [y])[0]
+    combined = prior.log_weights + log_lik
+    if not np.any(combined > -np.inf) or np.any(np.isnan(combined)):
+        raise ZeroLikelihoodError(
+            "every likelihood underflowed; model/support mismatch for the label"
+        )
+    return normalized_belief(combined)
+
+
+def reference_consensus(publics) -> BeliefVector:
+    """Weighted geometric mean of (belief, weight) pairs, through the reference normalization."""
+    weights = np.array([w for _, w in publics], dtype=float)
+    return normalized_belief(weights @ np.stack([b.log_weights for b, _ in publics]))
+
+
+def gaussian_bayes_update(prior: GaussianBelief, x, y: float, noise_var: float) -> GaussianBelief:
+    """Conjugate posterior after observing label ``y`` at instance ``x``.
+
+    The instance is augmented with a leading 1 for the intercept. The
+    precision gains the scaled outer product of the augmented instance and
+    the mean solves the updated normal equations.
+    """
+    if noise_var <= 0:
+        raise ValueError("noise_var must be positive")
+    aug = np.concatenate(([1.0], np.asarray(x, dtype=float).ravel()))
+    if aug.size != prior.dim:
+        raise ValueError(f"instance of dimension {aug.size - 1} does not match belief")
+    precision = prior.precision + np.outer(aug, aug) / noise_var
+    shift = prior.precision @ prior.mean + aug * (y / noise_var)
+    mean = cho_solve(cho_factor(precision, lower=True), shift)
+    return GaussianBelief(mean=mean, precision=precision)
 
 
 def three_node_bernoulli():
@@ -185,7 +250,7 @@ def floor_clamp_scenario(n_rounds=400, trials=1, cooperative=True) -> Scenario:
 
 
 def discrete_oracle(scenario: Scenario, instances, labels):
-    """Per-node loop over the public discrete belief operations.
+    """Per-node loop over the reference discrete belief operations.
 
     The reference the batched discrete engine is checked against: returns
     the log-belief and estimate histories of one trial and its clamp-event
@@ -203,17 +268,17 @@ def discrete_oracle(scenario: Scenario, instances, labels):
             for i, (q, model) in enumerate(zip(privates, scenario.models))
         ]
         privates = [
-            consensus_update([(publics[j], weights[i, j]) for j in np.flatnonzero(weights[i])])
+            reference_consensus([(publics[j], weights[i, j]) for j in np.flatnonzero(weights[i])])
             for i in range(graph.n_nodes)
         ]
         clamp_events += any(p.clamped for p in publics) + any(q.clamped for q in privates)
         beliefs.append([q.log_weights for q in privates])
-        estimates.append([map_estimate(q) for q in privates])
+        estimates.append([int(np.argmax(q.log_weights)) for q in privates])
     return np.array(beliefs), np.array(estimates), clamp_events
 
 
 def gaussian_oracle(scenario: Scenario, instances, labels, central=False):
-    """Per-node loop over the public conjugate operations.
+    """Per-node loop over the conjugate Bayes update and the public merge.
 
     The reference the batched gaussian engine is checked against: returns
     the mean, variance-diagonal and test-MSE histories of one trial. With
@@ -238,7 +303,7 @@ def gaussian_oracle(scenario: Scenario, instances, labels, central=False):
             ]
             privates = publics if not scenario.cooperative else [
                 gaussian_consensus(
-                    [(publics[j], graph.weights[i, j]) for j in graph.in_neighbors(i)]
+                    [(publics[j], graph.weights[i, j]) for j in in_neighbors(graph, i)]
                 )
                 for i in range(graph.n_nodes)
             ]

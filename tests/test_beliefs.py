@@ -1,27 +1,43 @@
-"""Log-space belief vectors: priors, Bayes step, consensus merge, estimator."""
+"""Log-space belief vectors: the reference priors and Bayes step, the
+consensus merge, the normalization kernel, and the engine's estimator."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from peerlearn import (
     BeliefVector,
     BernoulliContextModel,
     DimensionMismatchError,
     ParameterSet,
+    Scenario,
     WeightMismatchError,
     ZeroLikelihoodError,
-    bayesian_update,
     consensus_update,
-    map_estimate,
-    uniform_prior,
+    run_trial,
+    validate_weight_matrix,
 )
-from peerlearn.beliefs import LOG_FLOOR
+from peerlearn.beliefs import LOG_FLOOR, row_normalize
+
+from helpers import bayesian_update, normalized_belief, uniform_prior
 
 
 def belief_from_probs(probs) -> BeliefVector:
     return BeliefVector(np.log(np.asarray(probs, dtype=float)), normalized=True)
+
+
+def is_normalized(belief: BeliefVector) -> bool:
+    return bool(abs(logsumexp(belief.log_weights)) <= 1e-9)
+
+
+def engine_estimates(points, truth, n_rounds=200) -> np.ndarray:
+    """The discrete engine's estimate per round for one node that sees context 0."""
+    scenario = Scenario(graph=validate_weight_matrix([[1.0]]), engine="discrete",
+                        models=[BernoulliContextModel(0, truth, [0])], n_rounds=n_rounds,
+                        trials=1, master_seed=5, theta_set=ParameterSet(np.array(points)))
+    return run_trial(scenario, 0).estimate_history[:, 0]
 
 
 class TestUniformPrior:
@@ -58,7 +74,7 @@ class TestBayesianUpdate:
     def test_point_mass_prior_stays_point_mass(self):
         prior = BeliefVector(np.array([0.0, LOG_FLOOR]), normalized=True)
         post = bayesian_update(prior, self.model, self.theta, 0, 0)
-        assert map_estimate(post) == 0
+        assert np.argmax(post.log_weights) == 0
         assert post.probabilities()[1] < 1e-250
 
     def test_all_zero_likelihood_raises(self):
@@ -83,7 +99,7 @@ class TestBayesianUpdate:
 
     def test_output_is_normalized(self):
         post = bayesian_update(uniform_prior(2), self.model, self.theta, 0, 1)
-        assert post.is_normalized()
+        assert is_normalized(post)
 
 
 class TestConsensusUpdate:
@@ -153,18 +169,27 @@ class TestConsensusUpdate:
                 (BeliefVector(rng.normal(size=5)), w)
                 for w in rng.dirichlet(np.ones(k))
             ]
-            assert consensus_update(inputs).is_normalized()
+            assert is_normalized(consensus_update(inputs))
 
 
 class TestMapEstimate:
+    """The engine's estimate is the argmax of the belief, ties to the lowest index."""
+
     def test_unique_maximum(self):
-        assert map_estimate(belief_from_probs([0.1, 0.7, 0.2])) == 1
+        # Every label is 1, whose likelihood is largest at index 1.
+        estimates = engine_estimates([[0.1], [0.7], [0.4]], truth=[1.0])
+        assert np.all(estimates == 1)
 
     def test_tie_breaks_to_lowest_index(self):
-        assert map_estimate(belief_from_probs([0.5, 0.5])) == 0
+        # Indices 1 and 2 agree on the only visible context, so their
+        # beliefs are equal in every round; the truth makes them the maximum.
+        estimates = engine_estimates([[0.3, 0.1], [0.8, 0.2], [0.8, 0.9]], truth=[0.8, 0.5])
+        assert 2 not in estimates
+        assert estimates[-1] == 1
 
     def test_uniform_returns_zero(self):
-        assert map_estimate(uniform_prior(10)) == 0
+        estimates = engine_estimates([[0.8, 0.1], [0.8, 0.5], [0.8, 0.9]], truth=[0.8, 0.5])
+        assert np.all(estimates == 0)
 
 
 class TestFloorClamp:
@@ -177,3 +202,21 @@ class TestFloorClamp:
     def test_entries_never_minus_infinity(self):
         merged = consensus_update([(BeliefVector(np.array([0.0, -np.inf])), 1.0)])
         assert np.all(np.isfinite(merged.log_weights))
+
+
+class TestNormalizationKernel:
+    """The kernel that the merge and the discrete engine share, against the reference."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_reference_normalization(self, data):
+        m = data.draw(st.integers(1, 12))
+        entries = st.one_of(st.floats(-1500.0, 50.0), st.sampled_from([-np.inf, LOG_FLOOR]))
+        row = np.array(data.draw(st.lists(entries, min_size=m, max_size=m)))
+        offset = data.draw(st.sampled_from([0.0, -750.0, 690.0, 1e6, -1e6]))
+        row = row + offset
+        rows = row[None, None].copy()
+        fired = row_normalize(rows, np.empty_like(rows), rows.max(axis=-1, keepdims=True))
+        reference = normalized_belief(row)
+        np.testing.assert_allclose(rows[0, 0], reference.log_weights, rtol=0, atol=1e-12)
+        assert bool(fired[0]) == reference.clamped

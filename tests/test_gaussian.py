@@ -1,7 +1,11 @@
-"""Conjugate-Gaussian updates, consensus merge, predictive, grid oracle."""
+"""Gaussian beliefs, the reference conjugate update, the closed-form merge,
+and the grid oracle that certifies the merge."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from peerlearn import (
     GaussianBelief,
@@ -10,11 +14,10 @@ from peerlearn import (
     WeightMismatchError,
     discretized_consensus_oracle,
     from_mean_covariance_diag,
-    gaussian_bayes_update,
     gaussian_consensus,
-    map_estimate,
-    predictive,
 )
+
+from helpers import gaussian_bayes_update
 
 PRIOR_MEAN = np.zeros(3)
 PRIOR_VAR = np.full(3, 0.5)
@@ -117,46 +120,13 @@ class TestConsensus:
             gaussian_consensus([(a, 1.5), (a, -0.5)])
 
 
-class TestPredictive:
-    def test_concentrated_belief_predicts_truth(self):
-        theta = np.array([-0.3, 0.5, 0.8])
-        belief = GaussianBelief(theta, 1e9 * np.eye(3))
-        mean, var = predictive(belief, [1.0, 1.0], NOISE_VAR)
-        assert mean == pytest.approx(1.0, abs=1e-8)
-        assert var == pytest.approx(NOISE_VAR, abs=1e-8)
-
-    def test_zero_instance_reads_intercept(self):
-        belief = GaussianBelief(np.array([0.7, 2.0, -3.0]), np.eye(3))
-        mean, _ = predictive(belief, [0.0, 0.0], NOISE_VAR)
-        assert mean == pytest.approx(0.7, abs=1e-12)
-
-    def test_reference_prior_variance(self):
-        mean, var = predictive(reference_prior(), [0.0, 0.0], NOISE_VAR)
-        assert mean == pytest.approx(0.0, abs=1e-12)
-        assert var == pytest.approx(1.14, abs=1e-12)
-
-    def test_single_node_consistency(self):
-        # Full-rank observations drive the posterior to the truth and the
-        # predictive variance to the noise floor.
-        theta = np.array([-0.3, 0.5, 0.8])
-        rng = np.random.default_rng(7)
-        belief = from_mean_covariance_diag(PRIOR_MEAN, PRIOR_VAR)
-        for _ in range(4000):
-            x = rng.uniform(-1.0, 1.0, size=2)
-            y = np.concatenate(([1.0], x)) @ theta + 0.8 * rng.standard_normal()
-            belief = gaussian_bayes_update(belief, x, y, NOISE_VAR)
-        assert np.linalg.norm(belief.mean - theta) < 0.1
-        _, var = predictive(belief, [0.3, -0.4], NOISE_VAR)
-        assert var == pytest.approx(NOISE_VAR, rel=0.05)
-
-
 class TestDiscretizedOracle:
     def test_scalar_merge_argmax_near_closed_form(self):
         a = GaussianBelief(np.array([0.0]), np.array([[1.0]]))
         b = GaussianBelief(np.array([2.0]), np.array([[3.0]]))
         grid = ParameterSet(np.linspace(-10.0, 10.0, 4001)[:, None])
         oracle = discretized_consensus_oracle([a, b], [0.5, 0.5], grid)
-        peak = grid.points[map_estimate(oracle), 0]
+        peak = grid.points[np.argmax(oracle.log_weights), 0]
         assert abs(peak - 1.5) <= (20.0 / 4000.0) + 1e-12
 
     def test_identical_inputs_match_discretized_input(self):
@@ -202,3 +172,30 @@ class TestDiscretizedOracle:
         np.testing.assert_allclose(
             oracle.probabilities() / direct, 1.0, atol=1e-6
         )
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_matches_closed_form_on_drawn_beliefs(self, data):
+        # The grid merge's log-beliefs are the merged density's, normalized
+        # over the same points.
+        dim = data.draw(st.sampled_from([1, 2]))
+        count = data.draw(st.integers(1, 4))
+        beliefs = []
+        for _ in range(count):
+            mean = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+            root = np.zeros((dim, dim))
+            root[np.diag_indices(dim)] = data.draw(
+                st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim))
+            root[np.tril_indices(dim, -1)] = data.draw(
+                st.lists(st.floats(-1.0, 1.0), min_size=dim * (dim - 1) // 2,
+                         max_size=dim * (dim - 1) // 2))
+            beliefs.append(GaussianBelief(np.array(mean), root @ root.T + 0.1 * np.eye(dim)))
+        raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count)))
+        weights = raw / raw.sum()
+        axis = np.linspace(-4.0, 4.0, 201 if dim == 1 else 41)
+        grid = ParameterSet(np.stack(np.meshgrid(*[axis] * dim), axis=-1).reshape(-1, dim))
+        oracle = discretized_consensus_oracle(beliefs, weights, grid)
+        log_direct = gaussian_consensus(list(zip(beliefs, weights))).log_density(grid.points)
+        np.testing.assert_allclose(oracle.log_weights, log_direct - logsumexp(log_direct),
+                                   rtol=0, atol=1e-9)
+        assert not oracle.clamped

@@ -15,7 +15,6 @@ from peerlearn import (
     ParameterSet,
     UnboundedKLError,
     assumption_bounds,
-    expected_kl_to_truth,
     separation_table,
     spectral_gap,
     validate_weight_matrix,
@@ -195,19 +194,25 @@ class TestParameterSet:
             ParameterSet(np.array([[0.1], [np.nan]]))
 
 
+def expected_kl(model, theta, index, mc_samples, seed) -> float:
+    """One node's expected KL from the truth to parameter ``index``, from its separation table."""
+    table = separation_table([model], theta, [1.0], mc_samples=mc_samples, seed=seed)
+    return float(table.kl_to_truth[0, index])
+
+
 class TestExpectedKL:
     def test_bernoulli_hand_value(self):
         # Single context, so the expectation is exact regardless of draws.
         model = BernoulliContextModel(0, true_probs=[0.9], visible=[0])
         theta = ParameterSet(np.array([[0.9], [0.5]]))
-        kl = expected_kl_to_truth(model, theta, 1, mc_samples=50, seed=3)
+        kl = expected_kl(model, theta, 1, mc_samples=50, seed=3)
         assert kl == pytest.approx(binary_kl(0.9, 0.5), abs=1e-12)
         assert kl == pytest.approx(0.368, abs=5e-4)
 
     def test_realizable_parameter_scores_zero(self):
         model = BernoulliContextModel(0, true_probs=[0.7, 0.2], visible=[0, 1])
         theta = ParameterSet(np.array([[0.7, 0.2], [0.5, 0.5]]))
-        assert expected_kl_to_truth(model, theta, 0, mc_samples=200, seed=1) == 0.0
+        assert expected_kl(model, theta, 0, mc_samples=200, seed=1) == 0.0
 
     def test_gaussian_unobserved_coordinate_scores_zero(self):
         # A type-1 node never excites coordinate 2, so a parameter differing
@@ -215,14 +220,14 @@ class TestExpectedKL:
         truth = [-0.3, 0.5, 0.8]
         model = LinearGaussianModel(0, truth, [[-1, 1], [-1.5, 1.5]], [0], 0.8)
         theta = ParameterSet(np.array([truth, [-0.3, 0.5, 0.0]]))
-        assert expected_kl_to_truth(model, theta, 1, mc_samples=500, seed=9) == 0.0
+        assert expected_kl(model, theta, 1, mc_samples=500, seed=9) == 0.0
 
     def test_gaussian_matches_quadratic_form(self):
         truth = np.array([0.2, -0.4])
         model = LinearGaussianModel(0, truth, [[-2, 2]], [0], 0.7)
         candidate = np.array([0.5, 0.3])
         theta = ParameterSet(np.stack([truth, candidate]))
-        estimate = expected_kl_to_truth(model, theta, 1, mc_samples=400, seed=5)
+        estimate = expected_kl(model, theta, 1, mc_samples=400, seed=5)
         xs = model.sample_instances(np.random.default_rng([5, 0]), 400)
         gaps = [
             (1.0 * (truth[0] - candidate[0]) + x[0] * (truth[1] - candidate[1])) ** 2
@@ -234,22 +239,22 @@ class TestExpectedKL:
     def test_deterministic_given_seed(self):
         model = BernoulliContextModel(0, true_probs=[0.6, 0.4], visible=[0, 1])
         theta = ParameterSet(np.array([[0.6, 0.4], [0.2, 0.9]]))
-        a = expected_kl_to_truth(model, theta, 1, mc_samples=333, seed=77)
-        b = expected_kl_to_truth(model, theta, 1, mc_samples=333, seed=77)
+        a = expected_kl(model, theta, 1, mc_samples=333, seed=77)
+        b = expected_kl(model, theta, 1, mc_samples=333, seed=77)
         assert a == b
 
     def test_support_mismatch_raises(self):
         model = BernoulliContextModel(0, true_probs=[0.9], visible=[0])
         theta = ParameterSet(np.array([[0.0], [0.5]]))
         with pytest.raises(UnboundedKLError):
-            expected_kl_to_truth(model, theta, 0, mc_samples=10, seed=0)
+            expected_kl(model, theta, 0, mc_samples=10, seed=0)
 
     def test_unseen_context_never_enters_the_kl(self):
         # The candidate gives the truth's label zero mass only on context 1,
         # which this node never draws.
         model = BernoulliContextModel(0, true_probs=[0.7, 0.5], visible=[0])
         theta = ParameterSet(np.array([[0.7, 0.5], [0.4, 0.0]]))
-        kl = expected_kl_to_truth(model, theta, 1, mc_samples=20, seed=0)
+        kl = expected_kl(model, theta, 1, mc_samples=20, seed=0)
         assert kl == pytest.approx(binary_kl(0.7, 0.4), rel=1e-12)
 
     def test_categorical_binary_matches_bernoulli(self):
@@ -257,8 +262,8 @@ class TestExpectedKL:
         cat = CategoricalContextModel(0, true_table=[[0.2, 0.8]], visible=[0])
         theta_b = ParameterSet(np.array([[0.8], [0.3]]))
         theta_c = ParameterSet(np.array([[0.2, 0.8], [0.7, 0.3]]))
-        kb = expected_kl_to_truth(bern, theta_b, 1, mc_samples=50, seed=2)
-        kc = expected_kl_to_truth(cat, theta_c, 1, mc_samples=50, seed=2)
+        kb = expected_kl(bern, theta_b, 1, mc_samples=50, seed=2)
+        kc = expected_kl(cat, theta_c, 1, mc_samples=50, seed=2)
         assert kb == pytest.approx(kc, abs=1e-12)
 
 

@@ -16,7 +16,6 @@ from peerlearn import (
     Scenario,
     SingularPrecisionError,
     ZeroLikelihoodError,
-    bayesian_update,
     central_baseline,
     consensus_update,
     make_regression_test_set,
@@ -24,20 +23,22 @@ from peerlearn import (
     run_experiment,
     run_trial,
     sim,
-    uniform_prior,
     validate_weight_matrix,
 )
 
 from helpers import (
     REGRESSION_THETA,
     REGRESSION_W,
+    bayesian_update,
     discrete_oracle,
     floor_clamp_scenario,
     gaussian_oracle,
+    in_neighbors,
     peak_bytes,
     random_weight_matrix,
     regression_scenario,
     three_node_bernoulli,
+    uniform_prior,
 )
 
 
@@ -167,7 +168,7 @@ class TestDiscreteEngine:
             privates = [
                 consensus_update(
                     [(publics[j], graph.weights[i, j])
-                     for j in graph.in_neighbors(i)]
+                     for j in in_neighbors(graph, i)]
                 )
                 for i in range(4)
             ]
@@ -447,7 +448,7 @@ class TestEngineCrossCheck:
             privates = [
                 consensus_update(
                     [(publics[j], graph.weights[i, j])
-                     for j in graph.in_neighbors(i)]
+                     for j in in_neighbors(graph, i)]
                 )
                 for i in range(2)
             ]
