@@ -18,11 +18,11 @@ vector to an (n_contexts, K) label table, and a sample's likelihood is
 one entry of it.
 
 Expectations over the instance distribution are Monte Carlo, and every
-estimate for one node shares the same instance draws. The inner
-divergence is exact. The context families count the draws per context
-and weight each context's closed-form KL by its count, so their cost
-does not grow with the number of draws; only the Gaussian family
-averages its closed-form KL sample by sample.
+estimate for one node shares the same instance draws: ``instance_support``
+reduces them to the distinct instances and their shares of the draws.
+The inner divergence is exact and evaluated once per distinct instance,
+then weighted by its share, so a context family's cost is bounded by its
+number of contexts, not by the number of draws.
 
 Model instances carry their own sampling methods but no generator state.
 """
@@ -104,7 +104,7 @@ class LikelihoodModel:
         return lambda xs, ys: self.log_likelihood_matrix(thetas, xs, ys)
 
     def kl_to_truth(self, thetas: np.ndarray, xs) -> np.ndarray:
-        """Conditional KL(truth || likelihood(theta)) averaged over the draws, shape (M,)."""
+        """Conditional KL(truth || likelihood(theta)) per (theta, instance)."""
         raise NotImplementedError
 
     def kl_between(self, thetas: np.ndarray, psi: np.ndarray, xs) -> np.ndarray:
@@ -182,15 +182,7 @@ class ContextModel(LikelihoodModel):
         return lambda xs, ys: table[xs, ys]
 
     def kl_to_truth(self, thetas, xs):
-        """Each drawn context's closed-form KL, weighted by its share of the draws.
-
-        Contexts never drawn are left out, so an infinite KL there never
-        meets a zero count.
-        """
-        counts = np.bincount(xs, minlength=self.n_contexts)
-        drawn = np.flatnonzero(counts)
-        per_context = rel_entr(self.true_table[drawn], self._tables(thetas)[:, drawn]).sum(axis=2)
-        return per_context @ counts[drawn] / len(xs)
+        return rel_entr(self.true_table[xs], self._tables(thetas)[:, xs]).sum(axis=2)
 
     def kl_between(self, thetas, psi, xs):
         return rel_entr(self._tables(thetas)[:, xs], self._table(psi)[xs]).sum(axis=2)
@@ -258,6 +250,12 @@ class CategoricalContextModel(ContextModel):
         return thetas.reshape(thetas.shape[0], self.n_contexts, self.n_labels)
 
 
+def augment(xs) -> np.ndarray:
+    """Regression design rows ``[1, x]``: a leading 1 on the last axis."""
+    xs = np.asarray(xs, dtype=float)
+    return np.concatenate([np.ones(xs.shape[:-1] + (1,)), xs], axis=-1)
+
+
 class LinearGaussianModel(LikelihoodModel):
     """Regression labels y = <theta, [1, x]> + Gaussian noise.
 
@@ -283,10 +281,6 @@ class LinearGaussianModel(LikelihoodModel):
             raise ValueError("true_theta must have length instance_dim + 1")
         self.param_dim = self.instance_dim + 1
 
-    def augment(self, xs) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        return np.hstack([np.ones((xs.shape[0], 1)), xs])
-
     def sample_instances(self, rng, size):
         xs = np.zeros((size, self.instance_dim))
         for j in self.observed:
@@ -295,25 +289,24 @@ class LinearGaussianModel(LikelihoodModel):
         return xs
 
     def sample_labels(self, rng, xs):
-        means = self.augment(xs) @ self.true_theta
+        means = augment(xs) @ self.true_theta
         return means + self.noise_std * rng.standard_normal(len(means))
 
     def log_likelihood_matrix(self, thetas, xs, ys):
-        means = self.augment(xs) @ thetas.T
+        means = augment(xs) @ thetas.T
         return -0.5 * ((np.asarray(ys)[:, None] - means) / self.noise_std) ** 2 - math.log(
             self.noise_std * math.sqrt(2.0 * math.pi)
         )
 
     def kl_to_truth(self, thetas, xs):
-        proj = self.augment(xs) @ (self.true_theta[None, :] - thetas).T
-        return (proj.T**2 / (2.0 * self.noise_var)).mean(axis=1)
+        return self.kl_between(thetas, self.true_theta, xs)  # the equal-variance KL is symmetric
 
     def kl_between(self, thetas, psi, xs):
-        proj = self.augment(xs) @ (thetas - psi[None, :]).T
+        proj = augment(xs) @ (thetas - psi[None, :]).T
         return proj.T**2 / (2.0 * self.noise_var)
 
     def density_l1(self, theta, psi, xs):
-        gap = np.abs(self.augment(xs) @ (theta - psi))
+        gap = np.abs(augment(xs) @ (theta - psi))
         return 2.0 * erf(gap / (2.0 * math.sqrt(2.0) * self.noise_std))
 
 
@@ -350,9 +343,11 @@ class CoveringReport:
         return not self.violating_indices
 
 
-def _instance_draws(model, mc_samples: int, seed, node_index: int):
-    rng = np.random.default_rng([int(seed), int(node_index)])
-    return model.sample_instances(rng, mc_samples)
+def instance_support(model, mc_samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """A node's distinct Monte Carlo instances and their shares of the draws."""
+    rng = np.random.default_rng([int(seed), int(model.node_id)])
+    xs, counts = np.unique(model.sample_instances(rng, mc_samples), axis=0, return_counts=True)
+    return xs, counts / mc_samples
 
 
 def separation_table(models, theta_set: ParameterSet, stationary,
@@ -373,8 +368,8 @@ def separation_table(models, theta_set: ParameterSet, stationary,
     kl = np.empty((n_nodes, n_params))
     for j, model in enumerate(models):
         model.validate_parameters(theta_set.points)
-        xs = _instance_draws(model, mc_samples, seed, model.node_id)
-        kl[j] = model.kl_to_truth(theta_set.points, xs)
+        xs, shares = instance_support(model, mc_samples, seed)
+        kl[j] = model.kl_to_truth(theta_set.points, xs) @ shares
         if np.any(np.isinf(kl[j])):
             raise UnboundedKLError(f"node {j}: some parameter lacks support for the truth")
 
@@ -409,12 +404,12 @@ def verify_r_covering(phi_samples, theta_set: ParameterSet, models,
     if radius <= 0:
         raise ValueError("radius must be positive")
     phi = np.atleast_2d(np.asarray(phi_samples, dtype=float))
-    draws = [_instance_draws(model, mc_samples, seed, model.node_id) for model in models]
+    supports = [instance_support(model, mc_samples, seed) for model in models]
     distances = np.empty(phi.shape[0])
     for p, psi in enumerate(phi):
         per_theta = np.zeros(theta_set.n_points)
-        for model, xs in zip(models, draws):
-            per_theta += model.kl_between(theta_set.points, psi, xs).mean(axis=1)
+        for model, (xs, shares) in zip(models, supports):
+            per_theta += model.kl_between(theta_set.points, psi, xs) @ shares
         distances[p] = per_theta.min() / len(models)
     violating = tuple(int(i) for i in np.flatnonzero(distances > radius))
     return CoveringReport(

@@ -31,7 +31,7 @@ import numpy as np
 from . import beliefs as bel
 from . import gaussian as gau
 from .graph import SpectralSummary, WeightMatrix, spectral_gap
-from .models import ParameterSet, SeparationTable, assumption_bounds, separation_table
+from .models import ParameterSet, SeparationTable, assumption_bounds, augment, separation_table
 from .theory import BoundInputs, sample_complexity
 
 ENGINES = ("discrete", "gaussian")
@@ -162,9 +162,7 @@ def make_regression_test_set(size: int, ranges, true_theta, noise_std: float,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed),))))
     ranges = np.asarray(ranges, dtype=float).reshape(-1, 2)
     xs = np.column_stack([rng.uniform(lo, hi, size=size) for lo, hi in ranges])
-    theta = np.asarray(true_theta, dtype=float)
-    aug = np.hstack([np.ones((size, 1)), xs])
-    ys = aug @ theta + noise_std * rng.standard_normal(size)
+    ys = augment(xs) @ np.asarray(true_theta, dtype=float) + noise_std * rng.standard_normal(size)
     return xs, ys
 
 
@@ -240,9 +238,8 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
 def _gaussian_samples(scenario: Scenario, trials) -> tuple[np.ndarray, np.ndarray]:
     """Instances with a leading 1, ``a (K, T, N, d)``, and labels over ``s^2``, ``(K, T, N)``."""
     samples = [_draw_trial_samples(scenario, t) for t in trials]
-    xs = np.array([instances for instances, _ in samples], dtype=float)  # (T, N, K, d-1)
+    aug = augment([instances for instances, _ in samples])  # (T, N, K, d)
     ys = np.array([labels for _, labels in samples]).transpose(2, 0, 1) / scenario.noise_var
-    aug = np.concatenate([np.ones(xs.shape[:-1] + (1,)), xs], axis=-1)
     return np.ascontiguousarray(aug.transpose(2, 0, 1, 3)), ys
 
 
@@ -270,7 +267,8 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
     the recursion, each round's state overwriting its spent increments,
     then gates the state, which must be finite (the inputs may overflow,
     and the Cholesky factorization does not reject NaN) and positive
-    definite, and computes the batch's moments.
+    definite, and computes the batch's moments. The test MSE, which
+    overflows on finite but huge means, must be finite too.
     """
     aug, ys = samples
     n_rounds, n_trials, n_nodes, _, dim = aug.shape
@@ -310,12 +308,18 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
         variances[:, rounds] = np.diagonal(covariance, axis1=-2, axis2=-1).swapaxes(0, 1)
 
     # The MSE runs per trial so that its BLAS calls never see the batch size.
+    mse = [_test_set_mse(scenario.test_set, means[t]) for t in range(n_trials)]
+    if mse[0] is not None:
+        finite = np.all([np.isfinite(curve).all(axis=1) for curve in mse], axis=0)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValueError(f"round {k}: test MSE is not finite; an input overflows")
     return [
         TrialResult(
             final_estimates=means[t, -1].copy(),
             mean_history=means[t],
             variance_diag_history=variances[t],
-            mse_history=_test_set_mse(scenario.test_set, means[t]),
+            mse_history=mse[t],
         )
         for t in range(n_trials)
     ]
@@ -326,7 +330,7 @@ def _test_set_mse(test_set, means: np.ndarray) -> np.ndarray | None:
     if test_set is None:
         return None
     x_test, y_test = test_set
-    aug = np.hstack([np.ones((len(y_test), 1)), x_test])
+    aug = augment(x_test)
     gram = aug.T @ aug / len(y_test)
     cross = aug.T @ y_test / len(y_test)
     energy = y_test @ y_test / len(y_test)

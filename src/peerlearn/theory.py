@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import instance_support
+
 
 class InvalidInputsError(ValueError):
     """A bound input is outside its admissible range."""
@@ -96,23 +98,21 @@ def risk_gap_chain(models, theta_set, optimal_index: int, estimates,
     Returns the Monte Carlo risk gap plus its successive relaxations: the
     L1-density bound, the total-variation (Pinsker) bound with the
     standard constant, and its Jensen relaxation. Each link of
-    gap <= l1 <= pinsker <= jensen holds sample by sample, so the
-    estimates preserve the ordering exactly.
+    gap <= l1 <= pinsker <= jensen holds instance by instance, so the
+    weighted estimates preserve the ordering exactly.
     """
     gaps, l1_terms, pinsker_sqrts, kl_means = [], [], [], []
     for model, estimate in zip(models, estimates):
-        rng = np.random.default_rng([int(seed), int(model.node_id)])
-        xs = model.sample_instances(rng, mc_samples)
+        xs, shares = instance_support(model, mc_samples, seed)
         opt_point = theta_set.points[optimal_index]
         est_point = theta_set.points[int(estimate)]
-        risk_opt, risk_est = (
-            model.label_expectation(point, xs, risk_fn).mean() for point in (opt_point, est_point)
-        )
+        risk_opt, risk_est = (model.label_expectation(point, xs, risk_fn) @ shares
+                              for point in (opt_point, est_point))
         gaps.append(abs(risk_opt - risk_est))
-        l1_terms.append(model.density_l1(opt_point, est_point, xs).mean())
+        l1_terms.append(model.density_l1(opt_point, est_point, xs) @ shares)
         kls = model.kl_between(opt_point[None, :], est_point, xs)[0]
-        pinsker_sqrts.append(np.sqrt(2.0 * kls).mean())
-        kl_means.append(kls.mean())
+        pinsker_sqrts.append(np.sqrt(2.0 * kls) @ shares)
+        kl_means.append(kls @ shares)
     return {
         "risk_gap": float(np.mean(gaps)),
         "l1_bound": float(label_risk_bound * np.mean(l1_terms)),

@@ -229,6 +229,66 @@ def per_sample_kl_mean(true_table, tables, xs) -> np.ndarray:
     return rel_entr(true_table[xs][None, :, :], tables[:, xs, :]).sum(axis=2).mean(axis=1)
 
 
+def _per_draw_kl(model, points, psi, xs) -> np.ndarray:
+    """KL(likelihood(theta) || likelihood(psi)) per (row theta of ``points``, draw).
+
+    From each point's (n_contexts, K) label table for the context families,
+    from the closed form ``(a . (theta - psi))^2 / (2 s^2)`` with ``a = [1, x]``
+    for the linear-Gaussian family.
+    """
+    if isinstance(model, LinearGaussianModel):
+        design = np.column_stack([np.ones(len(xs)), xs])
+        return (design @ (points - psi).T).T ** 2 / (2.0 * model.noise_std**2)
+    if isinstance(model, BernoulliContextModel):
+        tables = np.stack([1.0 - points, points], axis=2)
+        psi_table = np.stack([1.0 - psi, psi], axis=1)
+    else:
+        tables = points.reshape(len(points), model.n_contexts, model.n_labels)
+        psi_table = psi.reshape(model.n_contexts, model.n_labels)
+    return rel_entr(tables[:, xs], psi_table[xs]).sum(axis=2)
+
+
+def per_draw_covering_distances(phi, points, models, mc_samples: int, seed: int) -> np.ndarray:
+    """Covering distance of each psi in ``phi``, averaged draw by draw.
+
+    The least, over the rows theta of ``points``, of the node average of the
+    mean KL(likelihood(theta) || likelihood(psi)) over each node's
+    ``mc_samples`` draws from the stream ``default_rng([seed, node_id])``.
+    """
+    points = np.asarray(points, dtype=float)
+    draws = [m.sample_instances(np.random.default_rng([seed, m.node_id]), mc_samples)
+             for m in models]
+    return np.array([
+        sum(_per_draw_kl(m, points, psi, xs).mean(axis=1) for m, xs in zip(models, draws)).min()
+        / len(models)
+        for psi in np.asarray(phi, dtype=float)
+    ])
+
+
+def recursion_residual(scenario: Scenario, result) -> float:
+    """Worst residual of criterion 4's log-belief recursion identity.
+
+    With ``L[r]`` the log-likelihoods (node, parameter) of round r's recorded
+    samples, the identity says that ``log q_n - sum_{k=1..n} W^k L[n-k]`` is
+    constant across parameters for each node. Returns the largest spread of
+    that residual over the parameters, divided by n, over nodes and rounds n.
+    """
+    weights = scenario.graph.weights
+    log_lik = np.stack([
+        model.log_likelihood_matrix(scenario.theta_set.points, xs, ys)
+        for model, xs, ys in zip(scenario.models, result.instances, result.labels)
+    ], axis=1)  # (rounds, nodes, params)
+    powers = [weights]
+    for _ in range(1, scenario.n_rounds):
+        powers.append(powers[-1] @ weights)
+    worst = 0.0
+    for n in range(1, scenario.n_rounds + 1):
+        accumulated = sum(powers[k - 1] @ log_lik[n - k] for k in range(1, n + 1))
+        residual = result.belief_history[n - 1] - accumulated
+        worst = max(worst, float((residual.max(axis=1) - residual.min(axis=1)).max()) / n)
+    return worst
+
+
 def floor_clamp_scenario(n_rounds=400, trials=1, cooperative=True) -> Scenario:
     """2-node Bernoulli world in which the -700 log-belief floor fires.
 

@@ -44,6 +44,7 @@ from peerlearn.cli import main as cli_main
 from helpers import (
     covering_grid_world,
     random_weight_matrix,
+    recursion_residual,
     regression_scenario,
     three_node_bernoulli,
 )
@@ -238,33 +239,7 @@ def test_criterion_4_log_belief_recursion_identity():
     scenario = Scenario(graph=graph, engine="discrete", models=models,
                         n_rounds=n_rounds, trials=1, master_seed=404,
                         theta_set=theta_set)
-    result = run_trial(scenario, 0, record_samples=True)
-
-    log_lik = np.stack(
-        [
-            model.log_likelihood_matrix(
-                theta_set.points, result.instances[j], result.labels[j]
-            )
-            for j, model in enumerate(models)
-        ],
-        axis=1,
-    )  # (rounds, nodes, params)
-    powers = [None]
-    for k in range(1, n_rounds + 1):
-        powers.append(
-            graph.weights if k == 1 else powers[k - 1] @ graph.weights
-        )
-
-    worst = 0.0
-    for n in range(1, n_rounds + 1):
-        accumulated = np.zeros((graph.n_nodes, theta_set.n_points))
-        for k in range(1, n + 1):
-            accumulated += powers[k] @ log_lik[n - k]
-        # The identity holds pairwise iff (log q - accumulated) is constant
-        # across parameters for each node.
-        residual = result.belief_history[n - 1] - accumulated
-        spread = (residual.max(axis=1) - residual.min(axis=1)) / n
-        worst = max(worst, float(spread.max()))
+    worst = recursion_residual(scenario, run_trial(scenario, 0, record_samples=True))
 
     ok = report_line(
         "criterion 4 (log-belief recursion identity)",

@@ -247,16 +247,20 @@ class TestRunCommand:
         assert code == 3
         assert capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload", [
-        gaussian_config(noise_std=1e-155),
-        gaussian_config(prior={"mean": [1e300, 0, 0], "variance_diag": [1e-300, 0.5, 0.5]}),
-    ], ids=["label-over-noise-variance", "prior-shift"])
-    def test_overflow_in_the_engine_exits_3_at_its_round(self, tmp_path, capsys, payload):
-        # Both configs pass validation; the engine's state overflows in round 0.
+    @pytest.mark.parametrize("payload, what", [
+        (gaussian_config(noise_std=1e-155), "precision or shift"),
+        (gaussian_config(prior={"mean": [1e300, 0, 0], "variance_diag": [1e-300, 0.5, 0.5]}),
+         "precision or shift"),
+        # A finite but huge mean keeps the state finite; its test MSE overflows.
+        (gaussian_config(prior={"mean": [1e200, 0, 0], "variance_diag": [1, 0.5, 0.5]}),
+         "test MSE"),
+    ], ids=["label-over-noise-variance", "prior-shift", "test-mse"])
+    def test_overflow_in_the_engine_exits_3_at_its_round(self, tmp_path, capsys, payload, what):
+        # Every config passes validation; the engine overflows in round 0.
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, payload), "--out", str(out)]) == 3
         assert capsys.readouterr() == (
-            "", "error: round 0: precision or shift is not finite; an input overflows\n")
+            "", f"error: round 0: {what} is not finite; an input overflows\n")
         assert not out.exists()
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):

@@ -20,8 +20,14 @@ from peerlearn import (
     validate_weight_matrix,
     verify_r_covering,
 )
+from peerlearn.models import instance_support
 
-from helpers import pairwise_separation_rate, peak_bytes, per_sample_kl_mean
+from helpers import (
+    pairwise_separation_rate,
+    peak_bytes,
+    per_draw_covering_distances,
+    per_sample_kl_mean,
+)
 
 
 def binary_kl(p, q):
@@ -106,8 +112,9 @@ class TestContextFamilies:
     @given(family=_FAMILIES, seed=_SEEDS)
     def test_kl_to_truth_matches_the_per_sample_mean(self, family, seed):
         (model,), points, tables = _context_world(family, seed)
-        xs = model.sample_instances(np.random.default_rng(seed), 500)
-        np.testing.assert_allclose(model.kl_to_truth(points, xs),
+        support, shares = instance_support(model, 500, seed)
+        xs = model.sample_instances(np.random.default_rng([seed, model.node_id]), 500)
+        np.testing.assert_allclose(model.kl_to_truth(points, support) @ shares,
                                    per_sample_kl_mean(model.true_table, tables, xs),
                                    rtol=1e-12, atol=0)
 
@@ -398,12 +405,41 @@ class TestLinearMemory:
         assert self._separation_table_peak(mc_samples=50) < 32 * 2**20
 
     def test_separation_table_peak_at_default_mc_samples(self):
-        # A context family's KL is counted per context, so the draws add no
-        # (M, mc_samples) table.
+        # The draws are reduced to their distinct contexts first, so a context
+        # family's KL table is (M, n_contexts), never (M, mc_samples).
         assert self._separation_table_peak() < 4 * 2**20
 
 
 class TestCoveringVerifier:
+    @_WORLDS
+    @given(family=st.sampled_from(["bernoulli", "categorical", "linear_gaussian"]), seed=_SEEDS,
+           n_nodes=st.integers(1, 3))
+    def test_distances_match_the_per_draw_oracle(self, family, seed, n_nodes):
+        rng = np.random.default_rng([seed, 1])
+        if family == "linear_gaussian":
+            truth = rng.uniform(-1.0, 1.0, 3)
+            models = [
+                LinearGaussianModel(j, truth, [[-1, 1], [-2, 2]],
+                                    rng.choice(2, int(rng.integers(0, 3)), replace=False),
+                                    rng.uniform(0.3, 1.5))
+                for j in range(n_nodes)
+            ]
+            points = np.vstack([truth, rng.uniform(-1.0, 1.0, (10, 3))])
+            phi = rng.uniform(-1.0, 1.0, (6, 3))
+        else:
+            models, points, _ = _context_world(family, seed, n_nodes)
+            # Mixtures of two distinct candidates are label tables with no zero
+            # entry, and none is a candidate.
+            first = rng.integers(0, 11, 6)
+            second = (first + rng.integers(1, 11, 6)) % 11
+            mix = rng.uniform(0.1, 0.9, (6, 1))
+            phi = mix * points[first] + (1.0 - mix) * points[second]
+        report = verify_r_covering(phi, ParameterSet(points), models, radius=1.0,
+                                   mc_samples=300, seed=seed)
+        np.testing.assert_allclose(report.distances,
+                                   per_draw_covering_distances(phi, points, models, 300, seed),
+                                   rtol=1e-12, atol=0)
+
     def test_points_cover_themselves(self):
         truth = np.array([0.6, 0.4])
         theta = ParameterSet(np.array([truth, [0.3, 0.7]]))

@@ -36,6 +36,7 @@ from helpers import (
     in_neighbors,
     peak_bytes,
     random_weight_matrix,
+    recursion_residual,
     regression_scenario,
     three_node_bernoulli,
     uniform_prior,
@@ -127,6 +128,25 @@ class TestDiscreteEngine:
             graph=random_weight_matrix(rng, n_nodes), engine="discrete", models=models,
             n_rounds=40, trials=1, master_seed=seed, theta_set=ParameterSet(points),
             cooperative=cooperative))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 5), n_rounds=st.integers(1, 40))
+    def test_recursion_identity_on_random_graphs(self, seed, n_nodes, n_rounds):
+        # Criterion 4's identity. Probabilities in [0.05, 0.95] over at most 40
+        # rounds keep every log-belief far above the floor, which would break it.
+        rng = np.random.default_rng(seed)
+        truth = rng.uniform(0.05, 0.95, 3)
+        models = [
+            BernoulliContextModel(i, truth, rng.choice(3, int(rng.integers(1, 4)), replace=False))
+            for i in range(n_nodes)
+        ]
+        scenario = Scenario(
+            graph=random_weight_matrix(rng, n_nodes), engine="discrete", models=models,
+            n_rounds=n_rounds, trials=1, master_seed=seed,
+            theta_set=ParameterSet(np.vstack([truth, rng.uniform(0.05, 0.95, (7, 3))])))
+        result = run_trial(scenario, 0, record_samples=True)
+        assert result.clamp_events == 0
+        assert recursion_residual(scenario, result) <= 1e-9
 
     def test_zero_likelihood_names_its_round(self):
         # Label 2 has probability 0.1 under the truth and 0 under every candidate.
