@@ -33,6 +33,7 @@ from .models import (
     LinearGaussianModel,
     NotGloballyLearnableError,
     ParameterSet,
+    UnboundedKLError,
 )
 from .sim import Scenario, make_regression_test_set, run_experiment, sample_bound
 
@@ -143,7 +144,7 @@ _MODEL_KEYS = {
 def _validate_model(entry, path: str) -> dict:
     _require(isinstance(entry, dict), path, "expected an object")
     family = entry.get("family")
-    _require(family in _MODEL_KEYS, f"{path}.family",
+    _require(isinstance(family, str) and family in _MODEL_KEYS, f"{path}.family",
              f"expected one of {sorted(_MODEL_KEYS)}")
     required = _MODEL_KEYS[family]
     _check_keys(entry, path, required, set())
@@ -353,9 +354,12 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
     test_set = None
     if data.get("test_set") is not None:
         ts = data["test_set"]
-        test_set = make_regression_test_set(
-            ts["size"], ts["ranges"], data["true_theta"], data["noise_std"], ts["seed"]
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            test_set = make_regression_test_set(
+                ts["size"], ts["ranges"], data["true_theta"], data["noise_std"], ts["seed"]
+            )
+        _require(bool(np.isfinite(test_set[1]).all()), "scenario.test_set",
+                 "its labels overflow; true_theta or the ranges are too large")
 
     scenario = Scenario(
         graph=data["graph"],
@@ -607,6 +611,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _path_qualified(exc: Exception) -> str:
+    """A config failure's message, led by the config path it concerns.
+
+    The parameter set fails against the models only once the separation
+    table is built, after validation; its message names no path itself.
+    """
+    if isinstance(exc, UnboundedKLError):
+        return f"scenario.parameters.points[{exc.point}]: {exc}"
+    if isinstance(exc, NotGloballyLearnableError):
+        return f"scenario.parameters.points: {exc}"
+    return str(exc)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -619,8 +636,8 @@ def main(argv=None) -> int:
         if args.command == "bound":
             return cmd_bound(doc)
         return cmd_check_graph(doc, horizon=args.horizon)
-    except (ConfigError, NotGloballyLearnableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, NotGloballyLearnableError, UnboundedKLError) as exc:
+        print(f"error: {_path_qualified(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

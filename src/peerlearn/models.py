@@ -43,6 +43,10 @@ ARGMIN_TIE_TOL = 1e-6
 class UnboundedKLError(ValueError):
     """Supports mismatch: the truth puts mass where a likelihood has none."""
 
+    def __init__(self, node: int, point: int):
+        self.node, self.point = node, point
+        super().__init__(f"node {node}: parameter {point} lacks support for the truth")
+
 
 class NotGloballyLearnableError(ValueError):
     """No parameter is optimal for every node simultaneously."""
@@ -370,8 +374,9 @@ def separation_table(models, theta_set: ParameterSet, stationary,
         model.validate_parameters(theta_set.points)
         xs, shares = instance_support(model, mc_samples, seed)
         kl[j] = model.kl_to_truth(theta_set.points, xs) @ shares
-        if np.any(np.isinf(kl[j])):
-            raise UnboundedKLError(f"node {j}: some parameter lacks support for the truth")
+        unbounded = np.flatnonzero(np.isinf(kl[j]))
+        if unbounded.size:
+            raise UnboundedKLError(j, int(unbounded[0]))
 
     near_min = kl <= kl.min(axis=1, keepdims=True) + ARGMIN_TIE_TOL
     local = tuple(tuple(int(i) for i in np.flatnonzero(row)) for row in near_min)

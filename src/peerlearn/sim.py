@@ -9,10 +9,13 @@ records its estimate.
 There is one engine per belief family, and each runs all trials of an
 experiment as one batch, with its state held as arrays over (trial, node):
 log-beliefs for the discrete engine, precision and shift for the gaussian
-one. The round loop carries only the recursion (Bayes step, merge); per-run
-tables and buffers come before it. The gaussian engine takes the rounds in
-batches: each forms its own increments from the samples, then runs the
-recursion, the positive-definiteness gate and the moments.
+one, packed into one row per node. The round loop carries only the
+recursion (Bayes step, merge); per-run tables and buffers come before it.
+The gaussian engine takes the rounds in batches: each forms its own packed
+increments from the samples and runs the recursion, one in-place add and
+one product by the graph weights per round. Then an entry-wise Cholesky
+factorization of the batch, whose pivots are the positive-definiteness
+gate, gives the means and variances.
 
 Randomness is counter-based: every (master_seed, trial, node) triple keys
 an independent Philox stream, and each node consumes a fixed number of
@@ -23,6 +26,7 @@ how many trials share a batch.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -32,11 +36,14 @@ from . import beliefs as bel
 from . import gaussian as gau
 from .graph import SpectralSummary, WeightMatrix, spectral_gap
 from .models import ParameterSet, SeparationTable, assumption_bounds, augment, separation_table
-from .theory import BoundInputs, sample_complexity
+from .theory import BoundInputs, InvalidInputsError, sample_complexity
 
 ENGINES = ("discrete", "gaussian")
 
-_CHUNK_ROUNDS = 128  # gaussian rounds whose moments are computed in one batch
+# Gaussian rounds per batch: their packed increments, and then their states,
+# share one array, and one entry-wise factorization gates them and gives
+# their moments.
+_CHUNK_ROUNDS = 128
 
 
 @dataclass
@@ -243,14 +250,91 @@ def _gaussian_samples(scenario: Scenario, trials) -> tuple[np.ndarray, np.ndarra
     return np.ascontiguousarray(aug.transpose(2, 0, 1, 3)), ys
 
 
-def _increments(aug: np.ndarray, ys: np.ndarray, noise_var: float):
-    """Precision and shift increments of a node's samples in each round, summed.
+def _increments(aug: np.ndarray, ys: np.ndarray, noise_var: float) -> np.ndarray:
+    """Precision and shift increments of a node's samples in each round, summed and packed.
 
     A sample ``(a, y / s^2)`` adds ``a a^T / s^2`` to a node's precision and
     ``a y / s^2`` to its shift (precision times mean), with ``s^2 = noise_var``.
+    The last axis holds the precision's ``d*d`` entries row by row, then the
+    ``d`` shift entries: the layout of the engine's state. Each entry is
+    formed over the whole batch at once, summing the samples in order.
     """
-    d_precision = aug[..., :, None] * aug[..., None, :] / noise_var
-    return d_precision.sum(axis=-3), (aug * ys[..., None]).sum(axis=-2)
+    *batch, n_samples, dim = aug.shape
+    packed = np.empty(batch + [dim * dim + dim])
+    for i in range(dim):
+        for j in range(i, dim):
+            entry = aug[..., 0, i] * aug[..., 0, j] / noise_var
+            for s in range(1, n_samples):
+                entry += aug[..., s, i] * aug[..., s, j] / noise_var
+            packed[..., i * dim + j] = packed[..., j * dim + i] = entry
+        entry = aug[..., 0, i] * ys[..., 0]
+        for s in range(1, n_samples):
+            entry += aug[..., s, i] * ys[..., s]
+        packed[..., dim * dim + i] = entry
+    return packed
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # only where a PD flag is False
+def _moments(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Means, variance diagonals and PD flags of a batch of ``(P, h)`` states.
+
+    ``entries`` is entry-major, ``(d*d + d, ...)``: along its first axis
+    runs the state layout of ``_increments``, and each entry is one
+    contiguous array over the batch. The means ``P^-1 h`` and the variances
+    ``diag(P^-1)`` come back as ``(d, ...)`` and the flags as ``(...)``.
+    The Cholesky factor ``P = L L^T`` is built entry by entry with ufunc
+    arithmetic over the batch. A state is positive definite exactly when
+    every pivot is ``> 0``, which a NaN pivot fails; where a flag is False
+    the moments are meaningless. The means take one forward and one back
+    substitution with ``L``; the variances are the column sums of squares
+    of ``L^-1``. Each state's arithmetic is the same whatever else shares
+    its batch.
+    """
+    dim = math.isqrt(len(entries))
+    precision = [entries[i * dim:(i + 1) * dim] for i in range(dim)]
+    shift = entries[dim * dim:]
+
+    low = [[None] * (i + 1) for i in range(dim)]  # low[i][j] = L_ij over the batch
+    positive = np.ones(entries.shape[1:], dtype=bool)
+    for j in range(dim):
+        pivot = precision[j][j].copy()
+        for k in range(j):
+            pivot -= low[j][k] * low[j][k]
+        positive &= pivot > 0
+        low[j][j] = np.sqrt(pivot, out=pivot)
+        for i in range(j + 1, dim):
+            entry = precision[i][j].copy()
+            for k in range(j):
+                entry -= low[i][k] * low[j][k]
+            entry /= low[j][j]
+            low[i][j] = entry
+
+    forward = []  # L y = h
+    for i in range(dim):
+        entry = shift[i].copy()
+        for k in range(i):
+            entry -= low[i][k] * forward[k]
+        entry /= low[i][i]
+        forward.append(entry)
+    means = np.empty(shift.shape)  # L^T m = y
+    for i in reversed(range(dim)):
+        means[i] = forward[i]
+        for k in range(i + 1, dim):
+            means[i] -= low[k][i] * means[k]
+        means[i] /= low[i][i]
+
+    variances = np.empty_like(means)
+    for c in range(dim):
+        column = [None] * c + [1.0 / low[c][c]]  # column c of L^-1, down from its diagonal
+        variances[c] = column[c] * column[c]
+        for i in range(c + 1, dim):
+            entry = low[i][c] * column[c]
+            for k in range(c + 1, i):
+                entry += low[i][k] * column[k]
+            entry /= -low[i][i]
+            column.append(entry)
+            variances[c] += entry * entry
+    return means, variances, positive
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness gate reports these
@@ -259,53 +343,49 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
 
     ``samples`` are ``a (K, T, N, S, d)`` and ``y / s^2 (K, T, N, S)``: each
     round a node takes its own sample (S = 1) or, centrally, every node's.
-    State is the precision ``P (T, N, d, d)`` and the shift ``h = P m``.
-    Each round adds the sample increments (the Bayes update), then, if
-    ``merge``, mixes in-neighbors with the graph weights: for Gaussian
-    beliefs the log-geometric-mean rule is linear in ``(P, h)``. Per
-    ``_CHUNK_ROUNDS`` rounds the engine forms the batch's increments, runs
-    the recursion, each round's state overwriting its spent increments,
-    then gates the state, which must be finite (the inputs may overflow,
-    and the Cholesky factorization does not reject NaN) and positive
-    definite, and computes the batch's moments. The test MSE, which
-    overflows on finite but huge means, must be finite too.
+    State is the precision ``P`` and the shift ``h = P m``, packed as one
+    ``(T, N, d*d + d)`` array. Each round adds the packed sample increments
+    (the Bayes update), then, if ``merge``, mixes in-neighbors with one
+    product by the graph weights into a second buffer, and the two swap:
+    for Gaussian beliefs the log-geometric-mean rule is linear in
+    ``(P, h)``. Per ``_CHUNK_ROUNDS`` rounds the engine forms the batch's
+    increments, runs the recursion, each round's state overwriting its
+    spent increments, then gates the state, which must be finite (the
+    inputs may overflow), and computes the batch's moments with
+    ``_moments``, whose Cholesky pivots are the positive-definiteness
+    gate. The test MSE, which overflows on finite but huge means, must be
+    finite too.
     """
     aug, ys = samples
     n_rounds, n_trials, n_nodes, _, dim = aug.shape
     prior = gau.from_mean_covariance_diag(scenario.prior_mean, scenario.prior_variance_diag)
-    precision = np.broadcast_to(prior.precision, (n_trials, n_nodes, dim, dim)).copy()
-    shift = np.broadcast_to(prior.precision @ prior.mean, (n_trials, n_nodes, dim)).copy()
+    state = np.empty((n_trials, n_nodes, dim * dim + dim))
+    state[..., :dim * dim] = prior.precision.ravel()
+    state[..., dim * dim:] = prior.precision @ prior.mean
+    merged = np.empty_like(state)
     means = np.empty((n_trials, n_rounds, n_nodes, dim))
     variances = np.empty_like(means)
     for start in range(0, n_rounds, _CHUNK_ROUNDS):
         rounds = slice(start, start + _CHUNK_ROUNDS)
-        d_precision, d_shift = _increments(aug[rounds], ys[rounds], scenario.noise_var)
-        for k in range(len(d_shift)):
-            precision += d_precision[k]
-            shift += d_shift[k]
+        batch = _increments(aug[rounds], ys[rounds], scenario.noise_var)
+        for increment in batch:
+            state += increment
             if merge:
                 # Barrier: the merge only ever sees this round's publics.
-                precision = np.einsum("ij,tjab->tiab", scenario.graph.weights, precision)
-                shift = np.einsum("ij,tja->tia", scenario.graph.weights, shift)
-            d_precision[k], d_shift[k] = precision, shift
-        finite = np.isfinite(d_precision).all(axis=(-2, -1)) & np.isfinite(d_shift).all(axis=-1)
+                np.matmul(scenario.graph.weights, state, out=merged)
+                state, merged = merged, state
+            increment[...] = state
+        entries = np.moveaxis(batch, -1, 0).copy()  # (d*d + d, K, T, N)
+        finite = np.isfinite(entries).all(axis=0)
         if not finite.all():
             k = start + int(np.argmin(finite.all(axis=(1, 2))))
             raise ValueError(f"round {k}: precision or shift is not finite; an input overflows")
-        try:
-            np.linalg.cholesky(d_precision)
-        except np.linalg.LinAlgError as exc:
-            for k, precision in enumerate(d_precision, start):
-                try:
-                    np.linalg.cholesky(precision)
-                except np.linalg.LinAlgError:
-                    break
-            raise gau.SingularPrecisionError(
-                f"round {k}: precision is not positive definite"
-            ) from exc
-        covariance = np.linalg.inv(d_precision)
-        means[:, rounds] = np.einsum("ktnab,ktnb->tkna", covariance, d_shift)
-        variances[:, rounds] = np.diagonal(covariance, axis1=-2, axis2=-1).swapaxes(0, 1)
+        batch_means, batch_variances, positive = _moments(entries)
+        if not positive.all():
+            k = start + int(np.argmin(positive.all(axis=(1, 2))))
+            raise gau.SingularPrecisionError(f"round {k}: precision is not positive definite")
+        means[:, rounds] = batch_means.transpose(2, 1, 3, 0)
+        variances[:, rounds] = batch_variances.transpose(2, 1, 3, 0)
 
     # The MSE runs per trial so that its BLAS calls never see the batch size.
     mse = [_test_set_mse(scenario.test_set, means[t]) for t in range(n_trials)]
@@ -361,7 +441,8 @@ def sample_bound(
     ``scenario.bound_overrides`` may replace the separation rate and the
     likelihood log-range. The assumption fails when some likelihood family
     declares no bounds; ``inputs`` and ``n`` are then None, with ``reason``
-    a path-qualified message, unless the log-range is overridden.
+    a path-qualified message, unless the log-range is overridden. So are
+    they when the bound overflows a float.
     """
     table = separation_table(
         scenario.models,
@@ -386,7 +467,11 @@ def sample_bound(
         separation_rate=float(overrides.get("separation_rate", table.separation_rate)),
         lambda_max=spectral.lambda_max,
     )
-    return table, inputs, sample_complexity(inputs), bounds is None, None
+    try:
+        n = sample_complexity(inputs)
+    except InvalidInputsError as exc:
+        return table, None, None, bounds is None, f"scenario.bound: {exc}; supply explicit values"
+    return table, inputs, n, bounds is None, None
 
 
 def run_experiment(scenario: Scenario, workers: int = 1,

@@ -50,15 +50,14 @@ class BoundInputs:
 
 
 def sample_complexity_real(inputs: BoundInputs) -> float:
-    """The sample-count bound before rounding up to an integer."""
+    """The sample-count bound before rounding up to an integer; ``inf`` if it overflows."""
     if math.isinf(inputs.separation_rate):
         return 1.0
-    return (
-        16.0
-        * inputs.likelihood_log_range
-        * math.log(inputs.n_nodes * inputs.n_params / inputs.delta)
-        / (inputs.separation_rate**2 * (1.0 - inputs.lambda_max))
-    )
+    scale = inputs.separation_rate * inputs.separation_rate * (1.0 - inputs.lambda_max)
+    if scale == 0.0:
+        return math.inf
+    return 16.0 * inputs.likelihood_log_range * math.log(
+        inputs.n_nodes * inputs.n_params / inputs.delta) / scale
 
 
 def sample_complexity(inputs: BoundInputs) -> int:
@@ -66,8 +65,15 @@ def sample_complexity(inputs: BoundInputs) -> int:
 
     Returns 1 when the separation rate is the +inf sentinel (every
     parameter is globally optimal, so there is nothing to distinguish).
+    Raises ``InvalidInputsError`` when the bound overflows a float.
     """
-    return max(1, math.ceil(sample_complexity_real(inputs)))
+    real = sample_complexity_real(inputs)
+    if math.isinf(real):
+        raise InvalidInputsError(
+            f"the sample bound overflows a float at separation rate "
+            f"{inputs.separation_rate:.6g} and likelihood log-range "
+            f"{inputs.likelihood_log_range:.6g}")
+    return max(1, math.ceil(real))
 
 
 def risk_bound(label_risk_bound: float, covering_radius: float) -> float:

@@ -373,6 +373,20 @@ def gaussian_oracle(scenario: Scenario, instances, labels, central=False):
     return np.array(means), np.array(variances), np.array(mses)
 
 
+def lapack_moments(precision, shift):
+    """The gaussian engine's moments as it computed them before its entry-wise kernel.
+
+    LAPACK's Cholesky factorization is the positive-definiteness gate and
+    raises ``np.linalg.LinAlgError`` unless every precision in the batch
+    passes; then the inverse gives the means ``P^-1 h`` and the variance
+    diagonals. ``precision`` is ``(..., d, d)`` and ``shift`` ``(..., d)``.
+    """
+    np.linalg.cholesky(precision)
+    covariance = np.linalg.inv(precision)
+    return (np.einsum("...ab,...b->...a", covariance, shift),
+            np.diagonal(covariance, axis1=-2, axis2=-1))
+
+
 def reference_metrics_bytes(report, scenario, fmt: str) -> bytes:
     """The metrics file ``peerlearn run`` writes, built one value at a time.
 

@@ -1,6 +1,12 @@
 """Config schema, subcommands, exit codes, metrics serialization."""
 
+import contextlib
+import copy
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +93,106 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
+def _paths(node, prefix=()):
+    """Every path below ``node`` in a JSON document, as tuples of keys and indices."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_HUGE_OR_TINY = st.floats(1e-320, 1e300, allow_subnormal=True)
+_WRONG_TYPES = ["text", "", True, None, {}, [], [[]], {"key": 1}]
+
+
+@st.composite
+def config_mutants(draw):
+    """A valid config of this module with one to three defects.
+
+    A defect replaces a number by one in +-[1e-320, 1e300] or by a small
+    integer, replaces any node by a value of the wrong type, empties,
+    shortens or lengthens an array (mismatching its dimensions), makes a
+    matrix row ragged, or deletes a key or element. Runs stay at 8 rounds
+    and 50 Monte Carlo samples, and integers below 40, so an example
+    takes milliseconds.
+    """
+    doc = draw(st.sampled_from([
+        discrete_config, gaussian_config, categorical_config,
+        lambda: discrete_config(bound={"likelihood_log_range": 2.0, "separation_rate": 0.5}),
+    ]))()
+    doc["scenario"].update(n_rounds=8, kl_mc_samples=50)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent, key = doc, path[-1]
+        for step in path[:-1]:
+            parent = parent[step]
+        value = parent[key]
+        kinds = ["wrong-type", "delete"]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            kinds += ["number", "integer"]
+        if isinstance(value, list):
+            kinds += ["empty", "shorter", "longer"]
+            if value and all(isinstance(row, list) and row for row in value):
+                kinds.append("ragged")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "number":
+            parent[key] = draw(st.one_of(_HUGE_OR_TINY, _HUGE_OR_TINY.map(lambda x: -x)))
+        elif kind == "integer":
+            parent[key] = draw(st.integers(-3, 40))
+        elif kind == "wrong-type":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_WRONG_TYPES)))
+        elif kind == "delete":
+            del parent[key]
+        elif kind == "empty":
+            parent[key] = []
+        elif kind == "shorter":
+            parent[key] = value[:-1]
+        elif kind == "longer":
+            parent[key] = value + copy.deepcopy(value[-1:])
+        else:
+            row = draw(st.integers(0, len(value) - 1))
+            value[row] = value[row][:-1] if draw(st.booleans()) else value[row] * 2
+    return doc
+
+
+def _no_constant(name):
+    raise ValueError(f"stdout holds the non-JSON constant {name}")
+
+
+class TestConfigFuzz:
+    """Every subcommand on mutated configs ends in a clean exit, never a traceback."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(config_mutants())
+    def test_mutants_exit_cleanly(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp), doc)
+            out_dir = Path(tmp) / "out"
+            for argv in (["run", config, "--out", str(out_dir)], ["bound", config],
+                         ["check-graph", config]):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)  # a traceback fails the test here
+                out, err = stdout.getvalue(), stderr.getvalue()
+                assert code in (0, 2, 3)
+                if code:
+                    assert out == ""
+                    assert err.endswith("\n") and err.count("\n") == 1
+                    if code == 2:
+                        assert re.match(r"error: (config|scenario|output)\b[\w.\[\]]*: ", err)
+                    continue
+                assert err == ""
+                assert out.count("\n") == 1
+                assert isinstance(json.loads(out, parse_constant=_no_constant), dict)
+                if argv[0] == "run":
+                    cells = re.split(r"[,\n]", (out_dir / "metrics.csv").read_text().lower())
+                    assert not {"nan", "inf", "-inf"} & set(cells)
+
+
 class TestParseConfig:
     def test_bad_row_sum_names_the_row(self):
         payload = discrete_config(graph={"weights": [[0.5, 0.6], [0.5, 0.5]]})
@@ -166,10 +272,20 @@ class TestParseConfig:
         *[(gaussian_config(noise_std=bad),
            "scenario.noise_std: its square, the noise variance, must be positive and finite")
           for bad in (1e-200, 1e200)],
+        *[(discrete_config(models=[{"family": bad, "true_probs": [0.8, 0.3], "visible": [0]}] * 2),
+           "scenario.models[0].family: expected one of ['bernoulli', 'categorical', "
+           "'linear_gaussian']") for bad in ({}, [])],
+        (discrete_config(parameters={"points": [[0.8, 0.3], [1.0, 0.3]]}),
+         "scenario.parameters.points[1]: node 0: parameter 1 lacks support for the truth"),
+        (gaussian_config(true_theta=[-0.3, 1e300, 0.8],
+                         test_set={"size": 10, "ranges": [[-1e300, 1e300], [-1.5, 1.5]],
+                                   "seed": 0}),
+         "scenario.test_set: its labels overflow; true_theta or the ranges are too large"),
     ], ids=["discrete-test-set", "test-set-width", "prior-mean-length",
             *(f"variance-diag-{name}" for name in ("number", "string", "object", "empty")),
             "gaussian-bernoulli-models", "variance-diag-subnormal", "noise-std-underflow",
-            "noise-std-overflow"])
+            "noise-std-overflow", "family-object", "family-array", "parameter-lacks-support",
+            "test-labels-overflow"])
     def test_config_defect_exits_2_at_its_path(self, tmp_path, capsys, command, payload,
                                                message):
         assert main([command, write_config(tmp_path, payload)]) == 2
@@ -296,7 +412,22 @@ class TestBoundCommand:
     def test_not_globally_learnable_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, self.not_learnable())
         assert main(["bound", config]) == 2
-        assert "optimal for every node" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario.parameters.points: ")
+        assert "optimal for every node" in err
+
+    def test_overflowing_bound(self, tmp_path, capsys):
+        # The squared rate underflows, so the bound overflows: ``bound``
+        # exits 2 at the overrides, and ``run`` reports no bound and why.
+        config = write_config(tmp_path, discrete_config(bound={"separation_rate": 1e-200}))
+        message = ("scenario.bound: the sample bound overflows a float at separation rate "
+                   "1e-200 and likelihood log-range 1.38629; supply explicit values")
+        assert main(["bound", config]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["sample_bound"] is None
+        assert summary["sample_bound_reason"] == message
 
     def test_rate_override_does_not_make_a_world_learnable(self, tmp_path, capsys):
         # ``bound`` builds the separation table as ``run`` does, so both fail alike.

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peerlearn import (
@@ -34,6 +34,7 @@ from helpers import (
     floor_clamp_scenario,
     gaussian_oracle,
     in_neighbors,
+    lapack_moments,
     peak_bytes,
     random_weight_matrix,
     recursion_residual,
@@ -217,6 +218,64 @@ class TestScenarioValidation:
             scenario.validate()
 
 
+def entry_major(precision: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """States ``(B, d, d)`` and ``(B, d)`` in the engine's entry-major layout, ``(d*d + d, B)``."""
+    return np.concatenate([precision.reshape(len(shift), -1), shift], axis=1).T.copy()
+
+
+class TestMomentsKernel:
+    """``sim._moments``, the entry-wise Cholesky kernel, against the LAPACK oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
+           log_kappa=st.floats(0.0, 8.0))
+    @example(seed=0, dim=8, log_kappa=8.0)
+    @example(seed=1, dim=3, log_kappa=4.0)
+    def test_matches_the_lapack_oracle(self, seed, dim, log_kappa):
+        # SPD batches with eigenvalues from 1 down to 1/kappa, in random
+        # bases and at scales from 1e-3 to 1e3. Two backward-stable paths
+        # differ by about cond(P) * eps, relative to each state's moments.
+        rng = np.random.default_rng(seed)
+        batch = 16
+        basis = np.linalg.qr(rng.normal(size=(batch, dim, dim)))[0]
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, (batch, 1, 1))
+
+        def symmetric(eigenvalues):
+            matrices = scale * (basis * eigenvalues) @ basis.swapaxes(1, 2)
+            return (matrices + matrices.swapaxes(1, 2)) / 2
+
+        eigenvalues = np.geomspace(1.0, 10.0 ** -log_kappa, dim)
+        precision = symmetric(eigenvalues)
+        shift = scale[..., 0] * rng.normal(size=(batch, dim))
+
+        means, variances, positive = sim._moments(entry_major(precision, shift))
+        assert positive.all()
+        tolerance = 64 * np.linalg.cond(precision) * np.finfo(float).eps
+        for got, want in zip((means.T, variances.T), lapack_moments(precision, shift)):
+            error = np.abs(got - want).max(axis=1)
+            assert np.all(error <= tolerance * np.abs(want).max(axis=1))
+        # One state alone gets the same bits as in its batch.
+        alone = sim._moments(entry_major(precision[:1], shift[:1]))
+        np.testing.assert_array_equal(alone[0][:, 0], means[:, 0])
+        np.testing.assert_array_equal(alone[1][:, 0], variances[:, 0])
+
+        # The pivots reject an indefinite matrix (the smallest eigenvalue
+        # negated), a singular one (a row and column zeroed) and a NaN entry.
+        indefinite = symmetric(eigenvalues * np.r_[np.ones(dim - 1), -1.0])
+        singular, with_nan = precision.copy(), precision.copy()
+        for b, (r, c) in enumerate(rng.integers(0, dim, (batch, 2))):
+            singular[b, r, :] = singular[b, :, r] = 0.0
+            with_nan[b, r, c] = with_nan[b, c, r] = np.nan
+        for defective in (indefinite, singular):
+            with pytest.raises(np.linalg.LinAlgError):
+                lapack_moments(defective[:1], shift[:1])
+        for defective in (indefinite, singular, with_nan):
+            assert not sim._moments(entry_major(defective, shift))[2].any()
+        mixed = np.concatenate([precision[:1], singular[1:2], precision[2:3], with_nan[3:4]])
+        flags = sim._moments(entry_major(mixed, shift[:4]))[2]
+        np.testing.assert_array_equal(flags, [True, False, True, False])
+
+
 class TestGaussianEngine:
     def test_cooperative_nodes_reach_truth(self):
         scenario = regression_scenario(n_rounds=2000, master_seed=11)
@@ -244,8 +303,9 @@ class TestGaussianEngine:
         assert_matches_gaussian_oracle(regression_scenario(n_rounds=300, cooperative=cooperative))
 
     @settings(max_examples=10, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 4), dim=st.integers(2, 4),
+    @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 4), dim=st.integers(2, 8),
            chunk=st.integers(2, 9))
+    @example(seed=8, n_nodes=3, dim=8, chunk=5)
     def test_engine_matches_oracle_on_random_graphs(self, seed, n_nodes, dim, chunk):
         # 19 rounds: no batch size in 2..9 divides them, so the last batch is short.
         rng = np.random.default_rng(seed)
@@ -281,9 +341,10 @@ class TestGaussianEngine:
 
     def test_peak_does_not_grow_with_the_round_count(self):
         # d = 6 and two trials: the traced peak less the output moments is
-        # about 0.65 MB at 250 and at 1,000 rounds, mostly one 128-round
-        # batch's increments and factorizations. Increments held for every
-        # round, (K, T, N, d, d), would take 2 MB at 1,000 rounds.
+        # about 0.58 MB at 250 and at 1,000 rounds, mostly one 128-round
+        # batch's packed states, their entry-major copy and its factor.
+        # Increments held for every round, (K, T, N, d, d), would take 2 MB
+        # at 1,000 rounds.
         dim = 6
         theta, ranges = np.linspace(-0.5, 0.5, dim), [[-1.0, 1.0]] * (dim - 1)
         for n_rounds in (250, 1000):
@@ -347,9 +408,9 @@ class TestDeterminism:
             np.testing.assert_array_equal(a.mse_history, b.mse_history)
 
     def test_trial_rows_do_not_depend_on_batch_size(self):
-        # Batched LAPACK and einsum calls may pick kernels by batch size; a
-        # trial run alone must still reproduce its rows in a 20-trial batch
-        # bit for bit, baseline included.
+        # Batched BLAS calls may pick kernels by batch size; a trial run
+        # alone must still reproduce its rows in a 20-trial batch bit for
+        # bit, baseline included.
         scenario = regression_scenario(n_rounds=300, trials=20)
         report = run_experiment(scenario)
         for t in range(scenario.trials):

@@ -38,6 +38,21 @@ class TestSampleComplexity:
     def test_infinite_rate_sentinel(self):
         assert sample_complexity(make_inputs(separation_rate=math.inf)) == 1
 
+    @pytest.mark.parametrize("overflowing", [
+        dict(separation_rate=1e-200),
+        dict(separation_rate=1e-160),
+        dict(likelihood_log_range=1e308),
+    ], ids=["rate-squared-underflows", "quotient-overflows", "numerator-overflows"])
+    def test_overflow_is_infinite_and_raises(self, overflowing):
+        inputs = make_inputs(**overflowing)
+        assert sample_complexity_real(inputs) == math.inf
+        with pytest.raises(InvalidInputsError, match="overflows a float"):
+            sample_complexity(inputs)
+
+    def test_huge_rate_needs_one_sample(self):
+        # The squared rate overflows to inf, so the bound falls to 0.
+        assert sample_complexity(make_inputs(separation_rate=1e200)) == 1
+
     def test_doubling_params_adds_log_two_term(self):
         base = sample_complexity_real(make_inputs())
         doubled = sample_complexity_real(make_inputs(n_params=20))
