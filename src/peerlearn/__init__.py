@@ -53,7 +53,6 @@ from .sim import (
     ExperimentReport,
     Scenario,
     TrialResult,
-    central_baseline,
     make_regression_test_set,
     node_stream,
     run_experiment,

@@ -112,8 +112,6 @@ class TrialResult:
     mean_history: np.ndarray | None = None
     variance_diag_history: np.ndarray | None = None
     mse_history: np.ndarray | None = None
-    instances: list | None = None
-    labels: list | None = None
     clamp_events: int = 0
 
 
@@ -173,19 +171,14 @@ def make_regression_test_set(size: int, ranges, true_theta, noise_std: float,
     return xs, ys
 
 
-def run_trial(scenario: Scenario, trial_index: int, global_optima=None,
-              record_samples: bool = False) -> TrialResult:
+def run_trial(scenario: Scenario, trial_index: int, global_optima=None) -> TrialResult:
     """Execute one full synchronous trial, deterministic in (scenario, trial)."""
     scenario.validate()
     if scenario.engine == "discrete":
-        result = _discrete_rounds(scenario, [trial_index], global_optima)[0]
-    else:
-        aug, ys = _gaussian_samples(scenario, [trial_index])
-        result = _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
-                                  merge=scenario.cooperative)[0]
-    if record_samples:
-        result.instances, result.labels = _draw_trial_samples(scenario, trial_index)
-    return result
+        return _discrete_rounds(scenario, [trial_index], global_optima)[0]
+    aug, ys = _gaussian_samples(scenario, [trial_index])
+    return _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
+                           merge=scenario.cooperative)[0]
 
 
 def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[TrialResult]:
@@ -417,19 +410,6 @@ def _test_set_mse(test_set, means: np.ndarray) -> np.ndarray | None:
     return np.einsum("...a,ab,...b->...", means, gram, means) - 2.0 * (means @ cross) + energy
 
 
-def central_baseline(scenario: Scenario, trial_index: int = 0) -> TrialResult:
-    """One node fed every node's per-round samples, same update rule.
-
-    Consumes exactly the substreams the distributed trial would, so the
-    baseline sees the identical data, merged centrally.
-    """
-    scenario.validate()
-    if scenario.engine != "gaussian":
-        raise ValueError("the central baseline is defined for the gaussian engine")
-    aug, ys = _gaussian_samples(scenario, [trial_index])
-    return _gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]), merge=False)[0]
-
-
 def sample_bound(
     scenario: Scenario, spectral: SpectralSummary
 ) -> tuple[SeparationTable, BoundInputs | None, int | None, bool, str | None]:
@@ -456,6 +436,8 @@ def sample_bound(
     log_range = overrides.get("likelihood_log_range")
     if log_range is None and bounds is not None:
         log_range = abs(np.log(bounds[1] / bounds[0]))
+        if not np.isfinite(log_range):  # the ratio overflows, as at bounds (1e-320, 1)
+            log_range = np.log(bounds[1]) - np.log(bounds[0])
     if log_range is None:
         return table, None, None, True, ("scenario.bound.likelihood_log_range: likelihoods "
                                          "are unbounded; supply an explicit value")
@@ -474,13 +456,13 @@ def sample_bound(
     return table, inputs, n, bounds is None, None
 
 
-def run_experiment(scenario: Scenario, workers: int = 1,
-                   include_baseline: bool = True) -> ExperimentReport:
+def run_experiment(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     """Run all trials with derived seeds and aggregate the results.
 
     Both engines run all trials as one batch. ``workers`` is accepted for
-    compatibility and has no effect. ``include_baseline`` controls whether
-    gaussian runs also compute the central reference curve.
+    compatibility and has no effect. Gaussian runs with a test set also
+    run the central baseline: one node fed every node's samples of the
+    same trial, with the same update rule.
     """
     started = time.perf_counter()
     scenario.validate()
@@ -495,7 +477,7 @@ def run_experiment(scenario: Scenario, workers: int = 1,
         aug, ys = _gaussian_samples(scenario, range(scenario.trials))
         results = _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
                                    merge=scenario.cooperative)
-        if include_baseline and scenario.test_set is not None:
+        if scenario.test_set is not None:
             baselines = _gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]), merge=False)
 
     report = ExperimentReport(
@@ -521,15 +503,13 @@ def run_experiment(scenario: Scenario, workers: int = 1,
         ).all(axis=0)
         hits = np.flatnonzero(per_round_ok)
         report.first_all_success_round = int(hits[0]) if hits.size else None
-    else:
-        if scenario.test_set is not None:
-            curves = np.stack([r.mse_history for r in results])
-            report.mean_mse_curves = curves.mean(axis=0)
-            report.final_mse_per_node = report.mean_mse_curves[-1].copy()
-            if baselines is not None:
-                curves = np.stack([r.mse_history[:, 0] for r in baselines])
-                report.baseline_mse_curve = curves.mean(axis=0)
-                report.baseline_final_mse = float(report.baseline_mse_curve[-1])
+    elif scenario.test_set is not None:
+        curves = np.stack([r.mse_history for r in results])
+        report.mean_mse_curves = curves.mean(axis=0)
+        report.final_mse_per_node = report.mean_mse_curves[-1].copy()
+        curves = np.stack([r.mse_history[:, 0] for r in baselines])
+        report.baseline_mse_curve = curves.mean(axis=0)
+        report.baseline_final_mse = float(report.baseline_mse_curve[-1])
 
     report.runtime_seconds = time.perf_counter() - started
     return report

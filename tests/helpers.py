@@ -21,6 +21,7 @@ from peerlearn import (
     from_mean_covariance_diag,
     gaussian_consensus,
     make_regression_test_set,
+    node_stream,
     validate_weight_matrix,
 )
 from peerlearn.beliefs import LOG_FLOOR
@@ -39,6 +40,20 @@ def peak_bytes(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def trial_samples(scenario: Scenario, trial: int = 0):
+    """Each node's instances and labels, one per round, in the order the engines draw them.
+
+    A node's stream is keyed by (master seed, trial, node); it yields all
+    of the trial's instances first, then all of its labels.
+    """
+    instances, labels = [], []
+    for node, model in enumerate(scenario.models):
+        rng = node_stream(scenario.master_seed, trial, node)
+        instances.append(model.sample_instances(rng, scenario.n_rounds))
+        labels.append(model.sample_labels(rng, instances[-1]))
+    return instances, labels
 
 
 def random_weight_matrix(rng, n_nodes: int) -> WeightMatrix:
@@ -266,9 +281,9 @@ def per_draw_covering_distances(phi, points, models, mc_samples: int, seed: int)
 
 
 def recursion_residual(scenario: Scenario, result) -> float:
-    """Worst residual of criterion 4's log-belief recursion identity.
+    """Worst residual of criterion 4's log-belief recursion identity in trial 0's ``result``.
 
-    With ``L[r]`` the log-likelihoods (node, parameter) of round r's recorded
+    With ``L[r]`` the log-likelihoods (node, parameter) of round r's
     samples, the identity says that ``log q_n - sum_{k=1..n} W^k L[n-k]`` is
     constant across parameters for each node. Returns the largest spread of
     that residual over the parameters, divided by n, over nodes and rounds n.
@@ -276,7 +291,7 @@ def recursion_residual(scenario: Scenario, result) -> float:
     weights = scenario.graph.weights
     log_lik = np.stack([
         model.log_likelihood_matrix(scenario.theta_set.points, xs, ys)
-        for model, xs, ys in zip(scenario.models, result.instances, result.labels)
+        for model, xs, ys in zip(scenario.models, *trial_samples(scenario))
     ], axis=1)  # (rounds, nodes, params)
     powers = [weights]
     for _ in range(1, scenario.n_rounds):
@@ -309,16 +324,17 @@ def floor_clamp_scenario(n_rounds=400, trials=1, cooperative=True) -> Scenario:
     )
 
 
-def discrete_oracle(scenario: Scenario, instances, labels):
+def discrete_oracle(scenario: Scenario):
     """Per-node loop over the reference discrete belief operations.
 
     The reference the batched discrete engine is checked against: returns
-    the log-belief and estimate histories of one trial and its clamp-event
+    the log-belief and estimate histories of trial 0 and its clamp-event
     count, which counts, per round, the Bayes step and the merge step in
     which the floor fired for some node. An isolated node merges with
     itself alone, so both of its steps normalize as in a cooperative run.
     """
     graph, theta_set = scenario.graph, scenario.theta_set
+    instances, labels = trial_samples(scenario)
     weights = graph.weights if scenario.cooperative else np.eye(graph.n_nodes)
     privates = [uniform_prior(theta_set.n_points)] * graph.n_nodes
     beliefs, estimates, clamp_events = [], [], 0
@@ -337,13 +353,14 @@ def discrete_oracle(scenario: Scenario, instances, labels):
     return np.array(beliefs), np.array(estimates), clamp_events
 
 
-def gaussian_oracle(scenario: Scenario, instances, labels, central=False):
+def gaussian_oracle(scenario: Scenario, central=False):
     """Per-node loop over the conjugate Bayes update and the public merge.
 
     The reference the batched gaussian engine is checked against: returns
-    the mean, variance-diagonal and test-MSE histories of one trial. With
+    the mean, variance-diagonal and test-MSE histories of trial 0. With
     ``central`` a single node applies every node's sample each round.
     """
+    instances, labels = trial_samples(scenario)
     prior = from_mean_covariance_diag(scenario.prior_mean, scenario.prior_variance_diag)
     graph, noise_var = scenario.graph, scenario.noise_var
     x_test, y_test = scenario.test_set

@@ -114,7 +114,7 @@ def regression_reports():
         n_rounds=2000, trials=20, master_seed=MASTER_SEED,
         cooperative=False, test_seed=TEST_SET_SEED,
     )
-    alone = run_experiment(isolated, include_baseline=False)
+    alone = run_experiment(isolated)
     elapsed = time.perf_counter() - started
     return coop, alone, elapsed
 
@@ -239,7 +239,7 @@ def test_criterion_4_log_belief_recursion_identity():
     scenario = Scenario(graph=graph, engine="discrete", models=models,
                         n_rounds=n_rounds, trials=1, master_seed=404,
                         theta_set=theta_set)
-    worst = recursion_residual(scenario, run_trial(scenario, 0, record_samples=True))
+    worst = recursion_residual(scenario, run_trial(scenario, 0))
 
     ok = report_line(
         "criterion 4 (log-belief recursion identity)",

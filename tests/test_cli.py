@@ -94,12 +94,23 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 def _paths(node, prefix=()):
-    """Every path below ``node`` in a JSON document, as tuples of keys and indices."""
+    """``(path, value)`` for every node below ``node`` in a JSON document.
+
+    A path is a tuple of keys and indices.
+    """
     children = node.items() if isinstance(node, dict) else (
         enumerate(node) if isinstance(node, list) else ())
     for key, child in children:
-        yield prefix + (key,)
+        yield prefix + (key,), child
         yield from _paths(child, prefix + (key,))
+
+
+def _scaled(value, factor):
+    """``value * factor`` with the sign and type of ``value``; integers stay below 40."""
+    if type(value) is float:
+        return value * factor
+    magnitude = min(39, max(1, round(abs(value) * factor)))
+    return magnitude if value > 0 else -magnitude if value < 0 else 0
 
 
 _HUGE_OR_TINY = st.floats(1e-320, 1e300, allow_subnormal=True)
@@ -108,14 +119,16 @@ _WRONG_TYPES = ["text", "", True, None, {}, [], [[]], {"key": 1}]
 
 @st.composite
 def config_mutants(draw):
-    """A valid config of this module with one to three defects.
+    """A valid config of this module with one to three mutations.
 
-    A defect replaces a number by one in +-[1e-320, 1e300] or by a small
+    A mutation scales a number by a factor in [1e-3, 1e3], keeping its
+    sign and type, replaces it by one in +-[1e-320, 1e300] or by a small
     integer, replaces any node by a value of the wrong type, empties,
     shortens or lengthens an array (mismatching its dimensions), makes a
-    matrix row ragged, or deletes a key or element. Runs stay at 8 rounds
-    and 50 Monte Carlo samples, and integers below 40, so an example
-    takes milliseconds.
+    matrix row ragged, or deletes a key or element. Three mutations in four
+    scale a number, so that many mutants stay valid and reach the engines.
+    Runs stay at 8 rounds and 50 Monte Carlo samples, and integers below
+    40, so an example takes milliseconds.
     """
     doc = draw(st.sampled_from([
         discrete_config, gaussian_config, categorical_config,
@@ -126,20 +139,24 @@ def config_mutants(draw):
         paths = list(_paths(doc))
         if not paths:
             break
-        path = draw(st.sampled_from(paths))
+        numbers = [path for path, value in paths if type(value) in (int, float)]
+        scale = bool(numbers) and draw(st.integers(0, 3)) > 0
+        path = draw(st.sampled_from(numbers if scale else [path for path, _ in paths]))
         parent, key = doc, path[-1]
         for step in path[:-1]:
             parent = parent[step]
         value = parent[key]
         kinds = ["wrong-type", "delete"]
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if type(value) in (int, float):
             kinds += ["number", "integer"]
         if isinstance(value, list):
             kinds += ["empty", "shorter", "longer"]
             if value and all(isinstance(row, list) and row for row in value):
                 kinds.append("ragged")
-        kind = draw(st.sampled_from(kinds))
-        if kind == "number":
+        kind = "scale" if scale else draw(st.sampled_from(kinds))
+        if kind == "scale":
+            parent[key] = _scaled(value, 10.0 ** draw(st.floats(-3.0, 3.0)))
+        elif kind == "number":
             parent[key] = draw(st.one_of(_HUGE_OR_TINY, _HUGE_OR_TINY.map(lambda x: -x)))
         elif kind == "integer":
             parent[key] = draw(st.integers(-3, 40))
@@ -163,34 +180,57 @@ def _no_constant(name):
     raise ValueError(f"stdout holds the non-JSON constant {name}")
 
 
+def run_subcommands(doc):
+    """Each subcommand's ``(exit code, stdout, stderr)`` on ``doc``, and the metrics run wrote."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = write_config(Path(tmp), doc)
+        out_dir = Path(tmp) / "out"
+        outcomes = {}
+        for argv in (["run", config, "--out", str(out_dir)], ["bound", config],
+                     ["check-graph", config]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)  # a traceback fails the calling test here
+            outcomes[argv[0]] = code, stdout.getvalue(), stderr.getvalue()
+        metrics = out_dir / "metrics.csv"
+        return outcomes, metrics.read_text() if metrics.exists() else None
+
+
 class TestConfigFuzz:
-    """Every subcommand on mutated configs ends in a clean exit, never a traceback."""
+    """Mutated configs: clean exits, never a traceback, and subcommands that agree."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(config_mutants())
     def test_mutants_exit_cleanly(self, doc):
-        with tempfile.TemporaryDirectory() as tmp:
-            config = write_config(Path(tmp), doc)
-            out_dir = Path(tmp) / "out"
-            for argv in (["run", config, "--out", str(out_dir)], ["bound", config],
-                         ["check-graph", config]):
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main(argv)  # a traceback fails the test here
-                out, err = stdout.getvalue(), stderr.getvalue()
-                assert code in (0, 2, 3)
-                if code:
-                    assert out == ""
-                    assert err.endswith("\n") and err.count("\n") == 1
-                    if code == 2:
-                        assert re.match(r"error: (config|scenario|output)\b[\w.\[\]]*: ", err)
-                    continue
-                assert err == ""
-                assert out.count("\n") == 1
-                assert isinstance(json.loads(out, parse_constant=_no_constant), dict)
-                if argv[0] == "run":
-                    cells = re.split(r"[,\n]", (out_dir / "metrics.csv").read_text().lower())
-                    assert not {"nan", "inf", "-inf"} & set(cells)
+        outcomes, metrics = run_subcommands(doc)
+        for command, (code, out, err) in outcomes.items():
+            assert code in (0, 2, 3)
+            if code:
+                assert out == ""
+                assert err.endswith("\n") and err.count("\n") == 1
+                if code == 2:
+                    assert re.match(r"error: (config|scenario|output)\b[\w.\[\]]*: ", err)
+                continue
+            assert err == ""
+            assert out.count("\n") == 1
+            assert isinstance(json.loads(out, parse_constant=_no_constant), dict)
+            if command == "run":
+                cells = re.split(r"[,\n]", metrics.lower())
+                assert not {"nan", "inf", "-inf"} & set(cells)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(config_mutants())
+    def test_subcommands_reject_alike_at_parse_time(self, doc):
+        # All three parse the whole config first. Only run and bound build
+        # the separation table and the bound, so only they can fail there.
+        outcomes, _ = run_subcommands(doc)
+        graph_code, _, graph_err = outcomes["check-graph"]
+        for command in ("run", "bound"):
+            code, _, err = outcomes[command]
+            if graph_code == 2:
+                assert (code, err) == (2, graph_err)
+            elif code == 2:
+                assert re.match(r"error: scenario\.(parameters|bound)\b", err), err
 
 
 class TestParseConfig:
@@ -244,7 +284,7 @@ class TestParseConfig:
         payload = gaussian_config()
         payload["scenario"]["models"][0]["observed"] = []
         doc = parse_config(json.dumps(payload))
-        assert doc.scenario["models"][0]["observed"] == []
+        assert doc.scenario.models[0].observed == []
 
     def test_gaussian_requires_prior(self):
         payload = gaussian_config()
@@ -253,7 +293,7 @@ class TestParseConfig:
             parse_config(json.dumps(payload))
         assert info.value.path == "scenario.prior"
 
-    @pytest.mark.parametrize("command", ["run", "bound"])
+    @pytest.mark.parametrize("command", ["run", "bound", "check-graph"])
     @pytest.mark.parametrize("payload, message", [
         (discrete_config(test_set={"size": 10, "ranges": [[-1, 1]], "seed": 0}),
          "scenario.test_set: test sets apply to the gaussian engine only"),
@@ -281,14 +321,43 @@ class TestParseConfig:
                          test_set={"size": 10, "ranges": [[-1e300, 1e300], [-1.5, 1.5]],
                                    "seed": 0}),
          "scenario.test_set: its labels overflow; true_theta or the ranges are too large"),
+        (discrete_config(models=[{"family": "bernoulli", "true_probs": [0.8, 0.3],
+                                  "visible": [2]}] * 2),
+         "scenario.models[0]: visible context index out of range"),
+        (gaussian_config(models=[{"family": "linear_gaussian", "observed": [2],
+                                  "ranges": [[-1, 1], [-1.5, 1.5]]}] * 2),
+         "scenario.models[0]: observed coordinate index out of range"),
+        (discrete_config(parameters={"points": [[0.8, 0.3], [0.5, 0.5], [0.8, 0.3]]}),
+         "scenario.parameters.points: duplicate parameter points at indices 0 and 2"),
+        (discrete_config(parameters={"points": [[0.8, 0.3, 0.5], [0.5, 0.5, 0.5]]}),
+         "scenario.parameters.points: node 0: parameters have dimension 3, expected 2"),
+        (discrete_config(models=[{"family": "bernoulli", "true_probs": [0.8, 0.3],
+                                  "visible": [0]}] * 3),
+         "scenario.models: 3 models for 2 graph nodes"),
+        (discrete_config(models=[{"family": "linear_gaussian", "observed": [0],
+                                  "ranges": [[-1, 1], [-1.5, 1.5]]}] * 2,
+                         true_theta=[-0.3, 0.5], noise_std=0.8,
+                         parameters={"points": [[-0.3, 0.5, 0.8], [0.0, 0.5, 0.8]]}),
+         "scenario.models[0]: true_theta must have length instance_dim + 1"),
+        (discrete_config(models=[{"family": "categorical", "visible": [0],
+                                  "true_table": [[0.6, 0.3, 0.2], [0.2, 0.2, 0.6]]}] * 2),
+         "scenario.models[0]: every true_table row must sum to 1"),
+        (discrete_config(delta=10**400), "scenario.delta: must be finite"),
     ], ids=["discrete-test-set", "test-set-width", "prior-mean-length",
             *(f"variance-diag-{name}" for name in ("number", "string", "object", "empty")),
             "gaussian-bernoulli-models", "variance-diag-subnormal", "noise-std-underflow",
             "noise-std-overflow", "family-object", "family-array", "parameter-lacks-support",
-            "test-labels-overflow"])
+            "test-labels-overflow", "visible-out-of-range", "observed-out-of-range",
+            "duplicate-points", "points-dimension", "model-count", "true-theta-length",
+            "categorical-row-sum", "integer-beyond-float-range"])
     def test_config_defect_exits_2_at_its_path(self, tmp_path, capsys, command, payload,
                                                message):
-        assert main([command, write_config(tmp_path, payload)]) == 2
+        config = write_config(tmp_path, payload)
+        if command == "check-graph" and message.startswith("scenario.parameters.points["):
+            # The separation table finds this defect; check-graph does not build it.
+            assert main([command, config]) == 0
+            return
+        assert main([command, config]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("command", ["run", "bound", "check-graph"])
@@ -472,6 +541,17 @@ class TestBoundCommand:
         assert out["n"] >= 1
         assert out["separation_rate"] > 0
         assert out["likelihood_log_range"] == pytest.approx(np.log(0.8 / 0.2))
+
+    def test_log_range_whose_likelihood_ratio_overflows(self, tmp_path, capsys):
+        # The likelihood bounds are (1e-320, 1.0): their ratio overflows a
+        # float, the difference of their logs does not.
+        points = [[0.8, 0.3], [0.8, 0.6], [0.2, 1e-320], [0.5, 0.5]]
+        config = write_config(tmp_path, discrete_config(parameters={"points": points}))
+        assert main(["bound", config]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["likelihood_log_range"] == pytest.approx(736.827, abs=5e-4)
+        assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["sample_bound"] == printed["n"]
 
     @pytest.mark.parametrize("overrides", [
         {},

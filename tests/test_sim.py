@@ -16,7 +16,6 @@ from peerlearn import (
     Scenario,
     SingularPrecisionError,
     ZeroLikelihoodError,
-    central_baseline,
     consensus_update,
     make_regression_test_set,
     node_stream,
@@ -40,6 +39,7 @@ from helpers import (
     recursion_residual,
     regression_scenario,
     three_node_bernoulli,
+    trial_samples,
     uniform_prior,
 )
 
@@ -75,8 +75,8 @@ def intercept_grid_scenario(n_rounds=60, cooperative=True) -> Scenario:
 
 
 def assert_matches_discrete_oracle(scenario: Scenario) -> None:
-    result = run_trial(scenario, 0, record_samples=True)
-    beliefs, estimates, clamp_events = discrete_oracle(scenario, result.instances, result.labels)
+    result = run_trial(scenario, 0)
+    beliefs, estimates, clamp_events = discrete_oracle(scenario)
     np.testing.assert_allclose(result.belief_history, beliefs, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(result.estimate_history, estimates)
     assert result.clamp_events == clamp_events
@@ -84,11 +84,10 @@ def assert_matches_discrete_oracle(scenario: Scenario) -> None:
 
 def assert_matches_gaussian_oracle(scenario: Scenario) -> None:
     """Trial 0's pass, and the central baseline's on the same data, against the oracle."""
-    result = run_trial(scenario, 0, record_samples=True)
+    report = run_experiment(scenario)
     runs = [
-        (result, gaussian_oracle(scenario, result.instances, result.labels)),
-        (central_baseline(scenario, 0),
-         gaussian_oracle(scenario, result.instances, result.labels, central=True)),
+        (report.trial_results[0], gaussian_oracle(scenario)),
+        (report.baseline_results[0], gaussian_oracle(scenario, central=True)),
     ]
     for batched, (means, variances, mses) in runs:
         np.testing.assert_allclose(batched.mean_history, means, rtol=0, atol=1e-12)
@@ -145,7 +144,7 @@ class TestDiscreteEngine:
             graph=random_weight_matrix(rng, n_nodes), engine="discrete", models=models,
             n_rounds=n_rounds, trials=1, master_seed=seed,
             theta_set=ParameterSet(np.vstack([truth, rng.uniform(0.05, 0.95, (7, 3))])))
-        result = run_trial(scenario, 0, record_samples=True)
+        result = run_trial(scenario, 0)
         assert result.clamp_events == 0
         assert recursion_residual(scenario, result) <= 1e-9
 
@@ -163,10 +162,12 @@ class TestDiscreteEngine:
 
     def test_recorded_samples_deterministic(self):
         scenario = single_node_scenario(n_rounds=40)
-        a = run_trial(scenario, 0, record_samples=True)
-        b = run_trial(scenario, 0, record_samples=True)
-        np.testing.assert_array_equal(a.instances[0], b.instances[0])
-        np.testing.assert_array_equal(a.labels[0], b.labels[0])
+        # The oracles redraw the engine's samples: (seed, trial, node) fixes them.
+        (xs_a, ys_a), (xs_b, ys_b) = trial_samples(scenario), trial_samples(scenario)
+        np.testing.assert_array_equal(xs_a[0], xs_b[0])
+        np.testing.assert_array_equal(ys_a[0], ys_b[0])
+        first, second = run_trial(scenario, 0), run_trial(scenario, 0)
+        np.testing.assert_array_equal(first.belief_history, second.belief_history)
 
     def test_no_clamping_in_benign_scenario(self):
         result = run_trial(single_node_scenario(n_rounds=200), 0)
@@ -380,7 +381,7 @@ class TestGaussianEngine:
 
     def test_central_baseline_approaches_noise_floor(self):
         scenario = regression_scenario(n_rounds=1500)
-        baseline = central_baseline(scenario, 0)
+        baseline = run_experiment(scenario).baseline_results[0]
         assert 0.55 <= baseline.mse_history[-1, 0] <= 0.75
 
     def test_mse_requires_test_set(self):
@@ -393,16 +394,16 @@ class TestGaussianEngine:
 class TestDeterminism:
     def test_equal_seeds_bit_identical(self):
         scenario = regression_scenario(n_rounds=120, trials=3)
-        first = run_experiment(scenario, include_baseline=False)
-        second = run_experiment(scenario, include_baseline=False)
+        first = run_experiment(scenario)
+        second = run_experiment(scenario)
         for a, b in zip(first.trial_results, second.trial_results):
             np.testing.assert_array_equal(a.mean_history, b.mean_history)
             np.testing.assert_array_equal(a.mse_history, b.mse_history)
 
     def test_worker_count_does_not_change_results(self):
         scenario = regression_scenario(n_rounds=100, trials=4)
-        serial = run_experiment(scenario, workers=1, include_baseline=False)
-        parallel = run_experiment(scenario, workers=4, include_baseline=False)
+        serial = run_experiment(scenario, workers=1)
+        parallel = run_experiment(scenario, workers=4)
         for a, b in zip(serial.trial_results, parallel.trial_results):
             np.testing.assert_array_equal(a.mean_history, b.mean_history)
             np.testing.assert_array_equal(a.mse_history, b.mse_history)
@@ -421,7 +422,9 @@ class TestDeterminism:
                 lone.variance_diag_history, batched.variance_diag_history
             )
             np.testing.assert_array_equal(lone.mse_history, batched.mse_history)
-            central, pooled = central_baseline(scenario, t), report.baseline_results[t]
+            # Trial t's baseline, last in a batch of t + 1 trials.
+            shorter = run_experiment(dataclasses.replace(scenario, trials=t + 1))
+            central, pooled = shorter.baseline_results[t], report.baseline_results[t]
             np.testing.assert_array_equal(central.mean_history, pooled.mean_history)
             np.testing.assert_array_equal(
                 central.variance_diag_history, pooled.variance_diag_history
@@ -511,7 +514,8 @@ class TestEngineCrossCheck:
             trials=1, master_seed=31, prior_mean=np.zeros(1),
             prior_variance_diag=np.array([0.5]), noise_var=noise_std**2,
         )
-        gaussian_run = run_trial(scenario, 0, record_samples=True)
+        gaussian_run = run_trial(scenario, 0)
+        instances, labels = trial_samples(scenario)
 
         step = 0.002
         grid_axis = np.arange(-2.0, 2.0 + step / 2, step)
@@ -521,8 +525,7 @@ class TestEngineCrossCheck:
         for k in range(scenario.n_rounds):
             publics = [
                 bayesian_update(
-                    privates[i], models[i], grid,
-                    gaussian_run.instances[i][k], gaussian_run.labels[i][k],
+                    privates[i], models[i], grid, instances[i][k], labels[i][k],
                 )
                 for i in range(2)
             ]
