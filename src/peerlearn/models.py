@@ -363,7 +363,9 @@ def separation_table(models, theta_set: ParameterSet, stationary,
     the least ``V`` over non-optimal parameters minus the greatest over
     the global optima, so memory stays linear in the parameter count.
     Raises ``NotGloballyLearnableError`` when no parameter minimizes every
-    node's expected KL simultaneously.
+    node's expected KL simultaneously. The parameters are not checked
+    against the models here: callers pass a set that ``parse_config`` or
+    ``Scenario.validate`` has checked.
     """
     stationary = np.asarray(stationary, dtype=float)
     if len(models) != stationary.shape[0]:
@@ -371,7 +373,6 @@ def separation_table(models, theta_set: ParameterSet, stationary,
     n_nodes, n_params = len(models), theta_set.n_points
     kl = np.empty((n_nodes, n_params))
     for j, model in enumerate(models):
-        model.validate_parameters(theta_set.points)
         xs, shares = instance_support(model, mc_samples, seed)
         kl[j] = model.kl_to_truth(theta_set.points, xs) @ shares
         unbounded = np.flatnonzero(np.isinf(kl[j]))

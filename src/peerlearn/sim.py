@@ -376,7 +376,10 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
         batch_means, batch_variances, positive = _moments(entries)
         if not positive.all():
             k = start + int(np.argmin(positive.all(axis=(1, 2))))
-            raise gau.SingularPrecisionError(f"round {k}: precision is not positive definite")
+            ratio = np.max(scenario.prior_variance_diag) / scenario.noise_var
+            raise gau.SingularPrecisionError(
+                f"round {k}: precision is not positive definite; the state is ill-conditioned: "
+                f"1/noise_std^2 is {ratio:.3g} times the least prior precision")
         means[:, rounds] = batch_means.transpose(2, 1, 3, 0)
         variances[:, rounds] = batch_variances.transpose(2, 1, 3, 0)
 

@@ -448,6 +448,18 @@ class TestRunCommand:
             "", f"error: round 0: {what} is not finite; an input overflows\n")
         assert not out.exists()
 
+    def test_ill_conditioned_precision_exits_3_naming_the_cause(self, tmp_path, capsys):
+        # One sample adds about 7e25 to the precision where the prior leaves
+        # 6e-17 on a coordinate, and a Cholesky pivot cancels below zero.
+        payload = gaussian_config(
+            noise_std=1.18e-13, prior={"mean": [0, 0, 0], "variance_diag": [0.5, 1.7e16, 0.5]})
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, payload), "--out", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: round 0: precision is not positive definite; the state is "
+                "ill-conditioned: 1/noise_std^2 is 1.22e+42 times the least prior precision\n")
+        assert not out.exists()
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         payload = discrete_config(graph={"weights": [[1.0, 0.0], [0.0, 1.0]]})
         config = write_config(tmp_path, payload)
@@ -678,6 +690,8 @@ class TestMetricsWriter:
         "categorical": _config_world(categorical_config()),
         "floor-clamp": lambda: floor_clamp_scenario(n_rounds=45, trials=2),
         "gaussian": _config_world(gaussian_config()),
+        # Variances fall below 1e-4 within each trial, and those rows take the template.
+        "gaussian-fallback-rows": _config_world(gaussian_config(noise_std=0.05)),
         "gaussian-no-test-set": _config_world(_gaussian_without_test_set()),
     }
 
@@ -709,6 +723,53 @@ class TestMetricsWriter:
     @example(123456789012.5)
     def test_percent_template_formats_as_the_format_spec(self, x):
         assert "%.12g" % x == f"{x:.12g}"
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(9.99999999999995e-05)
+    @example(1e-4)
+    @example(float(np.nextafter(1e-4, 0)))
+    @example(float(np.nextafter(1e-4, 1)))
+    @example(999999999999.5)
+    @example(123456789012.5)
+    @example(99999999999.99999)
+    @example(1e11)
+    @example(-0.0)
+    @example(5e-324)
+    @example(0.0008271467107625)  # y is a half; x lies above it, rint(y) rounds to even
+    def test_fast_cells_read_as_the_percent_template(self, x):
+        values = np.array([[x]])
+        fast, key, source = cli._fixed_notation(values)
+        if fast[0, 0]:
+            assert cli._render_fast(key, source, np.zeros((1, 0), np.uint8)) == b"%.12g" % x
+        assert cli._row_renderer("%.12g\n", "")(values) == b"%.12g\n" % x
+
+    @pytest.mark.parametrize("x, fast", [
+        (0.0, True), (1e-4, True), (9.99999999999995e-05, True), (99999999999.99999, True),
+        (-3.25, True), (999999999999.0, True),
+        (-0.0, False), (123456789012.5, False), (0.0008271467107625, False),
+        (999999999999.5, False), (9.9e-05, False),
+        (5e-324, False), (float("nan"), False), (float("-inf"), False),
+    ])
+    def test_fixed_notation_cells_take_the_fast_path(self, x, fast):
+        # Out of range, -0.0 and digits that scale to a half take the template.
+        assert cli._fixed_notation(np.array([[x]]))[0][0, 0] == fast
+
+    @pytest.mark.parametrize("chunk_rows, kinds", [
+        (None, {"mixed"}),
+        (7, {"fast", "mixed", "template"}),
+    ], ids=["default-chunks", "7-row-chunks"])
+    def test_fallback_world_mixes_row_kinds(self, monkeypatch, chunk_rows, kinds):
+        scenario = self.worlds["gaussian-fallback-rows"]()
+        report = run_experiment(scenario)
+        n_cells = len(cli._metric_columns(report, scenario)[1])
+        if chunk_rows is not None:
+            monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk_rows * n_cells)
+        seen = set()
+        for chunk in cli._metric_chunks(report, scenario, n_cells):
+            fast = cli._fixed_notation(chunk)[0].all(axis=1)
+            seen.add("fast" if fast.all() else "template" if not fast.any() else "mixed")
+        assert seen == kinds
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_peak_does_not_grow_with_the_round_count(self, tmp_path, monkeypatch, fmt):

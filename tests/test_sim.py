@@ -337,7 +337,9 @@ class TestGaussianEngine:
         aug, ys = np.zeros((12, 2, 2, 1, 3)), np.zeros((12, 2, 2, 1))
         aug[5, 1, 0, 0, 0] = 1.0
         with pytest.raises(SingularPrecisionError,
-                           match=r"^round 5: precision is not positive definite$"):
+                           match=r"^round 5: precision is not positive definite; the state is "
+                                 r"ill-conditioned: 1/noise_std\^2 is -50 times the least prior "
+                                 r"precision$"):
             sim._gaussian_rounds(scenario, (aug, ys), merge=merge)
 
     def test_peak_does_not_grow_with_the_round_count(self):
