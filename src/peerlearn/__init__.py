@@ -8,20 +8,7 @@ sample-complexity and risk bounds, a deterministic round-based simulator,
 and a CLI for running configured experiments.
 """
 
-from .beliefs import (
-    BeliefVector,
-    DimensionMismatchError,
-    WeightMismatchError,
-    ZeroLikelihoodError,
-    consensus_update,
-)
-from .gaussian import (
-    GaussianBelief,
-    SingularPrecisionError,
-    discretized_consensus_oracle,
-    from_mean_covariance_diag,
-    gaussian_consensus,
-)
+from .beliefs import ZeroLikelihoodError
 from .graph import (
     GraphError,
     MixingBoundReport,
@@ -52,6 +39,7 @@ from .models import (
 from .sim import (
     ExperimentReport,
     Scenario,
+    SingularPrecisionError,
     TrialResult,
     make_regression_test_set,
     node_stream,

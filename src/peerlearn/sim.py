@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import beliefs as bel
-from . import gaussian as gau
 from .graph import SpectralSummary, WeightMatrix, spectral_gap
 from .models import ParameterSet, SeparationTable, assumption_bounds, augment, separation_table
 from .theory import BoundInputs, InvalidInputsError, sample_complexity
@@ -44,6 +43,10 @@ ENGINES = ("discrete", "gaussian")
 # share one array, and one entry-wise factorization gates them and gives
 # their moments.
 _CHUNK_ROUNDS = 128
+
+
+class SingularPrecisionError(ValueError):
+    """A prior variance or a precision state cannot be a positive-definite precision."""
 
 
 @dataclass
@@ -92,6 +95,18 @@ class Scenario:
         else:
             if self.prior_mean is None or self.prior_variance_diag is None:
                 raise ValueError("gaussian engine requires a prior mean and variance diagonal")
+            dim = self.models[0].param_dim
+            for name in ("prior_mean", "prior_variance_diag"):
+                if np.shape(getattr(self, name)) != (dim,):
+                    raise ValueError(f"{name} must be a vector of {dim} entries, "
+                                     f"got shape {np.shape(getattr(self, name))}")
+            if not np.isfinite(self.prior_mean).all():
+                raise ValueError("prior_mean must be finite")
+            variances = np.asarray(self.prior_variance_diag, dtype=float)
+            with np.errstate(divide="ignore", over="ignore"):
+                if not ((variances > 0) & np.isfinite(1.0 / variances)).all():
+                    raise SingularPrecisionError(
+                        "prior_variance_diag entries must be > 0 with a finite reciprocal")
             if self.noise_var is None or self.noise_var <= 0:
                 raise ValueError("gaussian engine requires a positive noise variance")
 
@@ -267,12 +282,18 @@ def _increments(aug: np.ndarray, ys: np.ndarray, noise_var: float) -> np.ndarray
     return packed
 
 
+def _pack(mean, precision) -> np.ndarray:
+    """One state row: the ``d*d`` precision entries row by row, then the shift ``P m``."""
+    precision = np.asarray(precision, dtype=float)
+    return np.concatenate([precision.ravel(), precision @ np.asarray(mean, dtype=float)])
+
+
 @np.errstate(divide="ignore", invalid="ignore")  # only where a PD flag is False
 def _moments(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means, variance diagonals and PD flags of a batch of ``(P, h)`` states.
 
     ``entries`` is entry-major, ``(d*d + d, ...)``: along its first axis
-    runs the state layout of ``_increments``, and each entry is one
+    runs the state layout of ``_pack``, and each entry is one
     contiguous array over the batch. The means ``P^-1 h`` and the variances
     ``diag(P^-1)`` come back as ``(d, ...)`` and the flags as ``(...)``.
     The Cholesky factor ``P = L L^T`` is built entry by entry with ufunc
@@ -351,10 +372,9 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
     """
     aug, ys = samples
     n_rounds, n_trials, n_nodes, _, dim = aug.shape
-    prior = gau.from_mean_covariance_diag(scenario.prior_mean, scenario.prior_variance_diag)
     state = np.empty((n_trials, n_nodes, dim * dim + dim))
-    state[..., :dim * dim] = prior.precision.ravel()
-    state[..., dim * dim:] = prior.precision @ prior.mean
+    state[...] = _pack(scenario.prior_mean,
+                       np.diag(1.0 / np.asarray(scenario.prior_variance_diag, dtype=float)))
     merged = np.empty_like(state)
     means = np.empty((n_trials, n_rounds, n_nodes, dim))
     variances = np.empty_like(means)
@@ -377,7 +397,7 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
         if not positive.all():
             k = start + int(np.argmin(positive.all(axis=(1, 2))))
             ratio = np.max(scenario.prior_variance_diag) / scenario.noise_var
-            raise gau.SingularPrecisionError(
+            raise SingularPrecisionError(
                 f"round {k}: precision is not positive definite; the state is ill-conditioned: "
                 f"1/noise_std^2 is {ratio:.3g} times the least prior precision")
         means[:, rounds] = batch_means.transpose(2, 1, 3, 0)

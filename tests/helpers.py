@@ -1,30 +1,28 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and the reference oracles for the test suite."""
 
 import csv
 import io
 import json
+import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp, rel_entr
 
 from peerlearn import (
-    BeliefVector,
     BernoulliContextModel,
-    GaussianBelief,
     LinearGaussianModel,
     ParameterSet,
     Scenario,
     WeightMatrix,
     ZeroLikelihoodError,
-    from_mean_covariance_diag,
-    gaussian_consensus,
     make_regression_test_set,
     node_stream,
     validate_weight_matrix,
 )
-from peerlearn.beliefs import LOG_FLOOR
+from peerlearn.beliefs import LOG_FLOOR, row_normalize
 
 REGRESSION_THETA = [-0.3, 0.5, 0.8]
 REGRESSION_RANGES = [[-1.0, 1.0], [-1.5, 1.5]]
@@ -75,6 +73,64 @@ def in_neighbors(graph: WeightMatrix, node: int) -> np.ndarray:
     return np.flatnonzero(graph.weights[node] > 0.0)
 
 
+@dataclass
+class BeliefVector:
+    """Probability distribution over parameter indices, stored as logs.
+
+    ``clamped`` records whether the floor fired in the normalization that
+    produced the vector.
+    """
+
+    log_weights: np.ndarray
+    normalized: bool = False
+    clamped: bool = False
+
+    def probabilities(self) -> np.ndarray:
+        logs = self.log_weights
+        if not self.normalized:
+            logs = logs - logsumexp(logs)
+        return np.exp(logs)
+
+
+@dataclass(frozen=True)
+class GaussianBelief:
+    """Gaussian distribution over parameters in mean/precision form."""
+
+    mean: np.ndarray
+    precision: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.mean.size
+
+    def covariance(self) -> np.ndarray:
+        return cho_solve(cho_factor(self.precision, lower=True), np.eye(self.dim))
+
+    def log_density(self, points: np.ndarray) -> np.ndarray:
+        """Log density at each row of ``points``."""
+        centered = np.atleast_2d(np.asarray(points, dtype=float)) - self.mean[None, :]
+        quad = np.einsum("si,ij,sj->s", centered, self.precision, centered)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(cho_factor(self.precision, lower=True)[0]))))
+        return 0.5 * (logdet - self.dim * math.log(2.0 * math.pi) - quad)
+
+
+def gaussian_consensus(beliefs) -> GaussianBelief:
+    """Closed-form merge of (belief, weight) pairs: precisions average, means solve the blend.
+
+    The merged precision is the weighted sum of the input precisions and
+    the merged mean solves it against the weighted sum of the shifts
+    (precision times mean): the log-geometric-mean merge of Gaussians.
+    """
+    dim = beliefs[0][0].dim
+    precision = np.zeros((dim, dim))
+    shift = np.zeros(dim)
+    for belief, weight in beliefs:
+        precision += weight * belief.precision
+        shift += weight * (belief.precision @ belief.mean)
+    return GaussianBelief(mean=cho_solve(cho_factor(precision, lower=True), shift),
+                          precision=precision)
+
+
 def normalized_belief(raw_logs) -> BeliefVector:
     """The reference normalization: clamp at the floor, then scipy's log-sum-exp.
 
@@ -115,6 +171,17 @@ def reference_consensus(publics) -> BeliefVector:
     """Weighted geometric mean of (belief, weight) pairs, through the reference normalization."""
     weights = np.array([w for _, w in publics], dtype=float)
     return normalized_belief(weights @ np.stack([b.log_weights for b, _ in publics]))
+
+
+def discrete_engine_merge(logs, weights):
+    """One node's merge as the discrete round loop runs it: the product of its
+    weight row with the publics' log-beliefs, then the normalization kernel.
+
+    Returns the merged log-belief and whether the floor fired.
+    """
+    rows = np.matmul(np.asarray(weights, dtype=float)[None], np.stack(logs)[None])
+    fired = row_normalize(rows, np.empty_like(rows), rows.max(axis=-1, keepdims=True))
+    return rows[0, 0], bool(fired[0])
 
 
 def gaussian_bayes_update(prior: GaussianBelief, x, y: float, noise_var: float) -> GaussianBelief:
@@ -361,7 +428,8 @@ def gaussian_oracle(scenario: Scenario, central=False):
     ``central`` a single node applies every node's sample each round.
     """
     instances, labels = trial_samples(scenario)
-    prior = from_mean_covariance_diag(scenario.prior_mean, scenario.prior_variance_diag)
+    prior = GaussianBelief(mean=np.asarray(scenario.prior_mean, dtype=float),
+                           precision=np.diag(1.0 / np.asarray(scenario.prior_variance_diag)))
     graph, noise_var = scenario.graph, scenario.noise_var
     x_test, y_test = scenario.test_set
     aug_test = np.hstack([np.ones((len(y_test), 1)), x_test])

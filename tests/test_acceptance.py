@@ -6,9 +6,9 @@ Each criterion prints one pass/fail line; run with
 
 Criterion 2b is expected to fail: in the pinned regression scenario the
 type-2 node misses only the small coefficient (0.5 on a Unif[-1,1]
-coordinate), which caps its excess test MSE at about
-0.25 * E[x1^2] / noise_floor ~ 13 percent over the central baseline,
-structurally below the 20 percent margin the criterion demands. The
+coordinate), which caps its excess test MSE over the central baseline at
+its large-sample ceiling, 0.0791 on the pinned test set, structurally
+below the 0.20 margin the criterion demands. The
 test prints the measured margins next to each node's large-sample
 ceiling, so the structural shortfall can be told from an engine fault.
 """
@@ -20,31 +20,31 @@ import numpy as np
 import pytest
 
 from peerlearn import (
-    BeliefVector,
     BoundInputs,
-    GaussianBelief,
     ParameterSet,
     Scenario,
     assumption_bounds,
-    consensus_update,
-    discretized_consensus_oracle,
     empirical_risk_gap,
-    gaussian_consensus,
     risk_bound,
     run_experiment,
     run_trial,
     sample_complexity,
     separation_table,
+    sim,
     spectral_gap,
     verify_mixing_bound,
     verify_r_covering,
 )
+from peerlearn.beliefs import row_normalize
 from peerlearn.cli import main as cli_main
 
 from helpers import (
+    BeliefVector,
+    GaussianBelief,
     covering_grid_world,
     random_weight_matrix,
     recursion_residual,
+    reference_consensus,
     regression_scenario,
     three_node_bernoulli,
 )
@@ -178,7 +178,7 @@ def test_criterion_2c_baseline_at_noise_floor(regression_reports):
 
 
 # --------------------------------------------------------------------------
-# Criterion 3: the closed-form merge equals the discrete-grid merge.
+# Criterion 3: the gaussian engine's merge equals the discrete-grid merge.
 # --------------------------------------------------------------------------
 
 
@@ -216,10 +216,22 @@ def test_criterion_3_consensus_oracle_equivalence():
 
 
 def _oracle_log_gap(beliefs, weights, grid) -> float:
-    oracle = discretized_consensus_oracle(beliefs, weights, grid)
-    closed = gaussian_consensus(list(zip(beliefs, weights)))
-    log_direct = closed.log_density(grid.points)
+    """Largest log gap, over the grid, between the engine's merged Gaussian and the grid merge.
+
+    The engine side packs each belief as a state row, mixes the rows by the
+    weights as a round's merge does and takes the merged mean from the
+    engine's moments; the merged precision is the weighted sum of the
+    input precisions. The grid side merges the beliefs' log densities
+    through the reference consensus.
+    """
+    merged = np.asarray(weights) @ np.stack([sim._pack(b.mean, b.precision) for b in beliefs])
+    means, _, positive = sim._moments(merged[:, None])
+    assert positive.all()
+    precision = sum(w * b.precision for b, w in zip(beliefs, weights))
+    log_direct = GaussianBelief(means[:, 0], precision).log_density(grid.points)
     log_direct = log_direct - _logsumexp(log_direct)
+    oracle = reference_consensus(
+        [(BeliefVector(b.log_density(grid.points)), w) for b, w in zip(beliefs, weights)])
     return float(np.max(np.abs(oracle.log_weights - log_direct)))
 
 
@@ -274,29 +286,29 @@ def test_criterion_5_mixing_bound_random_matrices():
 
 
 # --------------------------------------------------------------------------
-# Criterion 6: consensus ignores per-input normalization constants.
+# Criterion 6: the discrete engine's merge ignores per-input normalization
+# constants.
 # --------------------------------------------------------------------------
 
 
 def test_criterion_6_shift_invariance_bulk():
+    # Each merge is the discrete engine's: one product of the weights with
+    # the public log-beliefs (one row of a round's weight matrix over one
+    # trial's k publics), then the normalization kernel.
     rng = np.random.default_rng(66)
     worst = 0.0
     for _ in range(1000):
         m = int(rng.integers(2, 11))
         k = int(rng.integers(1, 7))
-        logs = [rng.normal(scale=10.0, size=m) for _ in range(k)]
+        logs = np.stack([rng.normal(scale=10.0, size=m) for _ in range(k)])
         weights = rng.dirichlet(np.ones(k))
         shifts = rng.uniform(-80.0, 80.0, size=k)
-        plain = consensus_update(
-            [(BeliefVector(lw), w) for lw, w in zip(logs, weights)]
-        )
-        shifted = consensus_update(
-            [(BeliefVector(lw + c), w) for lw, c, w in zip(logs, shifts, weights)]
-        )
-        worst = max(
-            worst,
-            float(np.max(np.abs(plain.probabilities() - shifted.probabilities()))),
-        )
+        probabilities = []
+        for publics in (logs, logs + shifts[:, None]):
+            rows = np.matmul(weights[None], publics[None])
+            row_normalize(rows, np.empty_like(rows), rows.max(axis=-1, keepdims=True))
+            probabilities.append(np.exp(rows))
+        worst = max(worst, float(np.max(np.abs(probabilities[0] - probabilities[1]))))
     ok = report_line(
         "criterion 6 (consensus shift invariance, 1000 cases)",
         worst <= 1e-12,

@@ -1,5 +1,6 @@
-"""Log-space belief vectors: the reference priors and Bayes step, the
-consensus merge, the normalization kernel, and the engine's estimator."""
+"""Log-space beliefs: the reference prior and Bayes step, the discrete
+engine's merge (one product by the weights, then the normalization kernel),
+the kernel against the reference normalization, and the engine's estimator."""
 
 import numpy as np
 import pytest
@@ -8,20 +9,22 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from peerlearn import (
-    BeliefVector,
     BernoulliContextModel,
-    DimensionMismatchError,
     ParameterSet,
     Scenario,
-    WeightMismatchError,
     ZeroLikelihoodError,
-    consensus_update,
     run_trial,
     validate_weight_matrix,
 )
 from peerlearn.beliefs import LOG_FLOOR, row_normalize
 
-from helpers import bayesian_update, normalized_belief, uniform_prior
+from helpers import (
+    BeliefVector,
+    bayesian_update,
+    discrete_engine_merge,
+    normalized_belief,
+    uniform_prior,
+)
 
 
 def belief_from_probs(probs) -> BeliefVector:
@@ -30,6 +33,10 @@ def belief_from_probs(probs) -> BeliefVector:
 
 def is_normalized(belief: BeliefVector) -> bool:
     return bool(abs(logsumexp(belief.log_weights)) <= 1e-9)
+
+
+def merged_probs(logs, weights) -> np.ndarray:
+    return np.exp(discrete_engine_merge(logs, weights)[0])
 
 
 def engine_estimates(points, truth, n_rounds=200) -> np.ndarray:
@@ -104,38 +111,17 @@ class TestBayesianUpdate:
 
 class TestConsensusUpdate:
     def test_idempotent_on_identical_inputs(self):
-        b = belief_from_probs([0.6, 0.3, 0.1])
-        merged = consensus_update([(b, 0.2), (b, 0.5), (b, 0.3)])
-        np.testing.assert_allclose(merged.probabilities(), [0.6, 0.3, 0.1], atol=1e-12)
+        logs = np.log([0.6, 0.3, 0.1])
+        merged = merged_probs([logs] * 3, [0.2, 0.5, 0.3])
+        np.testing.assert_allclose(merged, [0.6, 0.3, 0.1], atol=1e-12)
 
     def test_symmetric_pair_averages_to_uniform(self):
-        merged = consensus_update(
-            [(belief_from_probs([0.8, 0.2]), 0.5), (belief_from_probs([0.2, 0.8]), 0.5)]
-        )
-        np.testing.assert_allclose(merged.probabilities(), [0.5, 0.5], atol=1e-12)
+        merged = merged_probs([np.log([0.8, 0.2]), np.log([0.2, 0.8])], [0.5, 0.5])
+        np.testing.assert_allclose(merged, [0.5, 0.5], atol=1e-12)
 
     def test_one_hot_weights_select_input(self):
-        a = belief_from_probs([0.9, 0.1])
-        b = belief_from_probs([0.3, 0.7])
-        merged = consensus_update([(a, 0.0), (b, 1.0)])
-        np.testing.assert_allclose(merged.probabilities(), [0.3, 0.7], atol=1e-12)
-
-    def test_rejects_bad_weight_sum(self):
-        a = belief_from_probs([0.5, 0.5])
-        with pytest.raises(WeightMismatchError):
-            consensus_update([(a, 0.7), (a, 0.7)])
-
-    def test_rejects_negative_weight(self):
-        a = belief_from_probs([0.5, 0.5])
-        with pytest.raises(WeightMismatchError):
-            consensus_update([(a, 1.5), (a, -0.5)])
-
-    def test_rejects_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            consensus_update(
-                [(belief_from_probs([0.5, 0.5]), 0.5),
-                 (belief_from_probs([0.2, 0.3, 0.5]), 0.5)]
-            )
+        merged = merged_probs([np.log([0.9, 0.1]), np.log([0.3, 0.7])], [0.0, 1.0])
+        np.testing.assert_allclose(merged, [0.3, 0.7], atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -152,24 +138,16 @@ class TestConsensusUpdate:
             st.floats(0.01, 1.0), min_size=k, max_size=k)))
         weights = raw_w / raw_w.sum()
         shifts = [data.draw(st.floats(-100, 100)) for _ in range(k)]
-        plain = consensus_update(
-            [(BeliefVector(lw), w) for lw, w in zip(logs, weights)]
-        )
-        shifted = consensus_update(
-            [(BeliefVector(lw + c), w) for lw, c, w in zip(logs, shifts, weights)]
-        )
-        np.testing.assert_allclose(
-            plain.probabilities(), shifted.probabilities(), atol=1e-12
-        )
+        plain = merged_probs(logs, weights)
+        shifted = merged_probs([lw + c for lw, c in zip(logs, shifts)], weights)
+        np.testing.assert_allclose(plain, shifted, atol=1e-12)
 
     def test_normalization_preserved(self, rng):
         for _ in range(25):
             k = int(rng.integers(1, 6))
-            inputs = [
-                (BeliefVector(rng.normal(size=5)), w)
-                for w in rng.dirichlet(np.ones(k))
-            ]
-            assert is_normalized(consensus_update(inputs))
+            logs = [rng.normal(size=5) for _ in range(k)]
+            merged, _ = discrete_engine_merge(logs, rng.dirichlet(np.ones(k)))
+            assert abs(logsumexp(merged)) <= 1e-9
 
 
 class TestMapEstimate:
@@ -194,18 +172,17 @@ class TestMapEstimate:
 
 class TestFloorClamp:
     def test_clamp_flag_fires_below_floor(self):
-        deep = BeliefVector(np.array([0.0, LOG_FLOOR - 100.0]))
-        merged = consensus_update([(deep, 1.0)])
-        assert merged.clamped
-        assert np.all(np.isfinite(merged.log_weights))
+        merged, fired = discrete_engine_merge([np.array([0.0, LOG_FLOOR - 100.0])], [1.0])
+        assert fired
+        assert np.all(np.isfinite(merged))
 
     def test_entries_never_minus_infinity(self):
-        merged = consensus_update([(BeliefVector(np.array([0.0, -np.inf])), 1.0)])
-        assert np.all(np.isfinite(merged.log_weights))
+        merged, _ = discrete_engine_merge([np.array([0.0, -np.inf])], [1.0])
+        assert np.all(np.isfinite(merged))
 
 
 class TestNormalizationKernel:
-    """The kernel that the merge and the discrete engine share, against the reference."""
+    """The kernel of the discrete engine's Bayes step and merge, against the reference."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())

@@ -1,5 +1,7 @@
-"""Gaussian beliefs, the reference conjugate update, the closed-form merge,
-and the grid oracle that certifies the merge."""
+"""The reference conjugate update, the gaussian engine's merge (packed
+``(P, h)`` rows mixed by the weights, then the moments kernel), and the
+discrete engine's merge of Gaussian log densities on a grid, checked
+against each other and against the closed-form merge."""
 
 import numpy as np
 import pytest
@@ -7,47 +9,61 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from peerlearn import (
+from peerlearn import sim
+
+from helpers import (
     GaussianBelief,
-    ParameterSet,
-    SingularPrecisionError,
-    WeightMismatchError,
-    discretized_consensus_oracle,
-    from_mean_covariance_diag,
+    discrete_engine_merge,
+    gaussian_bayes_update,
     gaussian_consensus,
 )
-
-from helpers import gaussian_bayes_update
 
 PRIOR_MEAN = np.zeros(3)
 PRIOR_VAR = np.full(3, 0.5)
 NOISE_VAR = 0.64
 
 
+def diagonal_prior(mean, variances) -> GaussianBelief:
+    return GaussianBelief(np.asarray(mean, dtype=float), np.diag(1.0 / np.asarray(variances)))
+
+
 def reference_prior() -> GaussianBelief:
-    return from_mean_covariance_diag(PRIOR_MEAN, PRIOR_VAR)
+    return diagonal_prior(PRIOR_MEAN, PRIOR_VAR)
+
+
+def gaussian_engine_merge(beliefs, weights) -> np.ndarray:
+    """The gaussian engine's merge: each belief packed as a state row, the
+    rows mixed by the weights as one row of a round's weight matrix."""
+    return np.asarray(weights) @ np.stack([sim._pack(b.mean, b.precision) for b in beliefs])
+
+
+def engine_moments(row: np.ndarray):
+    """The mean and the variance diagonal of one packed state, from the engine's kernel."""
+    means, variances, positive = sim._moments(row[:, None])
+    assert positive.all()
+    return means[:, 0], variances[:, 0]
+
+
+def grid_merge(beliefs, weights, points):
+    """The discrete engine's merge of the beliefs' log densities on ``points``."""
+    return discrete_engine_merge([b.log_density(points) for b in beliefs], weights)
 
 
 class TestBeliefType:
-    def test_rejects_asymmetric_precision(self):
-        with pytest.raises(SingularPrecisionError):
-            GaussianBelief(np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
+    """The gaussian engine's belief: one packed ``(P, h)`` state row and its moments."""
 
     def test_rejects_indefinite_precision(self):
-        with pytest.raises(SingularPrecisionError):
-            GaussianBelief(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_rejects_non_finite_mean(self):
-        with pytest.raises(ValueError):
-            GaussianBelief(np.array([np.inf, 0.0]), np.eye(2))
+        row = sim._pack(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert not sim._moments(row[:, None])[2].any()
 
     def test_covariance_inverts_precision(self, rng):
         root = rng.normal(size=(3, 3))
         precision = root @ root.T + 3 * np.eye(3)
-        belief = GaussianBelief(rng.normal(size=3), precision)
-        np.testing.assert_allclose(
-            belief.covariance() @ precision, np.eye(3), atol=1e-10
-        )
+        mean = rng.normal(size=3)
+        engine_mean, variances = engine_moments(sim._pack(mean, precision))
+        covariance = np.linalg.inv(precision)
+        np.testing.assert_allclose(variances, np.diag(covariance), atol=1e-10)
+        np.testing.assert_allclose(engine_mean, mean, atol=1e-10)
 
 
 class TestBayesUpdate:
@@ -77,8 +93,7 @@ class TestBayesUpdate:
 
     def test_information_never_decreases_along_observation(self, rng):
         for _ in range(20):
-            prior = from_mean_covariance_diag(rng.normal(size=3),
-                                              rng.uniform(0.1, 2.0, 3))
+            prior = diagonal_prior(rng.normal(size=3), rng.uniform(0.1, 2.0, 3))
             x = rng.normal(size=2)
             post = gaussian_bayes_update(prior, x, float(rng.normal()), 0.5)
             aug = np.concatenate(([1.0], x))
@@ -93,64 +108,57 @@ class TestConsensus:
     def test_identical_inputs_are_fixed_point(self, rng):
         root = rng.normal(size=(3, 3))
         belief = GaussianBelief(rng.normal(size=3), root @ root.T + 2 * np.eye(3))
-        merged = gaussian_consensus([(belief, 0.3), (belief, 0.7)])
-        np.testing.assert_allclose(merged.mean, belief.mean, atol=1e-10)
-        np.testing.assert_allclose(merged.precision, belief.precision, atol=1e-10)
+        merged = gaussian_engine_merge([belief, belief], [0.3, 0.7])
+        np.testing.assert_allclose(merged, sim._pack(belief.mean, belief.precision), atol=1e-10)
+        np.testing.assert_allclose(engine_moments(merged)[0], belief.mean, atol=1e-10)
 
     def test_equal_precisions_average_means(self):
         precision = np.diag([2.0, 5.0])
         a = GaussianBelief(np.array([1.0, -1.0]), precision)
         b = GaussianBelief(np.array([3.0, 5.0]), precision)
-        merged = gaussian_consensus([(a, 0.5), (b, 0.5)])
-        np.testing.assert_allclose(merged.precision, precision, atol=1e-12)
-        np.testing.assert_allclose(merged.mean, [2.0, 2.0], atol=1e-12)
+        merged = gaussian_engine_merge([a, b], [0.5, 0.5])
+        np.testing.assert_allclose(merged, sim._pack([2.0, 2.0], precision), atol=1e-12)
+        np.testing.assert_allclose(engine_moments(merged)[0], [2.0, 2.0], atol=1e-12)
 
     def test_scalar_reference_case(self):
         a = GaussianBelief(np.array([0.0]), np.array([[1.0]]))
         b = GaussianBelief(np.array([2.0]), np.array([[3.0]]))
-        merged = gaussian_consensus([(a, 0.5), (b, 0.5)])
-        assert merged.precision[0, 0] == pytest.approx(2.0, abs=1e-12)
-        assert merged.mean[0] == pytest.approx(1.5, abs=1e-12)
-
-    def test_rejects_bad_weights(self):
-        a = GaussianBelief(np.zeros(1), np.eye(1))
-        with pytest.raises(WeightMismatchError):
-            gaussian_consensus([(a, 0.4), (a, 0.4)])
-        with pytest.raises(WeightMismatchError):
-            gaussian_consensus([(a, 1.5), (a, -0.5)])
+        mean, variance = engine_moments(gaussian_engine_merge([a, b], [0.5, 0.5]))
+        assert variance[0] == pytest.approx(0.5, abs=1e-12)
+        assert mean[0] == pytest.approx(1.5, abs=1e-12)
 
 
 class TestDiscretizedOracle:
+    """The discrete engine's merge on a grid against the closed form and the gaussian engine."""
+
     def test_scalar_merge_argmax_near_closed_form(self):
         a = GaussianBelief(np.array([0.0]), np.array([[1.0]]))
         b = GaussianBelief(np.array([2.0]), np.array([[3.0]]))
-        grid = ParameterSet(np.linspace(-10.0, 10.0, 4001)[:, None])
-        oracle = discretized_consensus_oracle([a, b], [0.5, 0.5], grid)
-        peak = grid.points[np.argmax(oracle.log_weights), 0]
+        grid = np.linspace(-10.0, 10.0, 4001)[:, None]
+        merged, _ = grid_merge([a, b], [0.5, 0.5], grid)
+        peak = grid[np.argmax(merged), 0]
         assert abs(peak - 1.5) <= (20.0 / 4000.0) + 1e-12
 
     def test_identical_inputs_match_discretized_input(self):
         belief = GaussianBelief(np.array([0.4]), np.array([[2.0]]))
-        grid = ParameterSet(np.linspace(-8.0, 8.0, 1001)[:, None])
-        oracle = discretized_consensus_oracle([belief, belief], [0.5, 0.5], grid)
-        direct = np.exp(belief.log_density(grid.points))
+        grid = np.linspace(-8.0, 8.0, 1001)[:, None]
+        merged, _ = grid_merge([belief, belief], [0.5, 0.5], grid)
+        direct = np.exp(belief.log_density(grid))
         direct /= direct.sum()
-        np.testing.assert_allclose(oracle.probabilities(), direct, atol=1e-9)
+        np.testing.assert_allclose(np.exp(merged), direct, atol=1e-9)
 
     def test_moments_match_closed_form_merge(self):
         a = GaussianBelief(np.array([0.0]), np.array([[1.0]]))
         b = GaussianBelief(np.array([2.0]), np.array([[3.0]]))
         step = 20.0 / 4000.0
-        grid = ParameterSet(np.linspace(-10.0, 10.0, 4001)[:, None])
-        oracle = discretized_consensus_oracle([a, b], [0.5, 0.5], grid)
-        probs = oracle.probabilities()
-        mean = float(probs @ grid.points[:, 0])
-        second = float(probs @ grid.points[:, 0] ** 2)
-        merged = gaussian_consensus([(a, 0.5), (b, 0.5)])
-        assert mean == pytest.approx(merged.mean[0], abs=10 * step**2)
-        assert second - mean**2 == pytest.approx(
-            merged.covariance()[0, 0], abs=10 * step**2
-        )
+        grid = np.linspace(-10.0, 10.0, 4001)
+        merged, _ = grid_merge([a, b], [0.5, 0.5], grid[:, None])
+        probs = np.exp(merged)
+        mean = float(probs @ grid)
+        second = float(probs @ grid**2)
+        engine_mean, engine_variance = engine_moments(gaussian_engine_merge([a, b], [0.5, 0.5]))
+        assert mean == pytest.approx(engine_mean[0], abs=10 * step**2)
+        assert second - mean**2 == pytest.approx(engine_variance[0], abs=10 * step**2)
 
     def test_pointwise_density_match_small_3d(self, rng):
         # Gaussian closure: grid values of the discrete merge equal the
@@ -163,15 +171,14 @@ class TestDiscretizedOracle:
             )
         weights = [0.3, 0.7]
         points = rng.uniform(-4, 4, size=(500, 3))
-        grid = ParameterSet(points)
-        oracle = discretized_consensus_oracle(beliefs, weights, grid)
+        merged, _ = grid_merge(beliefs, weights, points)
         closed = gaussian_consensus(list(zip(beliefs, weights)))
+        np.testing.assert_allclose(engine_moments(gaussian_engine_merge(beliefs, weights))[0],
+                                   closed.mean, atol=1e-10)
         log_direct = closed.log_density(points)
         direct = np.exp(log_direct - log_direct.max())
         direct /= direct.sum()
-        np.testing.assert_allclose(
-            oracle.probabilities() / direct, 1.0, atol=1e-6
-        )
+        np.testing.assert_allclose(np.exp(merged) / direct, 1.0, atol=1e-6)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.data())
@@ -193,9 +200,8 @@ class TestDiscretizedOracle:
         raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=count, max_size=count)))
         weights = raw / raw.sum()
         axis = np.linspace(-4.0, 4.0, 201 if dim == 1 else 41)
-        grid = ParameterSet(np.stack(np.meshgrid(*[axis] * dim), axis=-1).reshape(-1, dim))
-        oracle = discretized_consensus_oracle(beliefs, weights, grid)
-        log_direct = gaussian_consensus(list(zip(beliefs, weights))).log_density(grid.points)
-        np.testing.assert_allclose(oracle.log_weights, log_direct - logsumexp(log_direct),
-                                   rtol=0, atol=1e-9)
-        assert not oracle.clamped
+        grid = np.stack(np.meshgrid(*[axis] * dim), axis=-1).reshape(-1, dim)
+        merged, fired = grid_merge(beliefs, weights, grid)
+        log_direct = gaussian_consensus(list(zip(beliefs, weights))).log_density(grid)
+        np.testing.assert_allclose(merged, log_direct - logsumexp(log_direct), rtol=0, atol=1e-9)
+        assert not fired

@@ -1,6 +1,7 @@
 """Round engine: determinism, barriers, learning behavior, baselines."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peerlearn import (
-    BeliefVector,
     BernoulliContextModel,
     CategoricalContextModel,
     LinearGaussianModel,
@@ -16,7 +16,6 @@ from peerlearn import (
     Scenario,
     SingularPrecisionError,
     ZeroLikelihoodError,
-    consensus_update,
     make_regression_test_set,
     node_stream,
     run_experiment,
@@ -28,6 +27,7 @@ from peerlearn import (
 from helpers import (
     REGRESSION_THETA,
     REGRESSION_W,
+    BeliefVector,
     bayesian_update,
     discrete_oracle,
     floor_clamp_scenario,
@@ -37,6 +37,7 @@ from helpers import (
     peak_bytes,
     random_weight_matrix,
     recursion_residual,
+    reference_consensus,
     regression_scenario,
     three_node_bernoulli,
     trial_samples,
@@ -188,7 +189,7 @@ class TestDiscreteEngine:
                 bayesian_update(q, model, theta, x, y) for q in privates
             ]
             privates = [
-                consensus_update(
+                reference_consensus(
                     [(publics[j], graph.weights[i, j])
                      for j in in_neighbors(graph, i)]
                 )
@@ -217,6 +218,25 @@ class TestScenarioValidation:
         scenario.prior_mean = None
         with pytest.raises(ValueError):
             scenario.validate()
+
+    @pytest.mark.parametrize("mean, variances, error, match", [
+        ([0.0, 0.0, 0.0], [0.5, 0.0, 0.5], SingularPrecisionError, "^prior_variance_diag "),
+        ([0.0, 0.0, 0.0], [0.5, -1.0, 0.5], SingularPrecisionError, "^prior_variance_diag "),
+        ([0.0, 0.0], [0.5, 0.5], ValueError, r"^prior_mean must be a vector of 3 entries"),
+        ([0.0, np.nan, 0.0], [0.5, 0.5, 0.5], ValueError, "^prior_mean must be finite"),
+        ([0.0, 0.0, 0.0], [0.5, 0.5], ValueError,
+         r"^prior_variance_diag must be a vector of 3 entries"),
+    ], ids=["zero-variance", "negative-variance", "short-prior", "nan-mean", "short-variance"])
+    def test_gaussian_prior_is_checked_at_validate_time(self, mean, variances, error, match):
+        # A programmatic scenario never goes through the config parser, so
+        # the prior the engine packs is checked here, field by field.
+        scenario = dataclasses.replace(regression_scenario(n_rounds=5),
+                                       prior_mean=np.array(mean),
+                                       prior_variance_diag=np.array(variances))
+        with pytest.raises(error, match=match):
+            scenario.validate()
+        with pytest.raises(error, match=match):
+            run_experiment(scenario)
 
 
 def entry_major(precision: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -499,6 +519,17 @@ class TestExperimentAggregation:
         assert report.baseline_final_mse > 0
 
 
+def test_readme_library_example():
+    # The fenced python block under "Library example" in README.md runs as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    namespace = {}
+    exec(compile(example.split("```", 1)[0], "README.md", "exec"), namespace)
+    report = namespace["report"]
+    assert report.final_mse_per_node.shape == (2,)
+    assert 0.64 <= report.baseline_final_mse <= 0.70
+
+
 class TestEngineCrossCheck:
     def test_discrete_grid_tracks_gaussian_posterior(self):
         # Intercept-only regression: replay the gaussian engine's samples
@@ -532,7 +563,7 @@ class TestEngineCrossCheck:
                 for i in range(2)
             ]
             privates = [
-                consensus_update(
+                reference_consensus(
                     [(publics[j], graph.weights[i, j])
                      for j in in_neighbors(graph, i)]
                 )
