@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -573,10 +575,7 @@ def _jsonable(value):
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
-        value = float(value)
-        if math.isinf(value):
-            return "inf"
-        return value
+        return "inf" if math.isinf(value) else float(value)
     if isinstance(value, np.integer):
         return int(value)
     return value
@@ -623,7 +622,11 @@ def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
         scenario.trials = trials
     directory = Path(out_dir if out_dir is not None else doc.output["directory"])
     fmt = fmt if fmt is not None else doc.output["format"]
-
+    # Fail as mkdir would, but before the run and without creating anything.
+    base = next(p for p in (directory, *directory.parents) if p.exists())
+    if not base.is_dir():
+        code = errno.EEXIST if base == directory else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(directory))
     report = run_experiment(scenario, workers=workers)
     directory.mkdir(parents=True, exist_ok=True)
     _write_metrics(report, scenario, directory, fmt)

@@ -86,8 +86,9 @@ class ParameterSet:
 class LikelihoodModel:
     """Per-node observation model: instance law, label law, and likelihoods.
 
-    Subclasses implement sampling plus closed-form conditional divergences.
-    ``thetas`` arguments are (M, param_dim) arrays of candidate parameters.
+    Subclasses implement sampling, closed-form conditional divergences and
+    ``log_likelihood_matrix`` or ``log_likelihood_codes``, whose defaults use
+    each other. ``thetas`` arguments are (M, param_dim) candidate arrays.
     """
 
     node_id: int
@@ -101,11 +102,20 @@ class LikelihoodModel:
 
     def log_likelihood_matrix(self, thetas: np.ndarray, xs, ys) -> np.ndarray:
         """Log likelihoods for a whole sample batch, shape (len(xs), M)."""
-        raise NotImplementedError
+        encode, gather = self.log_likelihood_codes(thetas)
+        return gather(encode(xs, ys))
 
-    def log_likelihood_lookup(self, thetas: np.ndarray):
-        """``log_likelihood_matrix`` with ``thetas`` bound: ``(xs, ys) -> (len(xs), M)``."""
-        return lambda xs, ys: self.log_likelihood_matrix(thetas, xs, ys)
+    def log_likelihood_codes(self, thetas: np.ndarray):
+        """``log_likelihood_matrix`` in two steps, with ``thetas`` bound: ``(encode, gather)``.
+
+        ``encode(xs, ys)`` gives one code per sample, here the row ``[x, y]``,
+        and ``gather(codes, out=None)`` their ``(len(codes), M)`` log likelihoods.
+        """
+        def gather(codes, out=None):
+            out = np.empty((len(codes), len(thetas))) if out is None else out
+            out[...] = self.log_likelihood_matrix(thetas, codes[:, :-1], codes[:, -1])
+            return out
+        return (lambda xs, ys: np.column_stack([xs, ys])), gather
 
     def kl_to_truth(self, thetas: np.ndarray, xs) -> np.ndarray:
         """Conditional KL(truth || likelihood(theta)) per (theta, instance)."""
@@ -177,13 +187,11 @@ class ContextModel(LikelihoodModel):
         u = rng.random(len(xs))
         return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
 
-    def log_likelihood_matrix(self, thetas, xs, ys):
-        return self.log_likelihood_lookup(thetas)(xs, ys)
-
-    def log_likelihood_lookup(self, thetas):
-        """One gather into the (n_contexts, K, M) log table, built once."""
-        table = np.ascontiguousarray(self._log_tables(thetas).transpose(1, 2, 0))
-        return lambda xs, ys: table[xs, ys]
+    def log_likelihood_codes(self, thetas):
+        """A code is the row ``x * K + y`` of an (n_contexts * K, M) log table, built once."""
+        table = np.ascontiguousarray(self._log_tables(thetas).reshape(len(thetas), -1).T)
+        return (lambda xs, ys: np.asarray(xs) * self.n_labels + ys,
+                lambda codes, out=None: np.take(table, codes, axis=0, out=out))
 
     def kl_to_truth(self, thetas, xs):
         return rel_entr(self.true_table[xs], self._tables(thetas)[:, xs]).sum(axis=2)
@@ -232,8 +240,7 @@ class BernoulliContextModel(ContextModel):
 
     def _log_tables(self, thetas):
         with np.errstate(divide="ignore"):
-            return np.concatenate([np.log1p(-thetas)[..., None], np.log(thetas)[..., None]],
-                                  axis=2)
+            return np.stack([np.log1p(-thetas), np.log(thetas)], axis=2)
 
     def sample_labels(self, rng, xs):
         return (rng.random(len(xs)) < self.true_table[xs, 1]).astype(np.int64)
@@ -297,10 +304,8 @@ class LinearGaussianModel(LikelihoodModel):
         return means + self.noise_std * rng.standard_normal(len(means))
 
     def log_likelihood_matrix(self, thetas, xs, ys):
-        means = augment(xs) @ thetas.T
-        return -0.5 * ((np.asarray(ys)[:, None] - means) / self.noise_std) ** 2 - math.log(
-            self.noise_std * math.sqrt(2.0 * math.pi)
-        )
+        residuals = (np.asarray(ys)[:, None] - augment(xs) @ thetas.T) / self.noise_std
+        return -0.5 * residuals**2 - math.log(self.noise_std * math.sqrt(2.0 * math.pi))
 
     def kl_to_truth(self, thetas, xs):
         return self.kl_between(thetas, self.true_theta, xs)  # the equal-variance KL is symmetric
@@ -428,11 +433,7 @@ def verify_r_covering(phi_samples, theta_set: ParameterSet, models,
 
 def assumption_bounds(models, theta_set: ParameterSet) -> tuple[float, float] | None:
     """Network-wide likelihood bounds (alpha, L), or None if any family is unbounded."""
-    lows, highs = [], []
-    for model in models:
-        bounds = model.likelihood_bounds(theta_set.points)
-        if bounds is None:
-            return None
-        lows.append(bounds[0])
-        highs.append(bounds[1])
-    return min(lows), max(highs)
+    bounds = [model.likelihood_bounds(theta_set.points) for model in models]
+    if None in bounds:
+        return None
+    return min(low for low, _ in bounds), max(high for _, high in bounds)

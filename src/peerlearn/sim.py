@@ -18,10 +18,10 @@ factorization of the batch, whose pivots are the positive-definiteness
 gate, gives the means and variances.
 
 Randomness is counter-based: every (master_seed, trial, node) triple keys
-an independent Philox stream, and each node consumes a fixed number of
-draws per round (all instances first, then all labels). Results are
-therefore a pure function of the scenario and master seed, independent of
-how many trials share a batch.
+an independent Philox stream, and each stream is drawn once per run: all
+rounds' instances, then all their labels. Results are therefore a pure
+function of the scenario and master seed, independent of how many trials
+share a batch.
 """
 
 from __future__ import annotations
@@ -165,15 +165,11 @@ def node_stream(master_seed: int, trial: int, node: int) -> np.random.Generator:
 
 
 def _draw_trial_samples(scenario: Scenario, trial: int):
-    """Pre-draw each node's per-round samples; order is fixed per stream."""
-    instances, labels = [], []
+    """Each node's ``(instances, labels)`` for all rounds of a trial, from its own stream."""
     for node, model in enumerate(scenario.models):
         rng = node_stream(scenario.master_seed, trial, node)
         xs = model.sample_instances(rng, scenario.n_rounds)
-        ys = model.sample_labels(rng, xs)
-        instances.append(xs)
-        labels.append(ys)
-    return instances, labels
+        yield xs, model.sample_labels(rng, xs)
 
 
 def make_regression_test_set(size: int, ranges, true_theta, noise_std: float,
@@ -199,20 +195,25 @@ def run_trial(scenario: Scenario, trial_index: int, global_optima=None) -> Trial
 def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[TrialResult]:
     """The log-linear round engine over a finite parameter set, batched over (trial, node).
 
-    State is the log-beliefs ``(T, N, M)``. Each round adds every node's
-    log-likelihood of its sample (the Bayes update, one gather from a
-    per-run table) and normalizes; then, if the scenario is cooperative,
-    one product with the graph weights takes each node's weighted
-    log-geometric mean of its in-neighbors. The result is normalized again
-    either way. A trial's ``clamp_events`` counts, over its rounds, each of
-    these two normalizations in which the floor fired for some node.
+    Each (trial, node) stream is drawn once, each sample kept as its model's
+    code (``log_likelihood_codes``). State is the log-beliefs ``(T, N, M)``.
+    Each round gathers every node's log-likelihoods by code into the publics,
+    adds the privates (the Bayes update) and normalizes; if the scenario is
+    cooperative, one product with the graph weights then takes each node's
+    weighted log-geometric mean of its in-neighbors. The result is normalized
+    again either way. A trial's ``clamp_events`` counts, over its rounds, each
+    of these two normalizations in which the floor fired for some node.
     """
     n_trials, n_rounds = len(trials), scenario.n_rounds
     n_nodes, n_params = scenario.graph.n_nodes, scenario.theta_set.n_points
-    draws = [_draw_trial_samples(scenario, t) for t in trials]
-    instances = [np.stack([xs[i] for xs, _ in draws]) for i in range(n_nodes)]
-    labels = [np.stack([ys[i] for _, ys in draws]) for i in range(n_nodes)]
-    lookups = [model.log_likelihood_lookup(scenario.theta_set.points) for model in scenario.models]
+    codecs = [model.log_likelihood_codes(scenario.theta_set.points) for model in scenario.models]
+    codes = []  # per node, (T, K, ...): each sample as its code
+    for t, trial in enumerate(trials):
+        for i, sample in enumerate(_draw_trial_samples(scenario, trial)):
+            code = codecs[i][0](*sample)
+            if t == 0:
+                codes.append(np.empty((n_trials,) + code.shape, code.dtype))
+            codes[i][t] = code
 
     private = np.full((n_trials, n_nodes, n_params), -np.log(n_params))
     public, scratch = np.empty_like(private), np.empty_like(private)
@@ -220,8 +221,9 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
     beliefs = np.empty(estimates.shape + (n_params,)) if scenario.record_beliefs else None
     clamp_events = np.zeros(n_trials, dtype=np.int64)
     for k in range(n_rounds):
-        for i, lookup in enumerate(lookups):
-            np.add(private[:, i], lookup(instances[i][:, k], labels[i][:, k]), out=public[:, i])
+        for i, (_, gather) in enumerate(codecs):
+            gather(codes[i][:, k], out=public[:, i])
+        public += private
         peak = public.max(axis=-1, keepdims=True)
         if not np.all(np.isfinite(peak)):
             raise bel.ZeroLikelihoodError(f"round {k}: every likelihood underflowed for some node")
@@ -252,7 +254,7 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
 @np.errstate(over="ignore")  # overflow reaches the state, which _gaussian_rounds gates
 def _gaussian_samples(scenario: Scenario, trials) -> tuple[np.ndarray, np.ndarray]:
     """Instances with a leading 1, ``a (K, T, N, d)``, and labels over ``s^2``, ``(K, T, N)``."""
-    samples = [_draw_trial_samples(scenario, t) for t in trials]
+    samples = [list(zip(*_draw_trial_samples(scenario, t))) for t in trials]
     aug = augment([instances for instances, _ in samples])  # (T, N, K, d)
     ys = np.array([labels for _, labels in samples]).transpose(2, 0, 1) / scenario.noise_var
     return np.ascontiguousarray(aug.transpose(2, 0, 1, 3)), ys
@@ -491,8 +493,7 @@ def run_experiment(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     scenario.validate()
     spectral = spectral_gap(scenario.graph)
 
-    separation = inputs = bound = violated = reason = None
-    baselines = None
+    separation = inputs = bound = violated = reason = baselines = None
     if scenario.engine == "discrete":
         separation, inputs, bound, violated, reason = sample_bound(scenario, spectral)
         results = _discrete_rounds(scenario, range(scenario.trials), separation.global_optima)
@@ -517,15 +518,10 @@ def run_experiment(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     )
 
     if scenario.engine == "discrete":
-        failures = sum(1 for r in results if r.success is False)
-        report.empirical_error = failures / scenario.trials
-        star_mask = np.zeros(scenario.theta_set.n_points, dtype=bool)
-        star_mask[list(separation.global_optima)] = True
-        per_round_ok = np.stack(
-            [star_mask[r.estimate_history].all(axis=1) for r in results]
-        ).all(axis=0)
-        hits = np.flatnonzero(per_round_ok)
-        report.first_all_success_round = int(hits[0]) if hits.size else None
+        report.empirical_error = sum(r.success is False for r in results) / scenario.trials
+        all_ok = np.all([np.isin(r.estimate_history, separation.global_optima).all(axis=1)
+                         for r in results], axis=0)  # per round
+        report.first_all_success_round = int(np.argmax(all_ok)) if all_ok.any() else None
     elif scenario.test_set is not None:
         curves = np.stack([r.mse_history for r in results])
         report.mean_mse_curves = curves.mean(axis=0)

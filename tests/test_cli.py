@@ -2,8 +2,10 @@
 
 import contextlib
 import copy
+import errno
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -431,6 +433,19 @@ class TestRunCommand:
         code = main(["run", config, "--out", str(blocker / "nested")])
         assert code == 3
         assert capsys.readouterr().err
+
+    @pytest.mark.parametrize("nested", [True, False], ids=["under-a-file", "a-file"])
+    def test_unusable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, nested):
+        # The error mkdir would raise after the run, raised before it.
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: runs.append(args))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("file, not a directory")
+        out = blocker / "nested" if nested else blocker
+        assert main(["run", write_config(tmp_path, discrete_config()), "--out", str(out)]) == 3
+        code = errno.ENOTDIR if nested else errno.EEXIST
+        assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n"
+        assert runs == []
 
     @pytest.mark.parametrize("payload, what", [
         (gaussian_config(noise_std=1e-155), "precision or shift"),

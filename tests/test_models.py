@@ -136,20 +136,30 @@ class TestContextFamilies:
 
     @_WORLDS
     @given(family=st.sampled_from(["bernoulli", "categorical", "linear_gaussian"]), seed=_SEEDS)
-    def test_lookup_is_the_log_likelihood_matrix(self, family, seed):
-        # One lookup serves many batches, each the same bits as a direct call.
+    def test_gather_of_the_codes_is_the_log_likelihood_matrix(self, family, seed):
+        # One (encode, gather) pair serves many batches, each the same bits as
+        # a direct call: gathered whole, every other code (a strided view, as
+        # the engine's codes of one round are) and into a strided (T, M) view
+        # of a (T, N, M) array, as the engine's publics are.
         rng = np.random.default_rng(seed)
         if family == "linear_gaussian":
             model = LinearGaussianModel(0, [-0.3, 0.5], [[-1, 1]], [0], 0.8)
             points = rng.uniform(-1.0, 1.0, (12, 2))
         else:
             (model,), points, _ = _context_world(family, seed)
-        lookup = model.log_likelihood_lookup(points)
+        encode, gather = model.log_likelihood_codes(points)
         for size in (1, 7, 30):
             xs = model.sample_instances(rng, size)
             ys = model.sample_labels(rng, xs)
-            np.testing.assert_array_equal(lookup(xs, ys),
-                                          model.log_likelihood_matrix(points, xs, ys))
+            expected = model.log_likelihood_matrix(points, xs, ys)
+            codes = encode(xs, ys)
+            np.testing.assert_array_equal(gather(codes), expected)
+            np.testing.assert_array_equal(
+                gather(codes[::2]), model.log_likelihood_matrix(points, xs[::2], ys[::2]))
+            state = np.zeros((size, 3, len(points)))
+            gather(codes, out=state[:, 1])
+            np.testing.assert_array_equal(state[:, 1], expected)
+            assert not state[:, ::2].any()
 
     def test_one_gaussian_sample_is_a_row_of_the_batch(self):
         model = LinearGaussianModel(0, [-0.3, 0.5, 0.8], [[-1, 1], [-1.5, 1.5]], [0, 1], 0.8)

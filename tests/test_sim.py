@@ -174,6 +174,20 @@ class TestDiscreteEngine:
         result = run_trial(single_node_scenario(n_rounds=200), 0)
         assert result.clamp_events == 0
 
+    def test_peak_grows_by_a_code_and_an_estimate_per_node_round(self):
+        # Without recorded beliefs, what grows with the round count is one
+        # sample code and one estimate per (trial, round, node), 16 bytes.
+        # Keeping each sample as an int64 instance and label, and a second
+        # copy of both, would take about 40.
+        graph, theta_set, models = three_node_bernoulli()
+        n_trials, peaks = 20, []
+        for n_rounds in (200, 400):
+            scenario = Scenario(graph=graph, engine="discrete", models=models,
+                                n_rounds=n_rounds, trials=n_trials, master_seed=1,
+                                theta_set=theta_set, record_beliefs=False, kl_mc_samples=50)
+            peaks.append(peak_bytes(lambda: run_experiment(scenario)))
+        assert (peaks[1] - peaks[0]) / (n_trials * 200 * len(models)) < 20
+
     def test_symmetry_under_identical_streams(self, rng):
         # All nodes share the prior and see the same samples; with any
         # row-stochastic merge their trajectories stay identical.
