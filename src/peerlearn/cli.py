@@ -2,11 +2,11 @@
 
 A config is a JSON document checked against a strict schema in one pass,
 which builds the scenario as it goes: the weight matrix, one likelihood
-model per node, the parameter set, the prior, the test set. Unknown keys
-are rejected with the offending path, every range check and every
-constructor's objection is reported at the path of the field it concerns,
-and each rule across fields is checked once, before the objects that
-depend on it are built. Every subcommand parses the whole config before
+model per node, the parameter set, the prior, the test set. Unknown and
+repeated keys are rejected with the offending path, every range check and
+every constructor's objection is reported at the path of the field it
+concerns, and each rule across fields is checked once, before the objects
+that depend on it are built. Every subcommand parses the whole config before
 it does anything else, so all three reject the same configs at parse
 time with the same message. Subcommands:
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import itertools
 import json
 import math
 import os
@@ -75,8 +76,27 @@ def _require(condition: bool, path: str, message: str) -> None:
         raise ConfigValidationError(path, message)
 
 
+class _RepeatedKeyObject(dict):
+    """A JSON object that repeats ``key``; ``json`` would keep its last value."""
+
+    def __init__(self, pairs, key: str):
+        super().__init__(pairs)
+        self.key = key
+
+
+def _json_object(pairs: list) -> dict:
+    """``json.loads``'s ``object_pairs_hook``: marks an object that repeats a key."""
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    keys = [key for key, _ in pairs]
+    return _RepeatedKeyObject(pairs, next(k for i, k in enumerate(keys) if k in keys[:i]))
+
+
 def _check_keys(obj, path: str, required: set, optional: set) -> None:
     _require(isinstance(obj, dict), path, "expected an object")
+    if isinstance(obj, _RepeatedKeyObject):
+        raise ConfigValidationError(f"{path}.{obj.key}", "duplicate key")
     for key in obj:
         if key not in required and key not in optional:
             raise ConfigValidationError(f"{path}.{key}", "unknown key")
@@ -86,7 +106,7 @@ def _check_keys(obj, path: str, required: set, optional: set) -> None:
 
 
 def _number(value, path: str, exclusive_min=None, exclusive_max=None) -> float:
-    # A 64x64 parameter grid makes 8,192 calls, so the common checks are inline.
+    # One number, or an element of a list that ``_finite_numbers`` turned down.
     # JSON gives exact ints and floats; a bool is neither.
     if type(value) is not float and type(value) is not int:
         raise ConfigValidationError(path, "expected a number")
@@ -112,8 +132,30 @@ def _integer(value, path: str, minimum=None, maximum=None) -> int:
     return value
 
 
+_NUMBER_TYPES = {float, int}
+
+
+def _finite_numbers(values: list) -> bool:
+    """Whether ``values`` is a non-empty list of finite JSON numbers: the whole-list check.
+
+    One sweep over the element types and one sum. A bool is no number, an
+    int beyond the float range stops the float sum with OverflowError, and
+    NaN or an infinity leaves it non-finite. So, rarely, does an overflow
+    of finite values: False only sends the caller to the per-element walk,
+    which names the first defect or, finding none, converts as well.
+    """
+    if not values or not set(map(type, values)) <= _NUMBER_TYPES:
+        return False
+    try:
+        return math.isfinite(sum(values, 0.0))
+    except OverflowError:
+        return False
+
+
 def _number_list(value, path: str) -> list:
     _require(isinstance(value, list) and len(value) > 0, path, "expected a non-empty array")
+    if _finite_numbers(value):
+        return list(map(float, value))
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
@@ -122,18 +164,22 @@ def _integer_list(value, path: str, minimum=None) -> list:
     return [_integer(v, f"{path}[{i}]", minimum=minimum) for i, v in enumerate(value)]
 
 
-def _matrix(value, path: str) -> list:
+def _matrix(value, path: str) -> np.ndarray:
     _require(isinstance(value, list) and len(value) > 0, path, "expected a non-empty array")
+    if set(map(type, value)) == {list} and len(set(map(len, value))) == 1:
+        flat = list(itertools.chain.from_iterable(value))
+        if _finite_numbers(flat):
+            return np.array(flat, dtype=float).reshape(len(value), -1)
     rows = [_number_list(row, f"{path}[{i}]") for i, row in enumerate(value)]
     width = len(rows[0])
     for i, row in enumerate(rows):
         _require(len(row) == width, f"{path}[{i}]", "ragged matrix row")
-    return rows
+    return np.array(rows)
 
 
-def _ranges(value, path: str) -> list:
+def _ranges(value, path: str) -> np.ndarray:
     rows = _matrix(value, path)
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows.tolist()):
         _require(len(row) == 2, f"{path}[{i}]", "expected a [low, high] pair")
         _require(row[0] < row[1], f"{path}[{i}]", "low bound must be below high")
     return rows
@@ -242,7 +288,7 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
         points_path = f"{path}.parameters.points"
         points = _matrix(raw["parameters"]["points"], points_path)
         try:
-            theta_set = ParameterSet(np.array(points, dtype=float))
+            theta_set = ParameterSet(points)
             for model in models:
                 model.validate_parameters(theta_set.points)
         except ValueError as exc:
@@ -321,7 +367,7 @@ def parse_config(text) -> ConfigDocument:
         except UnicodeDecodeError as exc:
             raise ConfigSyntaxError(f"config is not valid UTF-8: {exc}") from exc
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise ConfigSyntaxError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

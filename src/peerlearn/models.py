@@ -29,11 +29,11 @@ Model instances carry their own sampling methods but no generator state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import erf, rel_entr
 
 DUPLICATE_TOL = 1e-12
@@ -52,9 +52,61 @@ class NotGloballyLearnableError(ValueError):
     """No parameter is optimal for every node simultaneously."""
 
 
+@functools.cache
+def _projection(d: int) -> np.ndarray:
+    """The duplicate search's fixed projection: weights in irrational ratios, ``sum|w| = 1/4``."""
+    w = np.sqrt(np.arange(2.0, d + 2.0))
+    w /= 4.0 * w.sum()
+    w.setflags(write=False)  # shared by every call
+    return w
+
+
+@np.errstate(over="ignore")  # a far pair's difference may overflow; inf is no duplicate
+def _closest_duplicate(pts: np.ndarray) -> tuple[int, int] | None:
+    """The closest pair ``(a, b)``, ``a < b``, of points within ``DUPLICATE_TOL``, or None.
+
+    Two points are duplicates when every coordinate's computed difference
+    is at most ``DUPLICATE_TOL`` in magnitude, and the closest pair has the
+    least such L-inf gap, ties going to the lowest ``(a, b)``. The points
+    are sorted by one projection ``s = pts @ w`` with ``sum|w| = 1/4``, so
+    ``s`` cannot overflow. A duplicate pair's projections differ by at most
+    ``window``: its share of the tolerance plus the rounding of both dot
+    products, with slack for the rounding of the window itself. So a pair
+    ``k`` places apart in sort order is compared only where the projections
+    ``k`` places apart lie within the window; the sweep goes on with
+    ``k + 1`` from the positions still within it and stops when none is.
+    Time is O(M log M) plus the pairs compared, memory O(M).
+    """
+    m, d = pts.shape
+    s = pts @ _projection(d)
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    reach = float(np.abs(pts).max()) if d else 0.0
+    window = 0.25 * (DUPLICATE_TOL + 2.0 * (d + 1) * 2.0**-53 * reach) * (1.0 + 1e-9)
+    found = []
+    k, start = 1, np.flatnonzero(s[1:] - s[:-1] <= window)
+    while start.size:
+        a, b = order[start], order[start + k]
+        gaps = np.abs(pts[a] - pts[b]).max(axis=1, initial=0.0)
+        hit = np.flatnonzero(gaps <= DUPLICATE_TOL)
+        if hit.size:
+            gaps, low, high = gaps[hit], np.minimum(a[hit], b[hit]), np.maximum(a[hit], b[hit])
+            j = np.lexsort((high, low, gaps))[0]
+            found.append((gaps[j], int(low[j]), int(high[j])))
+        k += 1
+        start = start[start < m - k]
+        start = start[s[start + k] - s[start] <= window]
+    return min(found)[1:] if found else None
+
+
 @dataclass(frozen=True)
 class ParameterSet:
-    """Finite set of candidate parameter vectors with stable indices."""
+    """Finite set of candidate parameter vectors with stable indices.
+
+    The points must be finite and pairwise farther apart than
+    ``DUPLICATE_TOL`` in L-inf; ``_closest_duplicate`` names the pair that
+    is not, by a sort-based search linear in memory.
+    """
 
     points: np.ndarray
 
@@ -66,11 +118,9 @@ class ParameterSet:
             raise ValueError("parameter set needs at least two points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("parameter points must be finite")
-        pairs = cKDTree(pts).query_pairs(DUPLICATE_TOL, p=np.inf, output_type="ndarray")
-        if len(pairs):
-            gaps = np.abs(pts[pairs[:, 0]] - pts[pairs[:, 1]]).max(axis=1)
-            a, b = pairs[np.lexsort((pairs[:, 1], pairs[:, 0], gaps))[0]]
-            raise ValueError(f"duplicate parameter points at indices {a} and {b}")
+        pair = _closest_duplicate(pts)
+        if pair is not None:
+            raise ValueError(f"duplicate parameter points at indices {pair[0]} and {pair[1]}")
         object.__setattr__(self, "points", pts)
         pts.setflags(write=False)
 

@@ -406,7 +406,8 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
         variances[:, rounds] = batch_variances.transpose(2, 1, 3, 0)
 
     # The MSE runs per trial so that its BLAS calls never see the batch size.
-    mse = [_test_set_mse(scenario.test_set, means[t]) for t in range(n_trials)]
+    moments = _test_set_moments(scenario.test_set)
+    mse = [_test_set_mse(moments, means[t]) for t in range(n_trials)]
     if mse[0] is not None:
         finite = np.all([np.isfinite(curve).all(axis=1) for curve in mse], axis=0)
         if not finite.all():
@@ -423,8 +424,8 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
     ]
 
 
-def _test_set_mse(test_set, means: np.ndarray) -> np.ndarray | None:
-    """Test MSE of each mean via the Gram matrix: ``m G m - 2 b m + c``."""
+def _test_set_moments(test_set) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The test set's Gram matrix ``G``, cross vector ``b`` and energy ``c``, all per point."""
     if test_set is None:
         return None
     x_test, y_test = test_set
@@ -432,6 +433,14 @@ def _test_set_mse(test_set, means: np.ndarray) -> np.ndarray | None:
     gram = aug.T @ aug / len(y_test)
     cross = aug.T @ y_test / len(y_test)
     energy = y_test @ y_test / len(y_test)
+    return gram, cross, energy
+
+
+def _test_set_mse(moments, means: np.ndarray) -> np.ndarray | None:
+    """Test MSE of each mean from the test set's moments: ``m G m - 2 b m + c``."""
+    if moments is None:
+        return None
+    gram, cross, energy = moments
     return np.einsum("...a,ab,...b->...", means, gram, means) - 2.0 * (means @ cross) + energy
 
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial import cKDTree
 from scipy.special import logsumexp, rel_entr
 
 from peerlearn import (
@@ -23,6 +24,7 @@ from peerlearn import (
     validate_weight_matrix,
 )
 from peerlearn.beliefs import LOG_FLOOR, row_normalize
+from peerlearn.models import DUPLICATE_TOL
 
 REGRESSION_THETA = [-0.3, 0.5, 0.8]
 REGRESSION_RANGES = [[-1.0, 1.0], [-1.5, 1.5]]
@@ -284,6 +286,17 @@ def covering_grid_world():
         BernoulliContextModel(1, truth, [1]),
     ]
     return graph, theta_set, models, star_index
+
+
+def reference_closest_duplicate(points) -> tuple[int, int] | None:
+    """The closest pair within ``DUPLICATE_TOL`` in L-inf, lowest indices on ties, by k-d tree."""
+    points = np.asarray(points, dtype=float)
+    pairs = cKDTree(points).query_pairs(DUPLICATE_TOL, p=np.inf, output_type="ndarray")
+    if not len(pairs):
+        return None
+    gaps = np.abs(points[pairs[:, 0]] - points[pairs[:, 1]]).max(axis=1)
+    a, b = pairs[np.lexsort((pairs[:, 1], pairs[:, 0], gaps))[0]]
+    return int(a), int(b)
 
 
 def pairwise_separation_rate(kl, stationary, global_optima) -> float:

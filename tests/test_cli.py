@@ -5,8 +5,11 @@ import copy
 import errno
 import io
 import json
+import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -235,7 +238,110 @@ class TestConfigFuzz:
                 assert re.match(r"error: scenario\.(parameters|bound)\b", err), err
 
 
+_MATRIX_FIELDS = [
+    ("scenario.graph.weights", [[0.9, 0.1], [0.6, 0.4]],
+     lambda value: discrete_config(graph={"weights": value})),
+    ("scenario.parameters.points", [[0.8, 0.3], [0.8, 0.6], [0.2, 0.3], [0.5, 0.5]],
+     lambda value: discrete_config(parameters={"points": value})),
+    ("scenario.models[0].ranges", [[-1, 1], [-1.5, 1.5]],
+     lambda value: gaussian_config(models=[
+         {"family": "linear_gaussian", "observed": [0], "ranges": value},
+         {"family": "linear_gaussian", "observed": [1], "ranges": [[-1, 1], [-1.5, 1.5]]}])),
+]
+
+
+def _cell(value):
+    """Plant ``value`` in row 1, column 0."""
+    def plant(matrix):
+        matrix[1][0] = value
+    return plant
+
+
+def _row(change):
+    """Replace row 1 by ``change(row 1)``."""
+    def plant(matrix):
+        matrix[1] = change(matrix[1])
+    return plant
+
+
+def _defect_after_ragged_row(matrix):
+    matrix[0] = matrix[0][:1]
+    matrix[1][1] = True
+
+
+# Each leaves the whole-array path; the per-element walk names it as it always has.
+_MATRIX_DEFECTS = [
+    ("bool", _cell(True), "[1][0]: expected a number"),
+    ("int-beyond-float", _cell(10**400), "[1][0]: must be finite"),
+    ("nan", _cell(math.nan), "[1][0]: must be finite"),
+    ("infinity", _cell(-math.inf), "[1][0]: must be finite"),
+    ("ragged-row", _row(lambda row: row[:1]), "[1]: ragged matrix row"),
+    ("empty-row", _row(lambda row: []), "[1]: expected a non-empty array"),
+    ("number-row", _row(lambda row: 0.5), "[1]: expected a non-empty array"),
+    ("defect-after-ragged-row", _defect_after_ragged_row, "[1][1]: expected a number"),
+]
+
+_LIST_DEFECTS = [
+    ("bool", [0.8, True], "[1]: expected a number"),
+    ("int-beyond-float", [0.8, 10**400], "[1]: must be finite"),
+    ("ints-beyond-float-that-cancel", [10**400, -(10**400)], "[0]: must be finite"),
+    ("nan", [math.nan, 0.3], "[0]: must be finite"),
+    ("infinity", [0.8, math.inf], "[1]: must be finite"),
+    ("nested", [0.8, [0.3]], "[1]: expected a number"),
+    ("empty", [], ": expected a non-empty array"),
+]
+
+
+def _number_defects():
+    """A config and its error line per defect planted in a number matrix or list."""
+    for path, valid, build in _MATRIX_FIELDS:
+        for name, plant, suffix in _MATRIX_DEFECTS:
+            matrix = copy.deepcopy(valid)
+            plant(matrix)
+            yield pytest.param(build(matrix), path + suffix, id=f"{path}-{name}")
+    path = "scenario.models[0].true_probs"
+    for name, value, suffix in _LIST_DEFECTS:
+        payload = discrete_config(models=[
+            {"family": "bernoulli", "true_probs": value, "visible": [0]},
+            {"family": "bernoulli", "true_probs": [0.8, 0.3], "visible": [1]}])
+        yield pytest.param(payload, path + suffix, id=f"{path}-{name}")
+
+
 class TestParseConfig:
+    @pytest.mark.parametrize("command", ["run", "bound", "check-graph"])
+    @pytest.mark.parametrize("payload, message", _number_defects())
+    def test_number_defect_exits_2_at_its_element(self, tmp_path, capsys, command, payload,
+                                                  message):
+        assert main([command, write_config(tmp_path, payload)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("extra", [[], [[1.5e308, 1.5e308]]], ids=["whole-array", "walk"])
+    def test_numbers_read_alike_on_both_paths(self, extra):
+        # Finite numbers whose sum overflows take the per-element walk.
+        points = [[0.1, 2**53 + 1], [-(2**64) - 3, 10**300], [1e-320, -0.0], *extra]
+        doc = parse_config(json.dumps(discrete_config(
+            models=[{"family": "linear_gaussian", "observed": [0], "ranges": [[-1, 1]]}] * 2,
+            true_theta=[0.1, 0.2], noise_std=0.8, parameters={"points": points})))
+        expected = [[float(v) for v in row] for row in points]
+        assert doc.scenario.theta_set.points.tolist() == expected
+        assert np.signbit(doc.scenario.theta_set.points[2, 1])
+
+    @pytest.mark.parametrize("command", ["run", "bound", "check-graph"])
+    @pytest.mark.parametrize("repeat, message", [
+        (('"trials": 2', '"trials": 2, "trials": 3'), "scenario.trials: duplicate key"),
+        (('"visible": [1]', '"visible": [1], "visible": [0]'),
+         "scenario.models[1].visible: duplicate key"),
+        (('"schema_version": 1', '"schema_version": 1, "schema_version": 1'),
+         "config.schema_version: duplicate key"),
+    ], ids=["scenario", "model", "top-level"])
+    def test_duplicate_key_exits_2_naming_it(self, tmp_path, capsys, command, repeat, message):
+        text = json.dumps(discrete_config())
+        assert repeat[0] in text
+        config = tmp_path / "config.json"
+        config.write_text(text.replace(*repeat, 1))
+        assert main([command, str(config)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_bad_row_sum_names_the_row(self):
         payload = discrete_config(graph={"weights": [[0.5, 0.6], [0.5, 0.5]]})
         with pytest.raises(ConfigValidationError) as info:
@@ -375,6 +481,15 @@ class TestParseConfig:
         argv = [command, config] + (["--out", str(tmp_path / "out")] if command == "run" else [])
         assert main(argv) == 0
         assert len(calls) == 1
+
+
+def test_import_leaves_out_scipy_spatial():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import peerlearn.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    result = subprocess.run([sys.executable, "-c", code, str(src)],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 class TestRunCommand:

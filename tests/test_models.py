@@ -20,13 +20,15 @@ from peerlearn import (
     validate_weight_matrix,
     verify_r_covering,
 )
-from peerlearn.models import instance_support
+from peerlearn import models
+from peerlearn.models import DUPLICATE_TOL, instance_support
 
 from helpers import (
     pairwise_separation_rate,
     peak_bytes,
     per_draw_covering_distances,
     per_sample_kl_mean,
+    reference_closest_duplicate,
 )
 
 
@@ -49,6 +51,25 @@ def _planted_points(n_points, pairs, gap):
     for a, b in pairs:
         points[b] = points[a] + gap
     return points
+
+
+def _split_pair():
+    """Points 0 and 2 are duplicates, and point 1, far from both, projects between them."""
+    w = models._projection(2)
+    points = np.array([[0.5, 0.5], [0.5 + 1e-3, 0.5 + (0.5e-12 - 1e-3) * w[0] / w[1]],
+                       [0.5 + 1e-12, 0.5]])
+    projections = points @ w
+    assert projections[0] < projections[1] < projections[2]
+    return points
+
+
+def _far_pair_projected_together():
+    """Two points whose coordinate differences overflow, with projections in one window."""
+    w0, w1 = models._projection(2)
+    return np.array([[1.5e308, -1.5e308 * w0 / w1], [-1.5e308, 1.5e308 * w0 / w1], [0.0, 0.0]])
+
+
+_TIE = 2.0**-41  # about 4.5e-13, and every difference below is exact
 
 
 def _context_world(family, seed, n_nodes=1):
@@ -190,14 +211,50 @@ class TestParameterSet:
         (np.array([[0.0, 0.0], [0.5, 0.5], [0.0, 5e-13], [0.5, 0.5 + 1e-13]]), (1, 3)),
         (_planted_points(500, [(0, 499)], 1e-14), (0, 499)),
         (_planted_points(8, [(2, 5), (1, 4)], 0.0), (1, 4)),
+        (_split_pair(), (0, 2)),
+        ([[0.0, 1.0], [0.5, 0.5], [-0.0, 1.0]], (0, 2)),
+        ([[0.3, 0.3], [0.1, 0.2], [0.3, 0.3], [0.3, 0.3]], (0, 2)),
+        ([[1e6, 1.0], [np.nextafter(1e6, 2e6), 1.0], [1e6, 2.0]], None),
+        ([[1e6, 1.0], [1e6 + 0.5, 1.0], [1e6, 1.0]], (0, 2)),
+        ([[1e300, -1e300], [np.nextafter(1e300, np.inf), -1e300], [-1e300, 1e300]], None),
+        ([[1e300, -1e300], [-1e300, 1e300], [1e300, -1e300]], (0, 2)),
+        (_far_pair_projected_together(), None),
+        ([[2690.0329883356644, 2770.602291202402], [2690.0329883356653, 2770.6022912024027]],
+         (0, 1)),
+        ([[0.25], [0.25]], (0, 1)),
+        ([[0.25], [0.75]], None),
+        ([[0.0, 0.0], [0.25, 0.5], [0.75, 0.125], [2 * _TIE, 0.0], [0.25 + _TIE, 0.5],
+          [0.75, 0.125 - _TIE]], (1, 4)),
     ], ids=["1e-13-apart", "2e-12-apart", "closer-pair-named", "first-and-last",
-            "tie-lowest-indices"])
+            "tie-lowest-indices", "split-by-a-third-point", "signed-zeros", "exact-duplicates",
+            "1e6-one-ulp-apart", "1e6-copy", "1e300-one-ulp-apart", "1e300-copy",
+            "differences-overflow", "projections-apart-by-their-rounding", "two-equal-points",
+            "two-points", "lowest-index-tie"])
     def test_rejects_duplicates(self, points, named):
         if named is None:
             assert ParameterSet(points).n_points == len(points)
             return
         with pytest.raises(ValueError, match=f"indices {named[0]} and {named[1]}$"):
             ParameterSet(points)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), n_points=st.integers(2, 40), dim=st.integers(1, 4),
+           scale=st.sampled_from([5e-13, 1e-3, 1.0, 2.5e3, 1e6, 1e300]),
+           shift=st.floats(0.0, 1.0))
+    def test_duplicate_search_agrees_with_the_kd_tree(self, data, n_points, dim, scale, shift):
+        # Lattice points collide often; planted partners sit at, near and past the
+        # tolerance, and at scale 2.5e3 the projections' rounding is a good part of it.
+        lattice = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                                     min_size=n_points, max_size=n_points))
+        points = (np.array(lattice, dtype=float) + shift) * scale
+        offsets = st.sampled_from([0.0, 1e-13, 5e-13, DUPLICATE_TOL,
+                                   np.nextafter(DUPLICATE_TOL, 1.0), 2e-12, 1e-9])
+        index = st.integers(0, n_points - 1)
+        for a, b, offset in data.draw(st.lists(
+                st.tuples(index, index, st.lists(offsets, min_size=dim, max_size=dim)),
+                max_size=4)):
+            points[b] = points[a] + np.array(offset) * data.draw(st.sampled_from([-1.0, 1.0]))
+        assert models._closest_duplicate(points) == reference_closest_duplicate(points)
 
     def test_leaves_the_callers_array_alone(self):
         arr = np.array([[0.1, 0.2], [0.3, 0.4]])
@@ -399,6 +456,16 @@ class TestLinearMemory:
 
     def test_parameter_set_peak(self):
         assert peak_bytes(lambda: ParameterSet(self.grid)) < 1 * 2**20
+
+    @pytest.mark.parametrize("points", [
+        lambda m: np.random.default_rng(m).uniform(0.0, 1.0, (m, 3)),
+        lambda m: np.full((m, 3), 0.5),
+    ], ids=["uniform", "all-equal"])
+    def test_duplicate_search_peak_is_linear(self, points):
+        # All equal, every pair is compared; the search still holds O(M) at a time.
+        small, large = (peak_bytes(lambda: models._closest_duplicate(points(m)))
+                        for m in (500, 2000))
+        assert large < 5 * small
 
     def _separation_table_peak(self, **kwargs):
         theta = ParameterSet(self.grid)
