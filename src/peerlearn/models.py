@@ -238,9 +238,10 @@ class ContextModel(LikelihoodModel):
         return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
 
     def log_likelihood_codes(self, thetas):
-        """A code is the row ``x * K + y`` of an (n_contexts * K, M) log table, built once."""
+        """Codes ``x * K + y`` (narrowest unsigned type) index an (n_contexts * K, M) log table."""
         table = np.ascontiguousarray(self._log_tables(thetas).reshape(len(thetas), -1).T)
-        return (lambda xs, ys: np.asarray(xs) * self.n_labels + ys,
+        code_type = np.min_scalar_type(len(table) - 1)
+        return (lambda xs, ys: (np.asarray(xs) * self.n_labels + ys).astype(code_type),
                 lambda codes, out=None: np.take(table, codes, axis=0, out=out))
 
     def kl_to_truth(self, thetas, xs):

@@ -115,9 +115,9 @@ class Scenario:
 class TrialResult:
     """Outcome of one seeded trial.
 
-    ``final_estimates`` holds parameter indices (discrete) or posterior
-    means (gaussian). ``success`` is defined only when the globally
-    optimal index set was supplied.
+    ``final_estimates`` holds parameter indices, in the narrowest signed
+    type that holds M - 1 (discrete), or posterior means (gaussian).
+    ``success`` is defined only when the globally optimal index set was supplied.
     """
 
     final_estimates: np.ndarray
@@ -136,7 +136,8 @@ class ExperimentReport:
 
     ``bound_inputs`` are the inputs ``sample_bound`` was computed from,
     with ``scenario.bound_overrides`` applied; ``sample_bound_reason`` says
-    why a discrete run has no bound.
+    why a discrete run has no bound. ``baseline_results`` keep each trial's
+    final means and test MSE only.
     """
 
     engine: str
@@ -201,8 +202,9 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
     adds the privates (the Bayes update) and normalizes; if the scenario is
     cooperative, one product with the graph weights then takes each node's
     weighted log-geometric mean of its in-neighbors. The result is normalized
-    again either way. A trial's ``clamp_events`` counts, over its rounds, each
-    of these two normalizations in which the floor fired for some node.
+    again either way, each normalization's scratch the other, spent buffer.
+    A trial's ``clamp_events`` counts, over its rounds, each of these two
+    normalizations in which the floor fired for some node.
     """
     n_trials, n_rounds = len(trials), scenario.n_rounds
     n_nodes, n_params = scenario.graph.n_nodes, scenario.theta_set.n_points
@@ -216,8 +218,8 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
             codes[i][t] = code
 
     private = np.full((n_trials, n_nodes, n_params), -np.log(n_params))
-    public, scratch = np.empty_like(private), np.empty_like(private)
-    estimates = np.empty((n_trials, n_rounds, n_nodes), dtype=np.int64)
+    public = np.empty_like(private)
+    estimates = np.empty((n_trials, n_rounds, n_nodes), dtype=np.min_scalar_type(-n_params))
     beliefs = np.empty(estimates.shape + (n_params,)) if scenario.record_beliefs else None
     clamp_events = np.zeros(n_trials, dtype=np.int64)
     for k in range(n_rounds):
@@ -227,13 +229,13 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
         peak = public.max(axis=-1, keepdims=True)
         if not np.all(np.isfinite(peak)):
             raise bel.ZeroLikelihoodError(f"round {k}: every likelihood underflowed for some node")
-        clamp_events += bel.row_normalize(public, scratch, peak)
+        clamp_events += bel.row_normalize(public, private, peak)
         # Barrier: the merge only ever sees this round's publics.
         if scenario.cooperative:
             np.matmul(scenario.graph.weights, public, out=private)
         else:
             private, public = public, private
-        clamp_events += bel.row_normalize(private, scratch, private.max(axis=-1, keepdims=True))
+        clamp_events += bel.row_normalize(private, public, private.max(axis=-1, keepdims=True))
         estimates[:, k] = np.argmax(private, axis=-1)
         if beliefs is not None:
             beliefs[:, k] = private
@@ -424,6 +426,11 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
     ]
 
 
+def _central_baseline(scenario: Scenario, aug: np.ndarray, ys: np.ndarray) -> list[TrialResult]:
+    """One node fed every node's samples of the same trial each round, with the same update."""
+    return _gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]), merge=False)
+
+
 def _test_set_moments(test_set) -> tuple[np.ndarray, np.ndarray, float] | None:
     """The test set's Gram matrix ``G``, cross vector ``b`` and energy ``c``, all per point."""
     if test_set is None:
@@ -494,9 +501,9 @@ def run_experiment(scenario: Scenario, workers: int = 1) -> ExperimentReport:
     """Run all trials with derived seeds and aggregate the results.
 
     Both engines run all trials as one batch. ``workers`` is accepted for
-    compatibility and has no effect. Gaussian runs with a test set also
-    run the central baseline: one node fed every node's samples of the
-    same trial, with the same update rule.
+    compatibility and has no effect. Gaussian runs with a test set first
+    run the central baseline (``_central_baseline``), of which they keep the
+    final means and test MSE, then the network.
     """
     started = time.perf_counter()
     scenario.validate()
@@ -508,10 +515,12 @@ def run_experiment(scenario: Scenario, workers: int = 1) -> ExperimentReport:
         results = _discrete_rounds(scenario, range(scenario.trials), separation.global_optima)
     else:
         aug, ys = _gaussian_samples(scenario, range(scenario.trials))
+        if scenario.test_set is not None:
+            baselines = [TrialResult(final_estimates=r.final_estimates, mse_history=r.mse_history)
+                         for r in _central_baseline(scenario, aug, ys)]
         results = _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
                                    merge=scenario.cooperative)
-        if scenario.test_set is not None:
-            baselines = _gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]), merge=False)
+        del aug, ys
 
     report = ExperimentReport(
         engine=scenario.engine,

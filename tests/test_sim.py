@@ -75,25 +75,67 @@ def intercept_grid_scenario(n_rounds=60, cooperative=True) -> Scenario:
                     cooperative=cooperative)
 
 
-def assert_matches_discrete_oracle(scenario: Scenario) -> None:
+def index_edge_scenario(n_params, n_rounds=4, trials=1) -> Scenario:
+    """2-node Bernoulli world of ``n_params`` points whose truth is the last one.
+
+    The truth, 0.95, wins once the labels are mostly 1, and the first
+    point, 1e-300, falls below the log-belief floor from the second round.
+    """
+    points = np.concatenate([[1e-300], np.linspace(0.05, 0.3, n_params - 2), [0.95]])
+    return Scenario(graph=validate_weight_matrix(REGRESSION_W), engine="discrete",
+                    models=[BernoulliContextModel(i, [0.95], [0]) for i in range(2)],
+                    n_rounds=n_rounds, trials=trials, master_seed=13,
+                    theta_set=ParameterSet(points[:, None]))
+
+
+def many_label_scenario(n_labels, n_rounds=20) -> Scenario:
+    """2-node categorical world of one context whose last label has probability 0.9."""
+    def table(last):
+        return np.append(np.full(n_labels - 1, (1.0 - last) / (n_labels - 1)), last)
+    return Scenario(graph=validate_weight_matrix(REGRESSION_W), engine="discrete",
+                    models=[CategoricalContextModel(i, [table(0.9)], [0]) for i in range(2)],
+                    n_rounds=n_rounds, trials=1, master_seed=17,
+                    theta_set=ParameterSet(np.array([table(0.9), table(0.5), table(1 / n_labels)])))
+
+
+def assert_matches_discrete_oracle(scenario: Scenario):
+    """Trial 0 against the per-node oracle, whose estimates are int64; returns the trial."""
     result = run_trial(scenario, 0)
     beliefs, estimates, clamp_events = discrete_oracle(scenario)
     np.testing.assert_allclose(result.belief_history, beliefs, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(result.estimate_history, estimates)
     assert result.clamp_events == clamp_events
+    return result
+
+
+def histories(result) -> tuple:
+    """A gaussian trial's mean, variance and test-MSE histories, none of them missing."""
+    found = (result.mean_history, result.variance_diag_history, result.mse_history)
+    assert all(history is not None for history in found)
+    return found
+
+
+def central_baselines(scenario: Scenario, trials) -> list:
+    """The central baseline's full results, through the kernel ``run_experiment`` calls."""
+    return sim._central_baseline(scenario, *sim._gaussian_samples(scenario, trials))
 
 
 def assert_matches_gaussian_oracle(scenario: Scenario) -> None:
     """Trial 0's pass, and the central baseline's on the same data, against the oracle."""
     report = run_experiment(scenario)
+    central = central_baselines(scenario, [0])[0]
     runs = [
         (report.trial_results[0], gaussian_oracle(scenario)),
-        (report.baseline_results[0], gaussian_oracle(scenario, central=True)),
+        (central, gaussian_oracle(scenario, central=True)),
     ]
-    for batched, (means, variances, mses) in runs:
-        np.testing.assert_allclose(batched.mean_history, means, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(batched.variance_diag_history, variances, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(batched.mse_history, mses, rtol=0, atol=1e-12)
+    for batched, expected in runs:
+        for history, oracle in zip(histories(batched), expected):
+            np.testing.assert_allclose(history, oracle, rtol=0, atol=1e-12)
+    # The run keeps the baseline's test MSE and final means, and only those.
+    kept = report.baseline_results[0]
+    np.testing.assert_array_equal(kept.mse_history, central.mse_history)
+    np.testing.assert_array_equal(kept.final_estimates, central.final_estimates)
+    assert kept.mean_history is None and kept.variance_diag_history is None
 
 
 class TestDiscreteEngine:
@@ -174,11 +216,33 @@ class TestDiscreteEngine:
         result = run_trial(single_node_scenario(n_rounds=200), 0)
         assert result.clamp_events == 0
 
-    def test_peak_grows_by_a_code_and_an_estimate_per_node_round(self):
+    @pytest.mark.parametrize("n_params, estimate_type", [
+        (128, np.int8), (129, np.int16), (32_768, np.int16), (32_769, np.int32)])
+    def test_estimates_at_the_edges_of_their_type(self, n_params, estimate_type):
+        # Estimates take the narrowest signed type that holds M - 1.
+        result = assert_matches_discrete_oracle(index_edge_scenario(n_params))
+        assert result.estimate_history.dtype == estimate_type
+        assert (result.estimate_history == n_params - 1).any()
+        assert result.clamp_events > 0
+
+    @pytest.mark.parametrize("n_labels, code_type", [(256, np.uint8), (257, np.uint16)])
+    def test_codes_at_the_edge_of_their_type(self, n_labels, code_type):
+        # One context, so a sample's code is its label: 256 codes fit in uint8.
+        scenario = many_label_scenario(n_labels)
+        encode, gather = scenario.models[0].log_likelihood_codes(scenario.theta_set.points)
+        instances, labels = trial_samples(scenario)
+        codes = encode(instances[0], labels[0])
+        assert codes.dtype == code_type
+        assert codes.max() == n_labels - 1
+        np.testing.assert_array_equal(codes, labels[0])
+        np.testing.assert_array_equal(gather(codes), gather(codes.astype(np.int64)))
+        assert_matches_discrete_oracle(scenario)
+
+    def test_peak_grows_by_two_bytes_per_node_round(self):
         # Without recorded beliefs, what grows with the round count is one
-        # sample code and one estimate per (trial, round, node), 16 bytes.
-        # Keeping each sample as an int64 instance and label, and a second
-        # copy of both, would take about 40.
+        # uint8 sample code and one int8 estimate per (trial, round, node),
+        # about 2.3 bytes measured. Both as int64 took about 16; each sample
+        # as an int64 instance and label, with a second copy of both, about 40.
         graph, theta_set, models = three_node_bernoulli()
         n_trials, peaks = 20, []
         for n_rounds in (200, 400):
@@ -186,7 +250,7 @@ class TestDiscreteEngine:
                                 n_rounds=n_rounds, trials=n_trials, master_seed=1,
                                 theta_set=theta_set, record_beliefs=False, kl_mc_samples=50)
             peaks.append(peak_bytes(lambda: run_experiment(scenario)))
-        assert (peaks[1] - peaks[0]) / (n_trials * 200 * len(models)) < 20
+        assert (peaks[1] - peaks[0]) / (n_trials * 200 * len(models)) < 4
 
     def test_symmetry_under_identical_streams(self, rng):
         # All nodes share the prior and see the same samples; with any
@@ -377,11 +441,12 @@ class TestGaussianEngine:
             sim._gaussian_rounds(scenario, (aug, ys), merge=merge)
 
     def test_peak_does_not_grow_with_the_round_count(self):
-        # d = 6 and two trials: the traced peak less the output moments is
-        # about 0.58 MB at 250 and at 1,000 rounds, mostly one 128-round
-        # batch's packed states, their entry-major copy and its factor.
-        # Increments held for every round, (K, T, N, d, d), would take 2 MB
-        # at 1,000 rounds.
+        # d = 6 and two trials: the traced peak less what the run holds (the
+        # report's histories, and the samples, d + 1 floats per trial, round
+        # and node) is about 0.55 MB at 250 and at 1,000 rounds, mostly one
+        # 128-round batch's packed states, their entry-major copy and its
+        # factor. Increments held for every round, (K, T, N, d, d), would
+        # take 2 MB at 1,000 rounds.
         dim = 6
         theta, ranges = np.linspace(-0.5, 0.5, dim), [[-1.0, 1.0]] * (dim - 1)
         for n_rounds in (250, 1000):
@@ -394,26 +459,26 @@ class TestGaussianEngine:
                 test_set=make_regression_test_set(20, ranges, theta, 0.5, 1))
             reports = []
             peak = peak_bytes(lambda: reports.append(run_experiment(scenario)))
-            outputs = sum(
+            kept = sum(
                 history.nbytes
                 for result in reports[0].trial_results + reports[0].baseline_results
                 for history in (result.mean_history, result.variance_diag_history,
                                 result.mse_history)
+                if history is not None
             )
-            assert peak - outputs < 2**20
+            samples = (dim + 1) * 8 * scenario.trials * n_rounds * len(scenario.models)
+            assert peak - kept - samples < 2**20
 
     def test_moments_do_not_depend_on_the_round_batch(self, monkeypatch):
         # 7 does not divide 300, so the last batch is a short one.
         scenario = regression_scenario(n_rounds=300, trials=3)
-        default = run_experiment(scenario)
+        trials = range(scenario.trials)
+        default = run_experiment(scenario).trial_results + central_baselines(scenario, trials)
         monkeypatch.setattr(sim, "_CHUNK_ROUNDS", 7)
-        small = run_experiment(scenario)
-        pairs = zip(default.trial_results + default.baseline_results,
-                    small.trial_results + small.baseline_results)
-        for a, b in pairs:
-            np.testing.assert_array_equal(a.mean_history, b.mean_history)
-            np.testing.assert_array_equal(a.variance_diag_history, b.variance_diag_history)
-            np.testing.assert_array_equal(a.mse_history, b.mse_history)
+        small = run_experiment(scenario).trial_results + central_baselines(scenario, trials)
+        for a, b in zip(default, small, strict=True):
+            for history_a, history_b in zip(histories(a), histories(b)):
+                np.testing.assert_array_equal(history_a, history_b)
 
     def test_central_baseline_approaches_noise_floor(self):
         scenario = regression_scenario(n_rounds=1500)
@@ -450,22 +515,17 @@ class TestDeterminism:
         # bit, baseline included.
         scenario = regression_scenario(n_rounds=300, trials=20)
         report = run_experiment(scenario)
+        pooled = central_baselines(scenario, range(scenario.trials))
         for t in range(scenario.trials):
             lone = run_trial(scenario, t)
-            batched = report.trial_results[t]
-            np.testing.assert_array_equal(lone.mean_history, batched.mean_history)
-            np.testing.assert_array_equal(
-                lone.variance_diag_history, batched.variance_diag_history
-            )
-            np.testing.assert_array_equal(lone.mse_history, batched.mse_history)
+            for a, b in zip(histories(lone), histories(report.trial_results[t])):
+                np.testing.assert_array_equal(a, b)
             # Trial t's baseline, last in a batch of t + 1 trials.
-            shorter = run_experiment(dataclasses.replace(scenario, trials=t + 1))
-            central, pooled = shorter.baseline_results[t], report.baseline_results[t]
-            np.testing.assert_array_equal(central.mean_history, pooled.mean_history)
-            np.testing.assert_array_equal(
-                central.variance_diag_history, pooled.variance_diag_history
-            )
-            np.testing.assert_array_equal(central.mse_history, pooled.mse_history)
+            central = central_baselines(scenario, range(t + 1))[t]
+            for a, b in zip(histories(central), histories(pooled[t])):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(report.baseline_results[t].mse_history,
+                                          pooled[t].mse_history)
 
     def test_discrete_trial_rows_do_not_depend_on_batch_size(self):
         # Each trial's rows must be the same bits alone as in a 20-trial
@@ -476,6 +536,8 @@ class TestDeterminism:
             Scenario(graph=graph, engine="discrete", models=models, n_rounds=120,
                      trials=20, master_seed=21, theta_set=theta),
             floor_world,
+            # 129 points: int16 estimates, index 128 among them.
+            index_edge_scenario(129, n_rounds=30, trials=20),
         ]
         for scenario in worlds:
             report = run_experiment(scenario)
