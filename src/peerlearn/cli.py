@@ -646,6 +646,7 @@ def _summary_dict(report, scenario) -> dict:
     if report.sample_bound_reason is not None:
         summary["sample_bound_reason"] = report.sample_bound_reason
     if report.separation is not None:
+        summary["clamp_events"] = [r.clamp_events for r in report.trial_results]
         summary["global_optima"] = list(report.separation.global_optima)
         summary["separation_rate"] = _jsonable(
             (report.bound_inputs or report.separation).separation_rate)

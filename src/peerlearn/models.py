@@ -238,11 +238,12 @@ class ContextModel(LikelihoodModel):
         return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
 
     def log_likelihood_codes(self, thetas):
-        """Codes ``x * K + y`` (narrowest unsigned type) index an (n_contexts * K, M) log table."""
+        """Codes ``x * K + y`` (narrowest unsigned type) index an (n_contexts * K, M) log table;
+        the gather clips codes rather than checking them, so they must come from ``encode``."""
         table = np.ascontiguousarray(self._log_tables(thetas).reshape(len(thetas), -1).T)
         code_type = np.min_scalar_type(len(table) - 1)
         return (lambda xs, ys: (np.asarray(xs) * self.n_labels + ys).astype(code_type),
-                lambda codes, out=None: np.take(table, codes, axis=0, out=out))
+                lambda codes, out=None: np.take(table, codes, axis=0, out=out, mode="clip"))
 
     def kl_to_truth(self, thetas, xs):
         return rel_entr(self.true_table[xs], self._tables(thetas)[:, xs]).sum(axis=2)

@@ -7,10 +7,10 @@ in-neighbors' public beliefs through the weighted consensus rule, then
 records its estimate.
 
 There is one engine per belief family, and each runs all trials of an
-experiment as one batch, with its state held as arrays over (trial, node):
-log-beliefs for the discrete engine, precision and shift for the gaussian
-one, packed into one row per node. The round loop carries only the
-recursion (Bayes step, merge); per-run tables and buffers come before it.
+experiment as one batch, with its state held as arrays over nodes and
+trials: node-major log-beliefs for the discrete engine, precision and shift
+packed into one row per node for the gaussian one. The round loop carries
+only the recursion (Bayes step, merge); per-run tables and buffers come before it.
 The gaussian engine takes the rounds in batches: each forms its own packed
 increments from the samples and runs the recursion, one in-place add and
 one product by the graph weights per round. Then an entry-wise Cholesky
@@ -38,6 +38,7 @@ from .models import ParameterSet, SeparationTable, assumption_bounds, augment, s
 from .theory import BoundInputs, InvalidInputsError, sample_complexity
 
 ENGINES = ("discrete", "gaussian")
+_ROW_BUFFER_MIN = 256  # narrower discrete rows keep numpy's default ufunc buffer
 
 # Gaussian rounds per batch: their packed increments, and then their states,
 # share one array, and one entry-wise factorization gates them and gives
@@ -197,14 +198,16 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
     """The log-linear round engine over a finite parameter set, batched over (trial, node).
 
     Each (trial, node) stream is drawn once, each sample kept as its model's
-    code (``log_likelihood_codes``). State is the log-beliefs ``(T, N, M)``.
-    Each round gathers every node's log-likelihoods by code into the publics,
-    adds the privates (the Bayes update) and normalizes; if the scenario is
-    cooperative, one product with the graph weights then takes each node's
-    weighted log-geometric mean of its in-neighbors. The result is normalized
-    again either way, each normalization's scratch the other, spent buffer.
-    A trial's ``clamp_events`` counts, over its rounds, each of these two
-    normalizations in which the floor fired for some node.
+    code (``log_likelihood_codes``). State is the log-beliefs ``(N, T, M)``:
+    each round gathers every node's log-likelihoods by code straight into
+    its ``(T, M)`` block of the publics, adds the privates (the Bayes
+    update) and normalizes; if the scenario is cooperative, one product with
+    the graph weights over ``(T, N, M)`` views takes each node's weighted
+    log-geometric mean of its in-neighbors. Either way the result is
+    normalized again, each normalization's scratch the other, spent buffer;
+    a trial's ``clamp_events`` counts those in which the floor fired. Rows of
+    ``_ROW_BUFFER_MIN`` cells or more get a ufunc buffer of their width, so a
+    row's maximum is not copied across rows; no bit depends on the buffer.
     """
     n_trials, n_rounds = len(trials), scenario.n_rounds
     n_nodes, n_params = scenario.graph.n_nodes, scenario.theta_set.n_points
@@ -217,28 +220,35 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
                 codes.append(np.empty((n_trials,) + code.shape, code.dtype))
             codes[i][t] = code
 
-    private = np.full((n_trials, n_nodes, n_params), -np.log(n_params))
+    private = np.full((n_nodes, n_trials, n_params), -np.log(n_params))
     public = np.empty_like(private)
+    private_t, public_t = private.transpose(1, 0, 2), public.transpose(1, 0, 2)  # (T, N, M)
     estimates = np.empty((n_trials, n_rounds, n_nodes), dtype=np.min_scalar_type(-n_params))
     beliefs = np.empty(estimates.shape + (n_params,)) if scenario.record_beliefs else None
     clamp_events = np.zeros(n_trials, dtype=np.int64)
-    for k in range(n_rounds):
-        for i, (_, gather) in enumerate(codecs):
-            gather(codes[i][:, k], out=public[:, i])
-        public += private
-        peak = public.max(axis=-1, keepdims=True)
-        if not np.all(np.isfinite(peak)):
-            raise bel.ZeroLikelihoodError(f"round {k}: every likelihood underflowed for some node")
-        clamp_events += bel.row_normalize(public, private, peak)
-        # Barrier: the merge only ever sees this round's publics.
-        if scenario.cooperative:
-            np.matmul(scenario.graph.weights, public, out=private)
-        else:
-            private, public = public, private
-        clamp_events += bel.row_normalize(private, public, private.max(axis=-1, keepdims=True))
-        estimates[:, k] = np.argmax(private, axis=-1)
-        if beliefs is not None:
-            beliefs[:, k] = private
+    bufsize = np.getbufsize()
+    np.setbufsize(bufsize if n_params < _ROW_BUFFER_MIN else min(bufsize, n_params // 16 * 16))
+    try:
+        for k in range(n_rounds):
+            for i, (_, gather) in enumerate(codecs):
+                gather(codes[i][:, k], out=public[i])
+            public += private
+            peak = public.max(axis=-1, keepdims=True)
+            if not np.all(np.isfinite(peak)):
+                raise bel.ZeroLikelihoodError(
+                    f"round {k}: every likelihood underflowed for some node")
+            clamp_events += bel.row_normalize(public, private, peak)
+            # Barrier: the merge only ever sees this round's publics.
+            if scenario.cooperative:
+                np.matmul(scenario.graph.weights, public_t, out=private_t)
+            else:
+                private, public, private_t, public_t = public, private, public_t, private_t
+            clamp_events += bel.row_normalize(private, public, private.max(axis=-1, keepdims=True))
+            estimates[:, k] = np.argmax(private, axis=-1).T  # argmax copies a transposed view
+            if beliefs is not None:
+                beliefs[:, k] = private_t
+    finally:
+        np.setbufsize(bufsize)
 
     star = None if global_optima is None else list(global_optima)
     return [

@@ -197,3 +197,17 @@ class TestNormalizationKernel:
         reference = normalized_belief(row)
         np.testing.assert_allclose(rows[0, 0], reference.log_weights, rtol=0, atol=1e-12)
         assert bool(fired[0]) == reference.clamped
+
+    def test_each_trial_normalizes_as_it_would_alone(self):
+        # (N, T, M) rows: trial 1 falls below the floor at one node only, and
+        # trial 2 holds a NaN, which must not hide trial 1's clamp.
+        rows = np.random.default_rng(0).uniform(-5.0, 0.0, (2, 3, 4))
+        rows[1, 1, 2] = -900.0
+        rows[0, 2, 1] = np.nan
+        alone = [rows[:, t:t + 1].copy() for t in range(3)]
+        fired = row_normalize(rows, np.empty_like(rows), rows.max(axis=-1, keepdims=True))
+        assert fired.tolist() == [False, True, False]
+        for t, trial in enumerate(alone):
+            assert row_normalize(trial, np.empty_like(trial),
+                                 trial.max(axis=-1, keepdims=True)).tolist() == [fired[t]]
+            np.testing.assert_array_equal(rows[:, t:t + 1], trial)

@@ -505,6 +505,23 @@ class TestRunCommand:
         stdout = capsys.readouterr().out
         assert json.loads(stdout)["empirical_error"] == summary["empirical_error"]
 
+    def test_discrete_summary_counts_clamp_events_per_trial(self, tmp_path):
+        # The floor-clamp world: the -700 floor fires in each round after the first.
+        payload = discrete_config(
+            n_rounds=45, master_seed=3,
+            models=[{"family": "bernoulli", "true_probs": [0.999999], "visible": [0]}] * 2,
+            parameters={"points": [[0.999999], [1e-300], [0.5]]})
+        config = write_config(tmp_path, payload)
+        assert main(["run", config, "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        report = run_experiment(build_scenario(parse_config(json.dumps(payload))))
+        assert summary["clamp_events"] == [r.clamp_events for r in report.trial_results]
+        assert min(summary["clamp_events"]) > 0
+        gaussian = tmp_path / "gaussian"
+        assert main(["run", write_config(tmp_path, gaussian_config(), "gaussian.json"),
+                     "--out", str(gaussian)]) == 0
+        assert "clamp_events" not in json.loads((gaussian / "summary.json").read_text())
+
     def test_gaussian_run_has_mu_sigma_mse_columns(self, tmp_path):
         config = write_config(tmp_path, gaussian_config())
         out = tmp_path / "out"

@@ -467,6 +467,19 @@ class TestLinearMemory:
                         for m in (500, 2000))
         assert large < 5 * small
 
+    def test_gather_into_a_contiguous_block_takes_no_buffer(self):
+        # The engine hands each node's gather its contiguous (T, M) block of
+        # the state, which np.take fills in place.
+        model = BernoulliContextModel(0, self.grid[1234], [0])
+        encode, gather = model.log_likelihood_codes(self.grid)
+        rng = np.random.default_rng(3)
+        xs = model.sample_instances(rng, 4)
+        ys = model.sample_labels(rng, xs)
+        codes = encode(xs, ys)
+        state = np.empty((2, 4, len(self.grid)))
+        assert peak_bytes(lambda: gather(codes, out=state[1])) < state[1].nbytes
+        np.testing.assert_array_equal(state[1], model.log_likelihood_matrix(self.grid, xs, ys))
+
     def _separation_table_peak(self, **kwargs):
         theta = ParameterSet(self.grid)
         truth = self.grid[1234]

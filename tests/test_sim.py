@@ -538,6 +538,8 @@ class TestDeterminism:
             floor_world,
             # 129 points: int16 estimates, index 128 among them.
             index_edge_scenario(129, n_rounds=30, trials=20),
+            # 256 points: rows wide enough for a buffer of their own width.
+            index_edge_scenario(256, n_rounds=30, trials=20),
         ]
         for scenario in worlds:
             report = run_experiment(scenario)
@@ -551,6 +553,47 @@ class TestDeterminism:
             if scenario is floor_world:
                 # The floor fires in every round after the first.
                 assert [r.clamp_events for r in report.trial_results] == [399] * 20
+
+    def test_discrete_bits_do_not_depend_on_the_buffer_size(self):
+        # From _ROW_BUFFER_MIN cells the round loop runs with a ufunc buffer
+        # of the row width. Buffering only chunks elementwise ops, so no bit
+        # may move with the caller's buffer size, on either side of the rule.
+        default = np.getbufsize()
+        for n_params in (sim._ROW_BUFFER_MIN - 1, sim._ROW_BUFFER_MIN):
+            for cooperative in (True, False):
+                scenario = index_edge_scenario(n_params, n_rounds=30, trials=3)
+                scenario.cooperative = cooperative
+                runs = []
+                for size in (16, default, 16384):
+                    np.setbufsize(size)
+                    try:
+                        runs.append(sim._discrete_rounds(scenario, range(3)))
+                        assert np.getbufsize() == size
+                    finally:
+                        np.setbufsize(default)
+                assert all(r.clamp_events > 0 for r in runs[0])
+                for results in runs[1:]:
+                    for a, b in zip(runs[0], results):
+                        np.testing.assert_array_equal(a.estimate_history, b.estimate_history)
+                        np.testing.assert_array_equal(a.belief_history, b.belief_history)
+                        assert a.clamp_events == b.clamp_events
+
+    def test_buffer_size_is_restored_when_a_run_raises(self):
+        # 300 candidates, none of which emits label 2; the truth does.
+        points = np.column_stack([np.linspace(0.1, 0.9, 300), np.linspace(0.9, 0.1, 300),
+                                  np.zeros(300)])
+        scenario = Scenario(
+            graph=validate_weight_matrix(REGRESSION_W), engine="discrete",
+            models=[CategoricalContextModel(i, [[0.45, 0.45, 0.1]], [0]) for i in range(2)],
+            n_rounds=100, trials=1, master_seed=9, theta_set=ParameterSet(points))
+        default = np.getbufsize()
+        np.setbufsize(16384)
+        try:
+            with pytest.raises(ZeroLikelihoodError):
+                run_trial(scenario, 0)
+            assert np.getbufsize() == 16384
+        finally:
+            np.setbufsize(default)
 
     def test_different_seeds_differ(self):
         base = regression_scenario(n_rounds=50, master_seed=1)
