@@ -4,8 +4,9 @@ Nodes hold beliefs over a shared parameter set, refine them with local
 Bayesian updates, and merge neighbors' beliefs by weighted
 log-geometric-mean consensus. The package bundles the belief engines
 (discrete and conjugate-Gaussian), the graph spectral toolkit, the
-sample-complexity and risk bounds, a deterministic round-based simulator,
-and a CLI for running configured experiments.
+sample-complexity bound and the paper's covering-radius risk bound, a
+deterministic round-based simulator, and a CLI for running configured
+experiments.
 """
 
 from .beliefs import ZeroLikelihoodError
@@ -25,7 +26,6 @@ from .graph import (
 from .models import (
     BernoulliContextModel,
     CategoricalContextModel,
-    CoveringReport,
     LikelihoodModel,
     LinearGaussianModel,
     NotGloballyLearnableError,
@@ -34,7 +34,6 @@ from .models import (
     UnboundedKLError,
     assumption_bounds,
     separation_table,
-    verify_r_covering,
 )
 from .sim import (
     ExperimentReport,
@@ -49,8 +48,6 @@ from .sim import (
 from .theory import (
     BoundInputs,
     InvalidInputsError,
-    risk_gap_chain,
-    empirical_risk_gap,
     risk_bound,
     sample_complexity,
     sample_complexity_real,

@@ -1,4 +1,4 @@
-"""Parameter sets, per-node likelihood models, and KL-derived quantities.
+"""Parameter sets, per-node likelihood models, and the separation table.
 
 Three built-in model families cover every in-scope experiment:
 
@@ -17,12 +17,12 @@ The two context families share one implementation: each maps a parameter
 vector to an (n_contexts, K) label table, and a sample's likelihood is
 one entry of it.
 
-Expectations over the instance distribution are Monte Carlo, and every
-estimate for one node shares the same instance draws: ``instance_support``
-reduces them to the distinct instances and their shares of the draws.
-The inner divergence is exact and evaluated once per distinct instance,
-then weighted by its share, so a context family's cost is bounded by its
-number of contexts, not by the number of draws.
+The expected KL to the truth is Monte Carlo over the instance
+distribution, and all of one node's expectations share the same instance
+draws: ``instance_support`` reduces them to the distinct instances and
+their shares of the draws. The conditional KL is exact and evaluated once
+per distinct instance, then weighted by its share, so a context family's
+cost is bounded by its number of contexts, not by the number of draws.
 
 Model instances carry their own sampling methods but no generator state.
 """
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, rel_entr
+from scipy.special import rel_entr
 
 DUPLICATE_TOL = 1e-12
 ARGMIN_TIE_TOL = 1e-6
@@ -136,9 +136,10 @@ class ParameterSet:
 class LikelihoodModel:
     """Per-node observation model: instance law, label law, and likelihoods.
 
-    Subclasses implement sampling, closed-form conditional divergences and
-    ``log_likelihood_matrix`` or ``log_likelihood_codes``, whose defaults use
-    each other. ``thetas`` arguments are (M, param_dim) candidate arrays.
+    Subclasses implement sampling, the closed-form conditional KL to the
+    truth and ``log_likelihood_matrix`` or ``log_likelihood_codes``, whose
+    defaults use each other. ``thetas`` arguments are (M, param_dim)
+    candidate arrays.
     """
 
     node_id: int
@@ -169,18 +170,6 @@ class LikelihoodModel:
 
     def kl_to_truth(self, thetas: np.ndarray, xs) -> np.ndarray:
         """Conditional KL(truth || likelihood(theta)) per (theta, instance)."""
-        raise NotImplementedError
-
-    def kl_between(self, thetas: np.ndarray, psi: np.ndarray, xs) -> np.ndarray:
-        """Conditional KL(likelihood(theta) || likelihood(psi)) per (theta, instance)."""
-        raise NotImplementedError
-
-    def label_expectation(self, theta: np.ndarray, xs, fn) -> np.ndarray:
-        """E[fn(x, Y)] under likelihood(theta) per instance; discrete labels only."""
-        raise NotImplementedError
-
-    def density_l1(self, theta: np.ndarray, psi: np.ndarray, xs) -> np.ndarray:
-        """Integral of |l(theta) - l(psi)| over labels, per instance."""
         raise NotImplementedError
 
     def likelihood_bounds(self, thetas: np.ndarray) -> tuple[float, float] | None:
@@ -226,9 +215,6 @@ class ContextModel(LikelihoodModel):
         with np.errstate(divide="ignore"):
             return np.log(self._tables(thetas))
 
-    def _table(self, theta) -> np.ndarray:
-        return self._tables(theta[None, :])[0]
-
     def sample_instances(self, rng, size):
         return self.visible[rng.integers(0, self.visible.size, size=size)]
 
@@ -238,25 +224,27 @@ class ContextModel(LikelihoodModel):
         return (u[:, None] > cdf).sum(axis=1).astype(np.int64)
 
     def log_likelihood_codes(self, thetas):
-        """Codes ``x * K + y`` (narrowest unsigned type) index an (n_contexts * K, M) log table;
-        the gather clips codes rather than checking them, so they must come from ``encode``."""
+        """Codes ``x * K + y`` (narrowest unsigned type) index an (n_contexts * K, M) log table.
+
+        ``encode`` raises ``ValueError`` unless ``0 <= x < n_contexts`` and
+        ``0 <= y < K``; the gather clips codes rather than checking them, so
+        they must come from ``encode``.
+        """
         table = np.ascontiguousarray(self._log_tables(thetas).reshape(len(thetas), -1).T)
         code_type = np.min_scalar_type(len(table) - 1)
-        return (lambda xs, ys: (np.asarray(xs) * self.n_labels + ys).astype(code_type),
-                lambda codes, out=None: np.take(table, codes, axis=0, out=out, mode="clip"))
+
+        def encode(xs, ys):
+            xs, ys = np.asarray(xs), np.asarray(ys)
+            if (xs.min(initial=0) < 0 or xs.max(initial=0) >= self.n_contexts
+                    or ys.min(initial=0) < 0 or ys.max(initial=0) >= self.n_labels):
+                raise ValueError(f"node {self.node_id}: a sample lies outside "
+                                 f"{self.n_contexts} contexts and {self.n_labels} labels")
+            return (xs * self.n_labels + ys).astype(code_type)
+
+        return encode, lambda codes, out=None: np.take(table, codes, axis=0, out=out, mode="clip")
 
     def kl_to_truth(self, thetas, xs):
         return rel_entr(self.true_table[xs], self._tables(thetas)[:, xs]).sum(axis=2)
-
-    def kl_between(self, thetas, psi, xs):
-        return rel_entr(self._tables(thetas)[:, xs], self._table(psi)[xs]).sum(axis=2)
-
-    def label_expectation(self, theta, xs, fn):
-        values = np.stack([fn(xs, label) for label in range(self.n_labels)], axis=1)
-        return (self._table(theta)[xs] * values).sum(axis=1)
-
-    def density_l1(self, theta, psi, xs):
-        return np.abs(self._table(theta)[xs] - self._table(psi)[xs]).sum(axis=1)
 
     def likelihood_bounds(self, thetas):
         """None when some visible label has probability 0: the log-ratio is unbounded."""
@@ -284,7 +272,7 @@ class BernoulliContextModel(ContextModel):
         probs = np.asarray(true_probs, dtype=float)
         if probs.ndim != 1 or probs.min() < 0 or probs.max() > 1:
             raise ValueError("true_probs must be probabilities in [0, 1]")
-        super().__init__(node_id, self._table(probs), visible)
+        super().__init__(node_id, self._tables(probs[None])[0], visible)
         self.param_dim = self.n_contexts
 
     def _tables(self, thetas):
@@ -360,15 +348,8 @@ class LinearGaussianModel(LikelihoodModel):
         return -0.5 * residuals**2 - math.log(self.noise_std * math.sqrt(2.0 * math.pi))
 
     def kl_to_truth(self, thetas, xs):
-        return self.kl_between(thetas, self.true_theta, xs)  # the equal-variance KL is symmetric
-
-    def kl_between(self, thetas, psi, xs):
-        proj = augment(xs) @ (thetas - psi[None, :]).T
+        proj = augment(xs) @ (thetas - self.true_theta[None, :]).T
         return proj.T**2 / (2.0 * self.noise_var)
-
-    def density_l1(self, theta, psi, xs):
-        gap = np.abs(augment(xs) @ (theta - psi))
-        return 2.0 * erf(gap / (2.0 * math.sqrt(2.0) * self.noise_std))
 
 
 @dataclass(frozen=True)
@@ -388,20 +369,6 @@ class SeparationTable:
     local_optima: tuple[tuple[int, ...], ...]
     global_optima: tuple[int, ...]
     separation_rate: float
-
-
-@dataclass(frozen=True)
-class CoveringReport:
-    """Result of checking candidate points against a covering radius."""
-
-    radius: float
-    distances: np.ndarray
-    violating_indices: tuple[int, ...]
-    worst_radius: float
-
-    @property
-    def is_covering(self) -> bool:
-        return not self.violating_indices
 
 
 def instance_support(model, mc_samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -452,34 +419,6 @@ def separation_table(models, theta_set: ParameterSet, stationary,
         local_optima=local,
         global_optima=tuple(int(i) for i in np.flatnonzero(optimal)),
         separation_rate=rate,
-    )
-
-
-def verify_r_covering(phi_samples, theta_set: ParameterSet, models,
-                      radius: float, mc_samples: int = 2000, seed: int = 0) -> CoveringReport:
-    """Check that every sampled point of the continuum is KL-close to the set.
-
-    For each candidate psi, computes min over theta in the set of the
-    node-averaged expected KL(likelihood(theta) || likelihood(psi)) and
-    compares it with ``radius``. Returns the violating sample indices and
-    the empirical worst-case radius.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    phi = np.atleast_2d(np.asarray(phi_samples, dtype=float))
-    supports = [instance_support(model, mc_samples, seed) for model in models]
-    distances = np.empty(phi.shape[0])
-    for p, psi in enumerate(phi):
-        per_theta = np.zeros(theta_set.n_points)
-        for model, (xs, shares) in zip(models, supports):
-            per_theta += model.kl_between(theta_set.points, psi, xs) @ shares
-        distances[p] = per_theta.min() / len(models)
-    violating = tuple(int(i) for i in np.flatnonzero(distances > radius))
-    return CoveringReport(
-        radius=radius,
-        distances=distances,
-        violating_indices=violating,
-        worst_radius=float(distances.max()),
     )
 
 

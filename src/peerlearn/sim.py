@@ -86,6 +86,8 @@ class Scenario:
             raise ValueError("master_seed must fit in 64 bits")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if self.kl_mc_samples < 1:
+            raise ValueError("kl_mc_samples must be at least 1")
         if self.engine == "discrete":
             if self.theta_set is None:
                 raise ValueError("discrete engine requires a parameter set")

@@ -9,10 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .models import instance_support
-
 
 class InvalidInputsError(ValueError):
     """A bound input is outside its admissible range."""
@@ -81,47 +77,3 @@ def risk_bound(label_risk_bound: float, covering_radius: float) -> float:
     if label_risk_bound < 0 or covering_radius < 0:
         raise InvalidInputsError("risk bound inputs must be nonnegative")
     return label_risk_bound * math.sqrt(covering_radius) / 2.0
-
-
-def empirical_risk_gap(models, theta_set, optimal_index: int, estimates,
-                       risk_fn, mc_samples: int = 2000, seed: int = 0) -> float:
-    """Monte Carlo network-average |risk(optimal) - risk(estimate)|.
-
-    ``risk_fn(x, y)`` must be bounded as declared by the caller;
-    expectations over labels are exact for the discrete families and the
-    optimal and estimated parameters share instance draws node by node.
-    This is the first link of ``risk_gap_chain``, on the same draws.
-    """
-    return risk_gap_chain(models, theta_set, optimal_index, estimates, risk_fn,
-                          1.0, mc_samples=mc_samples, seed=seed)["risk_gap"]
-
-
-def risk_gap_chain(models, theta_set, optimal_index: int, estimates,
-                    risk_fn, label_risk_bound: float,
-                    mc_samples: int = 2000, seed: int = 0) -> dict:
-    """All intermediate quantities of the risk-gap chain, on shared draws.
-
-    Returns the Monte Carlo risk gap plus its successive relaxations: the
-    L1-density bound, the total-variation (Pinsker) bound with the
-    standard constant, and its Jensen relaxation. Each link of
-    gap <= l1 <= pinsker <= jensen holds instance by instance, so the
-    weighted estimates preserve the ordering exactly.
-    """
-    gaps, l1_terms, pinsker_sqrts, kl_means = [], [], [], []
-    for model, estimate in zip(models, estimates):
-        xs, shares = instance_support(model, mc_samples, seed)
-        opt_point = theta_set.points[optimal_index]
-        est_point = theta_set.points[int(estimate)]
-        risk_opt, risk_est = (model.label_expectation(point, xs, risk_fn) @ shares
-                              for point in (opt_point, est_point))
-        gaps.append(abs(risk_opt - risk_est))
-        l1_terms.append(model.density_l1(opt_point, est_point, xs) @ shares)
-        kls = model.kl_between(opt_point[None, :], est_point, xs)[0]
-        pinsker_sqrts.append(np.sqrt(2.0 * kls) @ shares)
-        kl_means.append(kls @ shares)
-    return {
-        "risk_gap": float(np.mean(gaps)),
-        "l1_bound": float(label_risk_bound * np.mean(l1_terms)),
-        "pinsker_bound": float(label_risk_bound * np.mean(pinsker_sqrts)),
-        "jensen_bound": float(label_risk_bound * math.sqrt(2.0 * np.mean(kl_means))),
-    }

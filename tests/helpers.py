@@ -324,6 +324,13 @@ def per_sample_kl_mean(true_table, tables, xs) -> np.ndarray:
     return rel_entr(true_table[xs][None, :, :], tables[:, xs, :]).sum(axis=2).mean(axis=1)
 
 
+def _label_tables(model, points) -> np.ndarray:
+    """A context family's (n_contexts, K) label table of each parameter in ``points``."""
+    if isinstance(model, BernoulliContextModel):
+        return np.stack([1.0 - points, points], axis=-1)
+    return points.reshape(points.shape[:-1] + (model.n_contexts, model.n_labels))
+
+
 def _per_draw_kl(model, points, psi, xs) -> np.ndarray:
     """KL(likelihood(theta) || likelihood(psi)) per (row theta of ``points``, draw).
 
@@ -334,13 +341,7 @@ def _per_draw_kl(model, points, psi, xs) -> np.ndarray:
     if isinstance(model, LinearGaussianModel):
         design = np.column_stack([np.ones(len(xs)), xs])
         return (design @ (points - psi).T).T ** 2 / (2.0 * model.noise_std**2)
-    if isinstance(model, BernoulliContextModel):
-        tables = np.stack([1.0 - points, points], axis=2)
-        psi_table = np.stack([1.0 - psi, psi], axis=1)
-    else:
-        tables = points.reshape(len(points), model.n_contexts, model.n_labels)
-        psi_table = psi.reshape(model.n_contexts, model.n_labels)
-    return rel_entr(tables[:, xs], psi_table[xs]).sum(axis=2)
+    return rel_entr(_label_tables(model, points)[:, xs], _label_tables(model, psi)[xs]).sum(axis=2)
 
 
 def per_draw_covering_distances(phi, points, models, mc_samples: int, seed: int) -> np.ndarray:
@@ -349,6 +350,7 @@ def per_draw_covering_distances(phi, points, models, mc_samples: int, seed: int)
     The least, over the rows theta of ``points``, of the node average of the
     mean KL(likelihood(theta) || likelihood(psi)) over each node's
     ``mc_samples`` draws from the stream ``default_rng([seed, node_id])``.
+    The set covers ``phi`` at radius r when every distance is at most r.
     """
     points = np.asarray(points, dtype=float)
     draws = [m.sample_instances(np.random.default_rng([seed, m.node_id]), mc_samples)
@@ -358,6 +360,38 @@ def per_draw_covering_distances(phi, points, models, mc_samples: int, seed: int)
         / len(models)
         for psi in np.asarray(phi, dtype=float)
     ])
+
+
+def risk_gap_chain(models, points, optimal_index: int, estimates, risk_fn,
+                   label_risk_bound: float = 1.0, *, mc_samples: int, seed: int) -> dict:
+    """The network-average risk gap and its bounds, for context families, draw by draw.
+
+    Node j compares the optimal parameter with ``estimates[j]`` over ``mc_samples``
+    draws from ``default_rng([seed, node_id])``; ``|risk_fn(xs, y)|`` must be at most
+    ``label_risk_bound``. Returns ``risk_gap`` and its L1, Pinsker and Jensen bounds:
+    each link of gap <= l1 <= pinsker <= jensen holds draw by draw, so the averages
+    keep the ordering.
+    """
+    points = np.asarray(points, dtype=float)
+    optimal = points[optimal_index]
+    gaps, l1_terms, pinsker_sqrts, kl_means = [], [], [], []
+    for model, estimate in zip(models, estimates):
+        xs = model.sample_instances(np.random.default_rng([seed, model.node_id]), mc_samples)
+        estimated = points[int(estimate)]
+        risks = np.stack([risk_fn(xs, y) for y in range(model.n_labels)], axis=1)
+        rows = [_label_tables(model, point)[xs] for point in (optimal, estimated)]
+        gaps.append(abs((rows[0] * risks).sum(axis=1).mean()
+                        - (rows[1] * risks).sum(axis=1).mean()))
+        l1_terms.append(np.abs(rows[0] - rows[1]).sum(axis=1).mean())
+        kls = _per_draw_kl(model, optimal[None, :], estimated, xs)[0]
+        pinsker_sqrts.append(np.sqrt(2.0 * kls).mean())
+        kl_means.append(kls.mean())
+    return {
+        "risk_gap": float(np.mean(gaps)),
+        "l1_bound": float(label_risk_bound * np.mean(l1_terms)),
+        "pinsker_bound": float(label_risk_bound * np.mean(pinsker_sqrts)),
+        "jensen_bound": float(label_risk_bound * math.sqrt(2.0 * np.mean(kl_means))),
+    }
 
 
 def recursion_residual(scenario: Scenario, result) -> float:

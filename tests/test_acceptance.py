@@ -24,7 +24,6 @@ from peerlearn import (
     ParameterSet,
     Scenario,
     assumption_bounds,
-    empirical_risk_gap,
     risk_bound,
     run_experiment,
     run_trial,
@@ -33,7 +32,6 @@ from peerlearn import (
     sim,
     spectral_gap,
     verify_mixing_bound,
-    verify_r_covering,
 )
 from peerlearn.beliefs import row_normalize
 from peerlearn.cli import main as cli_main
@@ -42,10 +40,12 @@ from helpers import (
     BeliefVector,
     GaussianBelief,
     covering_grid_world,
+    per_draw_covering_distances,
     random_weight_matrix,
     recursion_residual,
     reference_consensus,
     regression_scenario,
+    risk_gap_chain,
     three_node_bernoulli,
 )
 
@@ -332,9 +332,7 @@ def test_criterion_7_risk_gap_under_covering_bound():
     # Measured covering radius of the grid inside the ambient square.
     axis = np.linspace(0.2, 0.8, 41)
     phi = np.array([[a, b] for a in axis for b in axis])
-    covering = verify_r_covering(phi, theta_set, models, radius=1.0,
-                                 mc_samples=400, seed=17)
-    radius = covering.worst_radius
+    radius = per_draw_covering_distances(phi, theta_set.points, models, 400, 17).max()
     gap_bound = risk_bound(1.0, radius)
 
     def label_risk(xs, y):
@@ -347,9 +345,9 @@ def test_criterion_7_risk_gap_under_covering_bound():
     worst_gap = 0.0
     violations = 0
     for t, trial in enumerate(report.trial_results):
-        gap = empirical_risk_gap(models, theta_set, star_index,
-                                 trial.final_estimates, label_risk,
-                                 mc_samples=400, seed=900 + t)
+        gap = risk_gap_chain(models, theta_set.points, star_index,
+                             trial.final_estimates, label_risk,
+                             mc_samples=400, seed=900 + t)["risk_gap"]
         worst_gap = max(worst_gap, gap)
         violations += int(gap > gap_bound)
 

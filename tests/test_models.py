@@ -1,4 +1,4 @@
-"""Likelihood families, expected-KL geometry, covering verification."""
+"""Likelihood families, expected-KL geometry, covering distances."""
 
 import math
 
@@ -18,7 +18,6 @@ from peerlearn import (
     separation_table,
     spectral_gap,
     validate_weight_matrix,
-    verify_r_covering,
 )
 from peerlearn import models
 from peerlearn.models import DUPLICATE_TOL, instance_support
@@ -181,6 +180,19 @@ class TestContextFamilies:
             gather(codes, out=state[:, 1])
             np.testing.assert_array_equal(state[:, 1], expected)
             assert not state[:, ::2].any()
+
+    @pytest.mark.parametrize("x, y", [(5, 1), (-1, 1), (0, 2)],
+                             ids=["context-past-the-end", "negative-context", "label-past-the-end"])
+    def test_encode_rejects_a_sample_outside_the_table(self, x, y):
+        # Each would otherwise alias a valid row: the last one after the
+        # gather's clip, or the next context's label 0.
+        model = BernoulliContextModel(3, [0.8, 0.3], [0, 1])
+        points = np.array([[0.8, 0.3], [0.5, 0.5]])
+        encode, _ = model.log_likelihood_codes(points)
+        with pytest.raises(ValueError, match="^node 3: a sample lies outside 2 contexts"):
+            encode(np.array([0, x]), np.array([1, y]))
+        with pytest.raises(ValueError, match="^node 3: "):
+            model.log_likelihood_matrix(points, [x], [y])
 
     def test_one_gaussian_sample_is_a_row_of_the_batch(self):
         model = LinearGaussianModel(0, [-0.3, 0.5, 0.8], [[-1, 1], [-1.5, 1.5]], [0, 1], 0.8)
@@ -501,43 +513,11 @@ class TestLinearMemory:
 
 
 class TestCoveringVerifier:
-    @_WORLDS
-    @given(family=st.sampled_from(["bernoulli", "categorical", "linear_gaussian"]), seed=_SEEDS,
-           n_nodes=st.integers(1, 3))
-    def test_distances_match_the_per_draw_oracle(self, family, seed, n_nodes):
-        rng = np.random.default_rng([seed, 1])
-        if family == "linear_gaussian":
-            truth = rng.uniform(-1.0, 1.0, 3)
-            models = [
-                LinearGaussianModel(j, truth, [[-1, 1], [-2, 2]],
-                                    rng.choice(2, int(rng.integers(0, 3)), replace=False),
-                                    rng.uniform(0.3, 1.5))
-                for j in range(n_nodes)
-            ]
-            points = np.vstack([truth, rng.uniform(-1.0, 1.0, (10, 3))])
-            phi = rng.uniform(-1.0, 1.0, (6, 3))
-        else:
-            models, points, _ = _context_world(family, seed, n_nodes)
-            # Mixtures of two distinct candidates are label tables with no zero
-            # entry, and none is a candidate.
-            first = rng.integers(0, 11, 6)
-            second = (first + rng.integers(1, 11, 6)) % 11
-            mix = rng.uniform(0.1, 0.9, (6, 1))
-            phi = mix * points[first] + (1.0 - mix) * points[second]
-        report = verify_r_covering(phi, ParameterSet(points), models, radius=1.0,
-                                   mc_samples=300, seed=seed)
-        np.testing.assert_allclose(report.distances,
-                                   per_draw_covering_distances(phi, points, models, 300, seed),
-                                   rtol=1e-12, atol=0)
-
     def test_points_cover_themselves(self):
         truth = np.array([0.6, 0.4])
-        theta = ParameterSet(np.array([truth, [0.3, 0.7]]))
+        points = np.array([truth, [0.3, 0.7]])
         models = [BernoulliContextModel(0, truth, [0, 1])]
-        report = verify_r_covering(theta.points, theta, models, radius=1e-9,
-                                   mc_samples=100, seed=0)
-        assert report.is_covering
-        assert report.worst_radius <= 1e-15
+        assert per_draw_covering_distances(points, points, models, 100, 0).max() <= 1e-15
 
     def test_intercept_grid_worst_radius_closed_form(self):
         # Intercept-only regression: the average KL to the nearest grid point
@@ -545,31 +525,26 @@ class TestCoveringVerifier:
         noise_std = 0.5
         spacing = 0.1
         grid = np.arange(0.0, 1.0 + 1e-12, spacing)[:, None]
-        theta = ParameterSet(grid)
         model = LinearGaussianModel(0, [0.5], ranges=[], observed=[],
                                     noise_std=noise_std)
         phi = np.linspace(0.0, 1.0, 201)[:, None]
-        report = verify_r_covering(phi, theta, [model], radius=1.0,
-                                   mc_samples=50, seed=0)
+        distances = per_draw_covering_distances(phi, grid, [model], 50, 0)
         expected_worst = (spacing / 2.0) ** 2 / (2.0 * noise_std**2)
-        assert report.worst_radius == pytest.approx(expected_worst, rel=1e-9)
-        assert report.is_covering
+        assert distances.max() == pytest.approx(expected_worst, rel=1e-9)
 
     def test_small_radius_reports_midpoint_violations(self):
         noise_std = 0.5
         grid = np.arange(0.0, 1.0 + 1e-12, 0.1)[:, None]
-        theta = ParameterSet(grid)
         model = LinearGaussianModel(0, [0.5], ranges=[], observed=[],
                                     noise_std=noise_std)
         phi = np.linspace(0.0, 1.0, 201)[:, None]
         tight = 0.004
-        report = verify_r_covering(phi, theta, [model], radius=tight,
-                                   mc_samples=50, seed=0)
-        assert not report.is_covering
+        violating = np.flatnonzero(per_draw_covering_distances(phi, grid, [model], 50, 0) > tight)
+        assert violating.size
         # Every violation sits farther from its nearest grid point than the
         # radius allows.
         threshold = math.sqrt(tight * 2.0 * noise_std**2)
-        for idx in report.violating_indices:
+        for idx in violating:
             nearest = np.min(np.abs(grid[:, 0] - phi[idx, 0]))
             assert nearest > threshold - 1e-12
 

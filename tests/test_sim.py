@@ -316,6 +316,16 @@ class TestScenarioValidation:
         with pytest.raises(error, match=match):
             run_experiment(scenario)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_kl_mc_samples_must_be_positive(self, samples):
+        # With no draws the separation table is all zeros: every parameter
+        # would read as globally optimal and the sample bound as 1.
+        graph, theta, models = three_node_bernoulli()
+        scenario = Scenario(graph=graph, engine="discrete", models=models, n_rounds=5,
+                            trials=1, master_seed=1, theta_set=theta, kl_mc_samples=samples)
+        with pytest.raises(ValueError, match="^kl_mc_samples must be at least 1$"):
+            run_experiment(scenario)
+
 
 def entry_major(precision: np.ndarray, shift: np.ndarray) -> np.ndarray:
     """States ``(B, d, d)`` and ``(B, d)`` in the engine's entry-major layout, ``(d*d + d, B)``."""

@@ -1,4 +1,4 @@
-"""Sample-complexity bound, risk bound, and the empirical risk-gap chain."""
+"""Sample-complexity bound, risk bound, and the risk-gap chain oracle."""
 
 import math
 
@@ -12,12 +12,12 @@ from peerlearn import (
     BoundInputs,
     InvalidInputsError,
     ParameterSet,
-    risk_gap_chain,
-    empirical_risk_gap,
     risk_bound,
     sample_complexity,
     sample_complexity_real,
 )
+
+from helpers import risk_gap_chain
 
 
 def make_inputs(**overrides) -> BoundInputs:
@@ -128,8 +128,8 @@ class TestEmpiricalRiskGap:
         truth = np.array([0.8, 0.4])
         models = [BernoulliContextModel(0, truth, [0, 1])]
         theta = ParameterSet(np.array([truth, [0.5, 0.5]]))
-        gap = empirical_risk_gap(models, theta, 0, [0], label_risk,
-                                 mc_samples=200, seed=1)
+        gap = risk_gap_chain(models, theta.points, 0, [0], label_risk,
+                             mc_samples=200, seed=1)["risk_gap"]
         assert gap == 0.0
 
     def test_bernoulli_hand_value(self):
@@ -138,8 +138,8 @@ class TestEmpiricalRiskGap:
         truth = np.array([0.9])
         models = [BernoulliContextModel(0, truth, [0])]
         theta = ParameterSet(np.array([[0.9], [0.5]]))
-        gap = empirical_risk_gap(models, theta, 0, [1], label_risk,
-                                 mc_samples=100, seed=2)
+        gap = risk_gap_chain(models, theta.points, 0, [1], label_risk,
+                             mc_samples=100, seed=2)["risk_gap"]
         assert gap == pytest.approx(0.4, abs=1e-12)
 
     def test_chain_ordering_with_wrong_estimates(self):
@@ -150,8 +150,8 @@ class TestEmpiricalRiskGap:
         ]
         theta = ParameterSet(np.array([truth, [0.5, 0.6], [0.25, 0.8]]))
         for wrong in ([1, 1], [2, 2], [1, 2]):
-            chain = risk_gap_chain(models, theta, 0, wrong, label_risk,
-                                    label_risk_bound=1.0, mc_samples=800, seed=3)
+            chain = risk_gap_chain(models, theta.points, 0, wrong, label_risk,
+                                   label_risk_bound=1.0, mc_samples=800, seed=3)
             assert chain["risk_gap"] <= chain["l1_bound"] + 1e-12
             assert chain["l1_bound"] <= chain["pinsker_bound"] + 1e-12
             assert chain["pinsker_bound"] <= chain["jensen_bound"] + 1e-12
@@ -160,7 +160,7 @@ class TestEmpiricalRiskGap:
         truth = np.array([0.7, 0.35])
         models = [BernoulliContextModel(0, truth, [0, 1])]
         theta = ParameterSet(np.array([truth, [0.5, 0.6]]))
-        chain = risk_gap_chain(models, theta, 0, [0], label_risk,
-                                label_risk_bound=1.0, mc_samples=100, seed=4)
+        chain = risk_gap_chain(models, theta.points, 0, [0], label_risk,
+                               label_risk_bound=1.0, mc_samples=100, seed=4)
         assert chain["risk_gap"] == 0.0
         assert chain["jensen_bound"] == 0.0
