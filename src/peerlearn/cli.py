@@ -1,4 +1,4 @@
-"""Command-line entry point: config parsing, subcommands, serialization.
+"""Command-line entry point: config parsing, subcommands, exit codes.
 
 A config is a JSON document checked against a strict schema in one pass,
 which builds the scenario as it goes: the weight matrix, one likelihood
@@ -30,7 +30,6 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +45,7 @@ from .models import (
     ParameterSet,
     UnboundedKLError,
 )
+from .output import _jsonable, _summary_dict, _write_metrics
 from .sim import ENGINES, Scenario, make_regression_test_set, run_experiment, sample_bound
 
 SCHEMA_VERSION = 1
@@ -396,264 +396,6 @@ def parse_config(text) -> ConfigDocument:
 def build_scenario(doc: ConfigDocument) -> Scenario:
     """A copy of the document's scenario, for the caller to adjust and run."""
     return dataclasses.replace(doc.scenario)
-
-
-# A chunk of the metrics table holds about this many cells, so writing it
-# takes memory independent of the round and trial counts. Rendering takes
-# about 200 bytes a cell (mostly ``_render_fast``'s index), 1.6 MB a chunk.
-_CHUNK_CELLS = 2**13
-
-
-def _metric_columns(report, scenario):
-    """Column names and each cell's %-format; ``mse`` is an empty cell without a test set."""
-    if report.engine == "discrete":
-        n_params = scenario.theta_set.n_points
-        columns = ["trial", "round", "node", "estimate_index"]
-        columns += [f"belief_{m}" for m in range(n_params)]
-        return columns, ["%d"] * 4 + ["%.12g"] * n_params
-    dim = len(scenario.prior_mean)
-    columns = ["trial", "round", "node", *(f"mu_{m}" for m in range(dim)),
-               *(f"sigma_{m}" for m in range(dim)), "mse"]
-    mse = "%.12g" if scenario.test_set is not None else ""
-    return columns, ["%d"] * 3 + ["%.12g"] * (2 * dim) + [mse]
-
-
-def _metric_chunks(report, scenario, n_cells: int):
-    """The metrics rows as float arrays of about ``_CHUNK_CELLS`` cells each.
-
-    A trial's rows run over (round, node): trial, round and node, then the
-    estimate index and beliefs (as probabilities) for discrete runs, or the
-    means, variances and test MSE for gaussian ones.
-    """
-    n_nodes = scenario.graph.n_nodes
-    n_rows = scenario.n_rounds * n_nodes
-    step = max(1, _CHUNK_CELLS // n_cells)
-    for t, result in enumerate(report.trial_results):
-        if report.engine == "discrete":
-            blocks = [result.estimate_history, result.belief_history]
-        else:
-            blocks = [result.mean_history, result.variance_diag_history, result.mse_history]
-        blocks = [b.reshape(n_rows, -1) for b in blocks if b is not None]
-        for start in range(0, n_rows, step):
-            values = [b[start:start + step] for b in blocks]
-            if report.engine == "discrete":
-                values[1] = np.exp(values[1])
-            round_, node = np.divmod(np.arange(start, start + len(values[0])), n_nodes)
-            yield np.column_stack([np.full(len(round_), t), round_, node, *values])
-
-
-# Fixed-notation cells. '%.12g' writes x in fixed notation when the exponent
-# X of its rounding to 12 significant digits lies in [-4, 11]. Such a cell's
-# text follows from its 12 digits, X, its count k of significant digits and
-# its sign: each (X, k, sign) has one pattern of indices into the cell's 16
-# source bytes, its digits then "-", ".", "0" and a pad byte (0), which is
-# dropped from the text. The digits come from a table of 4-digit groups.
-_POW10 = np.array([float(10**j) for j in range(17)])
-_QUADS = np.arange(10**4)
-_QUAD_DIGITS = (48 + _QUADS[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
-_QUAD_WORDS = _QUAD_DIGITS.view(np.uint32)[:, 0]
-_QUAD_TRAILING_ZEROS = sum(_QUADS % 10**j == 0 for j in range(1, 5))
-_SOURCE_TAIL = np.frombuffer(b"-.0\0", dtype=np.uint32)[0]
-
-
-def _number_patterns() -> np.ndarray:
-    """Source-byte indices of each fixed-notation text, padded to 18 bytes.
-
-    Row ``((X + 4) * 13 + k) * 2 + negative`` is the number with leading
-    digit at ``10**X`` and ``k`` significant digits; zero has X = 0, k = 0.
-    """
-    minus, point, zero, pad = 12, 13, 14, 15
-    patterns = np.full((16, 13, 2, 18), pad)
-    for x in range(-4, 12):
-        for k in range(13):
-            if x >= 0:
-                text = [*range(x + 1), *([point, *range(x + 1, k)] if k > x + 1 else [])]
-            else:
-                text = [zero, point, *[zero] * (-x - 1), *range(k)]
-            patterns[x + 4, k, 0, :len(text)] = text
-            patterns[x + 4, k, 1, :len(text) + 1] = [minus, *text]
-    return patterns.reshape(-1, 18)
-
-
-_NUMBER_PATTERNS = _number_patterns()
-_NUMBER_LENGTHS = (_NUMBER_PATTERNS != 15).sum(axis=1)
-
-
-def _in_fixed_range(values: np.ndarray) -> np.ndarray:
-    """A cheap superset of the values that ``'%.12g'`` writes in fixed notation."""
-    a = np.abs(values)
-    return ((a >= 9.9999e-05) & (a < 1e12)) | (a == 0)
-
-
-def _fixed_notation(values: np.ndarray):
-    """Which cells take the fixed-notation path, with their pattern rows and source bytes.
-
-    Returns ``fast``, ``key`` (each cell's row of ``_NUMBER_PATTERNS``, valid
-    where fast) and ``source`` (each cell's 16 source bytes as 4 words). The
-    digits are ``rint(y)`` for ``y = |x| * 10**(11 - e)``, ``e`` the floor of
-    ``log10|x|``. The power is exact for e in [-5, 11], so ``y`` is the
-    exact product correctly rounded. Below 1e12 every half lies on the grid
-    of doubles, so ``y`` is on the exact product's side of each half unless
-    it is a half itself, and only there can ``rint`` round the other way.
-    A ``log10`` one off near a power of ten leaves ``y`` within an ulp of
-    1e11 or 1e12, which rounds right (a carry to 1e12 raises X). A cell is
-    not fast when it is out of range, a half, or -0.0 (``%d`` writes "0").
-    """
-    fast = _in_fixed_range(values)
-    zero = values == 0
-    a = np.where(fast & ~zero, np.abs(values), 1.0)
-    e = np.clip(np.floor(np.log10(a)), -5, 11).astype(np.intp)
-    y = a * _POW10[11 - e]
-    digits = np.rint(y)
-    fast &= y - np.floor(y) != 0.5
-    fast &= ~(zero & np.signbit(values))
-    carry = digits == 1e12
-    x = e + carry
-    fast &= (x >= -4) & (x <= 11)
-    digits[carry] = 1e11
-    digits[zero] = 0
-    # Exact in floats: each quotient's fraction stays clear of the next integer.
-    high = np.floor(digits / 1e8)
-    rest = digits - high * 1e8
-    mid = np.floor(rest / 1e4)
-    high, mid, low = (q.astype(np.intp) for q in (high, mid, rest - mid * 1e4))
-    zeros = _QUAD_TRAILING_ZEROS
-    k = 12 - zeros[low] - (low == 0) * (zeros[mid] + (mid == 0) * zeros[high])
-    key = ((x + 4) * 13 + k) * 2 + np.signbit(values)
-    source = np.empty(values.shape + (4,), np.uint32)
-    source[..., 0] = _QUAD_WORDS[high]
-    source[..., 1] = _QUAD_WORDS[mid]
-    source[..., 2] = _QUAD_WORDS[low]
-    source[..., 3] = _SOURCE_TAIL
-    return fast, key, source
-
-
-def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray) -> bytes:
-    """The text of rows of fast cells, each cell followed by its column's trail.
-
-    ``trails`` is ``(columns, width)`` bytes, padded with 0.
-    """
-    rows, cols = key.shape
-    index = np.take(_NUMBER_PATTERNS, key, axis=0)
-    index += 16 * np.arange(rows * cols).reshape(rows, cols, 1)
-    text = np.empty((rows, cols, 18 + trails.shape[1]), np.uint8)
-    text[..., :18] = np.take(source.view(np.uint8).ravel(), index)
-    text[..., 18:] = trails
-    return text[text != 0].tobytes()
-
-
-def _row_renderer(row: str, sep: str):
-    """A function from a chunk of rows to their text, joined by ``sep``.
-
-    ``row`` is one row's %-template. Rows whose cells are all fast (see
-    ``_fixed_notation``) are built by ``_render_fast``; the rest go through
-    the template, and the rows keep their order. A ``%d`` cell takes the
-    same path: integer-valued floats below 1e12 read the same in ``%d``
-    and ``%.12g``.
-    """
-    lead, *trails = re.split(r"%(?:d|\.12g)", row)
-    trails[-1] += sep + lead  # a rendered row runs on to the next row's lead
-    trail_bytes = np.zeros((len(trails), max(map(len, trails))), np.uint8)
-    for j, trail in enumerate(trails):
-        trail_bytes[j, :len(trail)] = list(trail.encode())
-    trail_length = sum(map(len, trails))
-    joint, lead_bytes, sep_bytes = len(sep) + len(lead), lead.encode(), sep.encode()
-
-    def template(rows):
-        return (sep.join([row] * len(rows)) % tuple(rows.ravel().tolist())).encode()
-
-    def render(chunk):
-        # The cheap check first: rows bound for the template cost little more.
-        candidate = _in_fixed_range(chunk).all(axis=1)
-        if not candidate.any():
-            return template(chunk)
-        cells, key, source = _fixed_notation(chunk[candidate])
-        passed = cells.all(axis=1)
-        key, source = key[passed], source[passed]
-        fast = np.zeros(len(chunk), bool)
-        fast[np.flatnonzero(candidate)[passed]] = True
-        text = _render_fast(key, source, trail_bytes)
-        if fast.all():
-            return lead_bytes + text[:len(text) - joint]
-        offsets = [0, *np.cumsum(_NUMBER_LENGTHS[key].sum(axis=1) + trail_length).tolist()]
-        parts, done = [], 0
-        starts = (np.flatnonzero(np.diff(fast)) + 1).tolist()
-        for r0, r1 in zip([0, *starts], [*starts, len(chunk)]):
-            if fast[r0]:
-                parts.append(lead_bytes + text[offsets[done]:offsets[done + r1 - r0] - joint])
-                done += r1 - r0
-            else:
-                parts.append(template(chunk[r0:r1]))
-        return sep_bytes.join(parts)
-
-    return render
-
-
-def _write_metrics(report, scenario, directory: Path, fmt: str) -> Path:
-    """Write the metrics table chunk by chunk, in the text of a %-template.
-
-    A row whose cells ``'%.12g'`` writes in fixed notation is rendered with
-    numpy (see ``_row_renderer``), byte for byte as the template would
-    write it; any other row, and the rare row with a cell whose rounding a
-    double cannot settle, goes through the template. ``metrics.json`` is
-    ``{"columns": [...], "rows": [[...], ...]}``, each cell a string with
-    the CSV's text.
-    """
-    columns, cells = _metric_columns(report, scenario)
-    target = directory / f"metrics.{fmt}"
-    if fmt == "csv":
-        head, row, sep, tail = ",".join(columns) + "\n", ",".join(cells) + "\n", "", ""
-    else:
-        head = '{"columns":%s,"rows":[' % json.dumps(columns, separators=(",", ":"))
-        row, sep, tail = "[%s]" % ",".join(f'"{c}"' for c in cells), ",", "]}\n"
-    render = _row_renderer(row, sep)
-    with open(target, "wb") as handle:
-        handle.write(head.encode())
-        for i, chunk in enumerate(_metric_chunks(report, scenario, len(cells))):
-            if i:
-                handle.write(sep.encode())
-            handle.write(render(chunk))
-        handle.write(tail.encode())
-    return target
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        return "inf" if math.isinf(value) else float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
-
-
-def _summary_dict(report, scenario) -> dict:
-    summary = {
-        "engine": report.engine,
-        "trials": report.trials,
-        "n_rounds": scenario.n_rounds,
-        "master_seed": int(scenario.master_seed),
-        "cooperative": scenario.cooperative,
-        "stationary": _jsonable(report.spectral.stationary),
-        "lambda_max": _jsonable(report.spectral.lambda_max),
-        "mixing_bound": _jsonable(report.spectral.mixing_bound),
-        "empirical_error": report.empirical_error,
-        "sample_bound": report.sample_bound,
-        "assumption_violated": report.assumption_violated,
-        "first_all_success_round": report.first_all_success_round,
-        "runtime_seconds": report.runtime_seconds,
-    }
-    if report.sample_bound_reason is not None:
-        summary["sample_bound_reason"] = report.sample_bound_reason
-    if report.separation is not None:
-        summary["clamp_events"] = [r.clamp_events for r in report.trial_results]
-        summary["global_optima"] = list(report.separation.global_optima)
-        summary["separation_rate"] = _jsonable(
-            (report.bound_inputs or report.separation).separation_rate)
-    if report.final_mse_per_node is not None:
-        summary["final_mse_per_node"] = _jsonable(report.final_mse_per_node)
-        summary["baseline_final_mse"] = _jsonable(report.baseline_final_mse)
-    return summary
 
 
 def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,

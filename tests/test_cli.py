@@ -25,7 +25,7 @@ from peerlearn import (
     run_experiment,
     validate_weight_matrix,
 )
-from peerlearn import cli
+from peerlearn import cli, output
 from peerlearn.cli import (
     ConfigSyntaxError,
     ConfigValidationError,
@@ -850,11 +850,11 @@ class TestMetricsWriter:
         report = run_experiment(scenario)
         if chunk_rows is not None:
             # Chunks split a trial's rows, and the last one of each trial is short.
-            n_cells = len(cli._metric_columns(report, scenario)[1])
-            monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk_rows * n_cells)
+            n_cells = len(output._metric_columns(report, scenario)[1])
+            monkeypatch.setattr(output, "_CHUNK_CELLS", chunk_rows * n_cells)
             assert scenario.trials > 1
             assert (scenario.n_rounds * scenario.graph.n_nodes) % chunk_rows != 0
-        target = cli._write_metrics(report, scenario, tmp_path, fmt)
+        target = output._write_metrics(report, scenario, tmp_path, fmt)
         assert target.read_bytes() == reference_metrics_bytes(report, scenario, fmt)
 
     @settings(max_examples=500, deadline=None, derandomize=True)
@@ -886,10 +886,10 @@ class TestMetricsWriter:
     @example(0.0008271467107625)  # y is a half; x lies above it, rint(y) rounds to even
     def test_fast_cells_read_as_the_percent_template(self, x):
         values = np.array([[x]])
-        fast, key, source = cli._fixed_notation(values)
+        fast, key, source = output._fixed_notation(values)
         if fast[0, 0]:
-            assert cli._render_fast(key, source, np.zeros((1, 0), np.uint8)) == b"%.12g" % x
-        assert cli._row_renderer("%.12g\n", "")(values) == b"%.12g\n" % x
+            assert output._render_fast(key, source, np.zeros((1, 0), np.uint8)) == b"%.12g" % x
+        assert output._row_renderer("%.12g\n", "")(values) == b"%.12g\n" % x
 
     @pytest.mark.parametrize("x, fast", [
         (0.0, True), (1e-4, True), (9.99999999999995e-05, True), (99999999999.99999, True),
@@ -900,7 +900,7 @@ class TestMetricsWriter:
     ])
     def test_fixed_notation_cells_take_the_fast_path(self, x, fast):
         # Out of range, -0.0 and digits that scale to a half take the template.
-        assert cli._fixed_notation(np.array([[x]]))[0][0, 0] == fast
+        assert output._fixed_notation(np.array([[x]]))[0][0, 0] == fast
 
     @pytest.mark.parametrize("chunk_rows, kinds", [
         (None, {"mixed"}),
@@ -909,12 +909,12 @@ class TestMetricsWriter:
     def test_fallback_world_mixes_row_kinds(self, monkeypatch, chunk_rows, kinds):
         scenario = self.worlds["gaussian-fallback-rows"]()
         report = run_experiment(scenario)
-        n_cells = len(cli._metric_columns(report, scenario)[1])
+        n_cells = len(output._metric_columns(report, scenario)[1])
         if chunk_rows is not None:
-            monkeypatch.setattr(cli, "_CHUNK_CELLS", chunk_rows * n_cells)
+            monkeypatch.setattr(output, "_CHUNK_CELLS", chunk_rows * n_cells)
         seen = set()
-        for chunk in cli._metric_chunks(report, scenario, n_cells):
-            fast = cli._fixed_notation(chunk)[0].all(axis=1)
+        for chunk in output._metric_chunks(report, scenario, n_cells):
+            fast = output._fixed_notation(chunk)[0].all(axis=1)
             seen.add("fast" if fast.all() else "template" if not fast.any() else "mixed")
         assert seen == kinds
 
@@ -925,7 +925,7 @@ class TestMetricsWriter:
         # (200 KB at 200 rounds) or every row's text grows with the round count.
         axis = np.linspace(0.05, 0.95, 8)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        monkeypatch.setattr(cli, "_CHUNK_CELLS", 16 * (4 + len(grid)))
+        monkeypatch.setattr(output, "_CHUNK_CELLS", 16 * (4 + len(grid)))
         peaks = []
         for n_rounds in (50, 200):
             scenario = Scenario(
@@ -939,6 +939,6 @@ class TestMetricsWriter:
                 kl_mc_samples=50,
             )
             report = run_experiment(scenario)
-            peaks.append(peak_bytes(lambda: cli._write_metrics(report, scenario, tmp_path, fmt)))
+            peaks.append(peak_bytes(lambda: output._write_metrics(report, scenario, tmp_path, fmt)))
         assert max(peaks) < 128 * 2**10
         assert peaks[1] < 1.2 * peaks[0]
