@@ -24,8 +24,8 @@ go to stderr only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import errno
 import itertools
 import json
 import math
@@ -45,7 +45,7 @@ from .models import (
     ParameterSet,
     UnboundedKLError,
 )
-from .output import _jsonable, _summary_dict, _write_metrics
+from .output import MetricsWriter, _jsonable, _summary_dict
 from .sim import ENGINES, Scenario, make_regression_test_set, run_experiment, sample_bound
 
 SCHEMA_VERSION = 1
@@ -398,11 +398,38 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
     return dataclasses.replace(doc.scenario)
 
 
+# A group of trials holds about this many bytes of samples and histories.
+# ``peerlearn run`` writes each group's rows before the next group runs, so
+# its peak memory does not grow with the trial count; a larger trial runs alone.
+_GROUP_BYTES = 2**22
+
+
+def _trial_groups(scenario: Scenario) -> list[range]:
+    """The trials in the fewest near-equal consecutive groups of about ``_GROUP_BYTES``.
+
+    Per (round, node), a discrete trial holds its M beliefs; a gaussian one
+    holds 3d + 2 floats: the instance with its intercept and the label, the
+    d means, the d variances and the test MSE.
+    """
+    if scenario.engine == "discrete":
+        floats = scenario.theta_set.n_points
+    else:
+        floats = 3 * len(scenario.prior_mean) + 2
+    trial_bytes = 8 * floats * scenario.n_rounds * scenario.graph.n_nodes
+    n_groups = -(-scenario.trials // max(1, _GROUP_BYTES // trial_bytes))
+    bounds = [scenario.trials * g // n_groups for g in range(n_groups + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
             trials=None, workers: int = 1) -> int:
     """Run the configured experiment and write metrics plus a summary.
 
-    ``workers`` is accepted for compatibility and has no effect.
+    The trials run in groups (``_trial_groups``), each group's rows written
+    before the next group runs. The metrics go to a partial file that
+    replaces ``metrics.<fmt>`` once the run has succeeded; a failed run
+    removes it and the directories it made, and leaves any other file as it
+    was. ``workers`` is accepted for compatibility and has no effect.
     """
     scenario = build_scenario(doc)
     if seed is not None:
@@ -411,14 +438,22 @@ def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
         scenario.trials = trials
     directory = Path(out_dir if out_dir is not None else doc.output["directory"])
     fmt = fmt if fmt is not None else doc.output["format"]
-    # Fail as mkdir would, but before the run and without creating anything.
-    base = next(p for p in (directory, *directory.parents) if p.exists())
-    if not base.is_dir():
-        code = errno.EEXIST if base == directory else errno.ENOTDIR
-        raise OSError(code, os.strerror(code), str(directory))
-    report = run_experiment(scenario, workers=workers)
-    directory.mkdir(parents=True, exist_ok=True)
-    _write_metrics(report, scenario, directory, fmt)
+    target = directory / f"metrics.{fmt}"
+    partial = directory / f"metrics.{fmt}.partial"
+    made = list(itertools.takewhile(lambda p: not p.exists(), (directory, *directory.parents)))
+    try:
+        directory.mkdir(parents=True, exist_ok=True)  # before the run, if it is to fail
+        with open(partial, "wb") as handle:
+            writer = MetricsWriter(handle, scenario, fmt)
+            report = run_experiment(scenario, workers=workers, groups=_trial_groups(scenario),
+                                    consume=writer.write)
+            writer.finish()
+        os.replace(partial, target)
+    except BaseException:
+        for remove in (partial.unlink, *(path.rmdir for path in made)):
+            with contextlib.suppress(OSError):
+                remove()
+        raise
     summary = _summary_dict(report, scenario)
     with open(directory / "summary.json", "w") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)

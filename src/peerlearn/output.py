@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 
@@ -15,9 +14,9 @@ import numpy as np
 _CHUNK_CELLS = 2**13
 
 
-def _metric_columns(report, scenario):
+def _metric_columns(scenario):
     """Column names and each cell's %-format; ``mse`` is an empty cell without a test set."""
-    if report.engine == "discrete":
+    if scenario.engine == "discrete":
         n_params = scenario.theta_set.n_points
         columns = ["trial", "round", "node", "estimate_index"]
         columns += [f"belief_{m}" for m in range(n_params)]
@@ -29,25 +28,26 @@ def _metric_columns(report, scenario):
     return columns, ["%d"] * 3 + ["%.12g"] * (2 * dim) + [mse]
 
 
-def _metric_chunks(report, scenario, n_cells: int):
-    """The metrics rows as float arrays of about ``_CHUNK_CELLS`` cells each.
+def _metric_chunks(scenario, first: int, results, n_cells: int):
+    """The rows of ``results``, trials ``first`` on, in arrays of about ``_CHUNK_CELLS`` cells.
 
-    A trial's rows run over (round, node): trial, round and node, then the
-    estimate index and beliefs (as probabilities) for discrete runs, or the
-    means, variances and test MSE for gaussian ones.
+    A trial's rows run over
+    (round, node): trial, round and node, then the estimate index and
+    beliefs (as probabilities) for discrete runs, or the means, variances
+    and test MSE for gaussian ones.
     """
     n_nodes = scenario.graph.n_nodes
     n_rows = scenario.n_rounds * n_nodes
     step = max(1, _CHUNK_CELLS // n_cells)
-    for t, result in enumerate(report.trial_results):
-        if report.engine == "discrete":
+    for t, result in enumerate(results, first):
+        if scenario.engine == "discrete":
             blocks = [result.estimate_history, result.belief_history]
         else:
             blocks = [result.mean_history, result.variance_diag_history, result.mse_history]
         blocks = [b.reshape(n_rows, -1) for b in blocks if b is not None]
         for start in range(0, n_rows, step):
             values = [b[start:start + step] for b in blocks]
-            if report.engine == "discrete":
+            if scenario.engine == "discrete":
                 values[1] = np.exp(values[1])
             round_, node = np.divmod(np.arange(start, start + len(values[0])), n_nodes)
             yield np.column_stack([np.full(len(round_), t), round_, node, *values])
@@ -200,32 +200,41 @@ def _row_renderer(row: str, sep: str):
     return render
 
 
-def _write_metrics(report, scenario, directory: Path, fmt: str) -> Path:
-    """Write the metrics table chunk by chunk, in the text of a %-template.
+class MetricsWriter:
+    """The metrics table, written to ``handle`` group of trials by group, chunk by chunk.
 
-    A row whose cells ``'%.12g'`` writes in fixed notation is rendered with
-    numpy (see ``_row_renderer``), byte for byte as the template would
-    write it; any other row, and the rare row with a cell whose rounding a
-    double cannot settle, goes through the template. ``metrics.json`` is
-    ``{"columns": [...], "rows": [[...], ...]}``, each cell a string with
-    the CSV's text.
+    The head goes out at once, each ``write`` appends a group's rows and
+    ``finish`` writes the tail; the row separator carries over from one
+    group to the next. A row whose cells ``'%.12g'`` writes in fixed
+    notation is rendered with numpy (see ``_row_renderer``), byte for byte
+    as the %-template would write it; any other row, and the rare row with a
+    cell whose rounding a double cannot settle, goes through the template.
+    ``metrics.json`` is ``{"columns": [...], "rows": [[...], ...]}``, each
+    cell a string with the CSV's text.
     """
-    columns, cells = _metric_columns(report, scenario)
-    target = directory / f"metrics.{fmt}"
-    if fmt == "csv":
-        head, row, sep, tail = ",".join(columns) + "\n", ",".join(cells) + "\n", "", ""
-    else:
-        head = '{"columns":%s,"rows":[' % json.dumps(columns, separators=(",", ":"))
-        row, sep, tail = "[%s]" % ",".join(f'"{c}"' for c in cells), ",", "]}\n"
-    render = _row_renderer(row, sep)
-    with open(target, "wb") as handle:
+
+    def __init__(self, handle, scenario, fmt: str):
+        columns, cells = _metric_columns(scenario)
+        if fmt == "csv":
+            head, row, sep, tail = ",".join(columns) + "\n", ",".join(cells) + "\n", "", ""
+        else:
+            head = '{"columns":%s,"rows":[' % json.dumps(columns, separators=(",", ":"))
+            row, sep, tail = "[%s]" % ",".join(f'"{c}"' for c in cells), ",", "]}\n"
+        self._handle, self._scenario, self._n_cells = handle, scenario, len(cells)
+        self._render = _row_renderer(row, sep)
+        self._sep, self._tail = sep.encode(), tail.encode()
+        self._lead = b""  # what the next chunk follows: the separator, once a row is out
         handle.write(head.encode())
-        for i, chunk in enumerate(_metric_chunks(report, scenario, len(cells))):
-            if i:
-                handle.write(sep.encode())
-            handle.write(render(chunk))
-        handle.write(tail.encode())
-    return target
+
+    def write(self, trials: range, results) -> None:
+        """Append the rows of ``results``, the results of ``trials``."""
+        for chunk in _metric_chunks(self._scenario, trials.start, results, self._n_cells):
+            self._handle.write(self._lead)
+            self._handle.write(self._render(chunk))
+            self._lead = self._sep
+
+    def finish(self) -> None:
+        self._handle.write(self._tail)
 
 
 def _jsonable(value):
@@ -257,7 +266,7 @@ def _summary_dict(report, scenario) -> dict:
     if report.sample_bound_reason is not None:
         summary["sample_bound_reason"] = report.sample_bound_reason
     if report.separation is not None:
-        summary["clamp_events"] = [r.clamp_events for r in report.trial_results]
+        summary["clamp_events"] = report.clamp_events
         summary["global_optima"] = list(report.separation.global_optima)
         summary["separation_rate"] = _jsonable(
             (report.bound_inputs or report.separation).separation_rate)

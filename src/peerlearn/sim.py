@@ -6,16 +6,17 @@ produce a public belief, and only after a full-round barrier merges its
 in-neighbors' public beliefs through the weighted consensus rule, then
 records its estimate.
 
-There is one engine per belief family, and each runs all trials of an
-experiment as one batch, with its state held as arrays over nodes and
-trials: node-major log-beliefs for the discrete engine, precision and shift
-packed into one row per node for the gaussian one. The round loop carries
-only the recursion (Bayes step, merge); per-run tables and buffers come before it.
-The gaussian engine takes the rounds in batches: each forms its own packed
-increments from the samples and runs the recursion, one in-place add and
-one product by the graph weights per round. Then an entry-wise Cholesky
-factorization of the batch, whose pivots are the positive-definiteness
-gate, gives the means and variances.
+There is one engine per belief family, and each runs a group of trials
+(by default all of an experiment's) as one batch, with its state held as
+arrays over nodes and trials: node-major log-beliefs for the discrete
+engine, precision and shift packed into one row per node for the gaussian
+one. The round loop carries only the recursion (Bayes step, merge);
+per-run tables and buffers come before it. The gaussian engine takes the
+rounds in batches: each forms its own packed increments from the samples
+and runs the recursion, one add and one product by the graph weights per
+round, or without a merge one running sum over the batch. Then an
+entry-wise Cholesky factorization of the batch, whose pivots are the
+positive-definiteness gate, gives the means and variances.
 
 Randomness is counter-based: every (master_seed, trial, node) triple keys
 an independent Philox stream, and each stream is drawn once per run: all
@@ -140,7 +141,9 @@ class ExperimentReport:
     ``bound_inputs`` are the inputs ``sample_bound`` was computed from,
     with ``scenario.bound_overrides`` applied; ``sample_bound_reason`` says
     why a discrete run has no bound. ``baseline_results`` keep each trial's
-    final means and test MSE only.
+    final means and test MSE only. Both lists are empty when the trials'
+    results went to a consumer instead (see ``run_experiment``); the
+    aggregates, ``clamp_events`` per trial among them, are there either way.
     """
 
     engine: str
@@ -149,6 +152,7 @@ class ExperimentReport:
     trial_results: list
     baseline_results: list | None = None
     empirical_error: float | None = None
+    clamp_events: list | None = None
     separation: SeparationTable | None = None
     bound_inputs: BoundInputs | None = None
     sample_bound: int | None = None
@@ -237,8 +241,8 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
             public += private
             peak = public.max(axis=-1, keepdims=True)
             if not np.all(np.isfinite(peak)):
-                raise bel.ZeroLikelihoodError(
-                    f"round {k}: every likelihood underflowed for some node")
+                raise _gate(bel.ZeroLikelihoodError(
+                    f"round {k}: every likelihood underflowed for some node"), k)
             clamp_events += bel.row_normalize(public, private, peak)
             # Barrier: the merge only ever sees this round's publics.
             if scenario.cooperative:
@@ -368,7 +372,8 @@ def _moments(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness gate reports these
-def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResult]:
+def _gaussian_rounds(scenario: Scenario, samples, merge: bool, tables=None,
+                     stage: int = 1) -> list[TrialResult]:
     """The conjugate round engine in information form, batched over (trial, node).
 
     ``samples`` are ``a (K, T, N, S, d)`` and ``y / s^2 (K, T, N, S)``: each
@@ -376,57 +381,64 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
     State is the precision ``P`` and the shift ``h = P m``, packed as one
     ``(T, N, d*d + d)`` array. Each round adds the packed sample increments
     (the Bayes update), then, if ``merge``, mixes in-neighbors with one
-    product by the graph weights into a second buffer, and the two swap:
-    for Gaussian beliefs the log-geometric-mean rule is linear in
-    ``(P, h)``. Per ``_CHUNK_ROUNDS`` rounds the engine forms the batch's
-    increments, runs the recursion, each round's state overwriting its
-    spent increments, then gates the state, which must be finite (the
+    product by the graph weights: for Gaussian beliefs the
+    log-geometric-mean rule is linear in ``(P, h)``. Per ``_CHUNK_ROUNDS``
+    rounds the engine forms the batch's increments and runs the recursion,
+    each round's state written over its spent increments, where the next
+    round reads it; without a merge, the recursion is one running sum over
+    the batch. Then it gates the states, which must be finite (the
     inputs may overflow), and computes the batch's moments with
     ``_moments``, whose Cholesky pivots are the positive-definiteness
     gate. The test MSE, which overflows on finite but huge means, must be
-    finite too.
+    finite too. ``tables`` are the run's ``_gaussian_tables``; ``stage``
+    places the gates' failures in the run (see ``_gate``).
     """
     aug, ys = samples
+    prior, moments = tables or _gaussian_tables(scenario)
     n_rounds, n_trials, n_nodes, _, dim = aug.shape
     state = np.empty((n_trials, n_nodes, dim * dim + dim))
-    state[...] = _pack(scenario.prior_mean,
-                       np.diag(1.0 / np.asarray(scenario.prior_variance_diag, dtype=float)))
-    merged = np.empty_like(state)
+    state[...] = prior
+    scratch, weights = np.empty_like(state), scenario.graph.weights
     means = np.empty((n_trials, n_rounds, n_nodes, dim))
     variances = np.empty_like(means)
     for start in range(0, n_rounds, _CHUNK_ROUNDS):
         rounds = slice(start, start + _CHUNK_ROUNDS)
         batch = _increments(aug[rounds], ys[rounds], scenario.noise_var)
-        for increment in batch:
-            state += increment
-            if merge:
+        if merge:
+            for increment in batch:
+                np.add(state, increment, out=scratch)
                 # Barrier: the merge only ever sees this round's publics.
-                np.matmul(scenario.graph.weights, state, out=merged)
-                state, merged = merged, state
-            increment[...] = state
+                np.matmul(weights, scratch, out=increment)
+                state = increment
+        else:  # the recursion is a running sum, summed round after round
+            batch[0] += state
+            np.add.accumulate(batch, axis=0, out=batch)
+            state = batch[-1]
         entries = np.moveaxis(batch, -1, 0).copy()  # (d*d + d, K, T, N)
         finite = np.isfinite(entries).all(axis=0)
         if not finite.all():
             k = start + int(np.argmin(finite.all(axis=(1, 2))))
-            raise ValueError(f"round {k}: precision or shift is not finite; an input overflows")
+            raise _gate(ValueError(f"round {k}: precision or shift is not finite; "
+                                   "an input overflows"), stage, start, 0, k)
         batch_means, batch_variances, positive = _moments(entries)
         if not positive.all():
             k = start + int(np.argmin(positive.all(axis=(1, 2))))
             ratio = np.max(scenario.prior_variance_diag) / scenario.noise_var
-            raise SingularPrecisionError(
+            raise _gate(SingularPrecisionError(
                 f"round {k}: precision is not positive definite; the state is ill-conditioned: "
-                f"1/noise_std^2 is {ratio:.3g} times the least prior precision")
+                f"1/noise_std^2 is {ratio:.3g} times the least prior precision"),
+                stage, start, 1, k)
         means[:, rounds] = batch_means.transpose(2, 1, 3, 0)
         variances[:, rounds] = batch_variances.transpose(2, 1, 3, 0)
 
     # The MSE runs per trial so that its BLAS calls never see the batch size.
-    moments = _test_set_moments(scenario.test_set)
     mse = [_test_set_mse(moments, means[t]) for t in range(n_trials)]
     if mse[0] is not None:
         finite = np.all([np.isfinite(curve).all(axis=1) for curve in mse], axis=0)
         if not finite.all():
             k = int(np.argmin(finite))
-            raise ValueError(f"round {k}: test MSE is not finite; an input overflows")
+            raise _gate(ValueError(f"round {k}: test MSE is not finite; an input overflows"),
+                        stage, n_rounds, 2, k)
     return [
         TrialResult(
             final_estimates=means[t, -1].copy(),
@@ -438,9 +450,32 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool) -> list[TrialResu
     ]
 
 
-def _central_baseline(scenario: Scenario, aug: np.ndarray, ys: np.ndarray) -> list[TrialResult]:
+def _central_baseline(scenario: Scenario, aug: np.ndarray, ys: np.ndarray,
+                      tables=None) -> list[TrialResult]:
     """One node fed every node's samples of the same trial each round, with the same update."""
-    return _gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]), merge=False)
+    return _gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]), merge=False,
+                            tables=tables, stage=0)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the engine's finiteness gate reports these
+def _gaussian_tables(scenario: Scenario):
+    """The gaussian engine's per-run tables: the packed prior state and the test set's moments."""
+    precision = np.diag(1.0 / np.asarray(scenario.prior_variance_diag, dtype=float))
+    return _pack(scenario.prior_mean, precision), _test_set_moments(scenario.test_set)
+
+
+def _gate(error: ValueError, *order) -> ValueError:
+    """``error``, from a failed gate, marked with the place of its check in a run.
+
+    A gate fails per trial, and a run of every trial as one batch reports the
+    failure it meets first: the least ``order``. That is ``(round,)`` for the
+    discrete engine, and ``(stage, first round of the batch, check, round)``
+    for the gaussian one: the central baseline (stage 0) runs before the
+    network (stage 1), the finiteness check (0) before the
+    positive-definiteness check (1), and the test MSE (2) after the last batch.
+    """
+    error.order = order
+    return error
 
 
 def _test_set_moments(test_set) -> tuple[np.ndarray, np.ndarray, float] | None:
@@ -509,56 +544,131 @@ def sample_bound(
     return table, inputs, n, bounds is None, None
 
 
-def run_experiment(scenario: Scenario, workers: int = 1) -> ExperimentReport:
+def _set_up(scenario: Scenario) -> ExperimentReport:
+    """A run's once-only part: validation, the spectral summary and, if discrete, the bound."""
+    scenario.validate()
+    report = ExperimentReport(engine=scenario.engine, trials=scenario.trials,
+                              spectral=spectral_gap(scenario.graph), trial_results=[])
+    if scenario.engine == "discrete":
+        (report.separation, report.bound_inputs, report.sample_bound,
+         report.assumption_violated, report.sample_bound_reason) = sample_bound(
+            scenario, report.spectral)
+        report.clamp_events = []
+    elif scenario.test_set is not None:
+        report.baseline_results = []
+    return report
+
+
+def _run_group(scenario: Scenario, trials, report: ExperimentReport, tables):
+    """The engines on one group of trials: its results, and its central baselines or None."""
+    if scenario.engine == "discrete":
+        return _discrete_rounds(scenario, trials, report.separation.global_optima), None
+    aug, ys = _gaussian_samples(scenario, trials)
+    baselines = None
+    if scenario.test_set is not None:
+        baselines = [TrialResult(final_estimates=r.final_estimates, mse_history=r.mse_history)
+                     for r in _central_baseline(scenario, aug, ys, tables)]
+    results = _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
+                               merge=scenario.cooperative, tables=tables)
+    return results, baselines
+
+
+def _summed(total, curves):
+    """``total`` plus each of ``curves`` in turn, in place; None plus a curve is its copy.
+
+    Summing the trials' curves in trial order, group after group, and
+    dividing once gives the bits of ``np.mean(axis=0)`` over all of them.
+    """
+    for curve in curves:
+        if total is None:
+            total = curve.copy()
+        else:
+            total += curve
+    return total
+
+
+class _Aggregates:
+    """The report's aggregates over trials, accumulated group by group."""
+
+    def __init__(self, report: ExperimentReport):
+        self.report = report
+        self.trials = self.failures = 0
+        self.all_ok = True  # per round, once a discrete group is in
+        self.curves = self.baseline_curve = None
+
+    def add(self, results: list, baselines: list | None) -> None:
+        report = self.report
+        self.trials += len(results)
+        if report.engine == "discrete":
+            report.clamp_events += [r.clamp_events for r in results]
+            self.failures += sum(r.success is False for r in results)
+            optima = report.separation.global_optima
+            self.all_ok &= np.all([np.isin(r.estimate_history, optima).all(axis=1)
+                                   for r in results], axis=0)
+        elif baselines is not None:
+            self.curves = _summed(self.curves, (r.mse_history for r in results))
+            self.baseline_curve = _summed(self.baseline_curve,
+                                          (r.mse_history[:, 0] for r in baselines))
+
+    def finish(self) -> None:
+        report = self.report
+        if report.engine == "discrete":
+            report.empirical_error = self.failures / self.trials
+            report.first_all_success_round = (int(np.argmax(self.all_ok))
+                                              if self.all_ok.any() else None)
+        elif self.curves is not None:
+            report.mean_mse_curves = self.curves / self.trials
+            report.final_mse_per_node = report.mean_mse_curves[-1].copy()
+            report.baseline_mse_curve = self.baseline_curve / self.trials
+            report.baseline_final_mse = float(report.baseline_mse_curve[-1])
+
+
+def run_experiment(scenario: Scenario, workers: int = 1, *, groups=None,
+                   consume=None) -> ExperimentReport:
     """Run all trials with derived seeds and aggregate the results.
 
-    Both engines run all trials as one batch. ``workers`` is accepted for
-    compatibility and has no effect. Gaussian runs with a test set first
-    run the central baseline (``_central_baseline``), of which they keep the
-    final means and test MSE, then the network.
+    A run sets up once (``_set_up``), then runs the engines on each group
+    of trials (``_run_group``) and accumulates the aggregates group by
+    group. ``groups`` are consecutive trial ranges covering the trials; by
+    default all trials run as one group and the report keeps every trial's
+    results. With ``consume``, each group's results go to
+    ``consume(trials, results)`` and are dropped before the next group
+    runs, so the run holds one group at a time; ``runtime_seconds`` leaves
+    out the time spent there. If a gate fails, the later groups still run
+    their engines, but nothing more is consumed, and the failure raised is
+    the one a single batch would meet first (``_gate``). ``workers`` is
+    accepted for compatibility and has no effect. Gaussian runs with a test
+    set first run the central baseline (``_central_baseline``), of which
+    they keep the final means and test MSE, then the network.
     """
     started = time.perf_counter()
-    scenario.validate()
-    spectral = spectral_gap(scenario.graph)
-
-    separation = inputs = bound = violated = reason = baselines = None
-    if scenario.engine == "discrete":
-        separation, inputs, bound, violated, reason = sample_bound(scenario, spectral)
-        results = _discrete_rounds(scenario, range(scenario.trials), separation.global_optima)
-    else:
-        aug, ys = _gaussian_samples(scenario, range(scenario.trials))
-        if scenario.test_set is not None:
-            baselines = [TrialResult(final_estimates=r.final_estimates, mse_history=r.mse_history)
-                         for r in _central_baseline(scenario, aug, ys)]
-        results = _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
-                                   merge=scenario.cooperative)
-        del aug, ys
-
-    report = ExperimentReport(
-        engine=scenario.engine,
-        trials=scenario.trials,
-        spectral=spectral,
-        trial_results=results,
-        baseline_results=baselines,
-        separation=separation,
-        bound_inputs=inputs,
-        sample_bound=bound,
-        sample_bound_reason=reason,
-        assumption_violated=violated,
-    )
-
-    if scenario.engine == "discrete":
-        report.empirical_error = sum(r.success is False for r in results) / scenario.trials
-        all_ok = np.all([np.isin(r.estimate_history, separation.global_optima).all(axis=1)
-                         for r in results], axis=0)  # per round
-        report.first_all_success_round = int(np.argmax(all_ok)) if all_ok.any() else None
-    elif scenario.test_set is not None:
-        curves = np.stack([r.mse_history for r in results])
-        report.mean_mse_curves = curves.mean(axis=0)
-        report.final_mse_per_node = report.mean_mse_curves[-1].copy()
-        curves = np.stack([r.mse_history[:, 0] for r in baselines])
-        report.baseline_mse_curve = curves.mean(axis=0)
-        report.baseline_final_mse = float(report.baseline_mse_curve[-1])
-
-    report.runtime_seconds = time.perf_counter() - started
+    report = _set_up(scenario)
+    tables = _gaussian_tables(scenario) if scenario.engine == "gaussian" else None
+    aggregates = _Aggregates(report)
+    consuming = 0.0
+    failure = None
+    for trials in groups or [range(scenario.trials)]:
+        try:
+            results, baselines = _run_group(scenario, trials, report, tables)
+        except ValueError as exc:
+            if getattr(exc, "order", None) is None:
+                raise
+            if failure is None or exc.order < failure.order:
+                failure = exc
+            continue
+        if failure is None:
+            aggregates.add(results, baselines)
+            if consume is None:
+                report.trial_results += results
+                if baselines is not None:
+                    report.baseline_results += baselines
+            else:
+                clock = time.perf_counter()
+                consume(trials, results)
+                consuming += time.perf_counter() - clock
+        del results, baselines
+    if failure is not None:
+        raise failure
+    aggregates.finish()
+    report.runtime_seconds = time.perf_counter() - started - consuming
     return report

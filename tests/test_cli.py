@@ -25,7 +25,7 @@ from peerlearn import (
     run_experiment,
     validate_weight_matrix,
 )
-from peerlearn import cli, output
+from peerlearn import cli, output, sim
 from peerlearn.cli import (
     ConfigSyntaxError,
     ConfigValidationError,
@@ -90,6 +90,23 @@ def categorical_config(**scenario_overrides):
                                [0.6, 0.3, 0.1, 0.5, 0.25, 0.25]]},
         **scenario_overrides,
     )
+
+
+def write_metrics(report, scenario, path, fmt, groups=None):
+    """Write the report's metrics to ``path`` as ``peerlearn run`` would, in ``groups`` of trials."""
+    with open(path, "wb") as handle:
+        writer = output.MetricsWriter(handle, scenario, fmt)
+        for trials in groups or [range(report.trials)]:
+            writer.write(trials, report.trial_results[trials.start:trials.stop])
+        writer.finish()
+
+
+@pytest.fixture(params=[False, True], ids=["default-groups", "one-trial-groups"])
+def one_trial_groups(request, monkeypatch):
+    """Runs the test at the default group budget and at one trial per group."""
+    if request.param:
+        monkeypatch.setattr(cli, "_GROUP_BYTES", 1)
+    return request.param
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -587,7 +604,8 @@ class TestRunCommand:
         (gaussian_config(prior={"mean": [1e200, 0, 0], "variance_diag": [1, 0.5, 0.5]}),
          "test MSE"),
     ], ids=["label-over-noise-variance", "prior-shift", "test-mse"])
-    def test_overflow_in_the_engine_exits_3_at_its_round(self, tmp_path, capsys, payload, what):
+    def test_overflow_in_the_engine_exits_3_at_its_round(self, tmp_path, capsys, payload, what,
+                                                         one_trial_groups):
         # Every config passes validation; the engine overflows in round 0.
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, payload), "--out", str(out)]) == 3
@@ -595,7 +613,8 @@ class TestRunCommand:
             "", f"error: round 0: {what} is not finite; an input overflows\n")
         assert not out.exists()
 
-    def test_ill_conditioned_precision_exits_3_naming_the_cause(self, tmp_path, capsys):
+    def test_ill_conditioned_precision_exits_3_naming_the_cause(self, tmp_path, capsys,
+                                                                one_trial_groups):
         # One sample adds about 7e25 to the precision where the prior leaves
         # 6e-17 on a coordinate, and a Cholesky pivot cancels below zero.
         payload = gaussian_config(
@@ -614,6 +633,122 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert "strongly connected" in captured.err
         assert captured.out == ""  # diagnostics never reach stdout
+
+
+class TestTrialGroups:
+    """``peerlearn run`` in groups of trials: the split, the failure contract, the peak."""
+
+    @pytest.mark.parametrize("trials, fit, sizes", [
+        (20, 11, [10, 10]),  # regression-cli at the default budget
+        (20, 18, [10, 10]),  # not 18 + 2, which would keep 90% of the peak
+        (20, 9, [6, 7, 7]),
+        (7, 1, [1] * 7),
+        (5, 100, [5]),
+    ])
+    def test_groups_are_the_fewest_near_equal_that_fit(self, monkeypatch, trials, fit, sizes):
+        scenario = build_scenario(parse_config(json.dumps(gaussian_config(
+            n_rounds=2000, trials=trials))))
+        trial_bytes = 8 * (3 * 3 + 2) * 2000 * 2
+        monkeypatch.setattr(cli, "_GROUP_BYTES", fit * trial_bytes + trial_bytes - 1)
+        groups = cli._trial_groups(scenario)
+        assert [len(g) for g in groups] == sizes
+        assert [t for g in groups for t in g] == list(range(trials))
+
+    def test_default_budget_splits_regression_cli_in_two(self):
+        scenario = build_scenario(parse_config(json.dumps(gaussian_config(
+            n_rounds=2000, trials=20, test_set={"size": 1000, "ranges": [[-1, 1], [-1.5, 1.5]],
+                                                "seed": 5}))))
+        assert cli._trial_groups(scenario) == [range(0, 10), range(10, 20)]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "existing-files"])
+    def test_failure_in_the_second_group_leaves_the_output_as_it_was(
+            self, tmp_path, capsys, monkeypatch, existing):
+        monkeypatch.setattr(cli, "_GROUP_BYTES", 1)
+        run_group = sim._run_group
+        message = "round 3: precision or shift is not finite; an input overflows"
+
+        def failing(scenario, trials, *args):
+            if trials.start == 1:
+                raise sim._gate(ValueError(message), 1, 0, 0, 3)
+            return run_group(scenario, trials, *args)
+
+        monkeypatch.setattr(sim, "_run_group", failing)
+        out = tmp_path / "nested" / "out"
+        old = {}
+        if existing:
+            out.mkdir(parents=True)
+            old = {"metrics.csv": b"old metrics\n", "summary.json": b"{}\n"}
+            for name, data in old.items():
+                (out / name).write_bytes(data)
+        config = write_config(tmp_path, gaussian_config(trials=3))
+        assert main(["run", config, "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        if existing:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+        else:
+            assert not (tmp_path / "nested").exists()
+
+    def test_a_later_group_failing_a_gate_exits_3_as_one_batch_does(
+            self, tmp_path, capsys, one_trial_groups):
+        # Trials 0 and 1 pass every gate; at round 0, trial 2's network and
+        # trial 3's central baseline fail the positive-definiteness gate.
+        payload = gaussian_config(noise_std=3e-13, trials=4, n_rounds=300,
+                                  prior={"mean": [0, 0, 0], "variance_diag": [0.5, 1e16, 0.5]})
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, payload), "--out", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", "error: round 0: precision is not positive definite; the state is "
+                "ill-conditioned: 1/noise_std^2 is 1.11e+41 times the least prior precision\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failing, message", [
+        ({1: (1, 0, 0, 5), 2: (1, 0, 0, 2)}, "round 2"),  # an earlier round in the batch
+        ({1: (1, 0, 1, 2), 2: (1, 0, 0, 100)}, "round 100"),  # the finiteness check first
+        ({1: (1, 0, 0, 0), 3: (0, 128, 2, 9)}, "round 9"),  # the central baseline first
+        ({1: (1, 0, 0, 5), 3: (1, 0, 0, 5)}, "round 5 in trial 1"),  # a tie: the first group
+    ])
+    def test_a_failure_is_the_one_a_single_batch_meets_first(self, monkeypatch, failing, message):
+        run_group = sim._run_group
+
+        def gated(scenario, trials, *args):
+            if trials.start in failing:
+                order = failing[trials.start]
+                raise sim._gate(ValueError(f"round {order[-1]} in trial {trials.start}"), *order)
+            return run_group(scenario, trials, *args)
+
+        monkeypatch.setattr(sim, "_run_group", gated)
+        scenario = build_scenario(parse_config(json.dumps(gaussian_config(trials=4))))
+        consumed = []
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run_experiment(scenario, groups=[range(t, t + 1) for t in range(4)],
+                           consume=lambda trials, results: consumed.append(trials))
+        assert consumed == [range(0, 1)]  # nothing is consumed past a failure
+
+    @pytest.mark.parametrize("engine", ["discrete", "gaussian"])
+    def test_peak_does_not_grow_with_the_trial_count(self, tmp_path, monkeypatch, engine):
+        # One trial per group and chunks of 272 cells: the traced peak is
+        # about 0.35 MB at 2 and at 8 trials, one trial's beliefs, or samples
+        # and histories, among it (0.2 and 0.1 MB). Holding every trial, it
+        # grows to 1.8 MB (discrete) and 1.7 MB (gaussian) at 8 trials.
+        monkeypatch.setattr(cli, "_GROUP_BYTES", 1)
+        axis = np.linspace(0.05, 0.95, 8)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        if engine == "discrete":
+            payload = discrete_config(
+                n_rounds=200, kl_mc_samples=50, parameters={"points": grid.tolist()},
+                models=[{"family": "bernoulli", "true_probs": grid[20].tolist(), "visible": [j]}
+                        for j in range(2)])
+        else:
+            payload = gaussian_config(n_rounds=600)
+        monkeypatch.setattr(output, "_CHUNK_CELLS", 272)
+        peaks = []
+        for trials in (2, 8):
+            payload["scenario"]["trials"] = trials
+            config = write_config(tmp_path, payload, f"config-{trials}.json")
+            argv = ["run", config, "--out", str(tmp_path / f"out-{trials}")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                peaks.append(peak_bytes(lambda: main(argv)))
+        assert peaks[1] < 1.2 * peaks[0]
 
 
 class TestBoundCommand:
@@ -842,19 +977,22 @@ class TestMetricsWriter:
         "gaussian-no-test-set": _config_world(_gaussian_without_test_set()),
     }
 
+    @pytest.mark.parametrize("grouped", [False, True], ids=["one-group", "group-per-trial"])
     @pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-chunks", "7-row-chunks"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("world", sorted(worlds))
-    def test_bytes_equal_the_oracle(self, tmp_path, monkeypatch, world, fmt, chunk_rows):
+    def test_bytes_equal_the_oracle(self, tmp_path, monkeypatch, world, fmt, chunk_rows, grouped):
         scenario = self.worlds[world]()
         report = run_experiment(scenario)
+        assert scenario.trials > 1
         if chunk_rows is not None:
             # Chunks split a trial's rows, and the last one of each trial is short.
-            n_cells = len(output._metric_columns(report, scenario)[1])
+            n_cells = len(output._metric_columns(scenario)[1])
             monkeypatch.setattr(output, "_CHUNK_CELLS", chunk_rows * n_cells)
-            assert scenario.trials > 1
             assert (scenario.n_rounds * scenario.graph.n_nodes) % chunk_rows != 0
-        target = output._write_metrics(report, scenario, tmp_path, fmt)
+        target = tmp_path / f"metrics.{fmt}"
+        groups = [range(t, t + 1) for t in range(scenario.trials)] if grouped else None
+        write_metrics(report, scenario, target, fmt, groups)
         assert target.read_bytes() == reference_metrics_bytes(report, scenario, fmt)
 
     @settings(max_examples=500, deadline=None, derandomize=True)
@@ -909,11 +1047,11 @@ class TestMetricsWriter:
     def test_fallback_world_mixes_row_kinds(self, monkeypatch, chunk_rows, kinds):
         scenario = self.worlds["gaussian-fallback-rows"]()
         report = run_experiment(scenario)
-        n_cells = len(output._metric_columns(report, scenario)[1])
+        n_cells = len(output._metric_columns(scenario)[1])
         if chunk_rows is not None:
             monkeypatch.setattr(output, "_CHUNK_CELLS", chunk_rows * n_cells)
         seen = set()
-        for chunk in output._metric_chunks(report, scenario, n_cells):
+        for chunk in output._metric_chunks(scenario, 0, report.trial_results, n_cells):
             fast = output._fixed_notation(chunk)[0].all(axis=1)
             seen.add("fast" if fast.all() else "template" if not fast.any() else "mixed")
         assert seen == kinds
@@ -939,6 +1077,7 @@ class TestMetricsWriter:
                 kl_mc_samples=50,
             )
             report = run_experiment(scenario)
-            peaks.append(peak_bytes(lambda: output._write_metrics(report, scenario, tmp_path, fmt)))
+            target = tmp_path / f"metrics.{fmt}"
+            peaks.append(peak_bytes(lambda: write_metrics(report, scenario, target, fmt)))
         assert max(peaks) < 128 * 2**10
         assert peaks[1] < 1.2 * peaks[0]

@@ -5,7 +5,8 @@
 and the stdout of ``bound`` and ``check-graph``, with the numpy version and
 CPU features it was made under: the discrete bits follow numpy's SIMD ``exp``
 and ``log``. A differing hash fails under any environment, and the message
-says when the environment differs too. A change that moves output on purpose
+says when the environment differs too. ``run`` must write the same bytes
+whether its trials run in the default groups or one trial per group. A change that moves output on purpose
 regenerates the manifest, so that the diff shows it:
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from peerlearn import cli
 from peerlearn.cli import main as cli_main
 
 try:
@@ -66,8 +68,12 @@ def digests(config: dict, workdir: Path) -> dict[str, str]:
     return {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
 
 
+@pytest.mark.parametrize("one_trial_groups", [False, True],
+                         ids=["default-groups", "one-trial-groups"])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_output_bytes_match_the_manifest(name, tmp_path):
+def test_output_bytes_match_the_manifest(name, tmp_path, monkeypatch, one_trial_groups):
+    if one_trial_groups:
+        monkeypatch.setattr(cli, "_GROUP_BYTES", 1)
     manifest = json.loads(MANIFEST_PATH.read_text())
     expected = manifest["sha256"].get(name)
     assert expected is not None, f"{name}: no hashes in golden.json; regenerate it"
