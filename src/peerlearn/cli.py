@@ -442,7 +442,7 @@ def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
     partial = directory / f"metrics.{fmt}.partial"
     made = list(itertools.takewhile(lambda p: not p.exists(), (directory, *directory.parents)))
     try:
-        directory.mkdir(parents=True, exist_ok=True)  # before the run, if it is to fail
+        directory.mkdir(parents=True, exist_ok=True)  # an unusable path fails before the run
         with open(partial, "wb") as handle:
             writer = MetricsWriter(handle, scenario, fmt)
             report = run_experiment(scenario, workers=workers, groups=_trial_groups(scenario),

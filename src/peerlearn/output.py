@@ -31,10 +31,9 @@ def _metric_columns(scenario):
 def _metric_chunks(scenario, first: int, results, n_cells: int):
     """The rows of ``results``, trials ``first`` on, in arrays of about ``_CHUNK_CELLS`` cells.
 
-    A trial's rows run over
-    (round, node): trial, round and node, then the estimate index and
-    beliefs (as probabilities) for discrete runs, or the means, variances
-    and test MSE for gaussian ones.
+    A trial's rows run over (round, node): trial, round and node, then the
+    estimate index and beliefs (as probabilities) for discrete runs, or the
+    means, variances and test MSE for gaussian ones.
     """
     n_nodes = scenario.graph.n_nodes
     n_rows = scenario.n_rounds * n_nodes

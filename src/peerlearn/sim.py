@@ -592,13 +592,12 @@ class _Aggregates:
 
     def __init__(self, report: ExperimentReport):
         self.report = report
-        self.trials = self.failures = 0
+        self.failures = 0
         self.all_ok = True  # per round, once a discrete group is in
         self.curves = self.baseline_curve = None
 
     def add(self, results: list, baselines: list | None) -> None:
         report = self.report
-        self.trials += len(results)
         if report.engine == "discrete":
             report.clamp_events += [r.clamp_events for r in results]
             self.failures += sum(r.success is False for r in results)
@@ -613,13 +612,13 @@ class _Aggregates:
     def finish(self) -> None:
         report = self.report
         if report.engine == "discrete":
-            report.empirical_error = self.failures / self.trials
+            report.empirical_error = self.failures / report.trials
             report.first_all_success_round = (int(np.argmax(self.all_ok))
                                               if self.all_ok.any() else None)
         elif self.curves is not None:
-            report.mean_mse_curves = self.curves / self.trials
+            report.mean_mse_curves = self.curves / report.trials
             report.final_mse_per_node = report.mean_mse_curves[-1].copy()
-            report.baseline_mse_curve = self.baseline_curve / self.trials
+            report.baseline_mse_curve = self.baseline_curve / report.trials
             report.baseline_final_mse = float(report.baseline_mse_curve[-1])
 
 
@@ -666,7 +665,7 @@ def run_experiment(scenario: Scenario, workers: int = 1, *, groups=None,
                 clock = time.perf_counter()
                 consume(trials, results)
                 consuming += time.perf_counter() - clock
-        del results, baselines
+        del results, baselines  # before the next group runs
     if failure is not None:
         raise failure
     aggregates.finish()

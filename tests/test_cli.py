@@ -688,17 +688,16 @@ class TestTrialGroups:
         else:
             assert not (tmp_path / "nested").exists()
 
-    def test_a_later_group_failing_a_gate_exits_3_as_one_batch_does(
-            self, tmp_path, capsys, one_trial_groups):
-        # Trials 0 and 1 pass every gate; at round 0, trial 2's network and
-        # trial 3's central baseline fail the positive-definiteness gate.
-        payload = gaussian_config(noise_std=3e-13, trials=4, n_rounds=300,
-                                  prior={"mean": [0, 0, 0], "variance_diag": [0.5, 1e16, 0.5]})
+    def test_a_gate_failure_exits_3_as_one_batch_meets_it(self, tmp_path, capsys,
+                                                            one_trial_groups):
+        # 1/noise_std^2 is 1e308: every trial's precision overflows in round
+        # 1, and trial 2's shift already in round 0, where a label passes 1.79.
+        payload = gaussian_config(trials=3, noise_std=1e-154, true_theta=[0, 2, 0])
+        del payload["scenario"]["test_set"]
         out = tmp_path / "out"
         assert main(["run", write_config(tmp_path, payload), "--out", str(out)]) == 3
         assert capsys.readouterr() == (
-            "", "error: round 0: precision is not positive definite; the state is "
-                "ill-conditioned: 1/noise_std^2 is 1.11e+41 times the least prior precision\n")
+            "", "error: round 0: precision or shift is not finite; an input overflows\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("failing, message", [

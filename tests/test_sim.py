@@ -537,6 +537,34 @@ class TestDeterminism:
             np.testing.assert_array_equal(report.baseline_results[t].mse_history,
                                           pooled[t].mse_history)
 
+    @pytest.mark.parametrize("world", ["gaussian", "discrete"])
+    def test_report_does_not_depend_on_the_trial_groups(self, world):
+        # The aggregates, summed group by group in trial order and divided
+        # once, are the bits of one batch's; so are the trials' results.
+        if world == "gaussian":
+            scenario = regression_scenario(n_rounds=200, trials=7)
+        else:
+            scenario = floor_clamp_scenario(n_rounds=60, trials=7)
+        whole = run_experiment(scenario)
+        consumed = []
+        grouped = run_experiment(scenario, groups=[range(0, 1), range(1, 4), range(4, 7)],
+                                 consume=lambda trials, results: consumed.extend(results))
+        assert grouped.trial_results == [] and consumed
+        if world == "gaussian":  # the mean over one stack of every trial's curve
+            np.testing.assert_array_equal(
+                whole.mean_mse_curves,
+                np.stack([r.mse_history for r in whole.trial_results]).mean(axis=0))
+            np.testing.assert_array_equal(
+                whole.baseline_mse_curve,
+                np.stack([r.mse_history[:, 0] for r in whole.baseline_results]).mean(axis=0))
+        for name in ("empirical_error", "first_all_success_round", "clamp_events",
+                     "mean_mse_curves", "final_mse_per_node", "baseline_mse_curve",
+                     "baseline_final_mse", "sample_bound"):
+            np.testing.assert_array_equal(getattr(grouped, name), getattr(whole, name))
+        for a, b in zip(consumed, whole.trial_results, strict=True):
+            for field in dataclasses.fields(a):
+                np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
+
     def test_discrete_trial_rows_do_not_depend_on_batch_size(self):
         # Each trial's rows must be the same bits alone as in a 20-trial
         # batch, also where the log-belief floor fires.
