@@ -575,7 +575,7 @@ class TestRunCommand:
         assert payload["columns"][0] == "trial"
         assert len(payload["rows"]) == 2 * 30 * 2
 
-    def test_unwritable_output_exits_3(self, tmp_path, capsys):
+    def test_unwritable_output_exits_3(self, tmp_path, capsys, one_trial_groups):
         config = write_config(tmp_path, discrete_config())
         blocker = tmp_path / "blocker"
         blocker.write_text("file, not a directory")
@@ -584,7 +584,8 @@ class TestRunCommand:
         assert capsys.readouterr().err
 
     @pytest.mark.parametrize("nested", [True, False], ids=["under-a-file", "a-file"])
-    def test_unusable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, nested):
+    def test_unusable_output_fails_before_the_run(self, tmp_path, capsys, monkeypatch, nested,
+                                                  one_trial_groups):
         # The error mkdir would raise after the run, raised before it.
         runs = []
         monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: runs.append(args))
