@@ -241,7 +241,7 @@ class ContextModel(LikelihoodModel):
                                  f"{self.n_contexts} contexts and {self.n_labels} labels")
             return (xs * self.n_labels + ys).astype(code_type)
 
-        return encode, lambda codes, out=None: np.take(table, codes, axis=0, out=out, mode="clip")
+        return encode, functools.partial(table.take, axis=0, mode="clip")
 
     def kl_to_truth(self, thetas, xs):
         return rel_entr(self.true_table[xs], self._tables(thetas)[:, xs]).sum(axis=2)

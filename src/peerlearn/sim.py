@@ -214,6 +214,16 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
     a trial's ``clamp_events`` counts those in which the floor fired. Rows of
     ``_ROW_BUFFER_MIN`` cells or more get a ufunc buffer of their width, so a
     row's maximum is not copied across rows; no bit depends on the buffer.
+
+    The row maxima each normalization needs come from one
+    ``np.maximum.reduceat`` over the contiguous state, split at every row's
+    first cell (``_row_maxima``), into one ``(N, T, 1)`` buffer. On narrow
+    rows that costs about half of ``max(axis=-1)``, and a maximum is the
+    same bits in any order, NaN, -inf and signed zeros included. Only maxima
+    are taken so: ``np.add.reduceat`` adds a row in another order than the
+    pairwise ``sum(axis=-1)`` and moves the sums' last bits, so row sums
+    stay with ``sum``. ``success`` looks each trial's final estimates up in
+    a boolean table over the parameter indices (``_optimal``).
     """
     n_trials, n_rounds = len(trials), scenario.n_rounds
     n_nodes, n_params = scenario.graph.n_nodes, scenario.theta_set.n_points
@@ -225,10 +235,13 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
             if t == 0:
                 codes.append(np.empty((n_trials,) + code.shape, code.dtype))
             codes[i][t] = code
+    gathers = [gather for _, gather in codecs]
 
     private = np.full((n_nodes, n_trials, n_params), -np.log(n_params))
     public = np.empty_like(private)
     private_t, public_t = private.transpose(1, 0, 2), public.transpose(1, 0, 2)  # (T, N, M)
+    row_starts = np.arange(0, private.size, n_params)
+    peak = np.empty((n_nodes, n_trials, 1))
     estimates = np.empty((n_trials, n_rounds, n_nodes), dtype=np.min_scalar_type(-n_params))
     beliefs = np.empty(estimates.shape + (n_params,)) if scenario.record_beliefs else None
     clamp_events = np.zeros(n_trials, dtype=np.int64)
@@ -236,37 +249,57 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
     np.setbufsize(bufsize if n_params < _ROW_BUFFER_MIN else min(bufsize, n_params // 16 * 16))
     try:
         for k in range(n_rounds):
-            for i, (_, gather) in enumerate(codecs):
+            for i, gather in enumerate(gathers):
                 gather(codes[i][:, k], out=public[i])
             public += private
-            peak = public.max(axis=-1, keepdims=True)
-            if not np.all(np.isfinite(peak)):
+            _row_maxima(public, row_starts, peak)
+            if not np.isfinite(peak).all():
                 raise _gate(bel.ZeroLikelihoodError(
                     f"round {k}: every likelihood underflowed for some node"), k)
-            clamp_events += bel.row_normalize(public, private, peak)
+            bel.row_normalize(public, private, peak, clamp_events)
             # Barrier: the merge only ever sees this round's publics.
             if scenario.cooperative:
                 np.matmul(scenario.graph.weights, public_t, out=private_t)
             else:
                 private, public, private_t, public_t = public, private, public_t, private_t
-            clamp_events += bel.row_normalize(private, public, private.max(axis=-1, keepdims=True))
-            estimates[:, k] = np.argmax(private, axis=-1).T  # argmax copies a transposed view
+            _row_maxima(private, row_starts, peak)
+            bel.row_normalize(private, public, peak, clamp_events)
+            estimates[:, k] = private.argmax(axis=-1).T  # argmax copies a transposed view
             if beliefs is not None:
                 beliefs[:, k] = private_t
     finally:
         np.setbufsize(bufsize)
 
-    star = None if global_optima is None else list(global_optima)
+    success = [None] * n_trials
+    if global_optima is not None:
+        success = _optimal(global_optima, n_params).take(estimates[:, -1]).all(axis=1).tolist()
     return [
         TrialResult(
             final_estimates=estimates[t, -1].copy(),
-            success=None if star is None else bool(np.isin(estimates[t, -1], star).all()),
+            success=success[t],
             estimate_history=estimates[t],
             belief_history=None if beliefs is None else beliefs[t],
             clamp_events=int(clamp_events[t]),
         )
         for t in range(n_trials)
     ]
+
+
+def _row_maxima(state: np.ndarray, row_starts: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """Each row's maximum of a contiguous ``(N, T, M)`` state, into ``peak``, ``(N, T, 1)``.
+
+    One ``np.maximum.reduceat`` over the flat state, split at ``row_starts``,
+    the first cell of every row.
+    """
+    np.maximum.reduceat(state.reshape(-1), row_starts, out=peak.reshape(-1))
+    return peak
+
+
+def _optimal(global_optima, n_params: int) -> np.ndarray:
+    """Whether each of ``n_params`` parameter indices is among ``global_optima``."""
+    table = np.zeros(n_params, dtype=bool)
+    table[list(global_optima)] = True
+    return table
 
 
 @np.errstate(over="ignore")  # overflow reaches the state, which _gaussian_rounds gates
@@ -601,8 +634,9 @@ class _Aggregates:
         if report.engine == "discrete":
             report.clamp_events += [r.clamp_events for r in results]
             self.failures += sum(r.success is False for r in results)
-            optima = report.separation.global_optima
-            self.all_ok &= np.all([np.isin(r.estimate_history, optima).all(axis=1)
+            optimal = _optimal(report.separation.global_optima,
+                               report.separation.kl_to_truth.shape[1])
+            self.all_ok &= np.all([optimal.take(r.estimate_history).all(axis=1)
                                    for r in results], axis=0)
         elif baselines is not None:
             self.curves = _summed(self.curves, (r.mse_history for r in results))

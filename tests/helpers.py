@@ -467,6 +467,21 @@ def discrete_oracle(scenario: Scenario):
     return np.array(beliefs), np.array(estimates), clamp_events
 
 
+def isin_success(results, global_optima):
+    """Per-trial ``success``, ``empirical_error`` and ``first_all_success_round``, by ``np.isin``.
+
+    The reference for the engine's table of optimal indices: a trial
+    succeeds when every node's final estimate is globally optimal, and the
+    first all-success round is the first in which every node of every trial
+    holds a globally optimal estimate (None if there is none).
+    """
+    optima = list(global_optima)
+    success = [bool(np.isin(r.estimate_history[-1], optima).all()) for r in results]
+    every = np.isin(np.stack([r.estimate_history for r in results]), optima).all(axis=(0, 2))
+    first = int(np.argmax(every)) if every.any() else None
+    return success, success.count(False) / len(results), first
+
+
 def gaussian_oracle(scenario: Scenario, central=False):
     """Per-node loop over the conjugate Bayes update and the public merge.
 

@@ -33,6 +33,7 @@ from helpers import (
     floor_clamp_scenario,
     gaussian_oracle,
     in_neighbors,
+    isin_success,
     lapack_moments,
     peak_bytes,
     random_weight_matrix,
@@ -96,6 +97,26 @@ def many_label_scenario(n_labels, n_rounds=20) -> Scenario:
                     models=[CategoricalContextModel(i, [table(0.9)], [0]) for i in range(2)],
                     n_rounds=n_rounds, trials=1, master_seed=17,
                     theta_set=ParameterSet(np.array([table(0.9), table(0.5), table(1 / n_labels)])))
+
+
+def twin_optima_scenario(n_rounds, trials=12) -> Scenario:
+    """2-node Bernoulli world with two global optima, at indices 2 and 3.
+
+    No node sees context 2, so the truth (index 3) and its twin (index 2),
+    which differ there only, tie. Over 20 rounds some trials end on a decoy;
+    over 80 every trial ends on the twin, the lower index of the tie.
+    """
+    truth = [0.7, 0.3, 0.5]
+    points = [[0.5, 0.3, 0.5], [0.7, 0.5, 0.5], [0.7, 0.3, 0.9], truth, [0.5, 0.5, 0.2]]
+    return Scenario(graph=validate_weight_matrix(REGRESSION_W), engine="discrete",
+                    models=[BernoulliContextModel(i, truth, [i]) for i in range(2)],
+                    n_rounds=n_rounds, trials=trials, master_seed=5,
+                    theta_set=ParameterSet(np.array(points)))
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    """The float64 cells' bit patterns, so that NaN and the sign of zero compare too."""
+    return np.ascontiguousarray(values).view(np.int64)
 
 
 def assert_matches_discrete_oracle(scenario: Scenario):
@@ -190,6 +211,44 @@ class TestDiscreteEngine:
         result = run_trial(scenario, 0)
         assert result.clamp_events == 0
         assert recursion_residual(scenario, result) <= 1e-9
+
+    @pytest.mark.parametrize("width", [1, 10, 255, 256, 4096])
+    def test_row_maxima_match_max_bit_for_bit(self, width):
+        # Node-major (N, T, M) states: a row of -inf, a row with a NaN, a row
+        # whose maximum is -0.0 and a row of both zeros, among random rows.
+        state = np.random.default_rng(width).uniform(-900.0, 5.0, (3, 4, width))
+        state[0, 1] = -np.inf
+        state[1, 2, width // 2] = np.nan
+        state[2, 0] = -np.abs(state[2, 0])
+        state[2, 0, -1] = -0.0
+        state[2, 3, ::2], state[2, 3, 1::2] = 0.0, -0.0
+        peak = np.empty((3, 4, 1))
+        assert sim._row_maxima(state, np.arange(0, state.size, width), peak) is peak
+        np.testing.assert_array_equal(bits(peak), bits(state.max(axis=-1, keepdims=True)))
+        assert np.isnan(peak[1, 2, 0]) and peak[0, 1, 0] == -np.inf
+        assert np.signbit(peak[2, 0, 0]) and peak[2, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("cooperative", [True, False])
+    @pytest.mark.parametrize("width", [2, 10, 255, 256, 4096])  # a parameter set has 2 or more
+    def test_each_normalization_gets_its_rows_maxima(self, monkeypatch, width, cooperative):
+        # The engine passes each normalization the maxima of the rows it
+        # normalizes, below the floor too (index_edge_scenario's first point).
+        # An isolated world swaps its buffers each round, so its second
+        # normalization alternates between them.
+        scenario = index_edge_scenario(width, n_rounds=12, trials=3)
+        scenario.cooperative = cooperative
+        normalize, buffers = sim.bel.row_normalize, []
+
+        def checked(log_rows, scratch, peak, *rest):
+            np.testing.assert_array_equal(bits(peak), bits(log_rows.max(axis=-1, keepdims=True)))
+            buffers.append(log_rows.ctypes.data)
+            return normalize(log_rows, scratch, peak, *rest)
+
+        monkeypatch.setattr(sim.bel, "row_normalize", checked)
+        results = sim._discrete_rounds(scenario, range(scenario.trials))
+        assert len(buffers) == 2 * scenario.n_rounds
+        assert len(set(buffers[1::2])) == (1 if cooperative else 2)
+        assert all(r.clamp_events > 0 for r in results)
 
     def test_zero_likelihood_names_its_round(self):
         # Label 2 has probability 0.1 under the truth and 0 under every candidate.
@@ -666,6 +725,22 @@ class TestExperimentAggregation:
         assert report.sample_bound is not None
         assert report.first_all_success_round is not None
         assert report.first_all_success_round < 400
+
+    @pytest.mark.parametrize("one_trial_groups", [False, True])
+    @pytest.mark.parametrize("n_rounds", [20, 80])
+    def test_success_flags_match_the_isin_oracle(self, n_rounds, one_trial_groups):
+        scenario = twin_optima_scenario(n_rounds)
+        groups = [range(t, t + 1) for t in range(scenario.trials)] if one_trial_groups else None
+        report = run_experiment(scenario, groups=groups)
+        assert report.separation.global_optima == (2, 3)
+        success, error, first = isin_success(report.trial_results,
+                                             report.separation.global_optima)
+        assert [r.success for r in report.trial_results] == success
+        assert report.empirical_error == error
+        assert report.first_all_success_round == first
+        # Both outcomes occur: failed trials over 20 rounds, a round from
+        # which every trial succeeds over 80.
+        assert (0.0 < error < 1.0, first is not None) == (n_rounds == 20, n_rounds == 80)
 
     def test_gaussian_report_tracks_mse_and_baseline(self):
         scenario = regression_scenario(n_rounds=150, trials=2)
