@@ -218,8 +218,8 @@ def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[Tri
     The row maxima each normalization needs come from one
     ``np.maximum.reduceat`` over the contiguous state, split at every row's
     first cell (``_row_maxima``), into one ``(N, T, 1)`` buffer. On narrow
-    rows that costs about half of ``max(axis=-1)``, and a maximum is the
-    same bits in any order, NaN, -inf and signed zeros included. Only maxima
+    rows that costs less than ``max(axis=-1)``, and a maximum is the same
+    bits in any order, NaN, -inf and signed zeros included. Only maxima
     are taken so: ``np.add.reduceat`` adds a row in another order than the
     pairwise ``sum(axis=-1)`` and moves the sums' last bits, so row sums
     stay with ``sum``. ``success`` looks each trial's final estimates up in
