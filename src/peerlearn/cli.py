@@ -426,10 +426,11 @@ def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
     """Run the configured experiment and write metrics plus a summary.
 
     The trials run in groups (``_trial_groups``), each group's rows written
-    before the next group runs. The metrics go to a partial file that
-    replaces ``metrics.<fmt>`` once the run has succeeded; a failed run
-    removes it and the directories it made, and leaves any other file as it
-    was. ``workers`` is accepted for compatibility and has no effect.
+    before the next group runs. The metrics and the summary go to partial
+    files, which replace ``metrics.<fmt>`` and ``summary.json`` once both
+    are written; a failed run removes them and the directories it made, and
+    leaves any other file as it was. ``workers`` is accepted for
+    compatibility and has no effect.
     """
     scenario = build_scenario(doc)
     if seed is not None:
@@ -438,26 +439,26 @@ def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
         scenario.trials = trials
     directory = Path(out_dir if out_dir is not None else doc.output["directory"])
     fmt = fmt if fmt is not None else doc.output["format"]
-    target = directory / f"metrics.{fmt}"
-    partial = directory / f"metrics.{fmt}.partial"
+    targets = [directory / f"metrics.{fmt}", directory / "summary.json"]
+    partials = [path.with_name(path.name + ".partial") for path in targets]
     made = list(itertools.takewhile(lambda p: not p.exists(), (directory, *directory.parents)))
     try:
         directory.mkdir(parents=True, exist_ok=True)  # an unusable path fails before the run
-        with open(partial, "wb") as handle:
+        with open(partials[0], "wb") as handle:
             writer = MetricsWriter(handle, scenario, fmt)
             report = run_experiment(scenario, workers=workers, groups=_trial_groups(scenario),
                                     consume=writer.write)
             writer.finish()
-        os.replace(partial, target)
+        summary = _summary_dict(report, scenario)
+        with open(partials[1], "w") as handle:
+            handle.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        for partial, target in zip(partials, targets):
+            os.replace(partial, target)
     except BaseException:
-        for remove in (partial.unlink, *(path.rmdir for path in made)):
+        for remove in (*(path.unlink for path in partials), *(path.rmdir for path in made)):
             with contextlib.suppress(OSError):
                 remove()
         raise
-    summary = _summary_dict(report, scenario)
-    with open(directory / "summary.json", "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 

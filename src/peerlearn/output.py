@@ -9,8 +9,9 @@ import re
 import numpy as np
 
 # A chunk of the metrics table holds about this many cells, so writing it
-# takes memory independent of the round and trial counts. Rendering takes
-# about 200 bytes a cell (mostly ``_render_fast``'s index), 1.6 MB a chunk.
+# takes memory independent of the trial count. Rendering takes about 230
+# bytes a value cell (mostly ``_render_fast``'s index): 1.3 MB a chunk of
+# gaussian rows with 7 values and 3 labels, under 1.9 MB for any chunk.
 _CHUNK_CELLS = 2**13
 
 
@@ -29,14 +30,15 @@ def _metric_columns(scenario):
 
 
 def _metric_chunks(scenario, first: int, results, n_cells: int):
-    """The rows of ``results``, trials ``first`` on, in arrays of about ``_CHUNK_CELLS`` cells.
+    """The rows of ``results``, trials ``first`` on, as ``(trial, start, values)``.
 
-    A trial's rows run over (round, node): trial, round and node, then the
-    estimate index and beliefs (as probabilities) for discrete runs, or the
-    means, variances and test MSE for gaussian ones.
+    ``values`` holds the cells after trial, round and node of about
+    ``_CHUNK_CELLS // n_cells`` of the trial's rows, from row ``start`` on:
+    the estimate index and beliefs (as probabilities) for discrete runs, or
+    the means, variances and test MSE for gaussian ones. A trial's rows run
+    over (round, node), so its row ``r`` is round ``r // N`` at node ``r % N``.
     """
-    n_nodes = scenario.graph.n_nodes
-    n_rows = scenario.n_rounds * n_nodes
+    n_rows = scenario.n_rounds * scenario.graph.n_nodes
     step = max(1, _CHUNK_CELLS // n_cells)
     for t, result in enumerate(results, first):
         if scenario.engine == "discrete":
@@ -48,8 +50,8 @@ def _metric_chunks(scenario, first: int, results, n_cells: int):
             values = [b[start:start + step] for b in blocks]
             if scenario.engine == "discrete":
                 values[1] = np.exp(values[1])
-            round_, node = np.divmod(np.arange(start, start + len(values[0])), n_nodes)
-            yield np.column_stack([np.full(len(round_), t), round_, node, *values])
+            values = np.column_stack(values)  # drops the block copies before rendering
+            yield t, start, values
 
 
 # Fixed-notation cells. '%.12g' writes x in fixed notation when the exponent
@@ -95,21 +97,23 @@ def _in_fixed_range(values: np.ndarray) -> np.ndarray:
     return ((a >= 9.9999e-05) & (a < 1e12)) | (a == 0)
 
 
-def _fixed_notation(values: np.ndarray):
+def _fixed_notation(values: np.ndarray, in_range=None):
     """Which cells take the fixed-notation path, with their pattern rows and source bytes.
 
     Returns ``fast``, ``key`` (each cell's row of ``_NUMBER_PATTERNS``, valid
-    where fast) and ``source`` (each cell's 16 source bytes as 4 words). The
-    digits are ``rint(y)`` for ``y = |x| * 10**(11 - e)``, ``e`` the floor of
-    ``log10|x|``. The power is exact for e in [-5, 11], so ``y`` is the
-    exact product correctly rounded. Below 1e12 every half lies on the grid
-    of doubles, so ``y`` is on the exact product's side of each half unless
-    it is a half itself, and only there can ``rint`` round the other way.
-    A ``log10`` one off near a power of ten leaves ``y`` within an ulp of
-    1e11 or 1e12, which rounds right (a carry to 1e12 raises X). A cell is
-    not fast when it is out of range, a half, or -0.0 (``%d`` writes "0").
+    where fast) and ``source`` (each cell's 16 source bytes as 4 words).
+    ``in_range``, if given, is ``_in_fixed_range(values)``, and becomes
+    ``fast``. The digits are ``rint(y)`` for ``y = |x| * 10**(11 - e)``,
+    ``e`` the floor of ``log10|x|``. The power is exact for e in [-5, 11],
+    so ``y`` is the exact product correctly rounded. Below 1e12 every half
+    lies on the grid of doubles, so ``y`` is on the exact product's side of
+    each half unless it is a half itself, and only there can ``rint`` round
+    the other way. A ``log10`` one off near a power of ten leaves ``y``
+    within an ulp of 1e11 or 1e12, which rounds right (a carry to 1e12
+    raises X). A cell is not fast when it is out of range, a half, or -0.0
+    (``%d`` writes "0").
     """
-    fast = _in_fixed_range(values)
+    fast = _in_fixed_range(values) if in_range is None else in_range
     zero = values == 0
     a = np.where(fast & ~zero, np.abs(values), 1.0)
     e = np.clip(np.floor(np.log10(a)), -5, 11).astype(np.intp)
@@ -138,62 +142,121 @@ def _fixed_notation(values: np.ndarray):
     return fast, key, source
 
 
-def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray) -> bytes:
+def _count_text(n: int, trail: str) -> np.ndarray:
+    """The text of 0, ..., n - 1, each then ``trail``: rows of bytes padded in front with 0."""
+    numbers = np.arange(n)
+    width = len(str(n - 1))
+    text = np.empty((n, width + len(trail)), np.uint8)
+    for j in range(width):
+        power = 10 ** (width - 1 - j)
+        text[:, j] = (48 + numbers // power % 10) * ((numbers >= power) | (power == 1))
+    text[:, width:] = np.frombuffer(trail.encode(), np.uint8)
+    return text
+
+
+def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray, labels=None) -> bytes:
     """The text of rows of fast cells, each cell followed by its column's trail.
 
-    ``trails`` is ``(columns, width)`` bytes, padded with 0.
+    ``trails`` is ``(columns, width)`` bytes and ``labels``, if given, the
+    ``(rows, width)`` bytes that lead each row, both padded with 0. Both are
+    copied into one canvas of bytes with the cells, and the padding dropped.
     """
     rows, cols = key.shape
+    width = 0 if labels is None else labels.shape[1]
+    cell = 18 + trails.shape[1]
+    canvas = np.empty((rows, width + cols * cell), np.uint8)
+    if labels is not None:
+        canvas[:, :width] = labels
+    cells = canvas[:, width:].reshape(rows, cols, cell)  # a view: the split axis is contiguous
     index = np.take(_NUMBER_PATTERNS, key, axis=0)
     index += 16 * np.arange(rows * cols).reshape(rows, cols, 1)
-    text = np.empty((rows, cols, 18 + trails.shape[1]), np.uint8)
-    text[..., :18] = np.take(source.view(np.uint8).ravel(), index)
-    text[..., 18:] = trails
-    return text[text != 0].tobytes()
+    cells[..., :18] = np.take(source.view(np.uint8).ravel(), index)
+    cells[..., 18:] = trails
+    return canvas[canvas != 0].tobytes()
 
 
-def _row_renderer(row: str, sep: str):
+def _row_renderer(row: str, sep: str, n_rounds: int = 0, n_nodes: int = 0):
     """A function from a chunk of rows to their text, joined by ``sep``.
 
-    ``row`` is one row's %-template. Rows whose cells are all fast (see
-    ``_fixed_notation``) are built by ``_render_fast``; the rest go through
-    the template, and the rows keep their order. A ``%d`` cell takes the
-    same path: integer-valued floats below 1e12 read the same in ``%d``
-    and ``%.12g``.
+    ``row`` is one row's %-template. Without ``n_nodes``, ``render(values)``
+    takes whole rows. With it, the template's first three cells are a row's
+    trial, round and node, and ``render(values, trial, start)`` takes the
+    other cells of the trial's rows from ``start`` on (see
+    ``_metric_chunks``). Rows whose cells are all fast (see
+    ``_fixed_notation``) are built by ``_render_fast``: the value cells
+    from their digits, and the text of trial, round and node, trails
+    included, by copy from a table of every (round, node)'s text behind the
+    trial's. The function builds that table at its first fast row and keeps
+    it. The other rows go through the template, and the rows keep their
+    order. A ``%d`` value cell takes the same path as the others:
+    integer-valued floats below 1e12 read the same in ``%d`` and ``%.12g``.
     """
     lead, *trails = re.split(r"%(?:d|\.12g)", row)
     trails[-1] += sep + lead  # a rendered row runs on to the next row's lead
-    trail_bytes = np.zeros((len(trails), max(map(len, trails))), np.uint8)
-    for j, trail in enumerate(trails):
+    n_labels = 3 if n_nodes else 0
+    value_trails = trails[n_labels:]
+    trail_bytes = np.zeros((len(value_trails), max(map(len, value_trails))), np.uint8)
+    for j, trail in enumerate(value_trails):
         trail_bytes[j, :len(trail)] = list(trail.encode())
-    trail_length = sum(map(len, trails))
+    trail_length = sum(map(len, value_trails))
     joint, lead_bytes, sep_bytes = len(sep) + len(lead), lead.encode(), sep.encode()
+    table = None  # each (round, node)'s label text, the trial's in front
+    table_trial = None
 
-    def template(rows):
-        return (sep.join([row] * len(rows)) % tuple(rows.ravel().tolist())).encode()
+    def labels(trial, rows):
+        """The text of trial, round and node of the trial's ``rows``; None without label cells."""
+        nonlocal table, table_trial
+        if not n_labels:
+            return None
+        if trial != table_trial:
+            text = np.frombuffer(f"{trial}{trails[0]}".encode(), np.uint8)
+            if table is None or len(str(trial)) != len(str(table_trial)):
+                rounds, nodes = _count_text(n_rounds, trails[1]), _count_text(n_nodes, trails[2])
+                table = np.empty((n_rounds, n_nodes, len(text) + rounds.shape[1] + nodes.shape[1]),
+                                 np.uint8)
+                table[..., len(text):-nodes.shape[1]] = rounds[:, None]
+                table[..., -nodes.shape[1]:] = nodes
+                table = table.reshape(n_rounds * n_nodes, -1)
+            table[:, :len(text)] = text
+            table_trial = trial
+        return table[rows]
 
-    def render(chunk):
+    def template(values, trial, start):
+        if n_labels:
+            round_, node = np.divmod(np.arange(start, start + len(values)), n_nodes)
+            values = np.column_stack([np.full(len(values), trial), round_, node, values])
+        return (sep.join([row] * len(values)) % tuple(values.ravel().tolist())).encode()
+
+    def render(values, trial=0, start=0):
         # The cheap check first: rows bound for the template cost little more.
-        candidate = _in_fixed_range(chunk).all(axis=1)
+        in_range = _in_fixed_range(values)
+        candidate = in_range.all(axis=1)
         if not candidate.any():
-            return template(chunk)
-        cells, key, source = _fixed_notation(chunk[candidate])
+            return template(values, trial, start)
+        rows = slice(None) if candidate.all() else candidate  # a view where it can
+        cells, key, source = _fixed_notation(values[rows], in_range[rows])
         passed = cells.all(axis=1)
-        key, source = key[passed], source[passed]
-        fast = np.zeros(len(chunk), bool)
+        fast = np.zeros(len(values), bool)
         fast[np.flatnonzero(candidate)[passed]] = True
-        text = _render_fast(key, source, trail_bytes)
         if fast.all():
+            text = _render_fast(key, source, trail_bytes,
+                                labels(trial, slice(start, start + len(values))))
             return lead_bytes + text[:len(text) - joint]
-        offsets = [0, *np.cumsum(_NUMBER_LENGTHS[key].sum(axis=1) + trail_length).tolist()]
+        key, source = key[passed], source[passed]
+        label_text = labels(trial, start + np.flatnonzero(fast))
+        text = _render_fast(key, source, trail_bytes, label_text)
+        lengths = _NUMBER_LENGTHS[key].sum(axis=1) + trail_length
+        if label_text is not None:
+            lengths += (label_text != 0).sum(axis=1)
+        offsets = [0, *np.cumsum(lengths).tolist()]
         parts, done = [], 0
         starts = (np.flatnonzero(np.diff(fast)) + 1).tolist()
-        for r0, r1 in zip([0, *starts], [*starts, len(chunk)]):
+        for r0, r1 in zip([0, *starts], [*starts, len(values)]):
             if fast[r0]:
                 parts.append(lead_bytes + text[offsets[done]:offsets[done + r1 - r0] - joint])
                 done += r1 - r0
             else:
-                parts.append(template(chunk[r0:r1]))
+                parts.append(template(values[r0:r1], trial, start + r0))
         return sep_bytes.join(parts)
 
     return render
@@ -206,10 +269,12 @@ class MetricsWriter:
     ``finish`` writes the tail; the row separator carries over from one
     group to the next. A row whose cells ``'%.12g'`` writes in fixed
     notation is rendered with numpy (see ``_row_renderer``), byte for byte
-    as the %-template would write it; any other row, and the rare row with a
-    cell whose rounding a double cannot settle, goes through the template.
-    ``metrics.json`` is ``{"columns": [...], "rows": [[...], ...]}``, each
-    cell a string with the CSV's text.
+    as the %-template would write it: its value cells from their digits,
+    its trial, round and node by copy from a table of their text, which
+    each ``write`` builds for itself and drops. Any other row, and the rare
+    row with a cell whose rounding a double cannot settle, goes through the
+    template. ``metrics.json`` is ``{"columns": [...], "rows": [[...], ...]}``,
+    each cell a string with the CSV's text.
     """
 
     def __init__(self, handle, scenario, fmt: str):
@@ -220,16 +285,18 @@ class MetricsWriter:
             head = '{"columns":%s,"rows":[' % json.dumps(columns, separators=(",", ":"))
             row, sep, tail = "[%s]" % ",".join(f'"{c}"' for c in cells), ",", "]}\n"
         self._handle, self._scenario, self._n_cells = handle, scenario, len(cells)
-        self._render = _row_renderer(row, sep)
+        self._row, self._row_sep = row, sep
         self._sep, self._tail = sep.encode(), tail.encode()
         self._lead = b""  # what the next chunk follows: the separator, once a row is out
         handle.write(head.encode())
 
     def write(self, trials: range, results) -> None:
         """Append the rows of ``results``, the results of ``trials``."""
-        for chunk in _metric_chunks(self._scenario, trials.start, results, self._n_cells):
+        scenario = self._scenario
+        render = _row_renderer(self._row, self._row_sep, scenario.n_rounds, scenario.graph.n_nodes)
+        for trial, start, values in _metric_chunks(scenario, trials.start, results, self._n_cells):
             self._handle.write(self._lead)
-            self._handle.write(self._render(chunk))
+            self._handle.write(render(values, trial, start))
             self._lead = self._sep
 
     def finish(self) -> None:

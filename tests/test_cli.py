@@ -689,6 +689,38 @@ class TestTrialGroups:
         else:
             assert not (tmp_path / "nested").exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "existing-files"])
+    def test_failure_writing_the_summary_leaves_the_output_as_it_was(
+            self, tmp_path, capsys, monkeypatch, existing):
+        # The disk fills up after the summary's first 11 bytes, once the metrics are written.
+        disk_full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def full_disk_open(path, *args, **kwargs):
+            handle = open(path, *args, **kwargs)
+            if Path(path).name.startswith("summary.json"):
+                def write(text):
+                    type(handle).write(handle, text[:11])
+                    handle.flush()
+                    raise disk_full
+                handle.write = write
+            return handle
+
+        monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
+        out = tmp_path / "nested" / "out"
+        old = {}
+        if existing:
+            out.mkdir(parents=True)
+            old = {"metrics.csv": b"old metrics\n", "summary.json": b"{}\n"}
+            for name, data in old.items():
+                (out / name).write_bytes(data)
+        config = write_config(tmp_path, gaussian_config(trials=3))
+        assert main(["run", config, "--out", str(out)]) == 3
+        assert capsys.readouterr() == ("", f"error: {disk_full}\n")
+        if existing:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+        else:
+            assert not (tmp_path / "nested").exists()
+
     def test_a_gate_failure_exits_3_as_one_batch_meets_it(self, tmp_path, capsys,
                                                             one_trial_groups):
         # 1/noise_std^2 is 1e308: every trial's precision overflows in round
@@ -1051,7 +1083,7 @@ class TestMetricsWriter:
         if chunk_rows is not None:
             monkeypatch.setattr(output, "_CHUNK_CELLS", chunk_rows * n_cells)
         seen = set()
-        for chunk in output._metric_chunks(scenario, 0, report.trial_results, n_cells):
+        for _, _, chunk in output._metric_chunks(scenario, 0, report.trial_results, n_cells):
             fast = output._fixed_notation(chunk)[0].all(axis=1)
             seen.add("fast" if fast.all() else "template" if not fast.any() else "mixed")
         assert seen == kinds
