@@ -661,19 +661,9 @@ class TestTrialGroups:
                                                 "seed": 5}))))
         assert cli._trial_groups(scenario) == [range(0, 10), range(10, 20)]
 
-    @pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "existing-files"])
-    def test_failure_in_the_second_group_leaves_the_output_as_it_was(
-            self, tmp_path, capsys, monkeypatch, existing):
-        monkeypatch.setattr(cli, "_GROUP_BYTES", 1)
-        run_group = sim._run_group
-        message = "round 3: precision or shift is not finite; an input overflows"
-
-        def failing(scenario, trials, *args):
-            if trials.start == 1:
-                raise sim._gate(ValueError(message), 1, 0, 0, 3)
-            return run_group(scenario, trials, *args)
-
-        monkeypatch.setattr(sim, "_run_group", failing)
+    @staticmethod
+    def _run_fails_leaving_the_output(tmp_path, capsys, existing, message):
+        """A failing run into a new directory, or over existing files, changes nothing."""
         out = tmp_path / "nested" / "out"
         old = {}
         if existing:
@@ -688,6 +678,21 @@ class TestTrialGroups:
             assert {p.name: p.read_bytes() for p in out.iterdir()} == old
         else:
             assert not (tmp_path / "nested").exists()
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "existing-files"])
+    def test_failure_in_the_second_group_leaves_the_output_as_it_was(
+            self, tmp_path, capsys, monkeypatch, existing):
+        monkeypatch.setattr(cli, "_GROUP_BYTES", 1)
+        run_group = sim._run_group
+        message = "round 3: precision or shift is not finite; an input overflows"
+
+        def failing(scenario, trials, *args):
+            if trials.start == 1:
+                raise sim._gate(ValueError(message), 1, 0, 0, 3)
+            return run_group(scenario, trials, *args)
+
+        monkeypatch.setattr(sim, "_run_group", failing)
+        self._run_fails_leaving_the_output(tmp_path, capsys, existing, message)
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "existing-files"])
     def test_failure_writing_the_summary_leaves_the_output_as_it_was(
@@ -706,20 +711,7 @@ class TestTrialGroups:
             return handle
 
         monkeypatch.setattr(cli, "open", full_disk_open, raising=False)
-        out = tmp_path / "nested" / "out"
-        old = {}
-        if existing:
-            out.mkdir(parents=True)
-            old = {"metrics.csv": b"old metrics\n", "summary.json": b"{}\n"}
-            for name, data in old.items():
-                (out / name).write_bytes(data)
-        config = write_config(tmp_path, gaussian_config(trials=3))
-        assert main(["run", config, "--out", str(out)]) == 3
-        assert capsys.readouterr() == ("", f"error: {disk_full}\n")
-        if existing:
-            assert {p.name: p.read_bytes() for p in out.iterdir()} == old
-        else:
-            assert not (tmp_path / "nested").exists()
+        self._run_fails_leaving_the_output(tmp_path, capsys, existing, disk_full)
 
     def test_a_gate_failure_exits_3_as_one_batch_meets_it(self, tmp_path, capsys,
                                                             one_trial_groups):
@@ -996,6 +988,16 @@ def _gaussian_without_test_set():
     return payload
 
 
+def _many_nodes(config, n_nodes, **scenario_overrides):
+    """``config``'s world on ``n_nodes`` nodes that all listen a little to each other."""
+    payload = config(**scenario_overrides)
+    models = payload["scenario"]["models"]
+    weights = np.full((n_nodes, n_nodes), 0.04) + np.eye(n_nodes) * (1 - 0.04 * n_nodes)
+    payload["scenario"].update(graph={"weights": weights.tolist()},
+                               models=[models[j % 2] for j in range(n_nodes)])
+    return payload
+
+
 class TestMetricsWriter:
     """The chunked writer against the value-at-a-time oracle, and its memory."""
 
@@ -1007,6 +1009,14 @@ class TestMetricsWriter:
         # Variances fall below 1e-4 within each trial, and those rows take the template.
         "gaussian-fallback-rows": _config_world(gaussian_config(noise_std=0.05)),
         "gaussian-no-test-set": _config_world(_gaussian_without_test_set()),
+        # Label text that changes width inside a chunk: rounds 999 and 1000 share
+        # one, as do nodes 9 and 10, and trials 9 and 10 are written by one group.
+        "gaussian-1002-rounds": _config_world(gaussian_config(n_rounds=1002)),
+        "gaussian-12-nodes": _config_world(
+            _many_nodes(gaussian_config, 12, trials=12, n_rounds=10)),
+        # Rounds 0-8 take the fast path, and each trial turns to the template later.
+        "discrete-11-nodes": _config_world(
+            _many_nodes(discrete_config, 11, trials=12, n_rounds=20)),
     }
 
     @pytest.mark.parametrize("grouped", [False, True], ids=["one-group", "group-per-trial"])
