@@ -36,7 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import NotStochasticError, spectral_gap, validate_weight_matrix, verify_mixing_bound
+from .graph import (GraphError, NotStochasticError, spectral_gap, validate_weight_matrix,
+                    verify_mixing_bound)
 from .models import (
     BernoulliContextModel,
     CategoricalContextModel,
@@ -466,9 +467,9 @@ def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
 def cmd_bound(doc: ConfigDocument) -> int:
     """Print the sample-complexity inputs and result as one JSON object."""
     scenario = doc.scenario
+    spectral = spectral_gap(scenario.graph)  # first, as check-graph and run meet it
     _require(scenario.theta_set is not None, "scenario.parameters",
              "the sample-complexity bound requires a parameter set")
-    spectral = spectral_gap(scenario.graph)
     _, inputs, n, assumption_violated, reason = sample_bound(scenario, spectral)
     if inputs is None:
         raise ConfigError(reason)
@@ -556,9 +557,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _path_qualified(exc: Exception) -> str:
     """A config failure's message, led by the config path it concerns.
 
-    The parameter set fails against the models only once the separation
-    table is built, after validation; its message names no path itself.
+    The parameter set fails against the models only at the separation table,
+    and the weights only at their spectrum; neither message names a path.
     """
+    if isinstance(exc, GraphError):
+        return f"scenario.graph.weights: {exc}"
     if isinstance(exc, UnboundedKLError):
         return f"scenario.parameters.points[{exc.point}]: {exc}"
     if isinstance(exc, NotGloballyLearnableError):
@@ -578,7 +581,7 @@ def main(argv=None) -> int:
         if args.command == "bound":
             return cmd_bound(doc)
         return cmd_check_graph(doc, horizon=args.horizon)
-    except (ConfigError, NotGloballyLearnableError, UnboundedKLError) as exc:
+    except (ConfigError, GraphError, NotGloballyLearnableError, UnboundedKLError) as exc:
         print(f"error: {_path_qualified(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
     except (OSError, RuntimeError, ValueError) as exc:

@@ -146,6 +146,8 @@ def validate_weight_matrix(raw) -> WeightMatrix:
     w = np.array(raw, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
+    if w.size == 0:
+        raise ValueError("weight matrix is empty")
     if not np.all(np.isfinite(w)):
         raise ValueError("weight matrix contains non-finite entries")
     n = w.shape[0]
@@ -204,7 +206,7 @@ def spectral_gap(w: WeightMatrix) -> SpectralSummary:
     The weight matrix is generally non-symmetric, so eigenvalues may be
     complex; ``lambda_max`` is the largest modulus after excluding the
     single eigenvalue at 1. The mixing bound is 4*log(N)/(1 - lambda_max)
-    with the natural logarithm.
+    with the natural logarithm; ``GraphError`` if ``lambda_max`` rounds to 1.
     """
     stationary = stationary_distribution(w)
     eigenvalues = np.linalg.eigvals(w.weights)
@@ -214,6 +216,8 @@ def spectral_gap(w: WeightMatrix) -> SpectralSummary:
         perron = int(np.argmin(np.abs(eigenvalues - 1.0)))
         others = np.delete(eigenvalues, perron)
         lambda_max = float(np.max(np.abs(others)))
+    if lambda_max >= 1.0:
+        raise GraphError(f"second-largest eigenvalue modulus is {lambda_max!r}, not below 1")
     mixing_bound = 4.0 * math.log(w.n_nodes) / (1.0 - lambda_max)
     return SpectralSummary(
         stationary=stationary, lambda_max=lambda_max, mixing_bound=mixing_bound

@@ -9,7 +9,7 @@ import re
 import numpy as np
 
 # A chunk of the metrics table holds about this many cells, so writing it
-# takes memory independent of the trial count. Rendering takes about 230
+# takes memory independent of the trial count. Rendering takes about 235
 # bytes a value cell (mostly ``_render_fast``'s index): 1.3 MB a chunk of
 # gaussian rows with 7 values and 3 labels, under 1.9 MB for any chunk.
 _CHUNK_CELLS = 2**13
@@ -88,7 +88,6 @@ def _number_patterns() -> np.ndarray:
 
 
 _NUMBER_PATTERNS = _number_patterns()
-_NUMBER_LENGTHS = (_NUMBER_PATTERNS != 15).sum(axis=1)
 
 
 def _in_fixed_range(values: np.ndarray) -> np.ndarray:
@@ -110,8 +109,10 @@ def _fixed_notation(values: np.ndarray, in_range=None):
     each half unless it is a half itself, and only there can ``rint`` round
     the other way. A ``log10`` one off near a power of ten leaves ``y``
     within an ulp of 1e11 or 1e12, which rounds right (a carry to 1e12
-    raises X). A cell is not fast when it is out of range, a half, or -0.0
-    (``%d`` writes "0").
+    raises X). A cell is not fast, and is flagged, when it is out of range,
+    a half, -0.0 (``%d`` writes "0"), or in range by ``_in_fixed_range`` yet
+    written in exponent notation: a carry to 1e+12, or a value just below
+    1e-4. A flagged cell's key may lie off the table.
     """
     fast = _in_fixed_range(values) if in_range is None else in_range
     zero = values == 0
@@ -154,12 +155,16 @@ def _count_text(n: int, trail: str) -> np.ndarray:
     return text
 
 
-def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray, labels=None) -> bytes:
-    """The text of rows of fast cells, each cell followed by its column's trail.
+def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray, labels=None,
+                 flagged=None, texts=None) -> bytes:
+    """The text of rows of cells, each cell followed by its column's trail.
 
-    ``trails`` is ``(columns, width)`` bytes and ``labels``, if given, the
-    ``(rows, width)`` bytes that lead each row, both padded with 0. Both are
-    copied into one canvas of bytes with the cells, and the padding dropped.
+    ``key`` and ``source`` are ``_fixed_notation``'s. ``trails`` is
+    ``(columns, width)`` bytes and ``labels``, if given, the ``(rows, width)``
+    bytes that lead each row, both padded with 0. The cells at the flat
+    indices ``flagged``, if given, take their text from ``texts`` (``"S18"``)
+    in place of their pattern's. All are copied into one canvas of bytes,
+    and the padding dropped.
     """
     rows, cols = key.shape
     width = 0 if labels is None else labels.shape[1]
@@ -168,9 +173,11 @@ def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray, labels
     if labels is not None:
         canvas[:, :width] = labels
     cells = canvas[:, width:].reshape(rows, cols, cell)  # a view: the split axis is contiguous
-    index = np.take(_NUMBER_PATTERNS, key, axis=0)
+    index = np.take(_NUMBER_PATTERNS, key, axis=0, mode="clip")  # a flagged key may be off it
     index += 16 * np.arange(rows * cols).reshape(rows, cols, 1)
     cells[..., :18] = np.take(source.view(np.uint8).ravel(), index)
+    if flagged is not None:
+        cells[(*np.divmod(flagged, cols), slice(18))] = texts.view(np.uint8).reshape(-1, 18)
     cells[..., 18:] = trails
     return canvas[canvas != 0].tobytes()
 
@@ -182,29 +189,29 @@ def _row_renderer(row: str, sep: str, n_rounds: int = 0, n_nodes: int = 0):
     takes whole rows. With it, the template's first three cells are a row's
     trial, round and node, and ``render(values, trial, start)`` takes the
     other cells of the trial's rows from ``start`` on (see
-    ``_metric_chunks``). Rows whose cells are all fast (see
-    ``_fixed_notation``) are built by ``_render_fast``: the value cells
-    from their digits, and the text of trial, round and node, trails
-    included, by copy from a table of every (round, node)'s text behind the
-    trial's. The function builds that table at its first fast row and keeps
-    it. The other rows go through the template, and the rows keep their
-    order. A ``%d`` value cell takes the same path as the others:
-    integer-valued floats below 1e12 read the same in ``%d`` and ``%.12g``.
+    ``_metric_chunks``). A chunk whose cells all pass ``_in_fixed_range`` is
+    built whole by ``_render_fast``: value cells from their digits, the rare
+    flagged cell (see ``_fixed_notation``) from its own %-format, and trial,
+    round and node, trails included, by copy from a table of every (round,
+    node)'s text behind the trial's, built at the first such chunk and kept.
+    Any other chunk, with a cell in exponent notation, ``nan`` or ``inf``,
+    goes whole through the template. A ``%d`` value cell takes the same
+    path: integer-valued floats below 1e12 read the same in both formats.
     """
     lead, *trails = re.split(r"%(?:d|\.12g)", row)
     trails[-1] += sep + lead  # a rendered row runs on to the next row's lead
     n_labels = 3 if n_nodes else 0
     value_trails = trails[n_labels:]
+    value_formats = re.findall(r"%(?:d|\.12g)", row)[n_labels:]
     trail_bytes = np.zeros((len(value_trails), max(map(len, value_trails))), np.uint8)
     for j, trail in enumerate(value_trails):
         trail_bytes[j, :len(trail)] = list(trail.encode())
-    trail_length = sum(map(len, value_trails))
-    joint, lead_bytes, sep_bytes = len(sep) + len(lead), lead.encode(), sep.encode()
+    joint, lead_bytes = len(sep) + len(lead), lead.encode()
     table = None  # each (round, node)'s label text, the trial's in front
     table_trial = None
 
-    def labels(trial, rows):
-        """The text of trial, round and node of the trial's ``rows``; None without label cells."""
+    def labels(trial, start, stop):
+        """The text of trial, round and node of the trial's rows ``start:stop``, or None."""
         nonlocal table, table_trial
         if not n_labels:
             return None
@@ -219,7 +226,7 @@ def _row_renderer(row: str, sep: str, n_rounds: int = 0, n_nodes: int = 0):
                 table = table.reshape(n_rounds * n_nodes, -1)
             table[:, :len(text)] = text
             table_trial = trial
-        return table[rows]
+        return table[start:stop]
 
     def template(values, trial, start):
         if n_labels:
@@ -228,36 +235,15 @@ def _row_renderer(row: str, sep: str, n_rounds: int = 0, n_nodes: int = 0):
         return (sep.join([row] * len(values)) % tuple(values.ravel().tolist())).encode()
 
     def render(values, trial=0, start=0):
-        # The cheap check first: rows bound for the template cost little more.
         in_range = _in_fixed_range(values)
-        candidate = in_range.all(axis=1)
-        if not candidate.any():
+        if not in_range.all():
             return template(values, trial, start)
-        rows = slice(None) if candidate.all() else candidate  # a view where it can
-        cells, key, source = _fixed_notation(values[rows], in_range[rows])
-        passed = cells.all(axis=1)
-        fast = np.zeros(len(values), bool)
-        fast[np.flatnonzero(candidate)[passed]] = True
-        if fast.all():
-            text = _render_fast(key, source, trail_bytes,
-                                labels(trial, slice(start, start + len(values))))
-            return lead_bytes + text[:len(text) - joint]
-        key, source = key[passed], source[passed]
-        label_text = labels(trial, start + np.flatnonzero(fast))
-        text = _render_fast(key, source, trail_bytes, label_text)
-        lengths = _NUMBER_LENGTHS[key].sum(axis=1) + trail_length
-        if label_text is not None:
-            lengths += (label_text != 0).sum(axis=1)
-        offsets = [0, *np.cumsum(lengths).tolist()]
-        parts, done = [], 0
-        starts = (np.flatnonzero(np.diff(fast)) + 1).tolist()
-        for r0, r1 in zip([0, *starts], [*starts, len(values)]):
-            if fast[r0]:
-                parts.append(lead_bytes + text[offsets[done]:offsets[done + r1 - r0] - joint])
-                done += r1 - r0
-            else:
-                parts.append(template(values[r0:r1], trial, start + r0))
-        return sep_bytes.join(parts)
+        fast, key, source = _fixed_notation(values, in_range)
+        flagged = np.flatnonzero(~fast)
+        texts = [value_formats[i % values.shape[1]] % values.flat[i] for i in flagged.tolist()]
+        text = _render_fast(key, source, trail_bytes, labels(trial, start, start + len(values)),
+                            flagged, np.array(texts, "S18"))
+        return lead_bytes + text[:len(text) - joint]
 
     return render
 
@@ -267,14 +253,14 @@ class MetricsWriter:
 
     The head goes out at once, each ``write`` appends a group's rows and
     ``finish`` writes the tail; the row separator carries over from one
-    group to the next. A row whose cells ``'%.12g'`` writes in fixed
-    notation is rendered with numpy (see ``_row_renderer``), byte for byte
-    as the %-template would write it: its value cells from their digits,
-    its trial, round and node by copy from a table of their text, which
-    each ``write`` builds for itself and drops. Any other row, and the rare
-    row with a cell whose rounding a double cannot settle, goes through the
-    template. ``metrics.json`` is ``{"columns": [...], "rows": [[...], ...]}``,
-    each cell a string with the CSV's text.
+    group to the next. A chunk whose cells all lie in ``_in_fixed_range``
+    is rendered with numpy (see ``_row_renderer``), byte for byte as the
+    %-template would write it: value cells from their digits, the rare tie
+    or -0.0 from its own %-format, and trial, round and node by copy from a
+    table of their text, which each ``write`` builds for itself and drops.
+    Any other chunk goes whole through the template. ``metrics.json`` is
+    ``{"columns": [...], "rows": [[...], ...]}``, each cell a string with
+    the CSV's text.
     """
 
     def __init__(self, handle, scenario, fmt: str):

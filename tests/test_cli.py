@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import errno
+import functools
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -954,6 +956,30 @@ class TestCheckGraphCommand:
         assert out["lambda_max"] == pytest.approx(0.25)
         assert out["horizon"] == 50
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "existing-files"])
+    @pytest.mark.parametrize("config", [discrete_config, gaussian_config])
+    def test_chain_periodic_in_floats_exits_2_alike(self, tmp_path, capsys, config, existing):
+        # Row 0 sums to 1.0 and its self-loop makes the pattern aperiodic, but
+        # the subdominant eigenvalue -1 + 1e-300 has modulus 1.0 in floats.
+        path = write_config(tmp_path, config(graph={"weights": [[1e-300, 1.0], [1.0, 0.0]]}))
+        out = tmp_path / "nested" / "out"
+        old = {}
+        if existing:
+            out.mkdir(parents=True)
+            old = {"metrics.csv": b"old metrics\n", "summary.json": b"{}\n"}
+            for name, data in old.items():
+                (out / name).write_bytes(data)
+        outcomes = []
+        for argv in (["check-graph", path], ["bound", path], ["run", path, "--out", str(out)]):
+            assert main(argv) == 2
+            outcomes.append(capsys.readouterr())
+        assert outcomes == [("", "error: scenario.graph.weights: second-largest eigenvalue "
+                                 "modulus is 1.0, not below 1\n")] * 3
+        if existing:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+        else:
+            assert not (tmp_path / "nested").exists()
+
     def test_missing_config_file_exits_runtime(self, tmp_path, capsys):
         assert main(["check-graph", str(tmp_path / "missing.json")]) == 3
         assert capsys.readouterr().err
@@ -988,6 +1014,21 @@ def _gaussian_without_test_set():
     return payload
 
 
+# Value cells in fixed notation, and in-range cells that '%.12g' rounds in a
+# way a double cannot settle (ties), writes "-0" or writes in exponent notation.
+_FIXED_CELLS = st.one_of(st.just(0.0), st.floats(1e-4, 999999999999.0),
+                         st.floats(-999999999999.0, -1e-4))
+_FLAGGED_CELLS = [123456789012.5, 0.0008271467107625, -0.0, 999999999999.5, -9.99999999999e-05]
+_LABELLED_ROWS = {"csv": ("%d,%d,%d,{}\n", ",", ""), "json": ('["%d","%d","%d",{}]', '","', ",")}
+
+
+def _labelled_row(fmt, n_values):
+    """A metrics row template with label cells, and its row separator."""
+    row, joint, sep = _LABELLED_ROWS[fmt]
+    cells = joint.join(["%.12g"] * n_values)
+    return row.format(f'"{cells}"' if fmt == "json" else cells), sep
+
+
 def _many_nodes(config, n_nodes, **scenario_overrides):
     """``config``'s world on ``n_nodes`` nodes that all listen a little to each other."""
     payload = config(**scenario_overrides)
@@ -1006,7 +1047,7 @@ class TestMetricsWriter:
         "categorical": _config_world(categorical_config()),
         "floor-clamp": lambda: floor_clamp_scenario(n_rounds=45, trials=2),
         "gaussian": _config_world(gaussian_config()),
-        # Variances fall below 1e-4 within each trial, and those rows take the template.
+        # Variances fall below 1e-4 within each trial, and those chunks take the template.
         "gaussian-fallback-rows": _config_world(gaussian_config(noise_std=0.05)),
         "gaussian-no-test-set": _config_world(_gaussian_without_test_set()),
         # Label text that changes width inside a chunk: rounds 999 and 1000 share
@@ -1081,6 +1122,50 @@ class TestMetricsWriter:
     def test_fixed_notation_cells_take_the_fast_path(self, x, fast):
         # Out of range, -0.0 and digits that scale to a half take the template.
         assert output._fixed_notation(np.array([[x]]))[0][0, 0] == fast
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_flagged_cells_anywhere_on_the_canvas(self, data):
+        rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        values = np.array(data.draw(st.lists(st.lists(_FIXED_CELLS, min_size=cols, max_size=cols),
+                                             min_size=rows, max_size=rows)))
+        for r, c in data.draw(st.lists(st.tuples(st.integers(0, rows - 1),
+                                                 st.integers(0, cols - 1)), min_size=1)):
+            values[r, c] = data.draw(st.sampled_from(_FLAGGED_CELLS))
+        assert not output._fixed_notation(values)[0].all()
+        n_nodes, n_rounds = data.draw(st.integers(1, 11)), data.draw(st.integers(rows, 12))
+        start = data.draw(st.integers(0, n_rounds * n_nodes - rows))
+        trial = data.draw(st.integers(0, 12))
+        row, sep = _labelled_row(data.draw(st.sampled_from(["csv", "json"])), cols)
+        render = output._row_renderer(row, sep, n_rounds, n_nodes)
+        with mock.patch.object(output, "_render_fast", wraps=output._render_fast) as canvas:
+            text = render(values, trial, start)
+        assert canvas.call_count == 1
+        cells = [[trial, *divmod(start + r, n_nodes), *values[r].tolist()] for r in range(rows)]
+        assert text == (sep.join([row] * rows) % tuple(sum(cells, []))).encode()
+
+    @pytest.mark.parametrize("row, sep, values, labels", [
+        # One exponent cell sends the chunk, its flagged cells too, to the template.
+        (*_labelled_row("csv", 3), [[0.5, -0.0, 1.25], [123456789012.5, 1e-05, 2.0]], (4, 1)),
+        (*_labelled_row("json", 3), [[0.5, -0.0, 1.25], [123456789012.5, 1e-05, 2.0]], (4, 1)),
+        # A flagged cell takes its own column's %-format: '%d' writes -0.0 as "0".
+        ("%d,%.12g\n", "", [[-0.0, -0.0], [3.0, 0.0008271467107625]], None),
+    ], ids=["exponent-csv", "exponent-json", "percent-d"])
+    def test_flagged_cells_read_as_their_template(self, row, sep, values, labels):
+        values = np.array(values)
+        if labels is None:
+            render = output._row_renderer(row, sep)
+            cells = values.ravel().tolist()
+        else:
+            trial, start = labels
+            render = output._row_renderer(row, sep, 3, 2)
+            render = functools.partial(render, trial=trial, start=start)
+            cells = sum(([trial, *divmod(start + r, 2), *v] for r, v in
+                         enumerate(values.tolist())), [])
+        canvas = output._in_fixed_range(values).all()
+        with mock.patch.object(output, "_render_fast", wraps=output._render_fast) as fast:
+            assert render(values) == (sep.join([row] * len(values)) % tuple(cells)).encode()
+        assert fast.call_count == canvas
 
     @pytest.mark.parametrize("chunk_rows, kinds", [
         (None, {"mixed"}),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from peerlearn import (
+    GraphError,
     NotStochasticError,
     NotStronglyConnectedError,
     PeriodicError,
@@ -57,6 +58,11 @@ class TestValidation:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             validate_weight_matrix([[0.5, 0.5]])
+
+    @pytest.mark.parametrize("raw", [np.empty((0, 0)), np.empty(0)], ids=["0x0", "flat"])
+    def test_rejects_empty(self, raw):
+        with pytest.raises(ValueError, match="empty|square"):
+            validate_weight_matrix(raw)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -128,6 +134,13 @@ class TestSpectralGap:
             assert spectral_gap(relabeled).lambda_max == pytest.approx(
                 spectral_gap(w).lambda_max, abs=1e-9
             )
+
+    def test_rejects_a_chain_periodic_in_floats(self):
+        # The self-loop makes the pattern aperiodic, but the subdominant
+        # eigenvalue -1 + 1e-300 has modulus 1.0 in floats.
+        w = validate_weight_matrix([[1e-300, 1.0], [1.0, 0.0]])
+        with pytest.raises(GraphError, match="modulus is 1.0, not below 1"):
+            spectral_gap(w)
 
     def test_lambda_in_valid_range(self, rng):
         for _ in range(30):
