@@ -3,7 +3,6 @@
 import contextlib
 import copy
 import errno
-import functools
 import io
 import json
 import math
@@ -1144,27 +1143,20 @@ class TestMetricsWriter:
         cells = [[trial, *divmod(start + r, n_nodes), *values[r].tolist()] for r in range(rows)]
         assert text == (sep.join([row] * rows) % tuple(sum(cells, []))).encode()
 
-    @pytest.mark.parametrize("row, sep, values, labels", [
+    @pytest.mark.parametrize("row, sep, values, canvas", [
         # One exponent cell sends the chunk, its flagged cells too, to the template.
-        (*_labelled_row("csv", 3), [[0.5, -0.0, 1.25], [123456789012.5, 1e-05, 2.0]], (4, 1)),
-        (*_labelled_row("json", 3), [[0.5, -0.0, 1.25], [123456789012.5, 1e-05, 2.0]], (4, 1)),
+        (*_labelled_row("csv", 3), [[0.5, -0.0, 1.25], [123456789012.5, 1e-05, 2.0]], False),
+        (*_labelled_row("json", 3), [[0.5, -0.0, 1.25], [123456789012.5, 1e-05, 2.0]], False),
         # A flagged cell takes its own column's %-format: '%d' writes -0.0 as "0".
-        ("%d,%.12g\n", "", [[-0.0, -0.0], [3.0, 0.0008271467107625]], None),
+        ("%d,%d,%d,%d,%.12g\n", "", [[-0.0, -0.0], [3.0, 0.0008271467107625]], True),
     ], ids=["exponent-csv", "exponent-json", "percent-d"])
-    def test_flagged_cells_read_as_their_template(self, row, sep, values, labels):
-        values = np.array(values)
-        if labels is None:
-            render = output._row_renderer(row, sep)
-            cells = values.ravel().tolist()
-        else:
-            trial, start = labels
-            render = output._row_renderer(row, sep, 3, 2)
-            render = functools.partial(render, trial=trial, start=start)
-            cells = sum(([trial, *divmod(start + r, 2), *v] for r, v in
-                         enumerate(values.tolist())), [])
-        canvas = output._in_fixed_range(values).all()
+    def test_flagged_cells_read_as_their_template(self, row, sep, values, canvas):
+        # Trial 4's rows 1 and 2 on 2 nodes: round 0 at node 1, round 1 at node 0.
+        cells = sum(([4, *divmod(1 + r, 2), *v] for r, v in enumerate(values)), [])
+        render = output._row_renderer(row, sep, 3, 2)
         with mock.patch.object(output, "_render_fast", wraps=output._render_fast) as fast:
-            assert render(values) == (sep.join([row] * len(values)) % tuple(cells)).encode()
+            text = render(np.array(values), 4, 1)
+        assert text == (sep.join([row] * len(values)) % tuple(cells)).encode()
         assert fast.call_count == canvas
 
     @pytest.mark.parametrize("chunk_rows, kinds", [
