@@ -373,6 +373,10 @@ def parse_config(text) -> ConfigDocument:
         raise ConfigSyntaxError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigSyntaxError("config cannot be decoded: it nests too deeply") from exc
+    except ValueError as exc:  # an integer too long to convert
+        raise ConfigSyntaxError(f"config cannot be decoded: {exc}") from exc
 
     _check_keys(raw, "config", {"schema_version", "scenario"}, {"output"})
     version = _integer(raw["schema_version"], "config.schema_version")
@@ -399,35 +403,12 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
     return dataclasses.replace(doc.scenario)
 
 
-# A group of trials holds about this many bytes of samples and histories.
-# ``peerlearn run`` writes each group's rows before the next group runs, so
-# its peak memory does not grow with the trial count; a larger trial runs alone.
-_GROUP_BYTES = 2**22
-
-
-def _trial_groups(scenario: Scenario) -> list[range]:
-    """The trials in the fewest near-equal consecutive groups of about ``_GROUP_BYTES``.
-
-    Per (round, node), a discrete trial holds its M beliefs; a gaussian one
-    holds 3d + 2 floats: the instance with its intercept and the label, the
-    d means, the d variances and the test MSE.
-    """
-    if scenario.engine == "discrete":
-        floats = scenario.theta_set.n_points
-    else:
-        floats = 3 * len(scenario.prior_mean) + 2
-    trial_bytes = 8 * floats * scenario.n_rounds * scenario.graph.n_nodes
-    n_groups = -(-scenario.trials // max(1, _GROUP_BYTES // trial_bytes))
-    bounds = [scenario.trials * g // n_groups for g in range(n_groups + 1)]
-    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
 def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
             trials=None, workers: int = 1) -> int:
     """Run the configured experiment and write metrics plus a summary.
 
-    The trials run in groups (``_trial_groups``), each group's rows written
-    before the next group runs. The metrics and the summary go to partial
+    The trials run in the groups ``run_experiment`` picks, each group's rows
+    written before the next group runs. The metrics and the summary go to partial
     files, which replace ``metrics.<fmt>`` and ``summary.json`` once both
     are written; a failed run removes them and the directories it made, and
     leaves any other file as it was. ``workers`` is accepted for
@@ -447,8 +428,7 @@ def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
         directory.mkdir(parents=True, exist_ok=True)  # an unusable path fails before the run
         with open(partials[0], "wb") as handle:
             writer = MetricsWriter(handle, scenario, fmt)
-            report = run_experiment(scenario, workers=workers, groups=_trial_groups(scenario),
-                                    consume=writer.write)
+            report = run_experiment(scenario, workers=workers, consume=writer.write)
             writer.finish()
         summary = _summary_dict(report, scenario)
         with open(partials[1], "w") as handle:

@@ -155,23 +155,25 @@ def _count_text(n: int, trail: str) -> np.ndarray:
     return text
 
 
-def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray, labels=None,
+def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray, labels=(),
                  flagged=None, texts=None) -> bytes:
     """The text of rows of cells, each cell followed by its column's trail.
 
     ``key`` and ``source`` are ``_fixed_notation``'s. ``trails`` is
-    ``(columns, width)`` bytes and ``labels``, if given, the ``(rows, width)``
-    bytes that lead each row, both padded with 0. The cells at the flat
-    indices ``flagged``, if given, take their text from ``texts`` (``"S18"``)
-    in place of their pattern's. All are copied into one canvas of bytes,
-    and the padding dropped.
+    ``(columns, width)`` bytes and ``labels`` the blocks of bytes that lead
+    each row, in order: each ``(width,)`` for every row or ``(rows, width)``,
+    all padded with 0. The cells at the flat indices ``flagged``, if given,
+    take their text from ``texts`` (``"S18"``) in place of their pattern's.
+    All are copied into one canvas of bytes, and the padding dropped.
     """
     rows, cols = key.shape
-    width = 0 if labels is None else labels.shape[1]
+    width = sum(block.shape[-1] for block in labels)
     cell = 18 + trails.shape[1]
     canvas = np.empty((rows, width + cols * cell), np.uint8)
-    if labels is not None:
-        canvas[:, :width] = labels
+    at = 0
+    for block in labels:
+        canvas[:, at:at + block.shape[-1]] = block
+        at += block.shape[-1]
     cells = canvas[:, width:].reshape(rows, cols, cell)  # a view: the split axis is contiguous
     index = np.take(_NUMBER_PATTERNS, key, axis=0, mode="clip")  # a flagged key may be off it
     index += 16 * np.arange(rows * cols).reshape(rows, cols, 1)
@@ -191,9 +193,9 @@ def _row_renderer(row: str, sep: str, n_rounds: int = 0, n_nodes: int = 0):
     other cells of the trial's rows from ``start`` on (see
     ``_metric_chunks``). A chunk whose cells all pass ``_in_fixed_range`` is
     built whole by ``_render_fast``: value cells from their digits, the rare
-    flagged cell (see ``_fixed_notation``) from its own %-format, and trial,
-    round and node, trails included, by copy from a table of every (round,
-    node)'s text behind the trial's, built at the first such chunk and kept.
+    flagged cell (see ``_fixed_notation``) from its own %-format, the
+    trial's text in front of each row, and round and node, trails included,
+    by copy from a table of every (round, node)'s text, built once.
     Any other chunk, with a cell in exponent notation, ``nan`` or ``inf``,
     goes whole through the template. A ``%d`` value cell takes the same
     path: integer-valued floats below 1e12 read the same in both formats.
@@ -207,26 +209,15 @@ def _row_renderer(row: str, sep: str, n_rounds: int = 0, n_nodes: int = 0):
     for j, trail in enumerate(value_trails):
         trail_bytes[j, :len(trail)] = list(trail.encode())
     joint, lead_bytes = len(sep) + len(lead), lead.encode()
-    table = None  # each (round, node)'s label text, the trial's in front
-    table_trial = None
+    if n_labels:  # each (round, node)'s text, trails included
+        rounds, nodes = _count_text(n_rounds, trails[1]), _count_text(n_nodes, trails[2])
+        table = np.hstack([np.repeat(rounds, n_nodes, axis=0), np.tile(nodes, (n_rounds, 1))])
 
     def labels(trial, start, stop):
-        """The text of trial, round and node of the trial's rows ``start:stop``, or None."""
-        nonlocal table, table_trial
+        """The text blocks that lead the trial's rows ``start:stop``: trial, round and node."""
         if not n_labels:
-            return None
-        if trial != table_trial:
-            text = np.frombuffer(f"{trial}{trails[0]}".encode(), np.uint8)
-            if table is None or len(str(trial)) != len(str(table_trial)):
-                rounds, nodes = _count_text(n_rounds, trails[1]), _count_text(n_nodes, trails[2])
-                table = np.empty((n_rounds, n_nodes, len(text) + rounds.shape[1] + nodes.shape[1]),
-                                 np.uint8)
-                table[..., len(text):-nodes.shape[1]] = rounds[:, None]
-                table[..., -nodes.shape[1]:] = nodes
-                table = table.reshape(n_rounds * n_nodes, -1)
-            table[:, :len(text)] = text
-            table_trial = trial
-        return table[start:stop]
+            return ()
+        return np.frombuffer(f"{trial}{trails[0]}".encode(), np.uint8), table[start:stop]
 
     def template(values, trial, start):
         if n_labels:
@@ -256,8 +247,8 @@ class MetricsWriter:
     group to the next. A chunk whose cells all lie in ``_in_fixed_range``
     is rendered with numpy (see ``_row_renderer``), byte for byte as the
     %-template would write it: value cells from their digits, the rare tie
-    or -0.0 from its own %-format, and trial, round and node by copy from a
-    table of their text, which each ``write`` builds for itself and drops.
+    or -0.0 from its own %-format, the trial's text, and round and node by
+    copy from a table of their text, which each ``write`` builds once and drops.
     Any other chunk goes whole through the template. ``metrics.json`` is
     ``{"columns": [...], "rows": [[...], ...]}``, each cell a string with
     the CSV's text.

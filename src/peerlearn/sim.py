@@ -200,6 +200,29 @@ def run_trial(scenario: Scenario, trial_index: int, global_optima=None) -> Trial
                            merge=scenario.cooperative)[0]
 
 
+# A group of trials holds about this many bytes of samples and histories.
+# With a consumer, ``run_experiment`` hands each group on before the next
+# runs, so its peak does not grow with the trial count; a larger trial runs alone.
+_GROUP_BYTES = 2**22
+
+
+def _trial_groups(scenario: Scenario):
+    """The trials in the fewest near-equal consecutive groups of about ``_GROUP_BYTES``.
+
+    Yields one range at a time. Per (round, node), a discrete trial holds
+    its M beliefs; a gaussian one holds 3d + 2 floats: the instance with its
+    intercept and the label, the d means, the d variances and the test MSE.
+    """
+    if scenario.engine == "discrete":
+        floats = scenario.theta_set.n_points
+    else:
+        floats = 3 * len(scenario.prior_mean) + 2
+    trial_bytes = 8 * floats * scenario.n_rounds * scenario.graph.n_nodes
+    n_groups = -(-scenario.trials // max(1, _GROUP_BYTES // trial_bytes))
+    for g in range(n_groups):
+        yield range(scenario.trials * g // n_groups, scenario.trials * (g + 1) // n_groups)
+
+
 def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[TrialResult]:
     """The log-linear round engine over a finite parameter set, batched over (trial, node).
 
@@ -656,15 +679,14 @@ class _Aggregates:
             report.baseline_final_mse = float(report.baseline_mse_curve[-1])
 
 
-def run_experiment(scenario: Scenario, workers: int = 1, *, groups=None,
-                   consume=None) -> ExperimentReport:
+def run_experiment(scenario: Scenario, workers: int = 1, *, consume=None) -> ExperimentReport:
     """Run all trials with derived seeds and aggregate the results.
 
     A run sets up once (``_set_up``), then runs the engines on each group
     of trials (``_run_group``) and accumulates the aggregates group by
-    group. ``groups`` are consecutive trial ranges covering the trials; by
-    default all trials run as one group and the report keeps every trial's
-    results. With ``consume``, each group's results go to
+    group. Without ``consume``, all trials run as one group and the report
+    keeps every trial's results. With it, the trials run in the groups of
+    ``_trial_groups``, and each group's results go to
     ``consume(trials, results)`` and are dropped before the next group
     runs, so the run holds one group at a time; ``runtime_seconds`` leaves
     out the time spent there. If a gate fails, the later groups still run
@@ -680,7 +702,7 @@ def run_experiment(scenario: Scenario, workers: int = 1, *, groups=None,
     aggregates = _Aggregates(report)
     consuming = 0.0
     failure = None
-    for trials in groups or [range(scenario.trials)]:
+    for trials in [range(scenario.trials)] if consume is None else _trial_groups(scenario):
         try:
             results, baselines = _run_group(scenario, trials, report, tables)
         except ValueError as exc:

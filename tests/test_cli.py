@@ -4,6 +4,7 @@ import contextlib
 import copy
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -106,7 +107,7 @@ def write_metrics(report, scenario, path, fmt, groups=None):
 def one_trial_groups(request, monkeypatch):
     """Runs the test at the default group budget and at one trial per group."""
     if request.param:
-        monkeypatch.setattr(cli, "_GROUP_BYTES", 1)
+        monkeypatch.setattr(sim, "_GROUP_BYTES", 1)
     return request.param
 
 
@@ -383,6 +384,27 @@ class TestParseConfig:
             parse_config(b'{"schema_version": 1,,}')
         assert "line" in str(info.value)
 
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps(discrete_config()).replace('"master_seed": 42',
+                                               '"master_seed": ' + "7" * 5000),
+         r"config cannot be decoded: .*4300 digits"),
+        ("[" * 100000 + "]" * 100000, r"config cannot be decoded: it nests too deeply$"),
+    ], ids=["5000-digit-integer", "deep-nesting"])
+    def test_undecodable_json_exits_2_on_every_subcommand(self, tmp_path, capsys, text, message):
+        # Valid JSON that json.loads turns down with a ValueError or a RecursionError.
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        errors = set()
+        for argv in (["run", "--out", str(out)], ["bound"], ["check-graph"]):
+            assert main([argv[0], str(config), *argv[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            errors.add(captured.err)
+        [error] = errors
+        assert re.match(f"error: {message}", error.rstrip("\n")), error
+        assert not out.exists()
+
     def test_wrong_schema_version(self):
         payload = discrete_config()
         payload["schema_version"] = 2
@@ -651,8 +673,8 @@ class TestTrialGroups:
         scenario = build_scenario(parse_config(json.dumps(gaussian_config(
             n_rounds=2000, trials=trials))))
         trial_bytes = 8 * (3 * 3 + 2) * 2000 * 2
-        monkeypatch.setattr(cli, "_GROUP_BYTES", fit * trial_bytes + trial_bytes - 1)
-        groups = cli._trial_groups(scenario)
+        monkeypatch.setattr(sim, "_GROUP_BYTES", fit * trial_bytes + trial_bytes - 1)
+        groups = list(sim._trial_groups(scenario))
         assert [len(g) for g in groups] == sizes
         assert [t for g in groups for t in g] == list(range(trials))
 
@@ -660,7 +682,16 @@ class TestTrialGroups:
         scenario = build_scenario(parse_config(json.dumps(gaussian_config(
             n_rounds=2000, trials=20, test_set={"size": 1000, "ranges": [[-1, 1], [-1.5, 1.5]],
                                                 "seed": 5}))))
-        assert cli._trial_groups(scenario) == [range(0, 10), range(10, 20)]
+        assert list(sim._trial_groups(scenario)) == [range(0, 10), range(10, 20)]
+
+    def test_groups_come_one_at_a_time(self):
+        # 240 bytes a trial fit 17,476 trials in a group: about 5.7e25 groups
+        # of 10**30 trials, of which only the first two are built.
+        points = [[0.8, 0.3], [0.8, 0.6], [0.2, 0.3]]
+        scenario = build_scenario(parse_config(json.dumps(discrete_config(
+            n_rounds=5, trials=10**30, parameters={"points": points}))))
+        assert list(itertools.islice(sim._trial_groups(scenario), 2)) == [
+            range(0, 17475), range(17475, 34951)]
 
     @staticmethod
     def _run_fails_leaving_the_output(tmp_path, capsys, existing, message):
@@ -683,7 +714,7 @@ class TestTrialGroups:
     @pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "existing-files"])
     def test_failure_in_the_second_group_leaves_the_output_as_it_was(
             self, tmp_path, capsys, monkeypatch, existing):
-        monkeypatch.setattr(cli, "_GROUP_BYTES", 1)
+        monkeypatch.setattr(sim, "_GROUP_BYTES", 1)
         run_group = sim._run_group
         message = "round 3: precision or shift is not finite; an input overflows"
 
@@ -733,6 +764,7 @@ class TestTrialGroups:
         ({1: (1, 0, 0, 5), 3: (1, 0, 0, 5)}, "round 5 in trial 1"),  # a tie: the first group
     ])
     def test_a_failure_is_the_one_a_single_batch_meets_first(self, monkeypatch, failing, message):
+        monkeypatch.setattr(sim, "_GROUP_BYTES", 1)
         run_group = sim._run_group
 
         def gated(scenario, trials, *args):
@@ -745,8 +777,7 @@ class TestTrialGroups:
         scenario = build_scenario(parse_config(json.dumps(gaussian_config(trials=4))))
         consumed = []
         with pytest.raises(ValueError, match=f"^{message}"):
-            run_experiment(scenario, groups=[range(t, t + 1) for t in range(4)],
-                           consume=lambda trials, results: consumed.append(trials))
+            run_experiment(scenario, consume=lambda trials, results: consumed.append(trials))
         assert consumed == [range(0, 1)]  # nothing is consumed past a failure
 
     @pytest.mark.parametrize("engine", ["discrete", "gaussian"])
@@ -755,7 +786,7 @@ class TestTrialGroups:
         # about 0.35 MB at 2 and at 8 trials, one trial's beliefs, or samples
         # and histories, among it (0.2 and 0.1 MB). Holding every trial, it
         # grows to 1.8 MB (discrete) and 1.7 MB (gaussian) at 8 trials.
-        monkeypatch.setattr(cli, "_GROUP_BYTES", 1)
+        monkeypatch.setattr(sim, "_GROUP_BYTES", 1)
         axis = np.linspace(0.05, 0.95, 8)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         if engine == "discrete":

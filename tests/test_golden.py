@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from peerlearn import cli
+from peerlearn import sim
 from peerlearn.cli import main as cli_main
 
 try:
@@ -73,7 +73,7 @@ def digests(config: dict, workdir: Path) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_output_bytes_match_the_manifest(name, tmp_path, monkeypatch, one_trial_groups):
     if one_trial_groups:
-        monkeypatch.setattr(cli, "_GROUP_BYTES", 1)
+        monkeypatch.setattr(sim, "_GROUP_BYTES", 1)
     manifest = json.loads(MANIFEST_PATH.read_text())
     expected = manifest["sha256"].get(name)
     assert expected is not None, f"{name}: no hashes in golden.json; regenerate it"

@@ -597,7 +597,7 @@ class TestDeterminism:
                                           pooled[t].mse_history)
 
     @pytest.mark.parametrize("world", ["gaussian", "discrete"])
-    def test_report_does_not_depend_on_the_trial_groups(self, world):
+    def test_report_does_not_depend_on_the_trial_groups(self, monkeypatch, world):
         # The aggregates, summed group by group in trial order and divided
         # once, are the bits of one batch's; so are the trials' results.
         if world == "gaussian":
@@ -606,7 +606,9 @@ class TestDeterminism:
             scenario = floor_clamp_scenario(n_rounds=60, trials=7)
         whole = run_experiment(scenario)
         consumed = []
-        grouped = run_experiment(scenario, groups=[range(0, 1), range(1, 4), range(4, 7)],
+        monkeypatch.setattr(sim, "_trial_groups",
+                            lambda scenario: [range(0, 1), range(1, 4), range(4, 7)])
+        grouped = run_experiment(scenario,
                                  consume=lambda trials, results: consumed.extend(results))
         assert grouped.trial_results == [] and consumed
         if world == "gaussian":  # the mean over one stack of every trial's curve
@@ -728,14 +730,19 @@ class TestExperimentAggregation:
 
     @pytest.mark.parametrize("one_trial_groups", [False, True])
     @pytest.mark.parametrize("n_rounds", [20, 80])
-    def test_success_flags_match_the_isin_oracle(self, n_rounds, one_trial_groups):
+    def test_success_flags_match_the_isin_oracle(self, monkeypatch, n_rounds, one_trial_groups):
         scenario = twin_optima_scenario(n_rounds)
-        groups = [range(t, t + 1) for t in range(scenario.trials)] if one_trial_groups else None
-        report = run_experiment(scenario, groups=groups)
+        if one_trial_groups:
+            monkeypatch.setattr(sim, "_GROUP_BYTES", 1)
+            results = []
+            report = run_experiment(scenario,
+                                    consume=lambda trials, group: results.extend(group))
+        else:
+            report = run_experiment(scenario)
+            results = report.trial_results
         assert report.separation.global_optima == (2, 3)
-        success, error, first = isin_success(report.trial_results,
-                                             report.separation.global_optima)
-        assert [r.success for r in report.trial_results] == success
+        success, error, first = isin_success(results, report.separation.global_optima)
+        assert [r.success for r in results] == success
         assert report.empirical_error == error
         assert report.first_all_success_round == first
         # Both outcomes occur: failed trials over 20 rounds, a round from
