@@ -408,10 +408,10 @@ def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
     """Run the configured experiment and write metrics plus a summary.
 
     The trials run in the groups ``run_experiment`` picks, each group's rows
-    written before the next group runs. The metrics and the summary go to partial
-    files, which replace ``metrics.<fmt>`` and ``summary.json`` once both
-    are written; a failed run removes them and the directories it made, and
-    leaves any other file as it was. ``workers`` is accepted for
+    written before the next group runs. The metrics and the summary go to
+    partial files, which replace ``metrics.<fmt>`` and ``summary.json`` once
+    both are written; a failed run removes them and the directories it made,
+    and leaves any other file as it was. ``workers`` is accepted for
     compatibility and has no effect.
     """
     scenario = build_scenario(doc)
