@@ -375,8 +375,10 @@ def parse_config(text) -> ConfigDocument:
         ) from exc
     except RecursionError as exc:
         raise ConfigSyntaxError("config cannot be decoded: it nests too deeply") from exc
-    except ValueError as exc:  # an integer too long to convert
-        raise ConfigSyntaxError(f"config cannot be decoded: {exc}") from exc
+    except ValueError as exc:  # an integer past the digit limit of int()
+        raise ConfigSyntaxError(
+            f"config cannot be decoded: an integer has more than {sys.get_int_max_str_digits()}"
+            " digits; set PYTHONINTMAXSTRDIGITS to raise the limit") from exc
 
     _check_keys(raw, "config", {"schema_version", "scenario"}, {"output"})
     version = _integer(raw["schema_version"], "config.schema_version")
@@ -453,16 +455,8 @@ def cmd_bound(doc: ConfigDocument) -> int:
     _, inputs, n, assumption_violated, reason = sample_bound(scenario, spectral)
     if inputs is None:
         raise ConfigError(reason)
-    payload = {
-        "n_nodes": inputs.n_nodes,
-        "n_params": inputs.n_params,
-        "delta": inputs.delta,
-        "likelihood_log_range": inputs.likelihood_log_range,
-        "separation_rate": _jsonable(inputs.separation_rate),
-        "lambda_max": _jsonable(inputs.lambda_max),
-        "n": n,
-        "assumption_violated": assumption_violated,
-    }
+    payload = {key: _jsonable(value) for key, value in dataclasses.asdict(inputs).items()}
+    payload.update(n=n, assumption_violated=assumption_violated)
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
@@ -564,8 +558,8 @@ def main(argv=None) -> int:
     except (ConfigError, GraphError, NotGloballyLearnableError, UnboundedKLError) as exc:
         print(f"error: {_path_qualified(exc)}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (OSError, RuntimeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, RuntimeError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

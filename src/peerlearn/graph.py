@@ -95,43 +95,16 @@ class MixingBoundReport:
         return bool(np.all(self.within_bound))
 
 
-def _reachable(adjacency: np.ndarray, start: int) -> np.ndarray:
-    """Boolean reachability from ``start`` by depth-first search."""
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    stack = [start]
-    seen[start] = True
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(adjacency[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return seen
-
-
-def _period(adjacency: np.ndarray) -> int:
-    """Period of a strongly connected directed graph.
-
-    Breadth-first levels from node 0; the gcd of (level[u] + 1 - level[v])
-    over all edges u -> v is the gcd of all cycle lengths through node 0,
-    which equals the period of the chain.
-    """
-    n = adjacency.shape[0]
-    level = np.full(n, -1, dtype=int)
+def _levels(adjacency: np.ndarray) -> np.ndarray:
+    """Breadth-first distance of each node from node 0, -1 where it is unreachable."""
+    level = np.full(adjacency.shape[0], -1)
     level[0] = 0
     queue = [0]
-    while queue:
-        u = queue.pop(0)
-        for v in np.flatnonzero(adjacency[u]):
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(int(v))
-    g = 0
-    rows, cols = np.nonzero(adjacency)
-    for u, v in zip(rows, cols):
-        g = math.gcd(g, int(level[u]) + 1 - int(level[v]))
-    return abs(g) if g != 0 else 0
+    for u in queue:  # the queue grows as it is read
+        fresh = np.flatnonzero(adjacency[u] & (level < 0))
+        level[fresh] = level[u] + 1
+        queue.extend(fresh.tolist())
+    return level
 
 
 def validate_weight_matrix(raw) -> WeightMatrix:
@@ -141,44 +114,40 @@ def validate_weight_matrix(raw) -> WeightMatrix:
     the directed graph of positive entries is strongly connected, and the
     chain is aperiodic. Raises ``NotStochasticError``,
     ``NotStronglyConnectedError`` or ``PeriodicError`` otherwise, naming
-    the offending row or structure.
+    the first offending row or the offending structure. Breadth-first levels
+    from node 0 on the graph and its transpose find unreachable nodes; the
+    period is the gcd of ``level[u] + 1 - level[v]`` over the edges u -> v.
     """
     w = np.array(raw, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight matrix must be square, got shape {w.shape}")
     if w.size == 0:
         raise ValueError("weight matrix is empty")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("weight matrix contains non-finite entries")
-    n = w.shape[0]
-    for i in range(n):
-        if np.any(w[i] < 0.0):
-            j = int(np.flatnonzero(w[i] < 0.0)[0])
+    negative = w < 0.0
+    sums = w.sum(axis=1)
+    bad = negative.any(axis=1) | (np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if negative[i].any():
+            j = int(np.argmax(negative[i]))
             raise NotStochasticError(i, f"negative entry {w[i, j]!r} at column {j}")
-        row_sum = float(w[i].sum())
-        if abs(row_sum - 1.0) > ROW_SUM_TOL:
-            raise NotStochasticError(i, f"sums to {row_sum!r}, expected 1")
+        raise NotStochasticError(i, f"sums to {float(sums[i])!r}, expected 1")
 
     adjacency = w > 0.0
-    forward = _reachable(adjacency, 0)
-    if not forward.all():
-        raise NotStronglyConnectedError(
-            [int(i) for i in np.flatnonzero(~forward)], "unreachable from"
-        )
-    backward = _reachable(adjacency.T, 0)
-    if not backward.all():
-        raise NotStronglyConnectedError(
-            [int(i) for i in np.flatnonzero(~backward)], "unable to reach"
-        )
-
-    # Any self-loop makes the chain aperiodic; otherwise fall back to the
-    # gcd of cycle lengths.
-    if not np.any(np.diag(w) > 0.0):
-        period = _period(adjacency)
-        if period != 1:
-            raise PeriodicError(period)
-
-    return WeightMatrix(n_nodes=n, weights=w)
+    level = _levels(adjacency)
+    unreachable = np.flatnonzero(level < 0).tolist()
+    if unreachable:
+        raise NotStronglyConnectedError(unreachable, "unreachable from")
+    unreachable = np.flatnonzero(_levels(adjacency.T) < 0).tolist()
+    if unreachable:
+        raise NotStronglyConnectedError(unreachable, "unable to reach")
+    rows, cols = np.nonzero(adjacency)
+    period = math.gcd(*(level[rows] + 1 - level[cols]).tolist())
+    if period != 1:
+        raise PeriodicError(period)
+    return WeightMatrix(n_nodes=w.shape[0], weights=w)
 
 
 def stationary_distribution(w: WeightMatrix) -> np.ndarray:
@@ -205,17 +174,14 @@ def spectral_gap(w: WeightMatrix) -> SpectralSummary:
 
     The weight matrix is generally non-symmetric, so eigenvalues may be
     complex; ``lambda_max`` is the largest modulus after excluding the
-    single eigenvalue at 1. The mixing bound is 4*log(N)/(1 - lambda_max)
-    with the natural logarithm; ``GraphError`` if ``lambda_max`` rounds to 1.
+    single eigenvalue at 1, or 0 on one node. The mixing bound is
+    4*log(N)/(1 - lambda_max); ``GraphError`` if ``lambda_max`` rounds to 1.
     """
     stationary = stationary_distribution(w)
     eigenvalues = np.linalg.eigvals(w.weights)
-    if w.n_nodes == 1:
-        lambda_max = 0.0
-    else:
-        perron = int(np.argmin(np.abs(eigenvalues - 1.0)))
-        others = np.delete(eigenvalues, perron)
-        lambda_max = float(np.max(np.abs(others)))
+    perron = int(np.argmin(np.abs(eigenvalues - 1.0)))
+    others = np.delete(eigenvalues, perron)
+    lambda_max = float(np.max(np.abs(others), initial=0.0))
     if lambda_max >= 1.0:
         raise GraphError(f"second-largest eigenvalue modulus is {lambda_max!r}, not below 1")
     mixing_bound = 4.0 * math.log(w.n_nodes) / (1.0 - lambda_max)

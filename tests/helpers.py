@@ -14,8 +14,12 @@ from scipy.special import logsumexp, rel_entr
 
 from peerlearn import (
     BernoulliContextModel,
+    GraphError,
     LinearGaussianModel,
+    NotStochasticError,
+    NotStronglyConnectedError,
     ParameterSet,
+    PeriodicError,
     Scenario,
     WeightMatrix,
     ZeroLikelihoodError,
@@ -24,6 +28,7 @@ from peerlearn import (
     validate_weight_matrix,
 )
 from peerlearn.beliefs import LOG_FLOOR, row_normalize
+from peerlearn.graph import ROW_SUM_TOL
 from peerlearn.models import DUPLICATE_TOL
 
 REGRESSION_THETA = [-0.3, 0.5, 0.8]
@@ -68,6 +73,39 @@ def random_weight_matrix(rng, n_nodes: int) -> WeightMatrix:
         w[i, i] = rng.uniform(0.2, 1.0)
     w /= w.sum(axis=1, keepdims=True)
     return validate_weight_matrix(w)
+
+
+def reference_weight_verdict(w: np.ndarray) -> GraphError | None:
+    """The error ``validate_weight_matrix`` raises on a finite square ``w``, or None.
+
+    Rows are checked one by one, a negative entry before the sum. The
+    closure of ``(I + A)^(N-1)`` gives reachability, and the period is the
+    gcd of the k <= 3N with ``(A^k)[0, 0] > 0``: every simple cycle has a
+    closed walk through node 0 of length at most 2N - 2 that meets it, and
+    that walk once more round the cycle is at most 3N - 2 long.
+    """
+    n = len(w)
+    for i in range(n):
+        for j in range(n):
+            if w[i, j] < 0.0:
+                return NotStochasticError(i, f"negative entry {w[i, j]!r} at column {j}")
+        row_sum = float(w[i].sum())
+        if abs(row_sum - 1.0) > ROW_SUM_TOL:
+            return NotStochasticError(i, f"sums to {row_sum!r}, expected 1")
+    edges = (w > 0.0).astype(np.int64)
+    closure = np.eye(n, dtype=np.int64)
+    for _ in range(n - 1):
+        closure = np.minimum(closure @ (np.eye(n, dtype=np.int64) + edges), 1)
+    if not closure[0].all():
+        return NotStronglyConnectedError(np.flatnonzero(closure[0] == 0).tolist(), "unreachable from")
+    if not closure[:, 0].all():
+        return NotStronglyConnectedError(np.flatnonzero(closure[:, 0] == 0).tolist(), "unable to reach")
+    walks, period = np.eye(n, dtype=np.int64), 0
+    for k in range(1, 3 * n + 1):
+        walks = np.minimum(walks @ edges, 1)
+        if walks[0, 0]:
+            period = math.gcd(period, k)
+    return None if period == 1 else PeriodicError(period)
 
 
 def in_neighbors(graph: WeightMatrix, node: int) -> np.ndarray:

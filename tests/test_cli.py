@@ -111,6 +111,16 @@ def one_trial_groups(request, monkeypatch):
     return request.param
 
 
+# An allocation the host cannot satisfy, as numpy words it and bare; raised, never made.
+OUT_OF_MEMORY = [
+    (MemoryError("Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) "
+                 "and data type float64"),
+     "Unable to allocate 7.11 PiB for an array with shape (1000000000000000,) "
+     "and data type float64"),
+    (MemoryError(), "MemoryError"),
+]
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -404,6 +414,22 @@ class TestParseConfig:
         [error] = errors
         assert re.match(f"error: {message}", error.rstrip("\n")), error
         assert not out.exists()
+
+    def test_digit_limit_names_the_environment_variable(self, tmp_path, capsys):
+        config = write_config(tmp_path, discrete_config(master_seed=0))
+        Path(config).write_text(Path(config).read_text().replace(
+            '"master_seed": 0', '"master_seed": ' + "7" * 5000))
+        for argv in (["run", "--out", str(tmp_path / "out")], ["bound"], ["check-graph"]):
+            assert main([argv[0], config, *argv[1:]]) == 2
+            error = capsys.readouterr().err
+            assert "PYTHONINTMAXSTRDIGITS" in error and "set_int_max_str_digits" not in error
+        # With the limit lifted the integer decodes, and the range check names its path.
+        src = Path(cli.__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "peerlearn.cli", "check-graph", config], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "0"})
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: scenario.master_seed: must be <= 18446744073709551615\n"
 
     def test_wrong_schema_version(self):
         payload = discrete_config()
@@ -726,6 +752,16 @@ class TestTrialGroups:
         monkeypatch.setattr(sim, "_run_group", failing)
         self._run_fails_leaving_the_output(tmp_path, capsys, existing, message)
 
+    @pytest.mark.parametrize("error, message", OUT_OF_MEMORY, ids=["numpy", "bare"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "existing-files"])
+    def test_out_of_memory_exits_3_leaving_the_output_as_it_was(
+            self, tmp_path, capsys, monkeypatch, existing, error, message):
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(sim, "_run_group", failing)
+        self._run_fails_leaving_the_output(tmp_path, capsys, existing, message)
+
     @pytest.mark.parametrize("existing", [False, True], ids=["new-directory", "existing-files"])
     def test_failure_writing_the_summary_leaves_the_output_as_it_was(
             self, tmp_path, capsys, monkeypatch, existing):
@@ -808,6 +844,15 @@ class TestTrialGroups:
 
 
 class TestBoundCommand:
+    @pytest.mark.parametrize("error, message", OUT_OF_MEMORY, ids=["numpy", "bare"])
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, error, message):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(sim, "separation_table", failing)
+        assert main(["bound", write_config(tmp_path, discrete_config())]) == 3
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_worked_example(self, tmp_path, capsys):
         points = [[p] for p in np.linspace(0.05, 0.95, 10)]
         payload = discrete_config(

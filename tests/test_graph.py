@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerlearn import (
     GraphError,
@@ -16,10 +18,62 @@ from peerlearn import (
     verify_mixing_bound,
 )
 
-from helpers import random_weight_matrix
+from helpers import random_weight_matrix, reference_weight_verdict
 
 W_EXAMPLE = [[0.9, 0.1], [0.6, 0.4]]
 W_SYMMETRIC = [[0.25, 0.75], [0.75, 0.25]]
+
+
+@st.composite
+def raw_weight_matrices(draw):
+    """Row-normalized 0/1 patterns on 1 to 12 nodes, some of them defective.
+
+    Sparse patterns leave nodes unreachable, and edges allowed only from
+    one class of nodes to the next make cycles whose lengths share a
+    factor. A row left without an edge gets every allowed one; then one row
+    may be emptied, get a negative entry or get a sum that is off.
+    """
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    allowed = np.ones((n, n), dtype=bool)
+    classes = draw(st.integers(1, 4))
+    if classes > 1:
+        label = rng.integers(0, classes, n)
+        allowed = (label[:, None] + 1) % classes == label[None, :]
+    loops = draw(st.sampled_from(["drawn", "none", "all"]))
+    if loops != "drawn":
+        np.fill_diagonal(allowed, loops == "all")
+    pattern = allowed & (rng.random((n, n)) < draw(st.sampled_from([0.1, 0.25, 0.5, 0.9])))
+    empty = ~pattern.any(axis=1)
+    pattern[empty] = allowed[empty]
+    if loops == "all":
+        np.fill_diagonal(pattern, True)
+    w = pattern * rng.uniform(0.1, 1.0, (n, n))
+    sums = w.sum(axis=1, keepdims=True)
+    w = np.divide(w, sums, out=np.zeros_like(w), where=sums > 0.0)
+    i, j = rng.integers(0, n, 2)
+    defect = draw(st.sampled_from(["none"] * 9 + ["empty", "negative", "off-sum"]))
+    if defect == "empty":
+        w[i] = 0.0
+    elif defect == "negative":
+        w[i, j] = -rng.uniform(1e-12, 1.0)
+    elif defect == "off-sum":
+        w[i] *= draw(st.sampled_from([1.0 + 1e-8, 1.0 - 1e-8, 1.0 + 1e-10, 2.0]))
+    return w
+
+
+def _described(error):
+    """An error as its type, text and attributes; None for no error."""
+    return None if error is None else (type(error), str(error), vars(error))
+
+
+def _outcome(raw):
+    """What ``validate_weight_matrix`` does with ``raw``, as ``_described``."""
+    try:
+        validate_weight_matrix(raw)
+    except GraphError as exc:
+        return _described(exc)
+    return None
 
 
 class TestValidation:
@@ -67,6 +121,27 @@ class TestValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             validate_weight_matrix([[np.inf, 0.0], [0.5, 0.5]])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(raw_weight_matrices())
+    def test_agrees_with_the_oracle(self, w):
+        assert _outcome(w) == _described(reference_weight_verdict(w))
+
+    @pytest.mark.parametrize("raw, expected", [
+        ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+         (PeriodicError, "chain is periodic with period 3", {"period": 3})),
+        ([[0.5, 0.5], [0.0, 1.0]],
+         (NotStronglyConnectedError, "nodes [1] are unable to reach node 0; "
+          "the directed graph is not strongly connected", {"unreachable": [1]})),
+        ([[0.5, 0.6], [1.2, -0.2]],
+         (NotStochasticError, "row 0: sums to 1.1, expected 1", {"row": 0})),
+        ([[1.0]], None),
+    ], ids=["three-cycle", "unable-to-reach", "first-bad-row", "one-node"])
+    def test_pinned_outcomes(self, raw, expected):
+        assert _outcome(raw) == expected
+        assert _described(reference_weight_verdict(np.array(raw))) == expected
+        if expected is None:
+            assert spectral_gap(validate_weight_matrix(raw)).lambda_max == 0.0
 
     def test_weights_are_immutable(self):
         w = validate_weight_matrix(W_EXAMPLE)
