@@ -416,17 +416,17 @@ class TestParseConfig:
         assert not out.exists()
 
     def test_digit_limit_names_the_environment_variable(self, tmp_path, capsys):
-        config = write_config(tmp_path, discrete_config(master_seed=0))
-        Path(config).write_text(Path(config).read_text().replace(
-            '"master_seed": 0', '"master_seed": ' + "7" * 5000))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(discrete_config()).replace(
+            '"master_seed": 42', '"master_seed": ' + "7" * 5000))
         for argv in (["run", "--out", str(tmp_path / "out")], ["bound"], ["check-graph"]):
-            assert main([argv[0], config, *argv[1:]]) == 2
+            assert main([argv[0], str(config), *argv[1:]]) == 2
             error = capsys.readouterr().err
             assert "PYTHONINTMAXSTRDIGITS" in error and "set_int_max_str_digits" not in error
         # With the limit lifted the integer decodes, and the range check names its path.
         src = Path(cli.__file__).resolve().parents[1]
         result = subprocess.run(
-            [sys.executable, "-m", "peerlearn.cli", "check-graph", config], capture_output=True,
+            [sys.executable, "-m", "peerlearn.cli", "check-graph", str(config)], capture_output=True,
             text=True, env={**os.environ, "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": "0"})
         assert (result.returncode, result.stdout) == (2, "")
         assert result.stderr == "error: scenario.master_seed: must be <= 18446744073709551615\n"

@@ -26,7 +26,7 @@ W_SYMMETRIC = [[0.25, 0.75], [0.75, 0.25]]
 
 @st.composite
 def raw_weight_matrices(draw):
-    """Row-normalized 0/1 patterns on 1 to 12 nodes, some of them defective.
+    """Positive weights on 0/1 patterns of 1 to 12 nodes, normalized by row; some defective.
 
     Sparse patterns leave nodes unreachable, and edges allowed only from
     one class of nodes to the next make cycles whose lengths share a
