@@ -183,6 +183,7 @@ def _ranges(value, path: str) -> np.ndarray:
     for i, row in enumerate(rows.tolist()):
         _require(len(row) == 2, f"{path}[{i}]", "expected a [low, high] pair")
         _require(row[0] < row[1], f"{path}[{i}]", "low bound must be below high")
+        _require(math.isfinite(row[1] - row[0]), f"{path}[{i}]", "its width overflows a float")
     return rows
 
 
@@ -516,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override metrics format")
     run_p.add_argument("--workers", type=_bounded_int(1), default=1,
                        help="accepted for compatibility; has no effect, because "
-                            "both engines run all trials as one batch")
+                            "each group of trials runs as one batch")
 
     bound_p = sub.add_parser("bound", help="print the sample-complexity bound")
     bound_p.add_argument("config", help="path to a JSON config")

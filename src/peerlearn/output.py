@@ -155,15 +155,15 @@ def _count_text(n: int, trail: str) -> np.ndarray:
     return text
 
 
-def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray, labels=(),
-                 flagged=None, texts=None) -> bytes:
+def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray, labels,
+                 flagged: np.ndarray, texts: np.ndarray) -> bytes:
     """The text of rows of cells, each cell followed by its column's trail.
 
     ``key`` and ``source`` are ``_fixed_notation``'s. ``trails`` is
     ``(columns, width)`` bytes and ``labels`` the blocks of bytes that lead
     each row, in order: each ``(width,)`` for every row or ``(rows, width)``,
-    all padded with 0. The cells at the flat indices ``flagged``, if given,
-    take their text from ``texts`` (``"S18"``) in place of their pattern's.
+    all padded with 0. The cells at the flat indices ``flagged`` take their
+    text from ``texts`` (``"S18"``) in place of their pattern's.
     All are copied into one canvas of bytes, and the padding dropped.
     """
     rows, cols = key.shape
@@ -178,18 +178,16 @@ def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray, labels
     index = np.take(_NUMBER_PATTERNS, key, axis=0, mode="clip")  # a flagged key may be off it
     index += 16 * np.arange(rows * cols).reshape(rows, cols, 1)
     cells[..., :18] = np.take(source.view(np.uint8).ravel(), index)
-    if flagged is not None:
-        cells[(*np.divmod(flagged, cols), slice(18))] = texts.view(np.uint8).reshape(-1, 18)
+    cells[(*np.divmod(flagged, cols), slice(18))] = texts.view(np.uint8).reshape(-1, 18)
     cells[..., 18:] = trails
     return canvas[canvas != 0].tobytes()
 
 
-def _row_renderer(row: str, sep: str, n_rounds: int = 0, n_nodes: int = 0):
+def _row_renderer(row: str, sep: str, n_rounds: int, n_nodes: int):
     """A function from a chunk of rows to their text, joined by ``sep``.
 
-    ``row`` is one row's %-template. Without ``n_nodes``, ``render(values)``
-    takes whole rows. With it, the template's first three cells are a row's
-    trial, round and node, and ``render(values, trial, start)`` takes the
+    ``row`` is one row's %-template, whose first three cells are a row's
+    trial, round and node. ``render(values, trial, start)`` takes the
     other cells of the trial's rows from ``start`` on (see
     ``_metric_chunks``). A chunk whose cells all pass ``_in_fixed_range`` is
     built whole by ``_render_fast``: value cells from their digits, the rare
@@ -202,38 +200,28 @@ def _row_renderer(row: str, sep: str, n_rounds: int = 0, n_nodes: int = 0):
     """
     lead, *trails = re.split(r"%(?:d|\.12g)", row)
     trails[-1] += sep + lead  # a rendered row runs on to the next row's lead
-    n_labels = 3 if n_nodes else 0
-    value_trails = trails[n_labels:]
-    value_formats = re.findall(r"%(?:d|\.12g)", row)[n_labels:]
+    value_trails = trails[3:]
+    value_formats = re.findall(r"%(?:d|\.12g)", row)[3:]
     trail_bytes = np.zeros((len(value_trails), max(map(len, value_trails))), np.uint8)
     for j, trail in enumerate(value_trails):
         trail_bytes[j, :len(trail)] = list(trail.encode())
     joint, lead_bytes = len(sep) + len(lead), lead.encode()
-    if n_labels:  # each (round, node)'s text, trails included
-        rounds, nodes = _count_text(n_rounds, trails[1]), _count_text(n_nodes, trails[2])
-        table = np.hstack([np.repeat(rounds, n_nodes, axis=0), np.tile(nodes, (n_rounds, 1))])
+    rounds, nodes = _count_text(n_rounds, trails[1]), _count_text(n_nodes, trails[2])
+    # each (round, node)'s text, trails included
+    table = np.hstack([np.repeat(rounds, n_nodes, axis=0), np.tile(nodes, (n_rounds, 1))])
 
-    def labels(trial, start, stop):
-        """The text blocks that lead the trial's rows ``start:stop``: trial, round and node."""
-        if not n_labels:
-            return ()
-        return np.frombuffer(f"{trial}{trails[0]}".encode(), np.uint8), table[start:stop]
-
-    def template(values, trial, start):
-        if n_labels:
-            round_, node = np.divmod(np.arange(start, start + len(values)), n_nodes)
-            values = np.column_stack([np.full(len(values), trial), round_, node, values])
-        return (sep.join([row] * len(values)) % tuple(values.ravel().tolist())).encode()
-
-    def render(values, trial=0, start=0):
+    def render(values, trial, start):
         in_range = _in_fixed_range(values)
         if not in_range.all():
-            return template(values, trial, start)
+            round_, node = np.divmod(np.arange(start, start + len(values)), n_nodes)
+            cells = np.column_stack([np.full(len(values), trial), round_, node, values])
+            return (sep.join([row] * len(values)) % tuple(cells.ravel().tolist())).encode()
         fast, key, source = _fixed_notation(values, in_range)
         flagged = np.flatnonzero(~fast)
         texts = [value_formats[i % values.shape[1]] % values.flat[i] for i in flagged.tolist()]
-        text = _render_fast(key, source, trail_bytes, labels(trial, start, start + len(values)),
-                            flagged, np.array(texts, "S18"))
+        labels = (np.frombuffer(f"{trial}{trails[0]}".encode(), np.uint8),
+                  table[start:start + len(values)])  # trial, then round and node
+        text = _render_fast(key, source, trail_bytes, labels, flagged, np.array(texts, "S18"))
         return lead_bytes + text[:len(text) - joint]
 
     return render

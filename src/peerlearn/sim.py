@@ -11,7 +11,7 @@ There is one engine per belief family, and each runs a group of trials
 arrays over nodes and trials: node-major log-beliefs for the discrete
 engine, precision and shift packed into one row per node for the gaussian
 one. The round loop carries only the recursion (Bayes step, merge);
-per-run tables and buffers come before it. The gaussian engine takes the
+tables and buffers come before it. The gaussian engine takes the
 rounds in batches: each forms its own packed increments from the samples
 and runs the recursion, one add and one product by the graph weights per
 round, or without a merge one running sum over the batch. Then an
@@ -428,7 +428,7 @@ def _moments(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the finiteness gate reports these
-def _gaussian_rounds(scenario: Scenario, samples, merge: bool, tables=None,
+def _gaussian_rounds(scenario: Scenario, samples, merge: bool,
                      stage: int = 1) -> list[TrialResult]:
     """The conjugate round engine in information form, batched over (trial, node).
 
@@ -446,14 +446,14 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool, tables=None,
     inputs may overflow), and computes the batch's moments with
     ``_moments``, whose Cholesky pivots are the positive-definiteness
     gate. The test MSE, which overflows on finite but huge means, must be
-    finite too. ``tables`` are the run's ``_gaussian_tables``; ``stage``
-    places the gates' failures in the run (see ``_gate``).
+    finite too. ``stage`` places the gates' failures in the run (see
+    ``_gate``).
     """
     aug, ys = samples
-    prior, moments = tables or _gaussian_tables(scenario)
     n_rounds, n_trials, n_nodes, _, dim = aug.shape
     state = np.empty((n_trials, n_nodes, dim * dim + dim))
-    state[...] = prior
+    precision = np.diag(1.0 / np.asarray(scenario.prior_variance_diag, dtype=float))
+    state[...] = _pack(scenario.prior_mean, precision)
     scratch, weights = np.empty_like(state), scenario.graph.weights
     means = np.empty((n_trials, n_rounds, n_nodes, dim))
     variances = np.empty_like(means)
@@ -487,9 +487,11 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool, tables=None,
         means[:, rounds] = batch_means.transpose(2, 1, 3, 0)
         variances[:, rounds] = batch_variances.transpose(2, 1, 3, 0)
 
-    # The MSE runs per trial so that its BLAS calls never see the batch size.
-    mse = [_test_set_mse(moments, means[t]) for t in range(n_trials)]
-    if mse[0] is not None:
+    mse = [None] * n_trials
+    if scenario.test_set is not None:
+        moments = _test_set_moments(scenario.test_set)
+        # The MSE runs per trial so that its BLAS calls never see the batch size.
+        mse = [_test_set_mse(moments, means[t]) for t in range(n_trials)]
         finite = np.all([np.isfinite(curve).all(axis=1) for curve in mse], axis=0)
         if not finite.all():
             k = int(np.argmin(finite))
@@ -506,20 +508,6 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool, tables=None,
     ]
 
 
-def _central_baseline(scenario: Scenario, aug: np.ndarray, ys: np.ndarray,
-                      tables=None) -> list[TrialResult]:
-    """One node fed every node's samples of the same trial each round, with the same update."""
-    return _gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]), merge=False,
-                            tables=tables, stage=0)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # the engine's finiteness gate reports these
-def _gaussian_tables(scenario: Scenario):
-    """The gaussian engine's per-run tables: the packed prior state and the test set's moments."""
-    precision = np.diag(1.0 / np.asarray(scenario.prior_variance_diag, dtype=float))
-    return _pack(scenario.prior_mean, precision), _test_set_moments(scenario.test_set)
-
-
 def _gate(error: ValueError, *order) -> ValueError:
     """``error``, from a failed gate, marked with the place of its check in a run.
 
@@ -534,10 +522,8 @@ def _gate(error: ValueError, *order) -> ValueError:
     return error
 
 
-def _test_set_moments(test_set) -> tuple[np.ndarray, np.ndarray, float] | None:
+def _test_set_moments(test_set) -> tuple[np.ndarray, np.ndarray, float]:
     """The test set's Gram matrix ``G``, cross vector ``b`` and energy ``c``, all per point."""
-    if test_set is None:
-        return None
     x_test, y_test = test_set
     aug = augment(x_test)
     gram = aug.T @ aug / len(y_test)
@@ -546,10 +532,8 @@ def _test_set_moments(test_set) -> tuple[np.ndarray, np.ndarray, float] | None:
     return gram, cross, energy
 
 
-def _test_set_mse(moments, means: np.ndarray) -> np.ndarray | None:
+def _test_set_mse(moments, means: np.ndarray) -> np.ndarray:
     """Test MSE of each mean from the test set's moments: ``m G m - 2 b m + c``."""
-    if moments is None:
-        return None
     gram, cross, energy = moments
     return np.einsum("...a,ab,...b->...", means, gram, means) - 2.0 * (means @ cross) + energy
 
@@ -615,32 +599,19 @@ def _set_up(scenario: Scenario) -> ExperimentReport:
     return report
 
 
-def _run_group(scenario: Scenario, trials, report: ExperimentReport, tables):
+def _run_group(scenario: Scenario, trials, report: ExperimentReport):
     """The engines on one group of trials: its results, and its central baselines or None."""
     if scenario.engine == "discrete":
         return _discrete_rounds(scenario, trials, report.separation.global_optima), None
     aug, ys = _gaussian_samples(scenario, trials)
     baselines = None
-    if scenario.test_set is not None:
+    if scenario.test_set is not None:  # one node fed every node's samples each round
         baselines = [TrialResult(final_estimates=r.final_estimates, mse_history=r.mse_history)
-                     for r in _central_baseline(scenario, aug, ys, tables)]
+                     for r in _gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]),
+                                               merge=False, stage=0)]
     results = _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
-                               merge=scenario.cooperative, tables=tables)
+                               merge=scenario.cooperative)
     return results, baselines
-
-
-def _summed(total, curves):
-    """``total`` plus each of ``curves`` in turn, in place; None plus a curve is its copy.
-
-    Summing the trials' curves in trial order, group after group, and
-    dividing once gives the bits of ``np.mean(axis=0)`` over all of them.
-    """
-    for curve in curves:
-        if total is None:
-            total = curve.copy()
-        else:
-            total += curve
-    return total
 
 
 class _Aggregates:
@@ -650,7 +621,7 @@ class _Aggregates:
         self.report = report
         self.failures = 0
         self.all_ok = True  # per round, once a discrete group is in
-        self.curves = self.baseline_curve = None
+        self.curves = self.baseline_curve = 0.0
 
     def add(self, results: list, baselines: list | None) -> None:
         report = self.report
@@ -662,9 +633,11 @@ class _Aggregates:
             self.all_ok &= np.all([optimal.take(r.estimate_history).all(axis=1)
                                    for r in results], axis=0)
         elif baselines is not None:
-            self.curves = _summed(self.curves, (r.mse_history for r in results))
-            self.baseline_curve = _summed(self.baseline_curve,
-                                          (r.mse_history[:, 0] for r in baselines))
+            # Summed in trial order from 0.0, group after group, and divided once, the
+            # curves have the bits of np.mean(axis=0): 0.0 + x is x, and no MSE is -0.0.
+            for result, baseline in zip(results, baselines):
+                self.curves += result.mse_history
+                self.baseline_curve += baseline.mse_history[:, 0]
 
     def finish(self) -> None:
         report = self.report
@@ -672,7 +645,7 @@ class _Aggregates:
             report.empirical_error = self.failures / report.trials
             report.first_all_success_round = (int(np.argmax(self.all_ok))
                                               if self.all_ok.any() else None)
-        elif self.curves is not None:
+        elif report.baseline_results is not None:
             report.mean_mse_curves = self.curves / report.trials
             report.final_mse_per_node = report.mean_mse_curves[-1].copy()
             report.baseline_mse_curve = self.baseline_curve / report.trials
@@ -693,18 +666,17 @@ def run_experiment(scenario: Scenario, workers: int = 1, *, consume=None) -> Exp
     their engines, but nothing more is consumed, and the failure raised is
     the one a single batch would meet first (``_gate``). ``workers`` is
     accepted for compatibility and has no effect. Gaussian runs with a test
-    set first run the central baseline (``_central_baseline``), of which
-    they keep the final means and test MSE, then the network.
+    set first run the central baseline, of which they keep the final means
+    and test MSE, then the network.
     """
     started = time.perf_counter()
     report = _set_up(scenario)
-    tables = _gaussian_tables(scenario) if scenario.engine == "gaussian" else None
     aggregates = _Aggregates(report)
     consuming = 0.0
     failure = None
     for trials in [range(scenario.trials)] if consume is None else _trial_groups(scenario):
         try:
-            results, baselines = _run_group(scenario, trials, report, tables)
+            results, baselines = _run_group(scenario, trials, report)
         except ValueError as exc:
             if getattr(exc, "order", None) is None:
                 raise

@@ -517,13 +517,20 @@ class TestParseConfig:
                                   "true_table": [[0.6, 0.3, 0.2], [0.2, 0.2, 0.6]]}] * 2),
          "scenario.models[0]: every true_table row must sum to 1"),
         (discrete_config(delta=10**400), "scenario.delta: must be finite"),
+        (gaussian_config(models=[{"family": "linear_gaussian", "observed": [0],
+                                  "ranges": [[-1e308, 1e308], [-1.5, 1.5]]}] * 2),
+         "scenario.models[0].ranges[0]: its width overflows a float"),
+        (gaussian_config(test_set={"size": 10, "ranges": [[-1, 1], [-1e308, 1e308]],
+                                   "seed": 0}),
+         "scenario.test_set.ranges[1]: its width overflows a float"),
     ], ids=["discrete-test-set", "test-set-width", "prior-mean-length",
             *(f"variance-diag-{name}" for name in ("number", "string", "object", "empty")),
             "gaussian-bernoulli-models", "variance-diag-subnormal", "noise-std-underflow",
             "noise-std-overflow", "family-object", "family-array", "parameter-lacks-support",
             "test-labels-overflow", "visible-out-of-range", "observed-out-of-range",
             "duplicate-points", "points-dimension", "model-count", "true-theta-length",
-            "categorical-row-sum", "integer-beyond-float-range"])
+            "categorical-row-sum", "integer-beyond-float-range", "model-range-width-overflow",
+            "test-range-width-overflow"])
     def test_config_defect_exits_2_at_its_path(self, tmp_path, capsys, command, payload,
                                                message):
         config = write_config(tmp_path, payload)
@@ -1184,8 +1191,11 @@ class TestMetricsWriter:
         values = np.array([[x]])
         fast, key, source = output._fixed_notation(values)
         if fast[0, 0]:
-            assert output._render_fast(key, source, np.zeros((1, 0), np.uint8)) == b"%.12g" % x
-        assert output._row_renderer("%.12g\n", "")(values) == b"%.12g\n" % x
+            unflagged = np.array([], np.intp), np.array([], "S18")
+            assert output._render_fast(key, source, np.zeros((1, 0), np.uint8), (),
+                                       *unflagged) == b"%.12g" % x
+        render = output._row_renderer("%d,%d,%d,%.12g\n", "", 1, 1)
+        assert render(values, 0, 0) == b"0,0,0,%.12g\n" % x
 
     @pytest.mark.parametrize("x, fast", [
         (0.0, True), (1e-4, True), (9.99999999999995e-05, True), (99999999999.99999, True),

@@ -138,7 +138,8 @@ def histories(result) -> tuple:
 
 def central_baselines(scenario: Scenario, trials) -> list:
     """The central baseline's full results, through the kernel ``run_experiment`` calls."""
-    return sim._central_baseline(scenario, *sim._gaussian_samples(scenario, trials))
+    aug, ys = sim._gaussian_samples(scenario, trials)
+    return sim._gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]), merge=False, stage=0)
 
 
 def assert_matches_gaussian_oracle(scenario: Scenario) -> None:
