@@ -302,10 +302,12 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
         mean = _number_list(raw["prior"]["mean"], f"{path}.prior.mean")
         var_path = f"{path}.prior.variance_diag"
         var = _number_list(raw["prior"]["variance_diag"], var_path)
-        for i, v in enumerate(var):
+        _require(len(var) == len(mean), var_path, "length must match prior.mean")
+        for i, (m, v) in enumerate(zip(mean, var)):
             _require(v > 0.0, f"{var_path}[{i}]", "must be > 0.0")
             _require(math.isfinite(1.0 / v), f"{var_path}[{i}]", "its reciprocal must be finite")
-        _require(len(var) == len(mean), var_path, "length must match prior.mean")
+            _require(math.isfinite(m * (1.0 / v)), f"{path}.prior.mean[{i}]",
+                     "times its prior precision it overflows a float")
         if engine == "gaussian":
             _require(len(mean) == len(true_theta), f"{path}.prior.mean",
                      f"expected {len(true_theta)} entries, one per true_theta entry")

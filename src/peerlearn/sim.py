@@ -7,7 +7,7 @@ in-neighbors' public beliefs through the weighted consensus rule, then
 records its estimate.
 
 There is one engine per belief family, and each runs a group of trials
-(by default all of an experiment's) as one batch, with its state held as
+(every run takes its trials in groups) as one batch, with its state held as
 arrays over nodes and trials: node-major log-beliefs for the discrete
 engine, precision and shift packed into one row per node for the gaussian
 one. The round loop carries only the recursion (Bayes step, merge);
@@ -35,7 +35,8 @@ import numpy as np
 
 from . import beliefs as bel
 from .graph import SpectralSummary, WeightMatrix, spectral_gap
-from .models import ParameterSet, SeparationTable, assumption_bounds, augment, separation_table
+from .models import (LinearGaussianModel, ParameterSet, SeparationTable, assumption_bounds,
+                     augment, separation_table)
 from .theory import BoundInputs, InvalidInputsError, sample_complexity
 
 ENGINES = ("discrete", "gaussian")
@@ -100,6 +101,9 @@ class Scenario:
             if self.prior_mean is None or self.prior_variance_diag is None:
                 raise ValueError("gaussian engine requires a prior mean and variance diagonal")
             dim = self.models[0].param_dim
+            for i, model in enumerate(self.models):
+                if not isinstance(model, LinearGaussianModel) or model.param_dim != dim:
+                    raise ValueError(f"node {i}: not a LinearGaussianModel of param_dim {dim}")
             for name in ("prior_mean", "prior_variance_diag"):
                 if np.shape(getattr(self, name)) != (dim,):
                     raise ValueError(f"{name} must be a vector of {dim} entries, "
@@ -111,6 +115,8 @@ class Scenario:
                 if not ((variances > 0) & np.isfinite(1.0 / variances)).all():
                     raise SingularPrecisionError(
                         "prior_variance_diag entries must be > 0 with a finite reciprocal")
+                if not np.isfinite(self.prior_mean * (1.0 / variances)).all():
+                    raise ValueError("prior_mean times the prior precision overflows a float")
             if self.noise_var is None or self.noise_var <= 0:
                 raise ValueError("gaussian engine requires a positive noise variance")
 
@@ -140,9 +146,9 @@ class ExperimentReport:
 
     ``bound_inputs`` are the inputs ``sample_bound`` was computed from,
     with ``scenario.bound_overrides`` applied; ``sample_bound_reason`` says
-    why a discrete run has no bound. ``baseline_results`` keep each trial's
-    final means and test MSE only. Both lists are empty when the trials'
-    results went to a consumer instead (see ``run_experiment``); the
+    why a discrete run has no bound. Of the central baseline the run keeps
+    only its mean test-MSE curve. ``trial_results`` is empty when the
+    trials' results went to a consumer instead (see ``run_experiment``); the
     aggregates, ``clamp_events`` per trial among them, are there either way.
     """
 
@@ -150,7 +156,6 @@ class ExperimentReport:
     trials: int
     spectral: SpectralSummary
     trial_results: list
-    baseline_results: list | None = None
     empirical_error: float | None = None
     clamp_events: list | None = None
     separation: SeparationTable | None = None
@@ -201,8 +206,8 @@ def run_trial(scenario: Scenario, trial_index: int, global_optima=None) -> Trial
 
 
 # A group of trials holds about this many bytes of samples and histories.
-# With a consumer, ``run_experiment`` hands each group on before the next
-# runs, so its peak does not grow with the trial count; a larger trial runs alone.
+# ``run_experiment`` hands each group to its consumer before the next runs, so
+# a consumer that keeps none holds one group at a time; a larger trial runs alone.
 _GROUP_BYTES = 2**22
 
 
@@ -210,13 +215,14 @@ def _trial_groups(scenario: Scenario):
     """The trials in the fewest near-equal consecutive groups of about ``_GROUP_BYTES``.
 
     Yields one range at a time. Per (round, node), a discrete trial holds
-    its M beliefs; a gaussian one holds 3d + 2 floats: the instance with its
+    its M beliefs if they are recorded, else one float for its code and
+    estimate; a gaussian one holds 3d + 2 floats: the instance with its
     intercept and the label, the d means, the d variances and the test MSE.
     """
-    if scenario.engine == "discrete":
-        floats = scenario.theta_set.n_points
-    else:
+    if scenario.engine == "gaussian":
         floats = 3 * len(scenario.prior_mean) + 2
+    else:
+        floats = scenario.theta_set.n_points if scenario.record_beliefs else 1
     trial_bytes = 8 * floats * scenario.n_rounds * scenario.graph.n_nodes
     n_groups = -(-scenario.trials // max(1, _GROUP_BYTES // trial_bytes))
     for g in range(n_groups):
@@ -594,21 +600,19 @@ def _set_up(scenario: Scenario) -> ExperimentReport:
          report.assumption_violated, report.sample_bound_reason) = sample_bound(
             scenario, report.spectral)
         report.clamp_events = []
-    elif scenario.test_set is not None:
-        report.baseline_results = []
     return report
 
 
 def _run_group(scenario: Scenario, trials, report: ExperimentReport):
-    """The engines on one group of trials: its results, and its central baselines or None."""
+    """The engines on one group of trials: its results, and its baselines' MSE curves or None."""
     if scenario.engine == "discrete":
         return _discrete_rounds(scenario, trials, report.separation.global_optima), None
     aug, ys = _gaussian_samples(scenario, trials)
     baselines = None
     if scenario.test_set is not None:  # one node fed every node's samples each round
-        baselines = [TrialResult(final_estimates=r.final_estimates, mse_history=r.mse_history)
-                     for r in _gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]),
-                                               merge=False, stage=0)]
+        # Only the curves outlive this line, so the network pass runs without the rest.
+        baselines = [r.mse_history[:, 0] for r in _gaussian_rounds(
+            scenario, (aug[:, :, None], ys[:, :, None]), merge=False, stage=0)]
     results = _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
                                merge=scenario.cooperative)
     return results, baselines
@@ -617,8 +621,8 @@ def _run_group(scenario: Scenario, trials, report: ExperimentReport):
 class _Aggregates:
     """The report's aggregates over trials, accumulated group by group."""
 
-    def __init__(self, report: ExperimentReport):
-        self.report = report
+    def __init__(self, report: ExperimentReport, scenario: Scenario):
+        self.report, self.scenario = report, scenario
         self.failures = 0
         self.all_ok = True  # per round, once a discrete group is in
         self.curves = self.baseline_curve = 0.0
@@ -637,7 +641,7 @@ class _Aggregates:
             # curves have the bits of np.mean(axis=0): 0.0 + x is x, and no MSE is -0.0.
             for result, baseline in zip(results, baselines):
                 self.curves += result.mse_history
-                self.baseline_curve += baseline.mse_history[:, 0]
+                self.baseline_curve += baseline
 
     def finish(self) -> None:
         report = self.report
@@ -645,7 +649,7 @@ class _Aggregates:
             report.empirical_error = self.failures / report.trials
             report.first_all_success_round = (int(np.argmax(self.all_ok))
                                               if self.all_ok.any() else None)
-        elif report.baseline_results is not None:
+        elif self.scenario.test_set is not None:
             report.mean_mse_curves = self.curves / report.trials
             report.final_mse_per_node = report.mean_mse_curves[-1].copy()
             report.baseline_mse_curve = self.baseline_curve / report.trials
@@ -656,25 +660,24 @@ def run_experiment(scenario: Scenario, workers: int = 1, *, consume=None) -> Exp
     """Run all trials with derived seeds and aggregate the results.
 
     A run sets up once (``_set_up``), then runs the engines on each group
-    of trials (``_run_group``) and accumulates the aggregates group by
-    group. Without ``consume``, all trials run as one group and the report
-    keeps every trial's results. With it, the trials run in the groups of
-    ``_trial_groups``, and each group's results go to
-    ``consume(trials, results)`` and are dropped before the next group
-    runs, so the run holds one group at a time; ``runtime_seconds`` leaves
-    out the time spent there. If a gate fails, the later groups still run
-    their engines, but nothing more is consumed, and the failure raised is
-    the one a single batch would meet first (``_gate``). ``workers`` is
-    accepted for compatibility and has no effect. Gaussian runs with a test
-    set first run the central baseline, of which they keep the final means
-    and test MSE, then the network.
+    of ``_trial_groups`` (``_run_group``) and accumulates the aggregates
+    group by group. Each group's results go to ``consume(trials, results)``,
+    by default an append to ``report.trial_results``, and are dropped
+    before the next group runs, so a consumer that keeps none holds one
+    group at a time; ``runtime_seconds`` leaves out the time spent there.
+    If a gate fails, the later groups still run their engines, but nothing
+    more is consumed, and the failure raised is the one a single batch
+    would meet first (``_gate``). ``workers`` is accepted for compatibility
+    and has no effect. Gaussian runs with a test set first run the central
+    baseline, of which they keep the test-MSE curve, then the network.
     """
     started = time.perf_counter()
     report = _set_up(scenario)
-    aggregates = _Aggregates(report)
+    consume = consume or (lambda trials, results: report.trial_results.extend(results))
+    aggregates = _Aggregates(report, scenario)
     consuming = 0.0
     failure = None
-    for trials in [range(scenario.trials)] if consume is None else _trial_groups(scenario):
+    for trials in _trial_groups(scenario):
         try:
             results, baselines = _run_group(scenario, trials, report)
         except ValueError as exc:
@@ -685,14 +688,9 @@ def run_experiment(scenario: Scenario, workers: int = 1, *, consume=None) -> Exp
             continue
         if failure is None:
             aggregates.add(results, baselines)
-            if consume is None:
-                report.trial_results += results
-                if baselines is not None:
-                    report.baseline_results += baselines
-            else:
-                clock = time.perf_counter()
-                consume(trials, results)
-                consuming += time.perf_counter() - clock
+            clock = time.perf_counter()
+            consume(trials, results)
+            consuming += time.perf_counter() - clock
         del results, baselines  # before the next group runs
     if failure is not None:
         raise failure

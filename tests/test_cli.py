@@ -36,7 +36,12 @@ from peerlearn.cli import (
     parse_config,
 )
 
-from helpers import floor_clamp_scenario, peak_bytes, reference_metrics_bytes
+from helpers import (
+    floor_clamp_scenario,
+    peak_bytes,
+    reference_metrics_bytes,
+    three_node_bernoulli,
+)
 
 
 def discrete_config(**scenario_overrides):
@@ -483,6 +488,9 @@ class TestParseConfig:
          "scenario.models[0].family: the gaussian engine requires 'linear_gaussian' models"),
         (gaussian_config(prior={"mean": [0, 0, 0], "variance_diag": [1e-320, 0.5, 0.5]}),
          "scenario.prior.variance_diag[0]: its reciprocal must be finite"),
+        *[(gaussian_config(prior={"mean": [mean, 0, 0], "variance_diag": [var, 0.5, 0.5]}),
+           "scenario.prior.mean[0]: times its prior precision it overflows a float")
+          for mean, var in ((1e308, 0.5), (1e300, 1e-300))],
         *[(gaussian_config(noise_std=bad),
            "scenario.noise_std: its square, the noise variance, must be positive and finite")
           for bad in (1e-200, 1e200)],
@@ -525,7 +533,8 @@ class TestParseConfig:
          "scenario.test_set.ranges[1]: its width overflows a float"),
     ], ids=["discrete-test-set", "test-set-width", "prior-mean-length",
             *(f"variance-diag-{name}" for name in ("number", "string", "object", "empty")),
-            "gaussian-bernoulli-models", "variance-diag-subnormal", "noise-std-underflow",
+            "gaussian-bernoulli-models", "variance-diag-subnormal", "prior-shift-overflow",
+            "prior-shift-over-tiny-variance", "noise-std-underflow",
             "noise-std-overflow", "family-object", "family-array", "parameter-lacks-support",
             "test-labels-overflow", "visible-out-of-range", "observed-out-of-range",
             "duplicate-points", "points-dimension", "model-count", "true-theta-length",
@@ -655,12 +664,10 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("payload, what", [
         (gaussian_config(noise_std=1e-155), "precision or shift"),
-        (gaussian_config(prior={"mean": [1e300, 0, 0], "variance_diag": [1e-300, 0.5, 0.5]}),
-         "precision or shift"),
         # A finite but huge mean keeps the state finite; its test MSE overflows.
         (gaussian_config(prior={"mean": [1e200, 0, 0], "variance_diag": [1, 0.5, 0.5]}),
          "test MSE"),
-    ], ids=["label-over-noise-variance", "prior-shift", "test-mse"])
+    ], ids=["label-over-noise-variance", "test-mse"])
     def test_overflow_in_the_engine_exits_3_at_its_round(self, tmp_path, capsys, payload, what,
                                                          one_trial_groups):
         # Every config passes validation; the engine overflows in round 0.
@@ -716,6 +723,16 @@ class TestTrialGroups:
             n_rounds=2000, trials=20, test_set={"size": 1000, "ranges": [[-1, 1], [-1.5, 1.5]],
                                                 "seed": 5}))))
         assert list(sim._trial_groups(scenario)) == [range(0, 10), range(10, 20)]
+
+    @pytest.mark.parametrize("record_beliefs, sizes", [(True, [16, 17, 17]), (False, [50])])
+    def test_discrete_trials_count_beliefs_only_when_recorded(self, record_beliefs, sizes):
+        # bernoulli-bound's shape: 3 nodes, 10 points, 790 rounds, 50 trials. Unrecorded,
+        # a trial holds one float per round and node, for its codes and estimates.
+        graph, theta, models = three_node_bernoulli()
+        scenario = Scenario(graph=graph, engine="discrete", models=models, n_rounds=790,
+                            trials=50, master_seed=0, theta_set=theta,
+                            record_beliefs=record_beliefs)
+        assert [len(g) for g in sim._trial_groups(scenario)] == sizes
 
     def test_groups_come_one_at_a_time(self):
         # 240 bytes a trial fit 17,476 trials in a group: about 5.7e25 groups

@@ -25,6 +25,7 @@ from peerlearn import (
 )
 
 from helpers import (
+    REGRESSION_NOISE_STD,
     REGRESSION_THETA,
     REGRESSION_W,
     BeliefVector,
@@ -39,6 +40,7 @@ from helpers import (
     random_weight_matrix,
     recursion_residual,
     reference_consensus,
+    regression_models,
     regression_scenario,
     three_node_bernoulli,
     trial_samples,
@@ -153,11 +155,6 @@ def assert_matches_gaussian_oracle(scenario: Scenario) -> None:
     for batched, expected in runs:
         for history, oracle in zip(histories(batched), expected):
             np.testing.assert_allclose(history, oracle, rtol=0, atol=1e-12)
-    # The run keeps the baseline's test MSE and final means, and only those.
-    kept = report.baseline_results[0]
-    np.testing.assert_array_equal(kept.mse_history, central.mse_history)
-    np.testing.assert_array_equal(kept.final_estimates, central.final_estimates)
-    assert kept.mean_history is None and kept.variance_diag_history is None
 
 
 class TestDiscreteEngine:
@@ -364,7 +361,10 @@ class TestScenarioValidation:
         ([0.0, np.nan, 0.0], [0.5, 0.5, 0.5], ValueError, "^prior_mean must be finite"),
         ([0.0, 0.0, 0.0], [0.5, 0.5], ValueError,
          r"^prior_variance_diag must be a vector of 3 entries"),
-    ], ids=["zero-variance", "negative-variance", "short-prior", "nan-mean", "short-variance"])
+        ([1e308, 0.0, 0.0], [0.5, 0.5, 0.5], ValueError,
+         "^prior_mean times the prior precision overflows a float$"),
+    ], ids=["zero-variance", "negative-variance", "short-prior", "nan-mean", "short-variance",
+            "shift-overflow"])
     def test_gaussian_prior_is_checked_at_validate_time(self, mean, variances, error, match):
         # A programmatic scenario never goes through the config parser, so
         # the prior the engine packs is checked here, field by field.
@@ -374,6 +374,22 @@ class TestScenarioValidation:
         with pytest.raises(error, match=match):
             scenario.validate()
         with pytest.raises(error, match=match):
+            run_experiment(scenario)
+
+    @pytest.mark.parametrize("models, match", [
+        # Three contexts: a param_dim of 3, the prior's length, but no regression model.
+        ([BernoulliContextModel(i, [0.8, 0.3, 0.5], [0]) for i in range(2)],
+         "^node 0: not a LinearGaussianModel of param_dim 3$"),
+        ([regression_models()[0],
+          LinearGaussianModel(1, [-0.3, 0.5], [[-1.0, 1.0]], [0], REGRESSION_NOISE_STD)],
+         "^node 1: not a LinearGaussianModel of param_dim 3$"),
+    ], ids=["bernoulli", "other-dimension"])
+    def test_gaussian_models_are_checked_at_validate_time(self, models, match):
+        # The engine would stack every node's samples, and fail inside numpy.
+        scenario = dataclasses.replace(regression_scenario(n_rounds=5), models=models)
+        with pytest.raises(ValueError, match=match):
+            scenario.validate()
+        with pytest.raises(ValueError, match=match):
             run_experiment(scenario)
 
     @pytest.mark.parametrize("samples", [0, -5])
@@ -531,7 +547,7 @@ class TestGaussianEngine:
             peak = peak_bytes(lambda: reports.append(run_experiment(scenario)))
             kept = sum(
                 history.nbytes
-                for result in reports[0].trial_results + reports[0].baseline_results
+                for result in reports[0].trial_results
                 for history in (result.mean_history, result.variance_diag_history,
                                 result.mse_history)
                 if history is not None
@@ -552,7 +568,7 @@ class TestGaussianEngine:
 
     def test_central_baseline_approaches_noise_floor(self):
         scenario = regression_scenario(n_rounds=1500)
-        baseline = run_experiment(scenario).baseline_results[0]
+        baseline = central_baselines(scenario, [0])[0]
         assert 0.55 <= baseline.mse_history[-1, 0] <= 0.75
 
     def test_mse_requires_test_set(self):
@@ -584,6 +600,7 @@ class TestDeterminism:
         # alone must still reproduce its rows in a 20-trial batch bit for
         # bit, baseline included.
         scenario = regression_scenario(n_rounds=300, trials=20)
+        assert list(sim._trial_groups(scenario)) == [range(20)]  # one batch
         report = run_experiment(scenario)
         pooled = central_baselines(scenario, range(scenario.trials))
         for t in range(scenario.trials):
@@ -594,18 +611,22 @@ class TestDeterminism:
             central = central_baselines(scenario, range(t + 1))[t]
             for a, b in zip(histories(central), histories(pooled[t])):
                 np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(report.baseline_results[t].mse_history,
-                                          pooled[t].mse_history)
+        np.testing.assert_array_equal(
+            report.baseline_mse_curve,
+            np.stack([r.mse_history[:, 0] for r in pooled]).mean(axis=0))
 
     @pytest.mark.parametrize("world", ["gaussian", "discrete"])
     def test_report_does_not_depend_on_the_trial_groups(self, monkeypatch, world):
         # The aggregates, summed group by group in trial order and divided
-        # once, are the bits of one batch's; so are the trials' results.
+        # once, are the bits of one batch's; so are the trials' results,
+        # consumed or kept by the default consumer.
         if world == "gaussian":
             scenario = regression_scenario(n_rounds=200, trials=7)
         else:
             scenario = floor_clamp_scenario(n_rounds=60, trials=7)
         whole = run_experiment(scenario)
+        monkeypatch.setattr(sim, "_GROUP_BYTES", 1)  # one trial a group
+        kept = run_experiment(scenario)
         consumed = []
         monkeypatch.setattr(sim, "_trial_groups",
                             lambda scenario: [range(0, 1), range(1, 4), range(4, 7)])
@@ -618,14 +639,17 @@ class TestDeterminism:
                 np.stack([r.mse_history for r in whole.trial_results]).mean(axis=0))
             np.testing.assert_array_equal(
                 whole.baseline_mse_curve,
-                np.stack([r.mse_history[:, 0] for r in whole.baseline_results]).mean(axis=0))
+                np.stack([r.mse_history[:, 0]
+                          for r in central_baselines(scenario, range(7))]).mean(axis=0))
         for name in ("empirical_error", "first_all_success_round", "clamp_events",
                      "mean_mse_curves", "final_mse_per_node", "baseline_mse_curve",
                      "baseline_final_mse", "sample_bound"):
             np.testing.assert_array_equal(getattr(grouped, name), getattr(whole, name))
-        for a, b in zip(consumed, whole.trial_results, strict=True):
-            for field in dataclasses.fields(a):
-                np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
+            np.testing.assert_array_equal(getattr(kept, name), getattr(whole, name))
+        for results in (consumed, kept.trial_results):
+            for a, b in zip(results, whole.trial_results, strict=True):
+                for field in dataclasses.fields(a):
+                    np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_discrete_trial_rows_do_not_depend_on_batch_size(self):
         # Each trial's rows must be the same bits alone as in a 20-trial
@@ -642,6 +666,7 @@ class TestDeterminism:
             index_edge_scenario(256, n_rounds=30, trials=20),
         ]
         for scenario in worlds:
+            assert list(sim._trial_groups(scenario)) == [range(20)]  # one batch
             report = run_experiment(scenario)
             for t in range(scenario.trials):
                 lone = run_trial(scenario, t, global_optima=report.separation.global_optima)
