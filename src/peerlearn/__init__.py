@@ -38,6 +38,7 @@ from .models import (
 from .sim import (
     ExperimentReport,
     Scenario,
+    ScenarioError,
     SingularPrecisionError,
     TrialResult,
     make_regression_test_set,

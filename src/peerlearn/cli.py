@@ -3,12 +3,12 @@
 A config is a JSON document checked against a strict schema in one pass,
 which builds the scenario as it goes: the weight matrix, one likelihood
 model per node, the parameter set, the prior, the test set. Unknown and
-repeated keys are rejected with the offending path, every range check and
-every constructor's objection is reported at the path of the field it
-concerns, and each rule across fields is checked once, before the objects
-that depend on it are built. Every subcommand parses the whole config before
-it does anything else, so all three reject the same configs at parse
-time with the same message. Subcommands:
+repeated keys are rejected with the offending path, and every range check
+and every constructor's objection is reported at the path of the field it
+concerns. Then ``Scenario.validate`` checks the rules across fields, and a
+``ScenarioError`` is reported at its field's config path. Every subcommand
+parses the whole config first, so all three reject the same configs at
+parse time with the same message. Subcommands:
 
 * ``run`` -- execute the configured experiment, write per-round metrics
   (CSV or JSON) plus a summary JSON, echo the summary to stdout.
@@ -47,7 +47,8 @@ from .models import (
     UnboundedKLError,
 )
 from .output import MetricsWriter, _jsonable, _summary_dict
-from .sim import ENGINES, Scenario, make_regression_test_set, run_experiment, sample_bound
+from .sim import (ENGINES, Scenario, ScenarioError, make_regression_test_set, run_experiment,
+                  sample_bound)
 
 SCHEMA_VERSION = 1
 
@@ -194,14 +195,12 @@ _MODEL_KEYS = {
 }
 
 
-def _model(entry, path: str, node_id: int, engine: str, true_theta, noise_std):
+def _model(entry, path: str, node_id: int, true_theta, noise_std):
     """Check one ``models`` entry and build its likelihood model."""
     _require(isinstance(entry, dict), path, "expected an object")
     family = entry.get("family")
     _require(isinstance(family, str) and family in _MODEL_KEYS, f"{path}.family",
              f"expected one of {sorted(_MODEL_KEYS)}")
-    _require(engine == "discrete" or family == "linear_gaussian", f"{path}.family",
-             "the gaussian engine requires 'linear_gaussian' models")
     _check_keys(entry, path, _MODEL_KEYS[family], set())
     try:  # a ConfigValidationError is no ValueError, so only the constructors' land here
         if family == "linear_gaussian":
@@ -223,6 +222,10 @@ def _model(entry, path: str, node_id: int, engine: str, true_theta, noise_std):
     except ValueError as exc:
         raise ConfigValidationError(path, str(exc)) from exc
 
+
+# The Scenario fields whose config paths differ; ``theta_set.points`` is ``parameters.points``.
+_CONFIG_FIELDS = {"theta_set": "parameters", "prior_mean": "prior.mean",
+                  "prior_variance_diag": "prior.variance_diag", "noise_var": "noise_std"}
 
 _SCENARIO_REQUIRED = {"engine", "graph", "n_rounds", "trials", "master_seed", "models"}
 _SCENARIO_OPTIONAL = {
@@ -259,14 +262,12 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
     mixing_horizon = _integer(raw.get("mixing_horizon", 100), f"{path}.mixing_horizon",
                               minimum=1)
 
-    # What each engine needs, before anything that depends on it is built.
+    # What the constructors below need; Scenario.validate checks the same for library callers.
     if engine == "discrete":
-        _require("parameters" in raw, f"{path}.parameters",
-                 "discrete engine requires a parameter set")
         _require("test_set" not in raw, f"{path}.test_set",
                  "test sets apply to the gaussian engine only")
     else:
-        for key in ("prior", "true_theta", "noise_std"):
+        for key in ("true_theta", "noise_std"):
             _require(key in raw, f"{path}.{key}", "gaussian engine requires this key")
 
     true_theta = noise_std = None
@@ -279,9 +280,7 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
 
     entries = raw["models"]
     _require(isinstance(entries, list), f"{path}.models", "expected an array")
-    _require(len(entries) == graph.n_nodes, f"{path}.models",
-             f"{len(entries)} models for {graph.n_nodes} graph nodes")
-    models = [_model(entry, f"{path}.models[{i}]", i, engine, true_theta, noise_std)
+    models = [_model(entry, f"{path}.models[{i}]", i, true_theta, noise_std)
               for i, entry in enumerate(entries)]
 
     theta_set = None
@@ -291,27 +290,14 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
         points = _matrix(raw["parameters"]["points"], points_path)
         try:
             theta_set = ParameterSet(points)
-            for model in models:
-                model.validate_parameters(theta_set.points)
         except ValueError as exc:
             raise ConfigValidationError(points_path, str(exc)) from exc
 
-    prior_mean = prior_variance_diag = None
+    prior = {}
     if "prior" in raw:
         _check_keys(raw["prior"], f"{path}.prior", {"mean", "variance_diag"}, set())
-        mean = _number_list(raw["prior"]["mean"], f"{path}.prior.mean")
-        var_path = f"{path}.prior.variance_diag"
-        var = _number_list(raw["prior"]["variance_diag"], var_path)
-        _require(len(var) == len(mean), var_path, "length must match prior.mean")
-        for i, (m, v) in enumerate(zip(mean, var)):
-            _require(v > 0.0, f"{var_path}[{i}]", "must be > 0.0")
-            _require(math.isfinite(1.0 / v), f"{var_path}[{i}]", "its reciprocal must be finite")
-            _require(math.isfinite(m * (1.0 / v)), f"{path}.prior.mean[{i}]",
-                     "times its prior precision it overflows a float")
-        if engine == "gaussian":
-            _require(len(mean) == len(true_theta), f"{path}.prior.mean",
-                     f"expected {len(true_theta)} entries, one per true_theta entry")
-        prior_mean, prior_variance_diag = np.array(mean), np.array(var)
+        prior = {key: np.array(_number_list(raw["prior"][key], f"{path}.prior.{key}"))
+                 for key in ("mean", "variance_diag")}
 
     test_set = None
     if "test_set" in raw:
@@ -335,7 +321,7 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
         bound = {key: _number(value, f"{path}.bound.{key}", exclusive_min=0.0)
                  for key, value in raw["bound"].items()}
 
-    return Scenario(
+    scenario = Scenario(
         graph=graph,
         engine=engine,
         models=models,
@@ -343,15 +329,22 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
         trials=trials,
         master_seed=master_seed,
         theta_set=theta_set,
-        prior_mean=prior_mean,
-        prior_variance_diag=prior_variance_diag,
+        prior_mean=prior.get("mean"),
+        prior_variance_diag=prior.get("variance_diag"),
         noise_var=None if noise_std is None else noise_std**2,
         cooperative=cooperative,
         test_set=test_set,
         delta=delta,
         kl_mc_samples=kl_mc_samples,
         bound_overrides=bound,
-    ), mixing_horizon
+    )
+    try:
+        scenario.validate()
+    except ScenarioError as exc:
+        head = exc.field.split("[")[0].split(".")[0]
+        field = _CONFIG_FIELDS.get(head, head) + exc.field[len(head):]
+        raise ConfigValidationError(f"{path}.{field}", exc.message) from exc
+    return scenario, mixing_horizon
 
 
 @dataclass

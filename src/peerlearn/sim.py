@@ -48,8 +48,21 @@ _ROW_BUFFER_MIN = 256  # narrower discrete rows keep numpy's default ufunc buffe
 _CHUNK_ROUNDS = 128
 
 
-class SingularPrecisionError(ValueError):
-    """A prior variance or a precision state cannot be a positive-definite precision."""
+class ScenarioError(ValueError):
+    """A rule across scenario fields fails at ``field``, as ``prior_mean[0]`` or ``models[1]``."""
+
+    def __init__(self, field: str, message: str):
+        self.field, self.message = field, message
+        super().__init__(f"{field}: {message}")
+
+
+class SingularPrecisionError(ScenarioError):
+    """A prior variance, or the state of the round that ``field`` names, is singular."""
+
+
+def _check(ok: bool, field: str, message: str, error=ScenarioError) -> None:
+    if not ok:
+        raise error(field, message)
 
 
 @dataclass
@@ -74,51 +87,61 @@ class Scenario:
     bound_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> None:
+        """Check the scenario; a rule across fields raises ``ScenarioError`` at its field."""
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if len(self.models) != self.graph.n_nodes:
-            raise ValueError(
-                f"{len(self.models)} models for {self.graph.n_nodes} graph nodes"
-            )
-        if self.n_rounds < 1:
-            raise ValueError("n_rounds must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ValueError("master_seed must fit in 64 bits")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if self.kl_mc_samples < 1:
-            raise ValueError("kl_mc_samples must be at least 1")
+        for ok, message in (
+                (self.n_rounds >= 1, "n_rounds must be at least 1"),
+                (self.trials >= 1, "trials must be at least 1"),
+                (0 <= int(self.master_seed) < 2**64, "master_seed must fit in 64 bits"),
+                (0.0 < self.delta < 1.0, "delta must lie in (0, 1)"),
+                (self.kl_mc_samples >= 1, "kl_mc_samples must be at least 1")):
+            if not ok:
+                raise ValueError(message)
+        _check(len(self.models) == self.graph.n_nodes, "models",
+               f"{len(self.models)} models for {self.graph.n_nodes} graph nodes")
         if self.engine == "discrete":
-            if self.theta_set is None:
-                raise ValueError("discrete engine requires a parameter set")
-            if self.test_set is not None:
-                raise ValueError("test sets apply to the gaussian engine only")
-            for model in self.models:
-                model.validate_parameters(self.theta_set.points)
-        else:
-            if self.prior_mean is None or self.prior_variance_diag is None:
-                raise ValueError("gaussian engine requires a prior mean and variance diagonal")
+            _check(self.theta_set is not None, "theta_set",
+                   "discrete engine requires a parameter set")
+            _check(self.test_set is None, "test_set",  # the config walk checks it first
+                   "test sets apply to the gaussian engine only")
+        else:  # ``prior`` is the pair prior_mean and prior_variance_diag
+            _check(self.prior_mean is not None and self.prior_variance_diag is not None, "prior",
+                   "gaussian engine requires this key")
             dim = self.models[0].param_dim
             for i, model in enumerate(self.models):
-                if not isinstance(model, LinearGaussianModel) or model.param_dim != dim:
-                    raise ValueError(f"node {i}: not a LinearGaussianModel of param_dim {dim}")
-            for name in ("prior_mean", "prior_variance_diag"):
-                if np.shape(getattr(self, name)) != (dim,):
-                    raise ValueError(f"{name} must be a vector of {dim} entries, "
-                                     f"got shape {np.shape(getattr(self, name))}")
-            if not np.isfinite(self.prior_mean).all():
-                raise ValueError("prior_mean must be finite")
-            variances = np.asarray(self.prior_variance_diag, dtype=float)
-            with np.errstate(divide="ignore", over="ignore"):
-                if not ((variances > 0) & np.isfinite(1.0 / variances)).all():
-                    raise SingularPrecisionError(
-                        "prior_variance_diag entries must be > 0 with a finite reciprocal")
-                if not np.isfinite(self.prior_mean * (1.0 / variances)).all():
-                    raise ValueError("prior_mean times the prior precision overflows a float")
-            if self.noise_var is None or self.noise_var <= 0:
-                raise ValueError("gaussian engine requires a positive noise variance")
+                _check(isinstance(model, LinearGaussianModel), f"models[{i}].family",
+                       "the gaussian engine requires 'linear_gaussian' models")
+                _check(model.param_dim == dim, f"models[{i}]", f"param_dim is not {dim}")
+            _check(np.shape(self.prior_mean) == (dim,), "prior_mean",
+                   f"expected {dim} entries, one per true_theta entry")
+            # The config walk needs true_theta and noise_std to build a linear_gaussian model.
+            _check(self.noise_var is not None and 0.0 < self.noise_var < math.inf, "noise_var",
+                   "the gaussian engine requires it positive and finite")
+            if self.test_set is not None:
+                x, y = map(np.shape, self.test_set)
+                _check(len(x) == 2 and x[0] >= 1 and x[1] == dim - 1 and y == x[:1], "test_set",
+                       f"expected x of shape (n, {dim - 1}) with n >= 1, and y of shape (n,)")
+        if self.theta_set is not None:
+            try:
+                for model in self.models:
+                    model.validate_parameters(self.theta_set.points)
+            except ValueError as exc:
+                raise ScenarioError("theta_set.points", str(exc)) from exc
+        if self.prior_mean is None and self.prior_variance_diag is None:
+            return
+        mean = np.asarray(self.prior_mean, dtype=float)
+        variances = np.asarray(self.prior_variance_diag, dtype=float)
+        _check(mean.ndim == 1, "prior_mean", "expected a vector")
+        _check(variances.shape == mean.shape, "prior_variance_diag",
+               "length must match prior.mean")
+        for i, (m, v) in enumerate(zip(mean.tolist(), variances.tolist())):
+            _check(math.isfinite(m), f"prior_mean[{i}]", "must be finite")
+            message = ("must be finite" if not math.isfinite(v) else "must be > 0.0" if v <= 0.0
+                       else None if math.isfinite(1.0 / v) else "its reciprocal must be finite")
+            _check(message is None, f"prior_variance_diag[{i}]", message, SingularPrecisionError)
+            _check(math.isfinite(m * (1.0 / v)), f"prior_mean[{i}]",
+                   "times its prior precision it overflows a float")
 
 
 @dataclass
@@ -487,7 +510,7 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool,
             k = start + int(np.argmin(positive.all(axis=(1, 2))))
             ratio = np.max(scenario.prior_variance_diag) / scenario.noise_var
             raise _gate(SingularPrecisionError(
-                f"round {k}: precision is not positive definite; the state is ill-conditioned: "
+                f"round {k}", "precision is not positive definite; the state is ill-conditioned: "
                 f"1/noise_std^2 is {ratio:.3g} times the least prior precision"),
                 stage, start, 1, k)
         means[:, rounds] = batch_means.transpose(2, 1, 3, 0)

@@ -24,6 +24,7 @@ from peerlearn import (
     BernoulliContextModel,
     ParameterSet,
     Scenario,
+    ScenarioError,
     run_experiment,
     validate_weight_matrix,
 )
@@ -563,6 +564,42 @@ class TestParseConfig:
         argv = [command, config] + (["--out", str(tmp_path / "out")] if command == "run" else [])
         assert main(argv) == 0
         assert len(calls) == 1
+
+
+def _without(payload, key):
+    del payload["scenario"][key]
+    return payload
+
+
+@pytest.mark.parametrize("payload, message", [
+    (discrete_config(models=[{"family": "bernoulli", "true_probs": [0.8, 0.3],
+                              "visible": [0]}] * 3),
+     "scenario.models: 3 models for 2 graph nodes"),
+    (gaussian_config(prior={"mean": [0, 0], "variance_diag": [0.5, 0.5]}),
+     "scenario.prior.mean: expected 3 entries, one per true_theta entry"),
+    (gaussian_config(models=[{"family": "bernoulli", "true_probs": [0.8, 0.3],
+                              "visible": [0]}] * 2),
+     "scenario.models[0].family: the gaussian engine requires 'linear_gaussian' models"),
+    (gaussian_config(prior={"mean": [0, 0, 0], "variance_diag": [1e-320, 0.5, 0.5]}),
+     "scenario.prior.variance_diag[0]: its reciprocal must be finite"),
+    *[(gaussian_config(prior={"mean": [mean, 0, 0], "variance_diag": [var, 0.5, 0.5]}),
+       "scenario.prior.mean[0]: times its prior precision it overflows a float")
+      for mean, var in ((1e308, 0.5), (1e300, 1e-300))],
+    (discrete_config(parameters={"points": [[0.8, 0.3, 0.5], [0.5, 0.5, 0.5]]}),
+     "scenario.parameters.points: node 0: parameters have dimension 3, expected 2"),
+    (_without(gaussian_config(), "prior"), "scenario.prior: gaussian engine requires this key"),
+    (_without(discrete_config(), "parameters"),
+     "scenario.parameters: discrete engine requires a parameter set"),
+], ids=["model-count", "prior-mean-length", "gaussian-bernoulli-models",
+        "variance-diag-subnormal", "prior-shift-overflow", "prior-shift-over-tiny-variance",
+        "points-dimension", "gaussian-requires-prior", "discrete-requires-parameters"])
+def test_scenario_rule_is_reported_at_its_config_path(payload, message):
+    # Scenario.validate holds these rules; the config walk maps its field to the config path.
+    with pytest.raises(ConfigValidationError) as info:
+        parse_config(json.dumps(payload))
+    assert str(info.value) == message
+    assert info.value.path == message.split(": ")[0]
+    assert isinstance(info.value.__cause__, ScenarioError)
 
 
 def test_import_leaves_out_scipy_spatial():

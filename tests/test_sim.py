@@ -14,6 +14,7 @@ from peerlearn import (
     LinearGaussianModel,
     ParameterSet,
     Scenario,
+    ScenarioError,
     SingularPrecisionError,
     ZeroLikelihoodError,
     make_regression_test_set,
@@ -355,16 +356,21 @@ class TestScenarioValidation:
             scenario.validate()
 
     @pytest.mark.parametrize("mean, variances, error, match", [
-        ([0.0, 0.0, 0.0], [0.5, 0.0, 0.5], SingularPrecisionError, "^prior_variance_diag "),
-        ([0.0, 0.0, 0.0], [0.5, -1.0, 0.5], SingularPrecisionError, "^prior_variance_diag "),
-        ([0.0, 0.0], [0.5, 0.5], ValueError, r"^prior_mean must be a vector of 3 entries"),
-        ([0.0, np.nan, 0.0], [0.5, 0.5, 0.5], ValueError, "^prior_mean must be finite"),
+        ([0.0, 0.0, 0.0], [0.5, 0.0, 0.5], SingularPrecisionError,
+         r"^prior_variance_diag\[1\]: must be > 0\.0$"),
+        ([0.0, 0.0, 0.0], [0.5, -1.0, 0.5], SingularPrecisionError,
+         r"^prior_variance_diag\[1\]: must be > 0\.0$"),
+        ([0.0, 0.0], [0.5, 0.5], ValueError,
+         r"^prior_mean: expected 3 entries, one per true_theta entry$"),
+        ([0.0, np.nan, 0.0], [0.5, 0.5, 0.5], ValueError, r"^prior_mean\[1\]: must be finite$"),
         ([0.0, 0.0, 0.0], [0.5, 0.5], ValueError,
-         r"^prior_variance_diag must be a vector of 3 entries"),
+         r"^prior_variance_diag: length must match prior\.mean$"),
         ([1e308, 0.0, 0.0], [0.5, 0.5, 0.5], ValueError,
-         "^prior_mean times the prior precision overflows a float$"),
+         r"^prior_mean\[0\]: times its prior precision it overflows a float$"),
+        ([0.0, 0.0, 0.0], [np.inf, 0.5, 0.5], SingularPrecisionError,
+         r"^prior_variance_diag\[0\]: must be finite$"),
     ], ids=["zero-variance", "negative-variance", "short-prior", "nan-mean", "short-variance",
-            "shift-overflow"])
+            "shift-overflow", "infinite-variance"])
     def test_gaussian_prior_is_checked_at_validate_time(self, mean, variances, error, match):
         # A programmatic scenario never goes through the config parser, so
         # the prior the engine packs is checked here, field by field.
@@ -379,10 +385,10 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("models, match", [
         # Three contexts: a param_dim of 3, the prior's length, but no regression model.
         ([BernoulliContextModel(i, [0.8, 0.3, 0.5], [0]) for i in range(2)],
-         "^node 0: not a LinearGaussianModel of param_dim 3$"),
+         r"^models\[0\]\.family: the gaussian engine requires 'linear_gaussian' models$"),
         ([regression_models()[0],
           LinearGaussianModel(1, [-0.3, 0.5], [[-1.0, 1.0]], [0], REGRESSION_NOISE_STD)],
-         "^node 1: not a LinearGaussianModel of param_dim 3$"),
+         r"^models\[1\]: param_dim is not 3$"),
     ], ids=["bernoulli", "other-dimension"])
     def test_gaussian_models_are_checked_at_validate_time(self, models, match):
         # The engine would stack every node's samples, and fail inside numpy.
@@ -390,6 +396,29 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=match):
             scenario.validate()
         with pytest.raises(ValueError, match=match):
+            run_experiment(scenario)
+
+    @pytest.mark.parametrize("noise_var", [np.nan, np.inf, 0.0, None])
+    def test_gaussian_noise_is_checked_at_validate_time(self, noise_var):
+        # A NaN noise variance failed in the engine, and an infinite one ran,
+        # every node ending at the prior's test MSE.
+        scenario = dataclasses.replace(regression_scenario(n_rounds=5), noise_var=noise_var)
+        match = "^noise_var: the gaussian engine requires it positive and finite$"
+        with pytest.raises(ScenarioError, match=match):
+            scenario.validate()
+        with pytest.raises(ScenarioError, match=match):
+            run_experiment(scenario)
+
+    @pytest.mark.parametrize("columns, labels, size", [(3, 10, 10), (2, 9, 10), (2, 0, 0)],
+                             ids=["three-columns", "one-label-short", "empty"])
+    def test_test_set_shape_is_checked_at_validate_time(self, columns, labels, size):
+        # Either mismatch died inside numpy, in einsum or in matmul.
+        scenario = dataclasses.replace(regression_scenario(n_rounds=5),
+                                       test_set=(np.zeros((size, columns)), np.zeros(labels)))
+        match = r"^test_set: expected x of shape \(n, 2\) with n >= 1, and y of shape \(n,\)$"
+        with pytest.raises(ScenarioError, match=match):
+            scenario.validate()
+        with pytest.raises(ScenarioError, match=match):
             run_experiment(scenario)
 
     @pytest.mark.parametrize("samples", [0, -5])
