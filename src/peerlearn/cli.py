@@ -3,12 +3,12 @@
 A config is a JSON document checked against a strict schema in one pass,
 which builds the scenario as it goes: the weight matrix, one likelihood
 model per node, the parameter set, the prior, the test set. Unknown and
-repeated keys are rejected with the offending path, and every range check
-and every constructor's objection is reported at the path of the field it
-concerns. Then ``Scenario.validate`` checks the rules across fields, and a
-``ScenarioError`` is reported at its field's config path. Every subcommand
-parses the whole config first, so all three reject the same configs at
-parse time with the same message. Subcommands:
+repeated keys, wrong types and every constructor's objection are reported
+at the path of the field they concern. Then ``Scenario.validate`` checks
+every rule on a scenario field's value, and a ``ScenarioError`` is
+reported at its field's config path. Every subcommand parses the whole
+config first, so all three reject the same configs at parse time with the
+same message. Subcommands:
 
 * ``run`` -- execute the configured experiment, write per-round metrics
   (CSV or JSON) plus a summary JSON, echo the summary to stdout.
@@ -47,8 +47,8 @@ from .models import (
     UnboundedKLError,
 )
 from .output import MetricsWriter, _jsonable, _summary_dict
-from .sim import (ENGINES, Scenario, ScenarioError, make_regression_test_set, run_experiment,
-                  sample_bound)
+from .sim import (BOUND_OVERRIDES, ENGINES, Scenario, ScenarioError, make_regression_test_set,
+                  run_experiment, sample_bound)
 
 SCHEMA_VERSION = 1
 
@@ -107,7 +107,7 @@ def _check_keys(obj, path: str, required: set, optional: set) -> None:
             raise ConfigValidationError(path, f"missing required key {key!r}")
 
 
-def _number(value, path: str, exclusive_min=None, exclusive_max=None) -> float:
+def _number(value, path: str) -> float:
     # One number, or an element of a list that ``_finite_numbers`` turned down.
     # JSON gives exact ints and floats; a bool is neither.
     if type(value) is not float and type(value) is not int:
@@ -118,19 +118,13 @@ def _number(value, path: str, exclusive_min=None, exclusive_max=None) -> float:
         value = math.inf
     if not math.isfinite(value):
         raise ConfigValidationError(path, "must be finite")
-    if exclusive_min is not None:
-        _require(value > exclusive_min, path, f"must be > {exclusive_min}")
-    if exclusive_max is not None:
-        _require(value < exclusive_max, path, f"must be < {exclusive_max}")
     return value
 
 
-def _integer(value, path: str, minimum=None, maximum=None) -> int:
+def _integer(value, path: str, minimum=None) -> int:
     _require(type(value) is int, path, "expected an integer")
     if minimum is not None:
         _require(value >= minimum, path, f"must be >= {minimum}")
-    if maximum is not None:
-        _require(value <= maximum, path, f"must be <= {maximum}")
     return value
 
 
@@ -161,9 +155,9 @@ def _number_list(value, path: str) -> list:
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
-def _integer_list(value, path: str, minimum=None) -> list:
+def _integer_list(value, path: str) -> list:
     _require(isinstance(value, list), path, "expected an array")
-    return [_integer(v, f"{path}[{i}]", minimum=minimum) for i, v in enumerate(value)]
+    return [_integer(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _matrix(value, path: str) -> np.ndarray:
@@ -204,7 +198,7 @@ def _model(entry, path: str, node_id: int, true_theta, noise_std):
     _check_keys(entry, path, _MODEL_KEYS[family], set())
     try:  # a ConfigValidationError is no ValueError, so only the constructors' land here
         if family == "linear_gaussian":
-            observed = _integer_list(entry["observed"], f"{path}.observed", minimum=0)
+            observed = _integer_list(entry["observed"], f"{path}.observed")
             ranges = _ranges(entry["ranges"], f"{path}.ranges")
             for key, value in (("true_theta", true_theta), ("noise_std", noise_std)):
                 _require(value is not None, f"scenario.{key}",
@@ -212,11 +206,9 @@ def _model(entry, path: str, node_id: int, true_theta, noise_std):
             return LinearGaussianModel(node_id, true_theta, ranges, observed, noise_std)
         if family == "bernoulli":
             truth = _number_list(entry["true_probs"], f"{path}.true_probs")
-            for i, p in enumerate(truth):
-                _require(0.0 <= p <= 1.0, f"{path}.true_probs[{i}]", "must lie in [0, 1]")
         else:
             truth = _matrix(entry["true_table"], f"{path}.true_table")
-        visible = _integer_list(entry["visible"], f"{path}.visible", minimum=0)
+        visible = _integer_list(entry["visible"], f"{path}.visible")
         context_model = BernoulliContextModel if family == "bernoulli" else CategoricalContextModel
         return context_model(node_id, truth, visible)
     except ValueError as exc:
@@ -225,7 +217,8 @@ def _model(entry, path: str, node_id: int, true_theta, noise_std):
 
 # The Scenario fields whose config paths differ; ``theta_set.points`` is ``parameters.points``.
 _CONFIG_FIELDS = {"theta_set": "parameters", "prior_mean": "prior.mean",
-                  "prior_variance_diag": "prior.variance_diag", "noise_var": "noise_std"}
+                  "prior_variance_diag": "prior.variance_diag", "noise_var": "noise_std",
+                  "bound_overrides": "bound"}
 
 _SCENARIO_REQUIRED = {"engine", "graph", "n_rounds", "trials", "master_seed", "models"}
 _SCENARIO_OPTIONAL = {
@@ -249,16 +242,13 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
     except ValueError as exc:
         raise ConfigValidationError(f"{path}.graph.weights", str(exc)) from exc
 
-    n_rounds = _integer(raw["n_rounds"], f"{path}.n_rounds", minimum=1)
-    trials = _integer(raw["trials"], f"{path}.trials", minimum=1)
-    master_seed = _integer(raw["master_seed"], f"{path}.master_seed",
-                           minimum=0, maximum=2**64 - 1)
+    n_rounds = _integer(raw["n_rounds"], f"{path}.n_rounds")
+    trials = _integer(raw["trials"], f"{path}.trials")
+    master_seed = _integer(raw["master_seed"], f"{path}.master_seed")
     cooperative = raw.get("cooperative", True)
     _require(isinstance(cooperative, bool), f"{path}.cooperative", "expected a boolean")
-    delta = _number(raw.get("delta", 0.1), f"{path}.delta",
-                    exclusive_min=0.0, exclusive_max=1.0)
-    kl_mc_samples = _integer(raw.get("kl_mc_samples", 2000), f"{path}.kl_mc_samples",
-                             minimum=1)
+    delta = _number(raw.get("delta", 0.1), f"{path}.delta")
+    kl_mc_samples = _integer(raw.get("kl_mc_samples", 2000), f"{path}.kl_mc_samples")
     mixing_horizon = _integer(raw.get("mixing_horizon", 100), f"{path}.mixing_horizon",
                               minimum=1)
 
@@ -274,7 +264,8 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
     if "true_theta" in raw:
         true_theta = _number_list(raw["true_theta"], f"{path}.true_theta")
     if "noise_std" in raw:
-        noise_std = _number(raw["noise_std"], f"{path}.noise_std", exclusive_min=0.0)
+        noise_std = _number(raw["noise_std"], f"{path}.noise_std")
+        _require(noise_std > 0.0, f"{path}.noise_std", "must be > 0.0")
         _require(0.0 < noise_std * noise_std < math.inf, f"{path}.noise_std",
                  "its square, the noise variance, must be positive and finite")
 
@@ -316,10 +307,8 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
 
     bound = {}
     if "bound" in raw:
-        _check_keys(raw["bound"], f"{path}.bound", set(),
-                    {"likelihood_log_range", "separation_rate"})
-        bound = {key: _number(value, f"{path}.bound.{key}", exclusive_min=0.0)
-                 for key, value in raw["bound"].items()}
+        _check_keys(raw["bound"], f"{path}.bound", set(), set(BOUND_OVERRIDES))
+        bound = {key: _number(value, f"{path}.bound.{key}") for key, value in raw["bound"].items()}
 
     scenario = Scenario(
         graph=graph,

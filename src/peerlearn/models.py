@@ -137,9 +137,8 @@ class LikelihoodModel:
     """Per-node observation model: instance law, label law, and likelihoods.
 
     Subclasses implement sampling, the closed-form conditional KL to the
-    truth and ``log_likelihood_matrix`` or ``log_likelihood_codes``, whose
-    defaults use each other. ``thetas`` arguments are (M, param_dim)
-    candidate arrays.
+    truth and ``log_likelihood_matrix``, from which ``log_likelihood_codes``
+    has a default. ``thetas`` arguments are (M, param_dim) candidate arrays.
     """
 
     node_id: int
@@ -153,8 +152,7 @@ class LikelihoodModel:
 
     def log_likelihood_matrix(self, thetas: np.ndarray, xs, ys) -> np.ndarray:
         """Log likelihoods for a whole sample batch, shape (len(xs), M)."""
-        encode, gather = self.log_likelihood_codes(thetas)
-        return gather(encode(xs, ys))
+        raise NotImplementedError
 
     def log_likelihood_codes(self, thetas: np.ndarray):
         """``log_likelihood_matrix`` in two steps, with ``thetas`` bound: ``(encode, gather)``.
@@ -196,9 +194,9 @@ class ContextModel(LikelihoodModel):
     def __init__(self, node_id: int, true_table, visible):
         self.node_id = node_id
         table = np.asarray(true_table, dtype=float)
-        if table.ndim != 2 or table.min() < 0:
+        if table.ndim != 2 or not (table >= 0).all():  # NaN fails the comparison
             raise ValueError("true_table must be a nonnegative (contexts, labels) matrix")
-        if np.abs(table.sum(axis=1) - 1.0).max() > 1e-9:
+        if not (np.abs(table.sum(axis=1) - 1.0) <= 1e-9).all():
             raise ValueError("every true_table row must sum to 1")
         self.true_table = table
         self.n_contexts, self.n_labels = table.shape
@@ -243,6 +241,10 @@ class ContextModel(LikelihoodModel):
 
         return encode, functools.partial(table.take, axis=0, mode="clip")
 
+    def log_likelihood_matrix(self, thetas, xs, ys):
+        encode, gather = self.log_likelihood_codes(thetas)
+        return gather(encode(xs, ys))
+
     def kl_to_truth(self, thetas, xs):
         return rel_entr(self.true_table[xs], self._tables(thetas)[:, xs]).sum(axis=2)
 
@@ -270,8 +272,11 @@ class BernoulliContextModel(ContextModel):
 
     def __init__(self, node_id: int, true_probs, visible):
         probs = np.asarray(true_probs, dtype=float)
-        if probs.ndim != 1 or probs.min() < 0 or probs.max() > 1:
-            raise ValueError("true_probs must be probabilities in [0, 1]")
+        if probs.ndim != 1:
+            raise ValueError("true_probs must be a vector")
+        bad = np.flatnonzero(~((probs >= 0) & (probs <= 1)))  # NaN fails both comparisons
+        if bad.size:
+            raise ValueError(f"true_probs[{bad[0]}] must lie in [0, 1]")
         super().__init__(node_id, self._tables(probs[None])[0], visible)
         self.param_dim = self.n_contexts
 

@@ -40,6 +40,7 @@ from .models import (LinearGaussianModel, ParameterSet, SeparationTable, assumpt
 from .theory import BoundInputs, InvalidInputsError, sample_complexity
 
 ENGINES = ("discrete", "gaussian")
+BOUND_OVERRIDES = ("likelihood_log_range", "separation_rate")
 _ROW_BUFFER_MIN = 256  # narrower discrete rows keep numpy's default ufunc buffer
 
 # Gaussian rounds per batch: their packed increments, and then their states,
@@ -49,7 +50,7 @@ _CHUNK_ROUNDS = 128
 
 
 class ScenarioError(ValueError):
-    """A rule across scenario fields fails at ``field``, as ``prior_mean[0]`` or ``models[1]``."""
+    """A scenario rule fails at ``field``, as ``n_rounds``, ``prior_mean[0]`` or ``models[1]``."""
 
     def __init__(self, field: str, message: str):
         self.field, self.message = field, message
@@ -87,17 +88,19 @@ class Scenario:
     bound_overrides: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        """Check the scenario; a rule across fields raises ``ScenarioError`` at its field."""
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        for ok, message in (
-                (self.n_rounds >= 1, "n_rounds must be at least 1"),
-                (self.trials >= 1, "trials must be at least 1"),
-                (0 <= int(self.master_seed) < 2**64, "master_seed must fit in 64 bits"),
-                (0.0 < self.delta < 1.0, "delta must lie in (0, 1)"),
-                (self.kl_mc_samples >= 1, "kl_mc_samples must be at least 1")):
-            if not ok:
-                raise ValueError(message)
+        """Check the scenario; a failed rule raises ``ScenarioError`` at its field."""
+        _check(self.engine in ENGINES, "engine", "expected 'discrete' or 'gaussian'")
+        _check(self.n_rounds >= 1, "n_rounds", "must be >= 1")
+        _check(self.trials >= 1, "trials", "must be >= 1")
+        _check(self.master_seed >= 0, "master_seed", "must be >= 0")
+        _check(self.master_seed <= 2**64 - 1, "master_seed", f"must be <= {2**64 - 1}")
+        _check(self.delta > 0.0, "delta", "must be > 0.0")
+        _check(self.delta < 1.0, "delta", "must be < 1.0")
+        _check(self.kl_mc_samples >= 1, "kl_mc_samples", "must be >= 1")
+        for key, value in self.bound_overrides.items():
+            _check(key in BOUND_OVERRIDES, f"bound_overrides.{key}", "unknown key")
+            _check(math.isfinite(value), f"bound_overrides.{key}", "must be finite")
+            _check(value > 0.0, f"bound_overrides.{key}", "must be > 0.0")
         _check(len(self.models) == self.graph.n_nodes, "models",
                f"{len(self.models)} models for {self.graph.n_nodes} graph nodes")
         if self.engine == "discrete":
@@ -122,6 +125,8 @@ class Scenario:
                 x, y = map(np.shape, self.test_set)
                 _check(len(x) == 2 and x[0] >= 1 and x[1] == dim - 1 and y == x[:1], "test_set",
                        f"expected x of shape (n, {dim - 1}) with n >= 1, and y of shape (n,)")
+                _check(all(np.isfinite(a).all() for a in self.test_set), "test_set",
+                       "its inputs and labels must be finite")
         if self.theta_set is not None:
             try:
                 for model in self.models:

@@ -510,6 +510,15 @@ class TestParseConfig:
         (gaussian_config(models=[{"family": "linear_gaussian", "observed": [2],
                                   "ranges": [[-1, 1], [-1.5, 1.5]]}] * 2),
          "scenario.models[0]: observed coordinate index out of range"),
+        (discrete_config(models=[{"family": "bernoulli", "true_probs": [0.8, 0.3],
+                                  "visible": [0, -1]}] * 2),
+         "scenario.models[0]: visible context index out of range"),
+        (gaussian_config(models=[{"family": "linear_gaussian", "observed": [-1],
+                                  "ranges": [[-1, 1], [-1.5, 1.5]]}] * 2),
+         "scenario.models[0]: observed coordinate index out of range"),
+        (discrete_config(models=[{"family": "bernoulli", "true_probs": [0.8, 1.5, -0.2],
+                                  "visible": [0]}] * 2),
+         "scenario.models[0]: true_probs[1] must lie in [0, 1]"),
         (discrete_config(parameters={"points": [[0.8, 0.3], [0.5, 0.5], [0.8, 0.3]]}),
          "scenario.parameters.points: duplicate parameter points at indices 0 and 2"),
         (discrete_config(parameters={"points": [[0.8, 0.3, 0.5], [0.5, 0.5, 0.5]]}),
@@ -538,6 +547,7 @@ class TestParseConfig:
             "prior-shift-over-tiny-variance", "noise-std-underflow",
             "noise-std-overflow", "family-object", "family-array", "parameter-lacks-support",
             "test-labels-overflow", "visible-out-of-range", "observed-out-of-range",
+            "negative-visible", "negative-observed", "true-probs-out-of-range",
             "duplicate-points", "points-dimension", "model-count", "true-theta-length",
             "categorical-row-sum", "integer-beyond-float-range", "model-range-width-overflow",
             "test-range-width-overflow"])
@@ -590,9 +600,22 @@ def _without(payload, key):
     (_without(gaussian_config(), "prior"), "scenario.prior: gaussian engine requires this key"),
     (_without(discrete_config(), "parameters"),
      "scenario.parameters: discrete engine requires a parameter set"),
+    (discrete_config(n_rounds=0), "scenario.n_rounds: must be >= 1"),
+    (discrete_config(trials=0), "scenario.trials: must be >= 1"),
+    (discrete_config(master_seed=-1), "scenario.master_seed: must be >= 0"),
+    (discrete_config(master_seed=2**64), "scenario.master_seed: must be <= 18446744073709551615"),
+    (discrete_config(delta=0), "scenario.delta: must be > 0.0"),
+    (discrete_config(delta=1), "scenario.delta: must be < 1.0"),
+    (discrete_config(kl_mc_samples=0), "scenario.kl_mc_samples: must be >= 1"),
+    (discrete_config(bound={"separation_rate": -1}),
+     "scenario.bound.separation_rate: must be > 0.0"),
+    (discrete_config(bound={"likelihood_log_range": 0}),
+     "scenario.bound.likelihood_log_range: must be > 0.0"),
 ], ids=["model-count", "prior-mean-length", "gaussian-bernoulli-models",
         "variance-diag-subnormal", "prior-shift-overflow", "prior-shift-over-tiny-variance",
-        "points-dimension", "gaussian-requires-prior", "discrete-requires-parameters"])
+        "points-dimension", "gaussian-requires-prior", "discrete-requires-parameters",
+        "n-rounds", "trials", "negative-seed", "seed-past-64-bits", "delta-zero", "delta-one",
+        "kl-mc-samples", "bound-separation-rate", "bound-log-range"])
 def test_scenario_rule_is_reported_at_its_config_path(payload, message):
     # Scenario.validate holds these rules; the config walk maps its field to the config path.
     with pytest.raises(ConfigValidationError) as info:

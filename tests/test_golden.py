@@ -2,17 +2,20 @@
 
 ``golden.json`` holds, per config of ``golden_configs.json``, the SHA-256 of
 ``metrics.csv``, ``metrics.json``, ``summary.json`` less ``runtime_seconds``
-and the stdout of ``bound`` and ``check-graph``, with the numpy version and
-CPU features it was made under: the discrete bits follow numpy's SIMD ``exp``
-and ``log``. A differing hash fails under any environment, and the message
-says when the environment differs too. ``run`` must write the same bytes
-whether its trials run in the default groups or one trial per group. A change that moves output on purpose
+and the stdout of ``bound`` and ``check-graph``, with the numpy version, CPU
+features and OpenBLAS core it was made under: the discrete bits follow
+numpy's SIMD ``exp`` and ``log``, the merge and the test MSE its BLAS, and
+the spectral values its LAPACK. A differing hash fails under any
+environment, and the message names what differs in the environment too.
+``run`` must write the same bytes whether its trials run in the default
+groups or one trial per group. A change that moves output on purpose
 regenerates the manifest, so that the diff shows it:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -37,9 +40,38 @@ CONFIGS = json.loads((HERE / "golden_configs.json").read_text())
 MANIFEST_PATH = HERE / "golden.json"
 
 
+def openblas_core() -> str | None:
+    """The core of numpy's bundled OpenBLAS, as ``SkylakeX``; None where it cannot be read.
+
+    ``scipy_openblas_get_corename64_`` is a private symbol of numpy's wheel,
+    so a build without the bundled library or the symbol reads None.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def environment() -> dict:
-    return {"numpy": np.__version__,
+    return {"numpy": np.__version__, "openblas_core": openblas_core(),
             "cpu_features": sorted(name for name, on in __cpu_features__.items() if on)}
+
+
+_LABELS = {"numpy": "numpy", "openblas_core": "OpenBLAS core"}
+
+
+def environment_note(made: dict, here: dict) -> str:
+    """The failure note: how the environment ``made``, the manifest's, differs from ``here``."""
+    differs = [f"{_LABELS[key]} {made.get(key)} (here {value})" if key in _LABELS
+               else "other CPU features" for key, value in here.items() if made.get(key) != value]
+    if not differs:
+        return ""
+    return (f" (golden.json was made under {', '.join(differs)}; regenerate it if the change is "
+            "the environment's)")
 
 
 def _stdout(*argv) -> bytes:
@@ -79,11 +111,20 @@ def test_output_bytes_match_the_manifest(name, tmp_path, monkeypatch, one_trial_
     assert expected is not None, f"{name}: no hashes in golden.json; regenerate it"
     actual = digests(CONFIGS[name], tmp_path / "out")
     moved = sorted(f for f in expected.keys() | actual.keys() if expected.get(f) != actual.get(f))
-    note = "" if manifest["environment"] == environment() else (
-        f" (golden.json was made under numpy {manifest['environment']['numpy']} and other "
-        f"CPU features than numpy {np.__version__} here; regenerate it if the change is "
-        "the environment's)")
+    note = environment_note(manifest["environment"], environment())
     assert not moved, f"{name}: {', '.join(moved)} differ from golden.json{note}"
+
+
+def test_note_names_what_differs_in_the_environment():
+    here = {"numpy": "2.4.6", "openblas_core": "SkylakeX", "cpu_features": ["AVX", "AVX2"]}
+    assert environment_note(here, here) == ""
+    assert environment_note({**here, "openblas_core": "Haswell"}, here) == (
+        " (golden.json was made under OpenBLAS core Haswell (here SkylakeX); regenerate it "
+        "if the change is the environment's)")
+    made = {"numpy": "2.3.0", "cpu_features": ["AVX"]}
+    assert environment_note(made, here) == (
+        " (golden.json was made under numpy 2.3.0 (here 2.4.6), OpenBLAS core None (here "
+        "SkylakeX), other CPU features; regenerate it if the change is the environment's)")
 
 
 if __name__ == "__main__":

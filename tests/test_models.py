@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from peerlearn import (
     BernoulliContextModel,
     CategoricalContextModel,
+    LikelihoodModel,
     LinearGaussianModel,
     NotGloballyLearnableError,
     ParameterSet,
@@ -193,6 +194,30 @@ class TestContextFamilies:
             encode(np.array([0, x]), np.array([1, y]))
         with pytest.raises(ValueError, match="^node 3: "):
             model.log_likelihood_matrix(points, [x], [y])
+
+    @pytest.mark.parametrize("probs, named", [
+        ([math.nan, 0.5], 0), ([0.5, 1.5, -0.1], 1), ([0.2, 0.3, -0.0, -1e-300], 3),
+    ], ids=["nan", "first-of-two", "below-zero"])
+    def test_bernoulli_truth_names_its_first_bad_entry(self, probs, named):
+        with pytest.raises(ValueError, match=rf"^true_probs\[{named}\] must lie in \[0, 1\]$"):
+            BernoulliContextModel(0, probs, [0, 1])
+
+    def test_categorical_truth_rejects_a_nan_cell(self):
+        table = [[0.5, 0.5], [math.nan, 0.7]]
+        with pytest.raises(ValueError, match="^true_table must be a nonnegative"):
+            CategoricalContextModel(0, table, [0, 1])
+
+    def test_a_model_without_likelihoods_raises_not_implemented(self):
+        # The two defaults called each other until the stack ran out.
+        class Bare(LikelihoodModel):
+            node_id, param_dim = 0, 1
+
+        points, xs, ys = np.array([[0.2], [0.7]]), np.zeros((3, 1)), np.zeros(3)
+        with pytest.raises(NotImplementedError):
+            Bare().log_likelihood_matrix(points, xs, ys)
+        encode, gather = Bare().log_likelihood_codes(points)
+        with pytest.raises(NotImplementedError):
+            gather(encode(xs, ys))
 
     def test_one_gaussian_sample_is_a_row_of_the_batch(self):
         model = LinearGaussianModel(0, [-0.3, 0.5, 0.8], [[-1, 1], [-1.5, 1.5]], [0, 1], 0.8)

@@ -421,6 +421,54 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=match):
             run_experiment(scenario)
 
+    @pytest.mark.parametrize("changes, field, message", [
+        ({"engine": "continuous"}, "engine", "expected 'discrete' or 'gaussian'"),
+        ({"n_rounds": 0}, "n_rounds", "must be >= 1"),
+        ({"trials": 0}, "trials", "must be >= 1"),
+        ({"master_seed": -1}, "master_seed", "must be >= 0"),
+        ({"master_seed": 2**64}, "master_seed", "must be <= 18446744073709551615"),
+        ({"delta": 0.0}, "delta", "must be > 0.0"),
+        ({"delta": np.nan}, "delta", "must be > 0.0"),
+        ({"delta": 1.0}, "delta", "must be < 1.0"),
+        ({"kl_mc_samples": 0}, "kl_mc_samples", "must be >= 1"),
+        ({"bound_overrides": {"separation_rat": 0.5}}, "bound_overrides.separation_rat",
+         "unknown key"),
+        ({"bound_overrides": {"separation_rate": -1.0}}, "bound_overrides.separation_rate",
+         "must be > 0.0"),
+        ({"bound_overrides": {"likelihood_log_range": 0.0}},
+         "bound_overrides.likelihood_log_range", "must be > 0.0"),
+        ({"bound_overrides": {"likelihood_log_range": np.inf}},
+         "bound_overrides.likelihood_log_range", "must be finite"),
+        ({"bound_overrides": {"separation_rate": np.nan}}, "bound_overrides.separation_rate",
+         "must be finite"),
+    ], ids=["engine", "n-rounds", "trials", "negative-seed", "seed-past-64-bits", "delta-zero",
+            "delta-nan", "delta-one", "kl-mc-samples", "override-misspelt",
+            "override-negative-rate", "override-zero-log-range", "override-infinite",
+            "override-nan"])
+    def test_field_rule_raises_at_its_field(self, changes, field, message):
+        # The CLI reports each at the config path of ``field``; a misspelt
+        # override was ignored, and the bound used the computed value.
+        graph, theta, models = three_node_bernoulli()
+        scenario = Scenario(graph=graph, models=models, theta_set=theta, **{
+            "engine": "discrete", "n_rounds": 5, "trials": 1, "master_seed": 1, **changes})
+        with pytest.raises(ScenarioError) as info:
+            scenario.validate()
+        assert (type(info.value), info.value.field, info.value.message) == (
+            ScenarioError, field, message)
+
+    @pytest.mark.parametrize("part", [0, 1], ids=["input", "label"])
+    def test_test_set_must_be_finite(self, part):
+        # A NaN label ran and failed at round 0, blaming an overflow.
+        scenario = regression_scenario(n_rounds=5)
+        test_set = [array.copy() for array in scenario.test_set]
+        test_set[part].flat[3] = np.nan
+        scenario.test_set = tuple(test_set)
+        match = "^test_set: its inputs and labels must be finite$"
+        with pytest.raises(ScenarioError, match=match):
+            scenario.validate()
+        with pytest.raises(ScenarioError, match=match):
+            run_experiment(scenario)
+
     @pytest.mark.parametrize("samples", [0, -5])
     def test_kl_mc_samples_must_be_positive(self, samples):
         # With no draws the separation table is all zeros: every parameter
@@ -428,7 +476,7 @@ class TestScenarioValidation:
         graph, theta, models = three_node_bernoulli()
         scenario = Scenario(graph=graph, engine="discrete", models=models, n_rounds=5,
                             trials=1, master_seed=1, theta_set=theta, kl_mc_samples=samples)
-        with pytest.raises(ValueError, match="^kl_mc_samples must be at least 1$"):
+        with pytest.raises(ValueError, match="^kl_mc_samples: must be >= 1$"):
             run_experiment(scenario)
 
 
