@@ -9,13 +9,13 @@ records its estimate.
 There is one engine per belief family, and each runs a group of trials
 (every run takes its trials in groups) as one batch, with its state held as
 arrays over nodes and trials: node-major log-beliefs for the discrete
-engine, precision and shift packed into one row per node for the gaussian
-one. The round loop carries only the recursion (Bayes step, merge);
-tables and buffers come before it. The gaussian engine takes the
-rounds in batches: each forms its own packed increments from the samples
-and runs the recursion, one add and one product by the graph weights per
-round, or without a merge one running sum over the batch. Then an
-entry-wise Cholesky factorization of the batch, whose pivots are the
+engine; for the gaussian one, the precision's lower triangle and the shift,
+entry-major, one array per entry. The round loop carries only the recursion
+(Bayes step, merge); tables and buffers come before it. The gaussian engine
+takes the rounds in batches: each forms its own packed increments from the
+samples and runs the recursion, one add and one product by the graph
+weights per round, or without a merge one running sum over the batch. Then
+an entry-wise Cholesky factorization of the batch, whose pivots are the
 positive-definiteness gate, gives the means and variances.
 
 Randomness is counter-based: every (master_seed, trial, node) triple keys
@@ -27,6 +27,7 @@ share a batch.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -228,8 +229,8 @@ def run_trial(scenario: Scenario, trial_index: int, global_optima=None) -> Trial
     scenario.validate()
     if scenario.engine == "discrete":
         return _discrete_rounds(scenario, [trial_index], global_optima)[0]
-    aug, ys = _gaussian_samples(scenario, [trial_index])
-    return _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
+    xs, ys = _gaussian_samples(scenario, [trial_index])
+    return _gaussian_rounds(scenario, (xs[..., None], ys[..., None]),
                            merge=scenario.cooperative)[0]
 
 
@@ -244,11 +245,11 @@ def _trial_groups(scenario: Scenario):
 
     Yields one range at a time. Per (round, node), a discrete trial holds
     its M beliefs if they are recorded, else one float for its code and
-    estimate; a gaussian one holds 3d + 2 floats: the instance with its
-    intercept and the label, the d means, the d variances and the test MSE.
+    estimate; a gaussian one holds 3d + 1 floats: the d - 1 instance entries
+    and the label, the d means, the d variances and the test MSE.
     """
     if scenario.engine == "gaussian":
-        floats = 3 * len(scenario.prior_mean) + 2
+        floats = 3 * len(scenario.prior_mean) + 1
     else:
         floats = scenario.theta_set.n_points if scenario.record_beliefs else 1
     trial_bytes = 8 * floats * scenario.n_rounds * scenario.graph.n_nodes
@@ -361,49 +362,55 @@ def _optimal(global_optima, n_params: int) -> np.ndarray:
 
 @np.errstate(over="ignore")  # overflow reaches the state, which _gaussian_rounds gates
 def _gaussian_samples(scenario: Scenario, trials) -> tuple[np.ndarray, np.ndarray]:
-    """Instances with a leading 1, ``a (K, T, N, d)``, and labels over ``s^2``, ``(K, T, N)``."""
-    samples = [list(zip(*_draw_trial_samples(scenario, t))) for t in trials]
-    aug = augment([instances for instances, _ in samples])  # (T, N, K, d)
-    ys = np.array([labels for _, labels in samples]).transpose(2, 0, 1) / scenario.noise_var
-    return np.ascontiguousarray(aug.transpose(2, 0, 1, 3)), ys
+    """Instances ``x (d - 1, K, T, N)`` and labels over ``s^2``, ``(K, T, N)``: entry-major."""
+    ys = np.empty((scenario.n_rounds, len(trials), scenario.graph.n_nodes))
+    xs = np.empty((len(scenario.prior_mean) - 1,) + ys.shape)
+    for t, trial in enumerate(trials):
+        for i, (instances, labels) in enumerate(_draw_trial_samples(scenario, trial)):
+            xs[:, :, t, i], ys[:, t, i] = instances.T, labels
+    ys /= scenario.noise_var
+    return xs, ys
 
 
-def _increments(aug: np.ndarray, ys: np.ndarray, noise_var: float) -> np.ndarray:
+def _increments(xs: np.ndarray, ys: np.ndarray, noise_var: float) -> np.ndarray:
     """Precision and shift increments of a node's samples in each round, summed and packed.
 
-    A sample ``(a, y / s^2)`` adds ``a a^T / s^2`` to a node's precision and
-    ``a y / s^2`` to its shift (precision times mean), with ``s^2 = noise_var``.
-    The last axis holds the precision's ``d*d`` entries row by row, then the
-    ``d`` shift entries: the layout of the engine's state. Each entry is
-    formed over the whole batch at once, summing the samples in order.
+    ``xs`` holds the instances ``(d - 1, ..., S)`` and ``ys`` the labels over
+    ``s^2``, ``(..., S)``, with ``s^2 = noise_var``. A sample ``(x, y / s^2)``
+    with ``a = [1, x]`` adds ``a a^T / s^2`` to a node's precision and
+    ``a y / s^2`` to its shift (precision times mean). The first axis holds
+    the precision's lower triangle row by row, then the ``d`` shift entries:
+    the layout of the engine's state, one contiguous array per entry. Each
+    entry sums the S samples in order. The intercept's factor is the scalar
+    1.0, and ``1.0 * v`` is ``v``.
     """
-    *batch, n_samples, dim = aug.shape
-    packed = np.empty(batch + [dim * dim + dim])
-    for i in range(dim):
-        for j in range(i, dim):
-            entry = aug[..., 0, i] * aug[..., 0, j] / noise_var
-            for s in range(1, n_samples):
-                entry += aug[..., s, i] * aug[..., s, j] / noise_var
-            packed[..., i * dim + j] = packed[..., j * dim + i] = entry
-        entry = aug[..., 0, i] * ys[..., 0]
-        for s in range(1, n_samples):
-            entry += aug[..., s, i] * ys[..., s]
-        packed[..., dim * dim + i] = entry
+    dim = len(xs) + 1
+    packed = np.empty((dim * (dim + 3) // 2,) + ys.shape[:-1])
+    for s in range(ys.shape[-1]):
+        a, y = [1.0, *xs[..., s]], ys[..., s]
+        terms = itertools.chain((a[i] * a[j] / noise_var for i in range(dim) for j in range(i + 1)),
+                                (a_i * y for a_i in a))
+        for entry, term in zip(packed, terms):
+            if s:
+                entry += term
+            else:
+                entry[...] = term
     return packed
 
 
 def _pack(mean, precision) -> np.ndarray:
-    """One state row: the ``d*d`` precision entries row by row, then the shift ``P m``."""
+    """One state: the precision's lower triangle row by row, then the shift ``P m``."""
     precision = np.asarray(precision, dtype=float)
-    return np.concatenate([precision.ravel(), precision @ np.asarray(mean, dtype=float)])
+    return np.concatenate([precision[np.tril_indices(len(precision))],
+                           precision @ np.asarray(mean, dtype=float)])
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # only where a PD flag is False
 def _moments(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Means, variance diagonals and PD flags of a batch of ``(P, h)`` states.
 
-    ``entries`` is entry-major, ``(d*d + d, ...)``: along its first axis
-    runs the state layout of ``_pack``, and each entry is one
+    ``entries`` is entry-major, ``(d(d+1)/2 + d, ...)``: along its first
+    axis runs the state layout of ``_pack``, and each entry is one
     contiguous array over the batch. The means ``P^-1 h`` and the variances
     ``diag(P^-1)`` come back as ``(d, ...)`` and the flags as ``(...)``.
     The Cholesky factor ``P = L L^T`` is built entry by entry with ufunc
@@ -414,9 +421,10 @@ def _moments(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of ``L^-1``. Each state's arithmetic is the same whatever else shares
     its batch.
     """
-    dim = math.isqrt(len(entries))
-    precision = [entries[i * dim:(i + 1) * dim] for i in range(dim)]
-    shift = entries[dim * dim:]
+    dim = (math.isqrt(8 * len(entries) + 9) - 3) // 2
+    starts = [i * (i + 1) // 2 for i in range(dim + 1)]  # of the lower triangle's rows
+    precision = [entries[starts[i]:starts[i + 1]] for i in range(dim)]  # P_ij, j <= i
+    shift = entries[starts[dim]:]
 
     low = [[None] * (i + 1) for i in range(dim)]  # low[i][j] = L_ij over the batch
     positive = np.ones(entries.shape[1:], dtype=bool)
@@ -466,51 +474,51 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool,
                      stage: int = 1) -> list[TrialResult]:
     """The conjugate round engine in information form, batched over (trial, node).
 
-    ``samples`` are ``a (K, T, N, S, d)`` and ``y / s^2 (K, T, N, S)``: each
-    round a node takes its own sample (S = 1) or, centrally, every node's.
-    State is the precision ``P`` and the shift ``h = P m``, packed as one
-    ``(T, N, d*d + d)`` array. Each round adds the packed sample increments
-    (the Bayes update), then, if ``merge``, mixes in-neighbors with one
-    product by the graph weights: for Gaussian beliefs the
-    log-geometric-mean rule is linear in ``(P, h)``. Per ``_CHUNK_ROUNDS``
-    rounds the engine forms the batch's increments and runs the recursion,
-    each round's state written over its spent increments, where the next
-    round reads it; without a merge, the recursion is one running sum over
-    the batch. Then it gates the states, which must be finite (the
-    inputs may overflow), and computes the batch's moments with
-    ``_moments``, whose Cholesky pivots are the positive-definiteness
-    gate. The test MSE, which overflows on finite but huge means, must be
-    finite too. ``stage`` places the gates' failures in the run (see
-    ``_gate``).
+    ``samples`` are ``x (d - 1, K, T, N, S)`` and ``y / s^2 (K, T, N, S)``:
+    each round a node takes its own sample (S = 1) or, centrally, every
+    node's. State is the precision ``P`` and the shift ``h = P m``, packed
+    as in ``_pack``. Each round adds the packed sample increments (the Bayes
+    update), then, if ``merge``, mixes in-neighbors with one product by the
+    graph weights per trial: for Gaussian beliefs the log-geometric-mean
+    rule is linear in ``(P, h)``. Per ``_CHUNK_ROUNDS`` rounds the engine
+    forms the batch's ``E = d(d+1)/2 + d`` increments, entry-major
+    ``(E, K, T, N)``, and runs the recursion on ``(T, N, E)`` views, each
+    round's state written over its spent increments, where the next round
+    reads it; without a merge, the recursion is one running sum over the
+    batch. Then it gates the states, which must be finite (the inputs may
+    overflow), and computes the moments from the same array with
+    ``_moments``, whose Cholesky pivots are the positive-definiteness gate.
+    The test MSE, which overflows on finite but huge means, must be finite
+    too. ``stage`` places the gates' failures in the run (see ``_gate``).
     """
-    aug, ys = samples
-    n_rounds, n_trials, n_nodes, _, dim = aug.shape
-    state = np.empty((n_trials, n_nodes, dim * dim + dim))
+    xs, ys = samples
+    n_rounds, n_trials, n_nodes, _ = ys.shape
+    dim = len(xs) + 1
     precision = np.diag(1.0 / np.asarray(scenario.prior_variance_diag, dtype=float))
+    state = np.empty((n_trials, n_nodes, dim * (dim + 3) // 2))
     state[...] = _pack(scenario.prior_mean, precision)
     scratch, weights = np.empty_like(state), scenario.graph.weights
     means = np.empty((n_trials, n_rounds, n_nodes, dim))
     variances = np.empty_like(means)
     for start in range(0, n_rounds, _CHUNK_ROUNDS):
         rounds = slice(start, start + _CHUNK_ROUNDS)
-        batch = _increments(aug[rounds], ys[rounds], scenario.noise_var)
+        batch = _increments(xs[:, rounds], ys[rounds], scenario.noise_var)
         if merge:
-            for increment in batch:
+            for increment in batch.transpose(1, 2, 3, 0):
                 np.add(state, increment, out=scratch)
                 # Barrier: the merge only ever sees this round's publics.
                 np.matmul(weights, scratch, out=increment)
                 state = increment
         else:  # the recursion is a running sum, summed round after round
-            batch[0] += state
-            np.add.accumulate(batch, axis=0, out=batch)
-            state = batch[-1]
-        entries = np.moveaxis(batch, -1, 0).copy()  # (d*d + d, K, T, N)
-        finite = np.isfinite(entries).all(axis=0)
+            batch[:, 0] += state.transpose(2, 0, 1)
+            np.add.accumulate(batch, axis=1, out=batch)
+            state = batch[:, -1].transpose(1, 2, 0)
+        finite = np.isfinite(batch).all(axis=0)
         if not finite.all():
             k = start + int(np.argmin(finite.all(axis=(1, 2))))
             raise _gate(ValueError(f"round {k}: precision or shift is not finite; "
                                    "an input overflows"), stage, start, 0, k)
-        batch_means, batch_variances, positive = _moments(entries)
+        batch_means, batch_variances, positive = _moments(batch)
         if not positive.all():
             k = start + int(np.argmin(positive.all(axis=(1, 2))))
             ratio = np.max(scenario.prior_variance_diag) / scenario.noise_var
@@ -567,9 +575,15 @@ def _test_set_moments(test_set) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 def _test_set_mse(moments, means: np.ndarray) -> np.ndarray:
-    """Test MSE of each mean from the test set's moments: ``m G m - 2 b m + c``."""
+    """Test MSE of each mean from the test set's moments: ``m G m - 2 b m + c``.
+
+    The quadratic term sums ``(m_a G_ab) m_b`` from 0, ``a`` outer and ``b``
+    inner: the order, and so the bits, of ``einsum("...a,ab,...b->...")``.
+    """
     gram, cross, energy = moments
-    return np.einsum("...a,ab,...b->...", means, gram, means) - 2.0 * (means @ cross) + energy
+    entries = range(len(gram))
+    quadratic = sum(means[..., a] * gram[a, b] * means[..., b] for a in entries for b in entries)
+    return quadratic - 2.0 * (means @ cross) + energy
 
 
 def sample_bound(
@@ -635,13 +649,13 @@ def _run_group(scenario: Scenario, trials, report: ExperimentReport):
     """The engines on one group of trials: its results, and its baselines' MSE curves or None."""
     if scenario.engine == "discrete":
         return _discrete_rounds(scenario, trials, report.separation.global_optima), None
-    aug, ys = _gaussian_samples(scenario, trials)
+    xs, ys = _gaussian_samples(scenario, trials)
     baselines = None
     if scenario.test_set is not None:  # one node fed every node's samples each round
         # Only the curves outlive this line, so the network pass runs without the rest.
         baselines = [r.mse_history[:, 0] for r in _gaussian_rounds(
-            scenario, (aug[:, :, None], ys[:, :, None]), merge=False, stage=0)]
-    results = _gaussian_rounds(scenario, (aug[..., None, :], ys[..., None]),
+            scenario, (xs[:, :, :, None], ys[:, :, None]), merge=False, stage=0)]
+    results = _gaussian_rounds(scenario, (xs[..., None], ys[..., None]),
                                merge=scenario.cooperative)
     return results, baselines
 

@@ -29,7 +29,7 @@ from peerlearn import (
 )
 from peerlearn.beliefs import LOG_FLOOR, row_normalize
 from peerlearn.graph import ROW_SUM_TOL
-from peerlearn.models import DUPLICATE_TOL
+from peerlearn.models import DUPLICATE_TOL, augment
 
 REGRESSION_THETA = [-0.3, 0.5, 0.8]
 REGRESSION_RANGES = [[-1.0, 1.0], [-1.5, 1.5]]
@@ -570,6 +570,34 @@ def lapack_moments(precision, shift):
     covariance = np.linalg.inv(precision)
     return (np.einsum("...ab,...b->...a", covariance, shift),
             np.diagonal(covariance, axis1=-2, axis2=-1))
+
+
+def reference_increments(xs, ys, noise_var: float) -> np.ndarray:
+    """The gaussian engine's packed increments by its former formula, with the column of ones.
+
+    ``xs`` is ``(d - 1, ..., S)`` and ``ys`` (labels over ``s^2``) ``(..., S)``.
+    With the augmented instance ``a = [1, x]``, the precision entry ``(i, j)``
+    sums ``(a_i a_j) / s^2`` and the shift entry ``i`` sums ``a_i (y / s^2)``
+    over the S samples in order. Entries follow ``sim._pack``: the lower
+    triangle row by row, then the shift, one array per entry.
+    """
+    aug = augment(np.moveaxis(xs, 0, -1))  # (..., S, d)
+    dim = aug.shape[-1]
+    products = [aug[..., i] * aug[..., j] / noise_var for i in range(dim) for j in range(i + 1)]
+    products += [aug[..., i] * ys for i in range(dim)]
+    entries = []
+    for product in products:
+        entry = product[..., 0].copy()
+        for s in range(1, product.shape[-1]):
+            entry += product[..., s]
+        entries.append(entry)
+    return np.stack(entries)
+
+
+def reference_test_set_mse(moments, means) -> np.ndarray:
+    """The test MSE ``m G m - 2 b m + c`` with its quadratic term from ``einsum``."""
+    gram, cross, energy = moments
+    return np.einsum("...a,ab,...b->...", means, gram, means) - 2.0 * (means @ cross) + energy
 
 
 def reference_metrics_bytes(report, scenario, fmt: str) -> bytes:

@@ -772,7 +772,7 @@ class TestTrialGroups:
     def test_groups_are_the_fewest_near_equal_that_fit(self, monkeypatch, trials, fit, sizes):
         scenario = build_scenario(parse_config(json.dumps(gaussian_config(
             n_rounds=2000, trials=trials))))
-        trial_bytes = 8 * (3 * 3 + 2) * 2000 * 2
+        trial_bytes = 8 * (3 * 3 + 1) * 2000 * 2
         monkeypatch.setattr(sim, "_GROUP_BYTES", fit * trial_bytes + trial_bytes - 1)
         groups = list(sim._trial_groups(scenario))
         assert [len(g) for g in groups] == sizes

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from peerlearn import (
     BernoulliContextModel,
@@ -41,6 +42,8 @@ from helpers import (
     random_weight_matrix,
     recursion_residual,
     reference_consensus,
+    reference_increments,
+    reference_test_set_mse,
     regression_models,
     regression_scenario,
     three_node_bernoulli,
@@ -141,8 +144,9 @@ def histories(result) -> tuple:
 
 def central_baselines(scenario: Scenario, trials) -> list:
     """The central baseline's full results, through the kernel ``run_experiment`` calls."""
-    aug, ys = sim._gaussian_samples(scenario, trials)
-    return sim._gaussian_rounds(scenario, (aug[:, :, None], ys[:, :, None]), merge=False, stage=0)
+    xs, ys = sim._gaussian_samples(scenario, trials)
+    return sim._gaussian_rounds(scenario, (xs[:, :, :, None], ys[:, :, None]), merge=False,
+                                stage=0)
 
 
 def assert_matches_gaussian_oracle(scenario: Scenario) -> None:
@@ -481,8 +485,12 @@ class TestScenarioValidation:
 
 
 def entry_major(precision: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """States ``(B, d, d)`` and ``(B, d)`` in the engine's entry-major layout, ``(d*d + d, B)``."""
-    return np.concatenate([precision.reshape(len(shift), -1), shift], axis=1).T.copy()
+    """States ``(B, d, d)`` and ``(B, d)`` in the engine's layout, ``(d(d+1)/2 + d, B)``.
+
+    The precision's lower triangle row by row, then the shift, one row per entry.
+    """
+    rows, columns = np.tril_indices(shift.shape[1])
+    return np.concatenate([precision[:, rows, columns], shift], axis=1).T.copy()
 
 
 class TestMomentsKernel:
@@ -538,6 +546,56 @@ class TestMomentsKernel:
         np.testing.assert_array_equal(flags, [True, False, True, False])
 
 
+# Any float, with the edge cases drawn often: signed zeros, subnormals, infinities, NaN.
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
+                     np.nan]))
+
+
+def float_bits(values: np.ndarray) -> np.ndarray:
+    """The bit patterns of float64 values, so that NaN compares by payload and zeros by sign."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestExactKernels:
+    """The gaussian engine's increments and test MSE against the formulas they replaced."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.integers(1, 6), n_samples=st.sampled_from([1, 2, 3]),
+           batch=st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3)))
+    def test_increments_match_the_augmented_formula(self, data, dim, n_samples, batch):
+        # No column of ones is stored: the intercept's entries are 1/s^2, x_j/s^2
+        # and y/s^2, because 1.0 * v is v, bit for bit, whatever v is.
+        xs = data.draw(arrays(np.float64, (dim - 1,) + batch + (n_samples,),
+                              elements=_EDGE_FLOATS), label="xs")
+        ys = data.draw(arrays(np.float64, batch + (n_samples,), elements=_EDGE_FLOATS),
+                       label="ys")
+        noise_var = data.draw(st.floats(allow_nan=False, allow_infinity=False,
+                                        allow_subnormal=True).filter(bool), label="noise_var")
+        with np.errstate(all="ignore"):
+            got = sim._increments(xs, ys, noise_var)
+            want = reference_increments(xs, ys, noise_var)
+        assert got.shape == (dim * (dim + 3) // 2,) + batch
+        np.testing.assert_array_equal(float_bits(got), float_bits(want))
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_test_set_mse_matches_einsum(self, dim):
+        # A whole group's means (T, K, N, d) and one trial's (K, N, d), at
+        # scales from 1e-3 to 1e3, with zeros of both signs, infinities and NaN.
+        rng = np.random.default_rng(dim)
+        x_test = rng.uniform(-1.5, 1.5, (25, dim - 1))
+        moments = sim._test_set_moments((x_test, rng.normal(size=25)))
+        means = rng.normal(size=(3, 300, 2, dim)) * 10.0 ** rng.integers(-3, 4, (3, 300, 2, 1))
+        cells = rng.choice(means.size, 40, replace=False)
+        means.flat[cells] = np.resize([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan], 40)
+        with np.errstate(all="ignore"):
+            for batch in (means, means[1]):
+                np.testing.assert_array_equal(
+                    float_bits(sim._test_set_mse(moments, batch)),
+                    float_bits(reference_test_set_mse(moments, batch)))
+
+
 class TestGaussianEngine:
     def test_cooperative_nodes_reach_truth(self):
         scenario = regression_scenario(n_rounds=2000, master_seed=11)
@@ -590,26 +648,27 @@ class TestGaussianEngine:
     @pytest.mark.parametrize("merge", [True, False])
     def test_pd_gate_names_the_failing_round(self, monkeypatch, merge):
         monkeypatch.setattr(sim, "_CHUNK_ROUNDS", 4)
-        # Every sample is zero but one at round 5, one round past the first
-        # batch; the negative noise variance makes its increment -100 e0 e0^T,
-        # so that round's precision is indefinite, for either node after a merge.
+        # Every sample is zero. The negative noise variance makes each round's
+        # increment -100 e0 e0^T (the intercept's entry is 1/s^2), so from the
+        # prior precision 1/0.0018 P_00 is 555.6 - 100 (k + 1) after round k:
+        # round 5, one round past the first batch, is the first indefinite one,
+        # for either node after a merge. The largest prior variance stays 0.5.
         scenario = dataclasses.replace(regression_scenario(n_rounds=12, trials=2),
-                                       noise_var=-0.01)
-        aug, ys = np.zeros((12, 2, 2, 1, 3)), np.zeros((12, 2, 2, 1))
-        aug[5, 1, 0, 0, 0] = 1.0
+                                       noise_var=-0.01,
+                                       prior_variance_diag=np.array([0.0018, 0.5, 0.5]))
+        xs, ys = np.zeros((2, 12, 2, 2, 1)), np.zeros((12, 2, 2, 1))
         with pytest.raises(SingularPrecisionError,
                            match=r"^round 5: precision is not positive definite; the state is "
                                  r"ill-conditioned: 1/noise_std\^2 is -50 times the least prior "
                                  r"precision$"):
-            sim._gaussian_rounds(scenario, (aug, ys), merge=merge)
+            sim._gaussian_rounds(scenario, (xs, ys), merge=merge)
 
     def test_peak_does_not_grow_with_the_round_count(self):
         # d = 6 and two trials: the traced peak less what the run holds (the
-        # report's histories, and the samples, d + 1 floats per trial, round
-        # and node) is about 0.55 MB at 250 and at 1,000 rounds, mostly one
-        # 128-round batch's packed states, their entry-major copy and its
-        # factor. Increments held for every round, (K, T, N, d, d), would
-        # take 2 MB at 1,000 rounds.
+        # report's histories, and the samples, d floats per trial, round and
+        # node) is about 0.35 MB at 250 and at 1,000 rounds, mostly one
+        # 128-round batch's packed states and their factor. Increments held
+        # for every round, (K, T, N, d, d), would take 2 MB at 1,000 rounds.
         dim = 6
         theta, ranges = np.linspace(-0.5, 0.5, dim), [[-1.0, 1.0]] * (dim - 1)
         for n_rounds in (250, 1000):
@@ -629,7 +688,7 @@ class TestGaussianEngine:
                                 result.mse_history)
                 if history is not None
             )
-            samples = (dim + 1) * 8 * scenario.trials * n_rounds * len(scenario.models)
+            samples = dim * 8 * scenario.trials * n_rounds * len(scenario.models)
             assert peak - kept - samples < 2**20
 
     def test_moments_do_not_depend_on_the_round_batch(self, monkeypatch):
