@@ -5,8 +5,9 @@
 and the stdout of ``bound`` and ``check-graph``, with the numpy version, CPU
 features and OpenBLAS core it was made under: the discrete bits follow
 numpy's SIMD ``exp`` and ``log``, the merge, the test-set moments and the
-test MSE's linear term its BLAS, and the spectral values its LAPACK. A differing hash fails under any
-environment, and the message names what differs in the environment too.
+test MSE's linear term its BLAS, and the spectral values its LAPACK. A
+differing hash fails under any environment, and the message names what
+differs in the environment too.
 ``run`` must write the same bytes whether its trials run in the default
 groups or one trial per group. A change that moves output on purpose
 regenerates the manifest, so that the diff shows it:

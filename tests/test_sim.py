@@ -649,10 +649,10 @@ class TestGaussianEngine:
     def test_pd_gate_names_the_failing_round(self, monkeypatch, merge):
         monkeypatch.setattr(sim, "_CHUNK_ROUNDS", 4)
         # Every sample is zero. The negative noise variance makes each round's
-        # increment -100 e0 e0^T (the intercept's entry is 1/s^2), so from the
-        # prior precision 1/0.0018 P_00 is 555.6 - 100 (k + 1) after round k:
-        # round 5, one round past the first batch, is the first indefinite one,
-        # for either node after a merge. The largest prior variance stays 0.5.
+        # increment -100 e0 e0^T (the intercept's entry is 1/s^2), so P_00,
+        # 1/0.0018 at the prior, is 555.6 - 100 (k + 1) after round k: round 5,
+        # one round past the first batch, is the first indefinite one, for
+        # either node after a merge. The largest prior variance stays 0.5.
         scenario = dataclasses.replace(regression_scenario(n_rounds=12, trials=2),
                                        noise_var=-0.01,
                                        prior_variance_diag=np.array([0.0018, 0.5, 0.5]))
