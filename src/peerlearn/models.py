@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr
 
 DUPLICATE_TOL = 1e-12
 ARGMIN_TIE_TOL = 1e-6
@@ -50,6 +50,28 @@ class UnboundedKLError(ValueError):
 
 class NotGloballyLearnableError(ValueError):
     """No parameter is optimal for every node simultaneously."""
+
+
+def _rel_entr(x: float, y: float) -> float:
+    """``x log(x / y)``, the KL term, by the rule of ``scipy.special.rel_entr``.
+
+    NaN in either argument gives NaN. Where ``x <= 0`` or ``y <= 0`` the
+    term is 0 if ``x == 0 and y >= 0``, else +inf. A ratio ``x / y`` in
+    ``(0.5, 2)`` takes ``log1p((x - y) / y)``, one in ``(DBL_MIN, inf)``
+    takes ``log(x / y)``, and one that underflows or overflows takes
+    ``log(x) - log(y)``. ``math`` calls the C library's ``log`` and
+    ``log1p``, as scipy does, so the values are scipy's to the bit.
+    """
+    if math.isnan(x) or math.isnan(y):
+        return math.nan
+    if x <= 0.0 or y <= 0.0:
+        return 0.0 if x == 0.0 and y >= 0.0 else math.inf
+    ratio = x / y
+    if 0.5 < ratio < 2.0:
+        return x * math.log1p((x - y) / y)
+    if sys.float_info.min < ratio < math.inf:
+        return x * math.log(ratio)
+    return x * (math.log(x) - math.log(y))
 
 
 @functools.cache
@@ -246,7 +268,18 @@ class ContextModel(LikelihoodModel):
         return gather(encode(xs, ys))
 
     def kl_to_truth(self, thetas, xs):
-        return rel_entr(self.true_table[xs], self._tables(thetas)[:, xs]).sum(axis=2)
+        """The label KL summed per (theta, instance), with ``_rel_entr`` once per distinct value.
+
+        A truth cell is one value for every theta, so each evaluates the
+        rule over the distinct values of its column of the parameter tables.
+        """
+        tables = self._tables(thetas)[:, xs]
+        terms = np.empty(tables.shape)
+        for i, row in enumerate(self.true_table[xs].tolist()):
+            for k, p in enumerate(row):
+                values, inverse = np.unique(tables[:, i, k], return_inverse=True)
+                terms[:, i, k] = np.array([_rel_entr(p, q) for q in values.tolist()])[inverse]
+        return terms.sum(axis=2)
 
     def likelihood_bounds(self, thetas):
         """None when some visible label has probability 0: the log-ratio is unbounded."""

@@ -219,7 +219,9 @@ def make_regression_test_set(size: int, ranges, true_theta, noise_std: float,
     """Fixed evaluation set with every coordinate drawn from its own range."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed),))))
     ranges = np.asarray(ranges, dtype=float).reshape(-1, 2)
-    xs = np.column_stack([rng.uniform(lo, hi, size=size) for lo, hi in ranges])
+    xs = np.empty((size, len(ranges)))
+    for j, (lo, hi) in enumerate(ranges):
+        xs[:, j] = rng.uniform(lo, hi, size=size)
     ys = augment(xs) @ np.asarray(true_theta, dtype=float) + noise_std * rng.standard_normal(size)
     return xs, ys
 
@@ -528,6 +530,10 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool,
                 stage, start, 1, k)
         means[:, rounds] = batch_means.transpose(2, 1, 3, 0)
         variances[:, rounds] = batch_variances.transpose(2, 1, 3, 0)
+        # The state leaves the spent batch, which goes with every view of it
+        # before the next batch is formed.
+        state = state.copy()
+        batch = increment = batch_means = batch_variances = None
 
     mse = [None] * n_trials
     if scenario.test_set is not None:

@@ -1,5 +1,6 @@
 """Config schema, subcommands, exit codes, metrics serialization."""
 
+import ast
 import contextlib
 import copy
 import errno
@@ -625,13 +626,29 @@ def test_scenario_rule_is_reported_at_its_config_path(payload, message):
     assert isinstance(info.value.__cause__, ScenarioError)
 
 
-def test_import_leaves_out_scipy_spatial():
+def test_import_loads_no_scipy():
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import peerlearn.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code, str(src)],
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_the_library_imports_only_numpy_and_the_standard_library():
+    # Every import statement, a function-level one too; relative imports stay in the package.
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "numpy" or top in sys.stdlib_module_names, (
+                    f"{path.name}:{node.lineno} imports {name}")
 
 
 class TestRunCommand:

@@ -20,7 +20,9 @@ import ctypes
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -114,6 +116,20 @@ def test_output_bytes_match_the_manifest(name, tmp_path, monkeypatch, one_trial_
     moved = sorted(f for f in expected.keys() | actual.keys() if expected.get(f) != actual.get(f))
     note = environment_note(manifest["environment"], environment())
     assert not moved, f"{name}: {', '.join(moved)} differ from golden.json{note}"
+
+
+def test_isolated_discrete_metrics_do_not_follow_the_blas_core(tmp_path):
+    # An isolated discrete run calls no BLAS, so another OpenBLAS kernel writes the same bytes.
+    name = "writer-bernoulli-isolated"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIGS[name]))
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+           "PYTHONPATH": str(Path(sim.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-m", "peerlearn.cli", "run", str(config),
+                    "--out", str(tmp_path / "out"), "--format", "csv"],
+                   env=env, capture_output=True, check=True)
+    expected = json.loads(MANIFEST_PATH.read_text())["sha256"][name]["metrics.csv"]
+    assert hashlib.sha256((tmp_path / "out" / "metrics.csv").read_bytes()).hexdigest() == expected
 
 
 def test_note_names_what_differs_in_the_environment():

@@ -1,11 +1,13 @@
 """Likelihood families, expected-KL geometry, covering distances."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import rel_entr
 
 from peerlearn import (
     BernoulliContextModel,
@@ -304,6 +306,47 @@ class TestParameterSet:
         with pytest.raises(ValueError):
             ParameterSet(np.array([[0.1], [np.nan]]))
 
+
+def _bits(value) -> str:
+    """A float's exact text, one text for every NaN: signed zeros and infinities differ."""
+    return "nan" if math.isnan(value) else float(value).hex()
+
+
+def _ulps(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+@st.composite
+def _near_branch_edges(draw):
+    """``(x, y)`` a few ulps from the ratios 0.5, 1 and 2, where the rule changes branch."""
+    y = draw(st.floats(min_value=5e-324, max_value=sys.float_info.max))
+    return _ulps(y * draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.integers(-3, 3))), y
+
+
+_TINY = sys.float_info.min
+_PINNED = [
+    *((x, y) for x in (0.0, -0.0, 5e-324, 1.0) for y in (0.0, -0.0, 5e-324, 1.0)),
+    *((_ulps(f * y, steps), y) for f in (0.5, 2.0) for steps in (-1, 0, 1)
+      for y in (1.0, 0.3, 1e-300)),
+    (5e-324, 1.0), (1e-300, 1e10), (_TINY, 2.0), (1e300, 1e-10), (sys.float_info.max, 0.5),
+    *((x, y) for x in (math.inf, -math.inf, math.nan, 0.0, 0.7)
+      for y in (math.inf, -math.inf, math.nan, 0.0, 0.7)),
+]
+
+
+class TestRelEntr:
+    """``models._rel_entr`` against ``scipy.special.rel_entr``, bit for bit and NaN for NaN."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(pair=st.one_of(st.tuples(st.floats(), st.floats()), _near_branch_edges()))
+    def test_matches_scipy(self, pair):
+        assert _bits(models._rel_entr(*pair)) == _bits(rel_entr(*pair))
+
+    @pytest.mark.parametrize("x, y", _PINNED)
+    def test_matches_scipy_on_pinned_cases(self, x, y):
+        assert _bits(models._rel_entr(x, y)) == _bits(rel_entr(x, y))
 
 def expected_kl(model, theta, index, mc_samples, seed) -> float:
     """One node's expected KL from the truth to parameter ``index``, from its separation table."""

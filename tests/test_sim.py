@@ -626,6 +626,7 @@ class TestGaussianEngine:
     @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(2, 4), dim=st.integers(2, 8),
            chunk=st.integers(2, 9))
     @example(seed=8, n_nodes=3, dim=8, chunk=5)
+    @example(seed=4, n_nodes=2, dim=1, chunk=3)  # intercept only: a (30, 0) test set
     def test_engine_matches_oracle_on_random_graphs(self, seed, n_nodes, dim, chunk):
         # 19 rounds: no batch size in 2..9 divides them, so the last batch is short.
         rng = np.random.default_rng(seed)
