@@ -268,11 +268,7 @@ class ContextModel(LikelihoodModel):
         return gather(encode(xs, ys))
 
     def kl_to_truth(self, thetas, xs):
-        """The label KL summed per (theta, instance), with ``_rel_entr`` once per distinct value.
-
-        A truth cell is one value for every theta, so each evaluates the
-        rule over the distinct values of its column of the parameter tables.
-        """
+        # A truth cell is one value for every theta: one rule call per distinct table value.
         tables = self._tables(thetas)[:, xs]
         terms = np.empty(tables.shape)
         for i, row in enumerate(self.true_table[xs].tolist()):

@@ -325,12 +325,11 @@ def _near_branch_edges(draw):
     return _ulps(y * draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.integers(-3, 3))), y
 
 
-_TINY = sys.float_info.min
 _PINNED = [
     *((x, y) for x in (0.0, -0.0, 5e-324, 1.0) for y in (0.0, -0.0, 5e-324, 1.0)),
     *((_ulps(f * y, steps), y) for f in (0.5, 2.0) for steps in (-1, 0, 1)
       for y in (1.0, 0.3, 1e-300)),
-    (5e-324, 1.0), (1e-300, 1e10), (_TINY, 2.0), (1e300, 1e-10), (sys.float_info.max, 0.5),
+    (5e-324, 1.0), (1e-300, 1e10), (sys.float_info.min, 2.0), (1e300, 1e-10), (sys.float_info.max, 0.5),
     *((x, y) for x in (math.inf, -math.inf, math.nan, 0.0, 0.7)
       for y in (math.inf, -math.inf, math.nan, 0.0, 0.7)),
 ]
@@ -347,6 +346,7 @@ class TestRelEntr:
     @pytest.mark.parametrize("x, y", _PINNED)
     def test_matches_scipy_on_pinned_cases(self, x, y):
         assert _bits(models._rel_entr(x, y)) == _bits(rel_entr(x, y))
+
 
 def expected_kl(model, theta, index, mc_samples, seed) -> float:
     """One node's expected KL from the truth to parameter ``index``, from its separation table."""
