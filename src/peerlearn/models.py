@@ -52,26 +52,39 @@ class NotGloballyLearnableError(ValueError):
     """No parameter is optimal for every node simultaneously."""
 
 
-def _rel_entr(x: float, y: float) -> float:
-    """``x log(x / y)``, the KL term, by the rule of ``scipy.special.rel_entr``.
+def _libm(function, values: np.ndarray) -> np.ndarray:
+    """``function`` of each value, a ``math`` function and so the C library's."""
+    return np.fromiter(map(function, values.tolist()), float, values.size)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a ratio past the range is inf, inf - inf NaN
+def _rel_entr(x, y) -> np.ndarray:
+    """``x log(x / y)``, the KL term, elementwise by the rule of ``scipy.special.rel_entr``.
 
     NaN in either argument gives NaN. Where ``x <= 0`` or ``y <= 0`` the
     term is 0 if ``x == 0 and y >= 0``, else +inf. A ratio ``x / y`` in
     ``(0.5, 2)`` takes ``log1p((x - y) / y)``, one in ``(DBL_MIN, inf)``
     takes ``log(x / y)``, and one that underflows or overflows takes
-    ``log(x) - log(y)``. ``math`` calls the C library's ``log`` and
-    ``log1p``, as scipy does, so the values are scipy's to the bit.
+    ``log(x) - log(y)``. The logs come from ``math``, which calls the C
+    library's ``log`` and ``log1p`` as scipy does (numpy's own may take
+    SIMD routes that round otherwise); numpy's quotients, differences and
+    products round as IEEE 754 requires, so the terms are scipy's to the bit.
     """
-    if math.isnan(x) or math.isnan(y):
-        return math.nan
-    if x <= 0.0 or y <= 0.0:
-        return 0.0 if x == 0.0 and y >= 0.0 else math.inf
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    terms = np.where((x == 0.0) & (y >= 0.0), 0.0, np.inf)
+    terms[np.isnan(x) | np.isnan(y)] = np.nan
+    positive = (x > 0.0) & (y > 0.0)
+    x, y = x[positive], y[positive]
     ratio = x / y
-    if 0.5 < ratio < 2.0:
-        return x * math.log1p((x - y) / y)
-    if sys.float_info.min < ratio < math.inf:
-        return x * math.log(ratio)
-    return x * (math.log(x) - math.log(y))
+    near = (0.5 < ratio) & (ratio < 2.0)
+    far = ~near & ~((sys.float_info.min < ratio) & (ratio < math.inf))
+    mid = ~(near | far)
+    logs = np.empty(ratio.shape)
+    logs[near] = _libm(math.log1p, (x[near] - y[near]) / y[near])
+    logs[mid] = _libm(math.log, ratio[mid])
+    logs[far] = _libm(math.log, x[far]) - _libm(math.log, y[far])
+    terms[positive] = x * logs
+    return terms
 
 
 @functools.cache
@@ -268,13 +281,14 @@ class ContextModel(LikelihoodModel):
         return gather(encode(xs, ys))
 
     def kl_to_truth(self, thetas, xs):
-        # A truth cell is one value for every theta: one rule call per distinct table value.
+        # A truth cell is one value for every theta: the rule runs on each
+        # distinct value of the cell's column of the tables.
         tables = self._tables(thetas)[:, xs]
         terms = np.empty(tables.shape)
         for i, row in enumerate(self.true_table[xs].tolist()):
             for k, p in enumerate(row):
                 values, inverse = np.unique(tables[:, i, k], return_inverse=True)
-                terms[:, i, k] = np.array([_rel_entr(p, q) for q in values.tolist()])[inverse]
+                terms[:, i, k] = _rel_entr(p, values)[inverse]
         return terms.sum(axis=2)
 
     def likelihood_bounds(self, thetas):

@@ -530,10 +530,6 @@ def _gaussian_rounds(scenario: Scenario, samples, merge: bool,
                 stage, start, 1, k)
         means[:, rounds] = batch_means.transpose(2, 1, 3, 0)
         variances[:, rounds] = batch_variances.transpose(2, 1, 3, 0)
-        # Copy the state out and drop every view of the spent batch, so that it
-        # is freed before the next batch is formed.
-        state = state.copy()
-        batch = increment = batch_means = batch_variances = None
 
     mse = [None] * n_trials
     if scenario.test_set is not None:

@@ -128,8 +128,11 @@ def test_isolated_discrete_metrics_do_not_follow_the_blas_core(tmp_path):
     subprocess.run([sys.executable, "-m", "peerlearn.cli", "run", str(config),
                     "--out", str(tmp_path / "out"), "--format", "csv"],
                    env=env, capture_output=True, check=True)
-    expected = json.loads(MANIFEST_PATH.read_text())["sha256"][name]["metrics.csv"]
-    assert hashlib.sha256((tmp_path / "out" / "metrics.csv").read_bytes()).hexdigest() == expected
+    manifest = json.loads(MANIFEST_PATH.read_text())
+    actual = hashlib.sha256((tmp_path / "out" / "metrics.csv").read_bytes()).hexdigest()
+    note = environment_note(manifest["environment"], environment())
+    assert actual == manifest["sha256"][name]["metrics.csv"], \
+        f"{name}: metrics.csv differs from golden.json under OPENBLAS_CORETYPE=Sandybridge{note}"
 
 
 def test_note_names_what_differs_in_the_environment():

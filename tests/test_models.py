@@ -347,6 +347,22 @@ class TestRelEntr:
     def test_matches_scipy_on_pinned_cases(self, x, y):
         assert _bits(models._rel_entr(x, y)) == _bits(rel_entr(x, y))
 
+    def test_matches_scipy_elementwise(self):
+        # One call over every branch at once, its cells interleaved, and one
+        # with a scalar truth as kl_to_truth makes.
+        rng = np.random.default_rng(0)
+        patterns = rng.integers(0, 2**64, size=(2, 2048), dtype=np.uint64).view(float)
+        near = rng.random(2048)
+        x = np.concatenate([[x for x, _ in _PINNED], patterns[0], np.abs(patterns[0]),
+                            near * rng.uniform(0.4, 2.1, near.size)])
+        y = np.concatenate([[y for _, y in _PINNED], patterns[1], np.abs(patterns[1]), near])
+        order = rng.permutation(x.size)
+        x, y = x[order], y[order]
+        for args in ((x, y), (0.3, y), (x, 0.3)):
+            got = models._rel_entr(*args)
+            assert got.shape == x.shape
+            assert list(map(_bits, got)) == list(map(_bits, rel_entr(*args)))
+
 
 def expected_kl(model, theta, index, mc_samples, seed) -> float:
     """One node's expected KL from the truth to parameter ``index``, from its separation table."""
