@@ -54,7 +54,7 @@ class NotGloballyLearnableError(ValueError):
 
 def _libm(function, values: np.ndarray) -> np.ndarray:
     """``function`` of each value, a ``math`` function and so the C library's."""
-    return np.fromiter(map(function, values.tolist()), float, values.size)
+    return np.fromiter(map(function, memoryview(values)), float, values.size)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a ratio past the range is inf, inf - inf NaN
@@ -281,14 +281,21 @@ class ContextModel(LikelihoodModel):
         return gather(encode(xs, ys))
 
     def kl_to_truth(self, thetas, xs):
-        # A truth cell is one value for every theta: the rule runs on each
-        # distinct value of the cell's column of the tables.
+        # A truth cell is one value for every theta, so the rule runs once per
+        # distinct value of each cell's column of the tables: sort each label's
+        # column, keep the first of each run of equal values, and scatter the
+        # terms back. A context at a time, so the sort holds one context's cells.
         tables = self._tables(thetas)[:, xs]
         terms = np.empty(tables.shape)
-        for i, row in enumerate(self.true_table[xs].tolist()):
-            for k, p in enumerate(row):
-                values, inverse = np.unique(tables[:, i, k], return_inverse=True)
-                terms[:, i, k] = _rel_entr(p, values)[inverse]
+        for i, truth in enumerate(self.true_table[xs]):
+            columns = tables[:, i].T
+            order = columns.argsort(axis=1)
+            ranked = np.take_along_axis(columns, order, axis=1)
+            first = np.ones(ranked.shape, dtype=bool)
+            first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+            distinct = _rel_entr(np.broadcast_to(truth[:, None], ranked.shape)[first], ranked[first])
+            np.put_along_axis(terms[:, i].T, order,
+                              distinct[np.cumsum(first).reshape(ranked.shape) - 1], axis=1)
         return terms.sum(axis=2)
 
     def likelihood_bounds(self, thetas):

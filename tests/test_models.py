@@ -142,6 +142,23 @@ class TestContextFamilies:
                                    rtol=1e-12, atol=0)
 
     @_WORLDS
+    @given(seed=_SEEDS)
+    def test_kl_to_truth_is_scipys_terms_summed(self, seed):
+        # Up to 12 labels, zeros, and columns with and without repeated values.
+        rng = np.random.default_rng(seed)
+        n_contexts, n_labels = int(rng.integers(1, 5)), int(rng.integers(2, 13))
+        rows = rng.dirichlet(np.ones(n_labels), (40, n_contexts))
+        rows[rng.random(rows.shape) < 0.2] = 0.0
+        rows[..., 0] += 0.1
+        rows /= rows.sum(axis=2, keepdims=True)
+        points = rows[rng.integers(0, rng.choice([3, 40]), 300)].reshape(300, -1)
+        model = CategoricalContextModel(0, rows[0], range(n_contexts))
+        xs = np.flatnonzero(rng.random(n_contexts) < 0.7)
+        expected = rel_entr(model.true_table[xs], model._tables(points)[:, xs]).sum(axis=2)
+        assert list(map(_bits, model.kl_to_truth(points, xs).ravel())) == \
+            list(map(_bits, expected.ravel()))
+
+    @_WORLDS
     @given(family=_FAMILIES, seed=_SEEDS, n_nodes=st.integers(1, 4))
     def test_separation_rate_matches_the_pairwise_oracle(self, family, seed, n_nodes):
         models, points, tables = _context_world(family, seed, n_nodes)
