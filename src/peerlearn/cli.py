@@ -390,16 +390,14 @@ def build_scenario(doc: ConfigDocument) -> Scenario:
     return dataclasses.replace(doc.scenario)
 
 
-def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
-            trials=None, workers: int = 1) -> int:
+def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None, trials=None) -> int:
     """Run the configured experiment and write metrics plus a summary.
 
     The trials run in the groups ``run_experiment`` picks, each group's rows
     written before the next group runs. The metrics and the summary go to
     partial files, which replace ``metrics.<fmt>`` and ``summary.json`` once
     both are written; a failed run removes them and the directories it made,
-    and leaves any other file as it was. ``workers`` is accepted for
-    compatibility and has no effect.
+    and leaves any other file as it was.
     """
     scenario = build_scenario(doc)
     if seed is not None:
@@ -415,7 +413,7 @@ def cmd_run(doc: ConfigDocument, out_dir=None, fmt=None, seed=None,
         directory.mkdir(parents=True, exist_ok=True)  # an unusable path fails before the run
         with open(partials[0], "wb") as handle:
             writer = MetricsWriter(handle, scenario, fmt)
-            report = run_experiment(scenario, workers=workers, consume=writer.write)
+            report = run_experiment(scenario, consume=writer.write)
             writer.finish()
         summary = _summary_dict(report, scenario)
         with open(partials[1], "w") as handle:
@@ -535,8 +533,7 @@ def main(argv=None) -> int:
             doc = parse_config(handle.read())
         if args.command == "run":
             return cmd_run(doc, out_dir=args.out, fmt=args.format,
-                           seed=args.seed, trials=args.trials,
-                           workers=args.workers)
+                           seed=args.seed, trials=args.trials)
         if args.command == "bound":
             return cmd_bound(doc)
         return cmd_check_graph(doc, horizon=args.horizon)

@@ -281,22 +281,12 @@ class ContextModel(LikelihoodModel):
         return gather(encode(xs, ys))
 
     def kl_to_truth(self, thetas, xs):
-        # A truth cell is one value for every theta, so the rule runs once per
-        # distinct value of each cell's column of the tables: sort each label's
-        # column, keep the first of each run of equal values, and scatter the
-        # terms back. A context at a time, so the sort holds one context's cells.
-        tables = self._tables(thetas)[:, xs]
-        terms = np.empty(tables.shape)
-        for i, truth in enumerate(self.true_table[xs]):
-            columns = tables[:, i].T
-            order = columns.argsort(axis=1)
-            ranked = np.take_along_axis(columns, order, axis=1)
-            first = np.ones(ranked.shape, dtype=bool)
-            first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-            distinct = _rel_entr(np.broadcast_to(truth[:, None], ranked.shape)[first], ranked[first])
-            np.put_along_axis(terms[:, i].T, order,
-                              distinct[np.cumsum(first).reshape(ranked.shape) - 1], axis=1)
-        return terms.sum(axis=2)
+        tables = self._tables(thetas)
+        kl = np.empty((len(thetas), len(xs)))
+        # Per context, so the rule's temporaries hold one context's cells.
+        for i, x in enumerate(xs):
+            kl[:, i] = _rel_entr(self.true_table[x], tables[:, x]).sum(axis=1)
+        return kl
 
     def likelihood_bounds(self, thetas):
         """None when some visible label has probability 0: the log-ratio is unbounded."""

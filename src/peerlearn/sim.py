@@ -109,6 +109,8 @@ class Scenario:
                    "discrete engine requires a parameter set")
             _check(self.test_set is None, "test_set",  # the config walk checks it first
                    "test sets apply to the gaussian engine only")
+            _check(self.prior_mean is None and self.prior_variance_diag is None, "prior",
+                   "the prior applies to the gaussian engine only")
         else:  # ``prior`` is the pair prior_mean and prior_variance_diag
             _check(self.prior_mean is not None and self.prior_variance_diag is not None, "prior",
                    "gaussian engine requires this key")

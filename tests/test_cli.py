@@ -478,6 +478,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("payload, message", [
         (discrete_config(test_set={"size": 10, "ranges": [[-1, 1]], "seed": 0}),
          "scenario.test_set: test sets apply to the gaussian engine only"),
+        (discrete_config(prior={"mean": [5, -3], "variance_diag": [1e-3, 1e-3]}),
+         "scenario.prior: the prior applies to the gaussian engine only"),
         (gaussian_config(test_set={"size": 10, "ranges": [[-1, 1]] * 3, "seed": 0}),
          "scenario.test_set.ranges: expected 2 rows, one per input coordinate of true_theta"),
         (gaussian_config(prior={"mean": [0, 0], "variance_diag": [0.5, 0.5]}),
@@ -542,7 +544,7 @@ class TestParseConfig:
         (gaussian_config(test_set={"size": 10, "ranges": [[-1, 1], [-1e308, 1e308]],
                                    "seed": 0}),
          "scenario.test_set.ranges[1]: its width overflows a float"),
-    ], ids=["discrete-test-set", "test-set-width", "prior-mean-length",
+    ], ids=["discrete-test-set", "discrete-prior", "test-set-width", "prior-mean-length",
             *(f"variance-diag-{name}" for name in ("number", "string", "object", "empty")),
             "gaussian-bernoulli-models", "variance-diag-subnormal", "prior-shift-overflow",
             "prior-shift-over-tiny-variance", "noise-std-underflow",

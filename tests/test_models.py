@@ -612,6 +612,19 @@ class TestLinearMemory:
         # family's KL table is (M, n_contexts), never (M, mc_samples).
         assert self._separation_table_peak() < 4 * 2**20
 
+    def test_kl_to_truth_peak_is_flat_in_the_context_count(self):
+        # A categorical family's tables are a view of the points, so what the
+        # call holds beyond its result is the rule's temporaries, one context's.
+        def held(n_contexts):
+            rng = np.random.default_rng(n_contexts)
+            rows = rng.dirichlet(np.ones(4), (4096, n_contexts))
+            model = CategoricalContextModel(0, rows[0], range(n_contexts))
+            points, xs = rows.reshape(4096, -1), np.arange(n_contexts)
+            kl = []
+            return peak_bytes(lambda: kl.append(model.kl_to_truth(points, xs))) - kl[0].nbytes
+
+        assert held(16) <= 1.25 * held(2)
+
 
 class TestCoveringVerifier:
     def test_points_cover_themselves(self):

@@ -445,13 +445,16 @@ class TestScenarioValidation:
          "bound_overrides.likelihood_log_range", "must be finite"),
         ({"bound_overrides": {"separation_rate": np.nan}}, "bound_overrides.separation_rate",
          "must be finite"),
+        ({"prior_mean": np.zeros(3), "prior_variance_diag": np.ones(3)}, "prior",
+         "the prior applies to the gaussian engine only"),
     ], ids=["engine", "n-rounds", "trials", "negative-seed", "seed-past-64-bits", "delta-zero",
             "delta-nan", "delta-one", "kl-mc-samples", "override-misspelt",
             "override-negative-rate", "override-zero-log-range", "override-infinite",
-            "override-nan"])
+            "override-nan", "discrete-prior"])
     def test_field_rule_raises_at_its_field(self, changes, field, message):
         # The CLI reports each at the config path of ``field``; a misspelt
-        # override was ignored, and the bound used the computed value.
+        # override was ignored, and the bound used the computed value, as was
+        # a discrete scenario's prior.
         graph, theta, models = three_node_bernoulli()
         scenario = Scenario(graph=graph, models=models, theta_set=theta, **{
             "engine": "discrete", "n_rounds": 5, "trials": 1, "master_seed": 1, **changes})
