@@ -369,6 +369,17 @@ def _label_tables(model, points) -> np.ndarray:
     return points.reshape(points.shape[:-1] + (model.n_contexts, model.n_labels))
 
 
+def exact_expected_kl(model, points) -> np.ndarray:
+    """A context family's expected KL(truth || likelihood(theta)) per row theta of ``points``.
+
+    The closed form of what ``separation_table`` estimates by Monte Carlo:
+    the instance is uniform over the node's visible contexts, so the
+    expectation is the mean over those contexts of each label table's KL.
+    """
+    tables = _label_tables(model, np.asarray(points, dtype=float))[:, model.visible]
+    return rel_entr(model.true_table[model.visible], tables).sum(axis=2).mean(axis=1)
+
+
 def _per_draw_kl(model, points, psi, xs) -> np.ndarray:
     """KL(likelihood(theta) || likelihood(psi)) per (row theta of ``points``, draw).
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from helpers import (
     REGRESSION_W,
     BeliefVector,
     bayesian_update,
+    covering_grid_world,
     discrete_oracle,
+    exact_expected_kl,
     floor_clamp_scenario,
     gaussian_oracle,
     in_neighbors,
@@ -977,3 +980,57 @@ class TestEngineCrossCheck:
             for i in range(2):
                 peak = grid_axis[int(np.argmax(privates[i].log_weights))]
                 assert abs(peak - gaussian_run.mean_history[k, i, 0]) <= step
+
+
+class TestLearningRates:
+    """The engines learn at the rates of the paper's analysis, against exact expectations.
+
+    In the log-linear rule the log-belief ratio ``r_i(t; theta) = log b_i(theta*)
+    - log b_i(theta)`` obeys ``r(t) = W (r(t - 1) + l(t))``, so while the floor
+    does not fire ``r_i(t) / t`` tends to ``V(theta) - V(theta*)`` with
+    ``V = v @ KL``, v the stationary vector. In the gaussian engine
+    ``P(t) = W (P(t - 1) + A(t))``, so ``t diag(P_i(t)^-1)`` tends to
+    ``diag(F^-1)`` with ``F = sum_j v_j E[a_j a_j^T] / s^2``. Both need a
+    world whose v is not uniform, or a weighting error would not show.
+    """
+
+    STATIONARY = np.array([6.0, 1.0]) / 7.0  # of REGRESSION_W, by hand: 0.1 v_0 = 0.6 v_1
+
+    def test_discrete_log_ratios_grow_at_the_separation_rate(self):
+        graph, theta_set, models, star = covering_grid_world()
+        np.testing.assert_array_equal(graph.weights, REGRESSION_W)
+        scenario = Scenario(graph=graph, engine="discrete", models=models, n_rounds=600,
+                            trials=60, master_seed=23, theta_set=theta_set)
+        report = run_experiment(scenario)
+        assert sum(report.clamp_events) == 0  # the rate holds only before the floor fires
+        rate = self.STATIONARY @ [exact_expected_kl(m, theta_set.points) for m in models]
+        others = np.arange(theta_set.n_points) != star
+        expected = (rate - rate[star])[others]
+
+        window = np.arange(150, scenario.n_rounds)
+        centred = window - window.mean()
+        logs = np.stack([r.belief_history[window] for r in report.trial_results])  # (T, K, N, M)
+        ratios = logs[..., star, None] - logs[..., others]
+        slopes = np.einsum("k,tkna->tna", centred, ratios) / (centred @ centred)
+        mean, spread = slopes.mean(axis=0), slopes.std(axis=0, ddof=1)
+        z = (mean - expected) / (spread / np.sqrt(scenario.trials))
+        bound = NormalDist().inv_cdf(1.0 - 0.001 / (2 * z.size))  # Bonferroni, 0.1% in all
+        assert np.abs(z).max() < bound
+        np.testing.assert_allclose(mean, np.broadcast_to(expected, mean.shape), rtol=0.15)
+
+    def test_gaussian_precision_grows_at_the_information_rate(self):
+        scenario = regression_scenario(n_rounds=4000, trials=4)
+        report = run_experiment(scenario)
+        second_moments = []  # E[a a^T] with a = [1, x], x uniform on the observed ranges
+        for model in scenario.models:
+            seen = np.isin(np.arange(model.instance_dim), model.observed)
+            low, high = model.ranges.T
+            centre = np.concatenate([[1.0], np.where(seen, (low + high) / 2, 0.0)])
+            spread = np.concatenate([[0.0], np.where(seen, (high - low) ** 2 / 12, 0.0)])
+            second_moments.append(np.outer(centre, centre) + np.diag(spread))
+        information = np.tensordot(self.STATIONARY, second_moments, axes=1) / scenario.noise_var
+        expected = np.diag(np.linalg.inv(information))
+        np.testing.assert_allclose(expected, [0.64, 2.24, 5.973], rtol=1e-3)
+        scaled = np.mean([r.variance_diag_history[-1] for r in report.trial_results], axis=0)
+        np.testing.assert_allclose(scenario.n_rounds * scaled,
+                                   np.broadcast_to(expected, scaled.shape), rtol=0.03)
