@@ -273,6 +273,9 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
     _require(isinstance(entries, list), f"{path}.models", "expected an array")
     models = [_model(entry, f"{path}.models[{i}]", i, true_theta, noise_std)
               for i, entry in enumerate(entries)]
+    if engine == "discrete" and true_theta is not None:  # as Scenario.validate checks noise_var
+        _require(any(isinstance(model, LinearGaussianModel) for model in models),
+                 f"{path}.true_theta", "only linear_gaussian models use it")
 
     theta_set = None
     if "parameters" in raw:

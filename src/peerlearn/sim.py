@@ -111,6 +111,9 @@ class Scenario:
                    "test sets apply to the gaussian engine only")
             _check(self.prior_mean is None and self.prior_variance_diag is None, "prior",
                    "the prior applies to the gaussian engine only")
+            _check(self.noise_var is None
+                   or any(isinstance(model, LinearGaussianModel) for model in self.models),
+                   "noise_var", "only linear_gaussian models use it")
         else:  # ``prior`` is the pair prior_mean and prior_variance_diag
             _check(self.prior_mean is not None and self.prior_variance_diag is not None, "prior",
                    "gaussian engine requires this key")

@@ -628,6 +628,45 @@ def test_scenario_rule_is_reported_at_its_config_path(payload, message):
     assert isinstance(info.value.__cause__, ScenarioError)
 
 
+@pytest.mark.parametrize("key, value", [("true_theta", [5.0, -3.0]), ("noise_std", 7.0)])
+def test_a_discrete_config_rejects_gaussian_only_keys(key, value):
+    # Only linear_gaussian models read them; a discrete world without one would ignore them.
+    outcomes, metrics = run_subcommands(discrete_config(**{key: value}))
+    line = f"error: scenario.{key}: only linear_gaussian models use it\n"
+    assert outcomes == {command: (2, "", line) for command in ("run", "bound", "check-graph")}
+    assert metrics is None
+    model = {"family": "linear_gaussian", "observed": [0], "ranges": [[-1, 1]]}
+    grid = discrete_config(models=[model] * 2, parameters={"points": [[0.9, 0.5], [0.2, 0.1]]},
+                           true_theta=[0.9, 0.5], noise_std=0.6)
+    assert parse_config(json.dumps(grid)).scenario.noise_var == 0.36
+
+
+@pytest.mark.parametrize("command", ["run", "bound", "check-graph"])
+def test_a_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'{"schema_version": 1, "scenario": "\xff"}')
+    assert main([command, str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config is not valid UTF-8: ")
+
+
+def test_readme_states_the_whole_contract():
+    # Every flag, every config key the walk accepts and every exit code is in README.md.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    subcommands = cli._build_parser()._subparsers._group_actions[0].choices
+    flags = {option for parser in subcommands.values() for action in parser._actions
+             for option in action.option_strings if option.startswith("--")} - {"--help"}
+    keys = {"schema_version", "scenario", "output", "directory", "format", "weights", "points",
+            "mean", "variance_diag", "size", "ranges", "seed", *sim.BOUND_OVERRIDES,
+            *cli._SCENARIO_REQUIRED, *cli._SCENARIO_OPTIONAL, *cli._MODEL_KEYS,
+            *itertools.chain(*cli._MODEL_KEYS.values())}
+    assert sorted(subcommands) == ["bound", "check-graph", "run"]
+    assert {flag for flag in flags | set(subcommands) if flag not in readme} == set()
+    assert {key for key in keys if f'"{key}"' not in readme} == set()
+    assert {code for code in ("`0`", "`2`", "`3`") if code not in readme} == set()
+
+
 def test_import_loads_no_scipy():
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import peerlearn.cli; "
@@ -1167,6 +1206,7 @@ class TestOverrideValidation:
     @pytest.mark.parametrize("command, flag, value", [
         ("run", "--seed", "-1"),
         ("run", "--seed", str(2**64)),
+        ("run", "--seed", "abc"),
         ("run", "--trials", "0"),
         ("run", "--workers", "0"),
         ("run", "--workers", "-3"),

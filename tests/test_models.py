@@ -1,6 +1,7 @@
 """Likelihood families, expected-KL geometry, covering distances."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -250,6 +251,21 @@ class TestContextFamilies:
             np.testing.assert_allclose(
                 model.log_likelihood_matrix(points, [xs[k]], [ys[k]])[0], batch[k],
                 rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ParameterSet(np.array([0.1, 0.2])), "parameter points must form a 2-D array (M, d)"),
+    (lambda: BernoulliContextModel(0, [[0.8, 0.3]], [0]), "true_probs must be a vector"),
+    *[(lambda std=std: LinearGaussianModel(0, [0.1, 0.2], [[-1, 1]], [0], std),
+       "noise_std must be positive") for std in (0.0, -0.8)],
+    (lambda: separation_table([BernoulliContextModel(0, [0.8], [0])],
+                              ParameterSet(np.array([[0.8], [0.3]])), [0.5, 0.5]),
+     "stationary vector length must match the number of models"),
+], ids=["1-d-parameter-set", "2-d-true-probs", "zero-noise-std", "negative-noise-std",
+        "stationary-length"])
+def test_a_malformed_argument_is_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestParameterSet:

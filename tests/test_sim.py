@@ -356,6 +356,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             scenario.validate()
 
+    def test_discrete_engine_rejects_an_unused_noise_var(self):
+        scenario = single_node_scenario()
+        scenario.noise_var = 0.64
+        with pytest.raises(ScenarioError, match="^noise_var: only linear_gaussian models use it$"):
+            scenario.validate()
+        scenario = intercept_grid_scenario()  # linear_gaussian models on the discrete engine
+        scenario.noise_var = 0.36
+        scenario.validate()
+
     def test_gaussian_engine_requires_prior(self):
         scenario = regression_scenario(n_rounds=5)
         scenario.prior_mean = None
@@ -896,6 +905,21 @@ class TestExperimentAggregation:
         assert report.sample_bound is not None
         assert report.first_all_success_round is not None
         assert report.first_all_success_round < 400
+
+    def test_an_error_without_a_gate_order_stops_the_run_at_once(self, monkeypatch):
+        groups = []
+
+        def failing(scenario, trials, report):
+            groups.append(trials)
+            raise ValueError("not a gate")
+
+        monkeypatch.setattr(sim, "_GROUP_BYTES", 1)
+        monkeypatch.setattr(sim, "_run_group", failing)
+        scenario = twin_optima_scenario(20)
+        assert len(list(sim._trial_groups(scenario))) == scenario.trials
+        with pytest.raises(ValueError, match="^not a gate$"):
+            run_experiment(scenario)
+        assert groups == [range(0, 1)]
 
     @pytest.mark.parametrize("one_trial_groups", [False, True])
     @pytest.mark.parametrize("n_rounds", [20, 80])
