@@ -6,17 +6,8 @@ produce a public belief, and only after a full-round barrier merges its
 in-neighbors' public beliefs through the weighted consensus rule, then
 records its estimate.
 
-There is one engine per belief family, and each runs a group of trials
-(every run takes its trials in groups) as one batch, with its state held as
-arrays over nodes and trials: node-major log-beliefs for the discrete
-engine; for the gaussian one, the precision's lower triangle and the shift,
-entry-major, one array per entry. The round loop carries only the recursion
-(Bayes step, merge); tables and buffers come before it. The gaussian engine
-takes the rounds in batches: each forms its own packed increments from the
-samples and runs the recursion, one add and one product by the graph
-weights per round, or without a merge one running sum over the batch. Then
-an entry-wise Cholesky factorization of the batch, whose pivots are the
-positive-definiteness gate, gives the means and variances.
+Each belief family's engine has its own module, ``beliefs`` or ``gaussian``,
+and runs a group of trials as one batch over trials and nodes.
 
 Randomness is counter-based: every (master_seed, trial, node) triple keys
 an independent Philox stream, and each stream is drawn once per run: all
@@ -30,11 +21,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from . import beliefs as bel
+from . import gaussian
 from .graph import SpectralSummary, WeightMatrix, spectral_gap
 from .models import (LinearGaussianModel, ParameterSet, SeparationTable, assumption_bounds,
                      augment, separation_table)
@@ -42,12 +33,6 @@ from .theory import BoundInputs, InvalidInputsError, sample_complexity
 
 ENGINES = ("discrete", "gaussian")
 BOUND_OVERRIDES = ("likelihood_log_range", "separation_rate")
-_ROW_BUFFER_MIN = 256  # narrower discrete rows keep numpy's default ufunc buffer
-
-# Gaussian rounds per batch: their packed increments, and then their states,
-# share one array, and one entry-wise factorization gates them and gives
-# their moments.
-_CHUNK_ROUNDS = 128
 
 
 class ScenarioError(ValueError):
@@ -235,10 +220,9 @@ def run_trial(scenario: Scenario, trial_index: int, global_optima=None) -> Trial
     """Execute one full synchronous trial, deterministic in (scenario, trial)."""
     scenario.validate()
     if scenario.engine == "discrete":
-        return _discrete_rounds(scenario, [trial_index], global_optima)[0]
-    xs, ys = _gaussian_samples(scenario, [trial_index])
-    return _gaussian_rounds(scenario, (xs[..., None], ys[..., None]),
-                           merge=scenario.cooperative)[0]
+        return bel.run(scenario, [trial_index], global_optima)[0]
+    xs, ys = gaussian.samples(scenario, [trial_index])
+    return gaussian.run(scenario, (xs[..., None], ys[..., None]), merge=scenario.cooperative)[0]
 
 
 # A group of trials holds about this many bytes of samples and histories.
@@ -265,298 +249,6 @@ def _trial_groups(scenario: Scenario):
         yield range(scenario.trials * g // n_groups, scenario.trials * (g + 1) // n_groups)
 
 
-def _discrete_rounds(scenario: Scenario, trials, global_optima=None) -> list[TrialResult]:
-    """The log-linear round engine over a finite parameter set, batched over (trial, node).
-
-    Each (trial, node) stream is drawn once, each sample kept as its model's
-    code (``log_likelihood_codes``). State is the log-beliefs ``(N, T, M)``:
-    each round gathers every node's log-likelihoods by code straight into
-    its ``(T, M)`` block of the publics, adds the privates (the Bayes
-    update) and normalizes; if the scenario is cooperative, one product with
-    the graph weights over ``(T, N, M)`` views takes each node's weighted
-    log-geometric mean of its in-neighbors. Either way the result is
-    normalized again, each normalization's scratch the other, spent buffer;
-    a trial's ``clamp_events`` counts those in which the floor fired. Rows of
-    ``_ROW_BUFFER_MIN`` cells or more get a ufunc buffer of their width, so a
-    row's maximum is not copied across rows; no bit depends on the buffer.
-
-    The row maxima each normalization needs come from one
-    ``np.maximum.reduceat`` over the contiguous state, split at every row's
-    first cell (``_row_maxima``), into one ``(N, T, 1)`` buffer. On narrow
-    rows that costs less than ``max(axis=-1)``, and a maximum is the same
-    bits in any order, NaN, -inf and signed zeros included. Only maxima
-    are taken so: ``np.add.reduceat`` adds a row in another order than the
-    pairwise ``sum(axis=-1)`` and moves the sums' last bits, so row sums
-    stay with ``sum``. ``success`` looks each trial's final estimates up in
-    a boolean table over the parameter indices (``_optimal``).
-    """
-    n_trials, n_rounds = len(trials), scenario.n_rounds
-    n_nodes, n_params = scenario.graph.n_nodes, scenario.theta_set.n_points
-    codecs = [model.log_likelihood_codes(scenario.theta_set.points) for model in scenario.models]
-    codes = []  # per node, (T, K, ...): each sample as its code
-    for t, trial in enumerate(trials):
-        for i, sample in enumerate(_draw_trial_samples(scenario, trial)):
-            code = codecs[i][0](*sample)
-            if t == 0:
-                codes.append(np.empty((n_trials,) + code.shape, code.dtype))
-            codes[i][t] = code
-    gathers = [gather for _, gather in codecs]
-
-    private = np.full((n_nodes, n_trials, n_params), -np.log(n_params))
-    public = np.empty_like(private)
-    private_t, public_t = private.transpose(1, 0, 2), public.transpose(1, 0, 2)  # (T, N, M)
-    row_starts = np.arange(0, private.size, n_params)
-    peak = np.empty((n_nodes, n_trials, 1))
-    estimates = np.empty((n_trials, n_rounds, n_nodes), dtype=np.min_scalar_type(-n_params))
-    beliefs = np.empty(estimates.shape + (n_params,)) if scenario.record_beliefs else None
-    clamp_events = np.zeros(n_trials, dtype=np.int64)
-    bufsize = np.getbufsize()
-    np.setbufsize(bufsize if n_params < _ROW_BUFFER_MIN else min(bufsize, n_params // 16 * 16))
-    try:
-        for k in range(n_rounds):
-            for i, gather in enumerate(gathers):
-                gather(codes[i][:, k], out=public[i])
-            public += private
-            _row_maxima(public, row_starts, peak)
-            if not np.isfinite(peak).all():
-                raise _gate(bel.ZeroLikelihoodError(
-                    f"round {k}: every likelihood underflowed for some node"), k)
-            bel.row_normalize(public, private, peak, clamp_events)
-            # Barrier: the merge only ever sees this round's publics.
-            if scenario.cooperative:
-                np.matmul(scenario.graph.weights, public_t, out=private_t)
-            else:
-                private, public, private_t, public_t = public, private, public_t, private_t
-            _row_maxima(private, row_starts, peak)
-            bel.row_normalize(private, public, peak, clamp_events)
-            estimates[:, k] = private.argmax(axis=-1).T  # argmax copies a transposed view
-            if beliefs is not None:
-                beliefs[:, k] = private_t
-    finally:
-        np.setbufsize(bufsize)
-
-    success = [None] * n_trials
-    if global_optima is not None:
-        success = _optimal(global_optima, n_params).take(estimates[:, -1]).all(axis=1).tolist()
-    return [
-        TrialResult(
-            final_estimates=estimates[t, -1].copy(),
-            success=success[t],
-            estimate_history=estimates[t],
-            belief_history=None if beliefs is None else beliefs[t],
-            clamp_events=int(clamp_events[t]),
-        )
-        for t in range(n_trials)
-    ]
-
-
-def _row_maxima(state: np.ndarray, row_starts: np.ndarray, peak: np.ndarray) -> np.ndarray:
-    """Each row's maximum of a contiguous ``(N, T, M)`` state, into ``peak``, ``(N, T, 1)``.
-
-    One ``np.maximum.reduceat`` over the flat state, split at ``row_starts``,
-    the first cell of every row.
-    """
-    np.maximum.reduceat(state.reshape(-1), row_starts, out=peak.reshape(-1))
-    return peak
-
-
-def _optimal(global_optima, n_params: int) -> np.ndarray:
-    """Whether each of ``n_params`` parameter indices is among ``global_optima``."""
-    table = np.zeros(n_params, dtype=bool)
-    table[list(global_optima)] = True
-    return table
-
-
-@np.errstate(over="ignore")  # overflow reaches the state, which _gaussian_rounds gates
-def _gaussian_samples(scenario: Scenario, trials) -> tuple[np.ndarray, np.ndarray]:
-    """Instances ``x (d - 1, K, T, N)`` and labels over ``s^2``, ``(K, T, N)``: entry-major."""
-    ys = np.empty((scenario.n_rounds, len(trials), scenario.graph.n_nodes))
-    xs = np.empty((len(scenario.prior_mean) - 1,) + ys.shape)
-    for t, trial in enumerate(trials):
-        for i, (instances, labels) in enumerate(_draw_trial_samples(scenario, trial)):
-            xs[:, :, t, i], ys[:, t, i] = instances.T, labels
-    ys /= scenario.noise_var
-    return xs, ys
-
-
-def _increments(xs: np.ndarray, ys: np.ndarray, noise_var: float) -> np.ndarray:
-    """Precision and shift increments of a node's samples in each round, summed and packed.
-
-    ``xs`` holds the instances ``(d - 1, ..., S)`` and ``ys`` the labels over
-    ``s^2``, ``(..., S)``, with ``s^2 = noise_var``. A sample ``(x, y / s^2)``
-    with ``a = [1, x]`` adds ``a a^T / s^2`` to a node's precision and
-    ``a y / s^2`` to its shift (precision times mean). The first axis holds
-    the precision's lower triangle row by row, then the ``d`` shift entries:
-    the layout of the engine's state, one contiguous array per entry. Each
-    entry sums the S samples in order. The intercept's factor is the scalar
-    1.0, and ``1.0 * v`` is ``v``.
-    """
-    dim = len(xs) + 1
-    packed = np.empty((dim * (dim + 3) // 2,) + ys.shape[:-1])
-    for s in range(ys.shape[-1]):
-        a, y = [1.0, *xs[..., s]], ys[..., s]
-        terms = chain((a[i] * a[j] / noise_var for i in range(dim) for j in range(i + 1)),
-                      (a_i * y for a_i in a))
-        for entry, term in zip(packed, terms):
-            if s:
-                entry += term
-            else:
-                entry[...] = term
-    return packed
-
-
-def _pack(mean, precision) -> np.ndarray:
-    """One state: the precision's lower triangle row by row, then the shift ``P m``."""
-    precision = np.asarray(precision, dtype=float)
-    return np.concatenate([precision[np.tril_indices(len(precision))],
-                           precision @ np.asarray(mean, dtype=float)])
-
-
-@np.errstate(divide="ignore", invalid="ignore")  # only where a PD flag is False
-def _moments(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Means, variance diagonals and PD flags of a batch of ``(P, h)`` states.
-
-    ``entries`` is entry-major, ``(d(d+1)/2 + d, ...)``: along its first
-    axis runs the state layout of ``_pack``, and each entry is one
-    contiguous array over the batch. The means ``P^-1 h`` and the variances
-    ``diag(P^-1)`` come back as ``(d, ...)`` and the flags as ``(...)``.
-    The Cholesky factor ``P = L L^T`` is built entry by entry with ufunc
-    arithmetic over the batch. A state is positive definite exactly when
-    every pivot is ``> 0``, which a NaN pivot fails; where a flag is False
-    the moments are meaningless. The means take one forward and one back
-    substitution with ``L``; the variances are the column sums of squares
-    of ``L^-1``. Each state's arithmetic is the same whatever else shares
-    its batch.
-    """
-    dim = (math.isqrt(8 * len(entries) + 9) - 3) // 2
-    starts = [i * (i + 1) // 2 for i in range(dim + 1)]  # of the lower triangle's rows
-    precision = [entries[starts[i]:starts[i + 1]] for i in range(dim)]  # P_ij, j <= i
-    shift = entries[starts[dim]:]
-
-    low = [[None] * (i + 1) for i in range(dim)]  # low[i][j] = L_ij over the batch
-    positive = np.ones(entries.shape[1:], dtype=bool)
-    for j in range(dim):
-        pivot = precision[j][j].copy()
-        for k in range(j):
-            pivot -= low[j][k] * low[j][k]
-        positive &= pivot > 0
-        low[j][j] = np.sqrt(pivot, out=pivot)
-        for i in range(j + 1, dim):
-            entry = precision[i][j].copy()
-            for k in range(j):
-                entry -= low[i][k] * low[j][k]
-            entry /= low[j][j]
-            low[i][j] = entry
-
-    forward = []  # L y = h
-    for i in range(dim):
-        entry = shift[i].copy()
-        for k in range(i):
-            entry -= low[i][k] * forward[k]
-        entry /= low[i][i]
-        forward.append(entry)
-    means = np.empty(shift.shape)  # L^T m = y
-    for i in reversed(range(dim)):
-        means[i] = forward[i]
-        for k in range(i + 1, dim):
-            means[i] -= low[k][i] * means[k]
-        means[i] /= low[i][i]
-
-    variances = np.empty_like(means)
-    for c in range(dim):
-        column = [None] * c + [1.0 / low[c][c]]  # column c of L^-1, down from its diagonal
-        variances[c] = column[c] * column[c]
-        for i in range(c + 1, dim):
-            entry = low[i][c] * column[c]
-            for k in range(c + 1, i):
-                entry += low[i][k] * column[k]
-            entry /= -low[i][i]
-            column.append(entry)
-            variances[c] += entry * entry
-    return means, variances, positive
-
-
-@np.errstate(over="ignore", invalid="ignore")  # the finiteness gate reports these
-def _gaussian_rounds(scenario: Scenario, samples, merge: bool,
-                     stage: int = 1) -> list[TrialResult]:
-    """The conjugate round engine in information form, batched over (trial, node).
-
-    ``samples`` are ``x (d - 1, K, T, N, S)`` and ``y / s^2 (K, T, N, S)``:
-    each round a node takes its own sample (S = 1) or, centrally, every
-    node's. State is the precision ``P`` and the shift ``h = P m``, packed
-    as in ``_pack``. Each round adds the packed sample increments (the Bayes
-    update), then, if ``merge``, mixes in-neighbors with one product by the
-    graph weights per trial: for Gaussian beliefs the log-geometric-mean
-    rule is linear in ``(P, h)``. Per ``_CHUNK_ROUNDS`` rounds the engine
-    forms the batch's ``E = d(d+1)/2 + d`` increments, entry-major
-    ``(E, K, T, N)``, and runs the recursion on ``(T, N, E)`` views, each
-    round's state written over its spent increments, where the next round
-    reads it; without a merge, the recursion is one running sum over the
-    batch. Then it gates the states, which must be finite (the inputs may
-    overflow), and computes the moments from the same array with
-    ``_moments``, whose Cholesky pivots are the positive-definiteness gate.
-    The test MSE, which overflows on finite but huge means, must be finite
-    too. ``stage`` places the gates' failures in the run (see ``_gate``).
-    """
-    xs, ys = samples
-    n_rounds, n_trials, n_nodes, _ = ys.shape
-    dim = len(xs) + 1
-    precision = np.diag(1.0 / np.asarray(scenario.prior_variance_diag, dtype=float))
-    state = np.empty((n_trials, n_nodes, dim * (dim + 3) // 2))
-    state[...] = _pack(scenario.prior_mean, precision)
-    scratch, weights = np.empty_like(state), scenario.graph.weights  # C order: a faster matmul
-    means = np.empty((n_trials, n_rounds, n_nodes, dim))
-    variances = np.empty_like(means)
-    for start in range(0, n_rounds, _CHUNK_ROUNDS):
-        rounds = slice(start, start + _CHUNK_ROUNDS)
-        batch = _increments(xs[:, rounds], ys[rounds], scenario.noise_var)
-        if merge:
-            for increment in batch.transpose(1, 2, 3, 0):
-                np.add(state, increment, out=scratch)
-                # Barrier: the merge only ever sees this round's publics.
-                np.matmul(weights, scratch, out=increment)
-                state = increment
-        else:  # the recursion is a running sum, summed round after round
-            batch[:, 0] += state.transpose(2, 0, 1)
-            np.add.accumulate(batch, axis=1, out=batch)
-            state = batch[:, -1].transpose(1, 2, 0)
-        finite = np.isfinite(batch).all(axis=0)
-        if not finite.all():
-            k = start + int(np.argmin(finite.all(axis=(1, 2))))
-            raise _gate(ValueError(f"round {k}: precision or shift is not finite; "
-                                   "an input overflows"), stage, start, 0, k)
-        batch_means, batch_variances, positive = _moments(batch)
-        if not positive.all():
-            k = start + int(np.argmin(positive.all(axis=(1, 2))))
-            ratio = np.max(scenario.prior_variance_diag) / scenario.noise_var
-            raise _gate(SingularPrecisionError(
-                f"round {k}", "precision is not positive definite; the state is ill-conditioned: "
-                f"1/noise_std^2 is {ratio:.3g} times the least prior precision"),
-                stage, start, 1, k)
-        means[:, rounds] = batch_means.transpose(2, 1, 3, 0)
-        variances[:, rounds] = batch_variances.transpose(2, 1, 3, 0)
-
-    mse = [None] * n_trials
-    if scenario.test_set is not None:
-        moments = _test_set_moments(scenario.test_set)
-        # The MSE runs per trial so that its BLAS calls never see the batch size.
-        mse = [_test_set_mse(moments, means[t]) for t in range(n_trials)]
-        finite = np.all([np.isfinite(curve).all(axis=1) for curve in mse], axis=0)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise _gate(ValueError(f"round {k}: test MSE is not finite; an input overflows"),
-                        stage, n_rounds, 2, k)
-    return [
-        TrialResult(
-            final_estimates=means[t, -1].copy(),
-            mean_history=means[t],
-            variance_diag_history=variances[t],
-            mse_history=mse[t],
-        )
-        for t in range(n_trials)
-    ]
-
-
 def _gate(error: ValueError, *order) -> ValueError:
     """``error``, from a failed gate, marked with the place of its check in a run.
 
@@ -569,28 +261,6 @@ def _gate(error: ValueError, *order) -> ValueError:
     """
     error.order = order
     return error
-
-
-def _test_set_moments(test_set) -> tuple[np.ndarray, np.ndarray, float]:
-    """The test set's Gram matrix ``G``, cross vector ``b`` and energy ``c``, all per point."""
-    x_test, y_test = test_set
-    aug = augment(x_test)
-    gram = aug.T @ aug / len(y_test)
-    cross = aug.T @ y_test / len(y_test)
-    energy = y_test @ y_test / len(y_test)
-    return gram, cross, energy
-
-
-def _test_set_mse(moments, means: np.ndarray) -> np.ndarray:
-    """Test MSE of each mean from the test set's moments: ``m G m - 2 b m + c``.
-
-    The quadratic term sums ``(m_a G_ab) m_b`` from 0, ``a`` outer and ``b``
-    inner: the order, and so the bits, of ``einsum("...a,ab,...b->...")``.
-    """
-    gram, cross, energy = moments
-    entries = range(len(gram))
-    quadratic = sum(means[..., a] * gram[a, b] * means[..., b] for a in entries for b in entries)
-    return quadratic - 2.0 * (means @ cross) + energy
 
 
 def sample_bound(
@@ -655,15 +325,14 @@ def _set_up(scenario: Scenario) -> ExperimentReport:
 def _run_group(scenario: Scenario, trials, report: ExperimentReport):
     """The engines on one group of trials: its results, and its baselines' MSE curves or None."""
     if scenario.engine == "discrete":
-        return _discrete_rounds(scenario, trials, report.separation.global_optima), None
-    xs, ys = _gaussian_samples(scenario, trials)
+        return bel.run(scenario, trials, report.separation.global_optima), None
+    xs, ys = gaussian.samples(scenario, trials)
     baselines = None
     if scenario.test_set is not None:  # one node fed every node's samples each round
         # Only the curves outlive this line, so the network pass runs without the rest.
-        baselines = [r.mse_history[:, 0] for r in _gaussian_rounds(
+        baselines = [r.mse_history[:, 0] for r in gaussian.run(
             scenario, (xs[:, :, :, None], ys[:, :, None]), merge=False, stage=0)]
-    results = _gaussian_rounds(scenario, (xs[..., None], ys[..., None]),
-                               merge=scenario.cooperative)
+    results = gaussian.run(scenario, (xs[..., None], ys[..., None]), merge=scenario.cooperative)
     return results, baselines
 
 
@@ -681,8 +350,8 @@ class _Aggregates:
         if report.engine == "discrete":
             report.clamp_events += [r.clamp_events for r in results]
             self.failures += sum(r.success is False for r in results)
-            optimal = _optimal(report.separation.global_optima,
-                               report.separation.kl_to_truth.shape[1])
+            optimal = bel.optimal(report.separation.global_optima,
+                                  report.separation.kl_to_truth.shape[1])
             self.all_ok &= np.all([optimal.take(r.estimate_history).all(axis=1)
                                    for r in results], axis=0)
         elif baselines is not None:

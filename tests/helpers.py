@@ -589,7 +589,7 @@ def reference_increments(xs, ys, noise_var: float) -> np.ndarray:
     ``xs`` is ``(d - 1, ..., S)`` and ``ys`` (labels over ``s^2``) ``(..., S)``.
     With the augmented instance ``a = [1, x]``, the precision entry ``(i, j)``
     sums ``(a_i a_j) / s^2`` and the shift entry ``i`` sums ``a_i (y / s^2)``
-    over the S samples in order. Entries follow ``sim._pack``: the lower
+    over the S samples in order. Entries follow ``gaussian._pack``: the lower
     triangle row by row, then the shift, one array per entry.
     """
     aug = augment(np.moveaxis(xs, 0, -1))  # (..., S, d)

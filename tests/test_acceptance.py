@@ -24,12 +24,12 @@ from peerlearn import (
     ParameterSet,
     Scenario,
     assumption_bounds,
+    gaussian,
     risk_bound,
     run_experiment,
     run_trial,
     sample_complexity,
     separation_table,
-    sim,
     spectral_gap,
     verify_mixing_bound,
 )
@@ -224,8 +224,8 @@ def _oracle_log_gap(beliefs, weights, grid) -> float:
     input precisions. The grid side merges the beliefs' log densities
     through the reference consensus.
     """
-    merged = np.asarray(weights) @ np.stack([sim._pack(b.mean, b.precision) for b in beliefs])
-    means, _, positive = sim._moments(merged[:, None])
+    merged = np.asarray(weights) @ np.stack([gaussian._pack(b.mean, b.precision) for b in beliefs])
+    means, _, positive = gaussian._moments(merged[:, None])
     assert positive.all()
     precision = sum(w * b.precision for b, w in zip(beliefs, weights))
     log_direct = GaussianBelief(means[:, 0], precision).log_density(grid.points)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from peerlearn import sim
+from peerlearn import gaussian
 
 from helpers import (
     GaussianBelief,
@@ -34,12 +34,12 @@ def reference_prior() -> GaussianBelief:
 def gaussian_engine_merge(beliefs, weights) -> np.ndarray:
     """The gaussian engine's merge: each belief packed as a state row, the
     rows mixed by the weights as one row of a round's weight matrix."""
-    return np.asarray(weights) @ np.stack([sim._pack(b.mean, b.precision) for b in beliefs])
+    return np.asarray(weights) @ np.stack([gaussian._pack(b.mean, b.precision) for b in beliefs])
 
 
 def engine_moments(row: np.ndarray):
     """The mean and the variance diagonal of one packed state, from the engine's kernel."""
-    means, variances, positive = sim._moments(row[:, None])
+    means, variances, positive = gaussian._moments(row[:, None])
     assert positive.all()
     return means[:, 0], variances[:, 0]
 
@@ -53,14 +53,14 @@ class TestBeliefType:
     """The gaussian engine's belief: one packed ``(P, h)`` state row and its moments."""
 
     def test_rejects_indefinite_precision(self):
-        row = sim._pack(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert not sim._moments(row[:, None])[2].any()
+        row = gaussian._pack(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert not gaussian._moments(row[:, None])[2].any()
 
     def test_covariance_inverts_precision(self, rng):
         root = rng.normal(size=(3, 3))
         precision = root @ root.T + 3 * np.eye(3)
         mean = rng.normal(size=3)
-        engine_mean, variances = engine_moments(sim._pack(mean, precision))
+        engine_mean, variances = engine_moments(gaussian._pack(mean, precision))
         covariance = np.linalg.inv(precision)
         np.testing.assert_allclose(variances, np.diag(covariance), atol=1e-10)
         np.testing.assert_allclose(engine_mean, mean, atol=1e-10)
@@ -109,7 +109,8 @@ class TestConsensus:
         root = rng.normal(size=(3, 3))
         belief = GaussianBelief(rng.normal(size=3), root @ root.T + 2 * np.eye(3))
         merged = gaussian_engine_merge([belief, belief], [0.3, 0.7])
-        np.testing.assert_allclose(merged, sim._pack(belief.mean, belief.precision), atol=1e-10)
+        np.testing.assert_allclose(merged, gaussian._pack(belief.mean, belief.precision),
+                                   atol=1e-10)
         np.testing.assert_allclose(engine_moments(merged)[0], belief.mean, atol=1e-10)
 
     def test_equal_precisions_average_means(self):
@@ -117,7 +118,7 @@ class TestConsensus:
         a = GaussianBelief(np.array([1.0, -1.0]), precision)
         b = GaussianBelief(np.array([3.0, 5.0]), precision)
         merged = gaussian_engine_merge([a, b], [0.5, 0.5])
-        np.testing.assert_allclose(merged, sim._pack([2.0, 2.0], precision), atol=1e-12)
+        np.testing.assert_allclose(merged, gaussian._pack([2.0, 2.0], precision), atol=1e-12)
         np.testing.assert_allclose(engine_moments(merged)[0], [2.0, 2.0], atol=1e-12)
 
     def test_scalar_reference_case(self):

@@ -26,6 +26,7 @@ from peerlearn import (
     sim,
     validate_weight_matrix,
 )
+from peerlearn import beliefs, gaussian
 
 from helpers import (
     REGRESSION_NOISE_STD,
@@ -147,9 +148,8 @@ def histories(result) -> tuple:
 
 def central_baselines(scenario: Scenario, trials) -> list:
     """The central baseline's full results, through the kernel ``run_experiment`` calls."""
-    xs, ys = sim._gaussian_samples(scenario, trials)
-    return sim._gaussian_rounds(scenario, (xs[:, :, :, None], ys[:, :, None]), merge=False,
-                                stage=0)
+    xs, ys = gaussian.samples(scenario, trials)
+    return gaussian.run(scenario, (xs[:, :, :, None], ys[:, :, None]), merge=False, stage=0)
 
 
 def assert_matches_gaussian_oracle(scenario: Scenario) -> None:
@@ -229,7 +229,8 @@ class TestDiscreteEngine:
         state[2, 0, -1] = -0.0
         state[2, 3, ::2], state[2, 3, 1::2] = 0.0, -0.0
         peak = np.empty((3, 4, 1))
-        assert sim._row_maxima(state, np.arange(0, state.size, width), peak) is peak
+        row_starts = np.arange(0, state.size, width)
+        np.maximum.reduceat(state.reshape(-1), row_starts, out=peak.reshape(-1))
         np.testing.assert_array_equal(bits(peak), bits(state.max(axis=-1, keepdims=True)))
         assert np.isnan(peak[1, 2, 0]) and peak[0, 1, 0] == -np.inf
         assert np.signbit(peak[2, 0, 0]) and peak[2, 0, 0] == 0.0
@@ -251,7 +252,7 @@ class TestDiscreteEngine:
             return normalize(log_rows, scratch, peak, *rest)
 
         monkeypatch.setattr(sim.bel, "row_normalize", checked)
-        results = sim._discrete_rounds(scenario, range(scenario.trials))
+        results = beliefs.run(scenario, range(scenario.trials))
         assert len(buffers) == 2 * scenario.n_rounds
         assert len(set(buffers[1::2])) == (1 if cooperative else 2)
         assert all(r.clamp_events > 0 for r in results)
@@ -533,14 +534,14 @@ class TestMomentsKernel:
         precision = symmetric(eigenvalues)
         shift = scale[..., 0] * rng.normal(size=(batch, dim))
 
-        means, variances, positive = sim._moments(entry_major(precision, shift))
+        means, variances, positive = gaussian._moments(entry_major(precision, shift))
         assert positive.all()
         tolerance = 64 * np.linalg.cond(precision) * np.finfo(float).eps
         for got, want in zip((means.T, variances.T), lapack_moments(precision, shift)):
             error = np.abs(got - want).max(axis=1)
             assert np.all(error <= tolerance * np.abs(want).max(axis=1))
         # One state alone gets the same bits as in its batch.
-        alone = sim._moments(entry_major(precision[:1], shift[:1]))
+        alone = gaussian._moments(entry_major(precision[:1], shift[:1]))
         np.testing.assert_array_equal(alone[0][:, 0], means[:, 0])
         np.testing.assert_array_equal(alone[1][:, 0], variances[:, 0])
 
@@ -555,9 +556,9 @@ class TestMomentsKernel:
             with pytest.raises(np.linalg.LinAlgError):
                 lapack_moments(defective[:1], shift[:1])
         for defective in (indefinite, singular, with_nan):
-            assert not sim._moments(entry_major(defective, shift))[2].any()
+            assert not gaussian._moments(entry_major(defective, shift))[2].any()
         mixed = np.concatenate([precision[:1], singular[1:2], precision[2:3], with_nan[3:4]])
-        flags = sim._moments(entry_major(mixed, shift[:4]))[2]
+        flags = gaussian._moments(entry_major(mixed, shift[:4]))[2]
         np.testing.assert_array_equal(flags, [True, False, True, False])
 
 
@@ -589,7 +590,7 @@ class TestExactKernels:
         noise_var = data.draw(st.floats(allow_nan=False, allow_infinity=False,
                                         allow_subnormal=True).filter(bool), label="noise_var")
         with np.errstate(all="ignore"):
-            got = sim._increments(xs, ys, noise_var)
+            got = gaussian._increments(xs, ys, noise_var)
             want = reference_increments(xs, ys, noise_var)
         assert got.shape == (dim * (dim + 3) // 2,) + batch
         np.testing.assert_array_equal(float_bits(got), float_bits(want))
@@ -600,14 +601,14 @@ class TestExactKernels:
         # scales from 1e-3 to 1e3, with zeros of both signs, infinities and NaN.
         rng = np.random.default_rng(dim)
         x_test = rng.uniform(-1.5, 1.5, (25, dim - 1))
-        moments = sim._test_set_moments((x_test, rng.normal(size=25)))
+        moments = gaussian._test_set_moments((x_test, rng.normal(size=25)))
         means = rng.normal(size=(3, 300, 2, dim)) * 10.0 ** rng.integers(-3, 4, (3, 300, 2, 1))
         cells = rng.choice(means.size, 40, replace=False)
         means.flat[cells] = np.resize([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan], 40)
         with np.errstate(all="ignore"):
             for batch in (means, means[1]):
                 np.testing.assert_array_equal(
-                    float_bits(sim._test_set_mse(moments, batch)),
+                    float_bits(gaussian._test_set_mse(moments, batch)),
                     float_bits(reference_test_set_mse(moments, batch)))
 
 
@@ -656,14 +657,14 @@ class TestGaussianEngine:
             prior_variance_diag=rng.uniform(0.2, 2.0, dim), noise_var=0.49,
             test_set=make_regression_test_set(30, ranges, theta, 0.7, seed))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim, "_CHUNK_ROUNDS", chunk)
+            patch.setattr(gaussian, "_CHUNK_ROUNDS", chunk)
             for cooperative in (True, False):
                 assert_matches_gaussian_oracle(
                     dataclasses.replace(scenario, cooperative=cooperative))
 
     @pytest.mark.parametrize("merge", [True, False])
     def test_pd_gate_names_the_failing_round(self, monkeypatch, merge):
-        monkeypatch.setattr(sim, "_CHUNK_ROUNDS", 4)
+        monkeypatch.setattr(gaussian, "_CHUNK_ROUNDS", 4)
         # Every sample is zero. The negative noise variance makes each round's
         # increment -100 e0 e0^T (the intercept's entry is 1/s^2), so P_00,
         # 1/0.0018 at the prior, is 555.6 - 100 (k + 1) after round k: round 5,
@@ -677,7 +678,7 @@ class TestGaussianEngine:
                            match=r"^round 5: precision is not positive definite; the state is "
                                  r"ill-conditioned: 1/noise_std\^2 is -50 times the least prior "
                                  r"precision$"):
-            sim._gaussian_rounds(scenario, (xs, ys), merge=merge)
+            gaussian.run(scenario, (xs, ys), merge=merge)
 
     def test_peak_does_not_grow_with_the_round_count(self):
         # d = 6 and two trials: the traced peak less what the run holds (the
@@ -712,7 +713,7 @@ class TestGaussianEngine:
         scenario = regression_scenario(n_rounds=300, trials=3)
         trials = range(scenario.trials)
         default = run_experiment(scenario).trial_results + central_baselines(scenario, trials)
-        monkeypatch.setattr(sim, "_CHUNK_ROUNDS", 7)
+        monkeypatch.setattr(gaussian, "_CHUNK_ROUNDS", 7)
         small = run_experiment(scenario).trial_results + central_baselines(scenario, trials)
         for a, b in zip(default, small, strict=True):
             for history_a, history_b in zip(histories(a), histories(b)):
@@ -836,7 +837,7 @@ class TestDeterminism:
         # of the row width. Buffering only chunks elementwise ops, so no bit
         # may move with the caller's buffer size, on either side of the rule.
         default = np.getbufsize()
-        for n_params in (sim._ROW_BUFFER_MIN - 1, sim._ROW_BUFFER_MIN):
+        for n_params in (beliefs._ROW_BUFFER_MIN - 1, beliefs._ROW_BUFFER_MIN):
             for cooperative in (True, False):
                 scenario = index_edge_scenario(n_params, n_rounds=30, trials=3)
                 scenario.cooperative = cooperative
@@ -844,7 +845,7 @@ class TestDeterminism:
                 for size in (16, default, 16384):
                     np.setbufsize(size)
                     try:
-                        runs.append(sim._discrete_rounds(scenario, range(3)))
+                        runs.append(beliefs.run(scenario, range(3)))
                         assert np.getbufsize() == size
                     finally:
                         np.setbufsize(default)
