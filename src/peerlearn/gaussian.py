@@ -168,6 +168,7 @@ def run(scenario: sim.Scenario, samples, merge: bool, stage: int = 1) -> list[si
                 # Barrier: the merge only ever sees this round's publics.
                 np.matmul(weights, scratch, out=increment)
                 state = increment
+            del increment
         else:  # the recursion is a running sum, summed round after round
             batch[:, 0] += state.transpose(2, 0, 1)
             np.add.accumulate(batch, axis=1, out=batch)
@@ -187,6 +188,10 @@ def run(scenario: sim.Scenario, samples, merge: bool, stage: int = 1) -> list[si
                 stage, start, 1, k)
         means[:, rounds] = batch_means.transpose(2, 1, 3, 0)
         variances[:, rounds] = batch_variances.transpose(2, 1, 3, 0)
+        # The state is a view into the batch: copied out, it lets the spent
+        # batch go before the next one forms.
+        state = state.copy()
+        del batch, batch_means, batch_variances
 
     mse = [None] * n_trials
     if scenario.test_set is not None:

@@ -9,9 +9,10 @@ import re
 import numpy as np
 
 # A chunk of the metrics table holds about this many cells, so writing it
-# takes memory independent of the trial count. Rendering takes about 235
-# bytes a value cell (mostly ``_render_fast``'s index): 1.3 MB a chunk of
-# gaussian rows with 7 values and 3 labels, under 1.9 MB for any chunk.
+# takes memory independent of the trial count. Rendering takes about 100
+# bytes a value cell, at its peak while ``_fixed_notation`` builds the slots:
+# 0.59 MB a chunk of gaussian rows with 7 values and 3 labels, under 0.85 MB
+# for any chunk.
 _CHUNK_CELLS = 2**13
 
 
@@ -57,37 +58,19 @@ def _metric_chunks(scenario, first: int, results, n_cells: int):
 # Fixed-notation cells. '%.12g' writes x in fixed notation when the exponent
 # X of its rounding to 12 significant digits lies in [-4, 11]. Such a cell's
 # text follows from its 12 digits, X, its count k of significant digits and
-# its sign: each (X, k, sign) has one pattern of indices into the cell's 16
-# source bytes, its digits then "-", ".", "0" and a pad byte (0), which is
-# dropped from the text. The digits come from a table of 4-digit groups.
+# its sign, and fits a slot of 19 bytes, 0 where the text has none: the
+# sign, "0.000" up to the first digit when X < 0, then 13 bytes of digits
+# with the point after the first X + 1 when X >= 0. The digits come from a
+# table of 4-digit groups. Every other byte is a mask by place: an array of
+# (place, 1, 1) compared with each cell's X, k or sign over a chunk's
+# (rows, cols), so an exponent tail would be one more block of places.
 _POW10 = np.array([float(10**j) for j in range(17)])
 _QUADS = np.arange(10**4)
 _QUAD_DIGITS = (48 + _QUADS[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
-_QUAD_WORDS = _QUAD_DIGITS.view(np.uint32)[:, 0]
-_QUAD_TRAILING_ZEROS = sum(_QUADS % 10**j == 0 for j in range(1, 5))
-_SOURCE_TAIL = np.frombuffer(b"-.0\0", dtype=np.uint32)[0]
-
-
-def _number_patterns() -> np.ndarray:
-    """Source-byte indices of each fixed-notation text, padded to 18 bytes.
-
-    Row ``((X + 4) * 13 + k) * 2 + negative`` is the number with leading
-    digit at ``10**X`` and ``k`` significant digits; zero has X = 0, k = 0.
-    """
-    minus, point, zero, pad = 12, 13, 14, 15
-    patterns = np.full((16, 13, 2, 18), pad)
-    for x in range(-4, 12):
-        for k in range(13):
-            if x >= 0:
-                text = [*range(x + 1), *([point, *range(x + 1, k)] if k > x + 1 else [])]
-            else:
-                text = [zero, point, *[zero] * (-x - 1), *range(k)]
-            patterns[x + 4, k, 0, :len(text)] = text
-            patterns[x + 4, k, 1, :len(text) + 1] = [minus, *text]
-    return patterns.reshape(-1, 18)
-
-
-_NUMBER_PATTERNS = _number_patterns()
+_QUAD_TRAILING_ZEROS = sum(_QUADS % 10**j == 0 for j in range(1, 5)).astype(np.int8)
+_PREFIX = np.frombuffer(b"0.000", np.uint8).reshape(5, 1, 1)
+_PREFIX_BELOW = np.array([0, 0, -1, -2, -3], np.int8).reshape(5, 1, 1)  # kept where X is less
+_PLACES = np.arange(13, dtype=np.int8).reshape(13, 1, 1)
 
 
 def _in_fixed_range(values: np.ndarray) -> np.ndarray:
@@ -97,12 +80,12 @@ def _in_fixed_range(values: np.ndarray) -> np.ndarray:
 
 
 def _fixed_notation(values: np.ndarray, in_range=None):
-    """Which cells take the fixed-notation path, with their pattern rows and source bytes.
+    """Which cells take the fixed-notation path, and the slots of their text.
 
-    Returns ``fast``, ``key`` (each cell's row of ``_NUMBER_PATTERNS``, valid
-    where fast) and ``source`` (each cell's 16 source bytes as 4 words).
-    ``in_range``, if given, is ``_in_fixed_range(values)``, and becomes
-    ``fast``. The digits are ``rint(y)`` for ``y = |x| * 10**(11 - e)``,
+    Returns ``fast`` and ``slots``, ``(19,) + values.shape`` bytes: slot
+    byte ``j`` of every cell is ``slots[j]``, so that each step runs over
+    the cells. ``in_range``, if given, is ``_in_fixed_range(values)``, and
+    becomes ``fast``. The digits are ``rint(y)`` for ``y = |x| * 10**(11 - e)``,
     ``e`` the floor of ``log10|x|``. The power is exact for e in [-5, 11],
     so ``y`` is the exact product correctly rounded. Below 1e12 every half
     lies on the grid of doubles, so ``y`` is on the exact product's side of
@@ -112,35 +95,46 @@ def _fixed_notation(values: np.ndarray, in_range=None):
     raises X). A cell is not fast, and is flagged, when it is out of range,
     a half, -0.0 (``%d`` writes "0"), or in range by ``_in_fixed_range`` yet
     written in exponent notation: a carry to 1e+12, or a value just below
-    1e-4. A flagged cell's key may lie off the table.
+    1e-4. A flagged cell's X may be -5 or 12, and its slot holds no text.
     """
     fast = _in_fixed_range(values) if in_range is None else in_range
-    zero = values == 0
-    a = np.where(fast & ~zero, np.abs(values), 1.0)
-    e = np.clip(np.floor(np.log10(a)), -5, 11).astype(np.intp)
-    y = a * _POW10[11 - e]
-    digits = np.rint(y)
+    zero, negative = values == 0, np.signbit(values)
+    y = np.where(fast & ~zero, np.abs(values), 1.0)
+    e = np.clip(np.floor(np.log10(y)), -5, 11).astype(np.int8)
+    y *= np.take(_POW10, 11 - e)
     fast &= y - np.floor(y) != 0.5
-    fast &= ~(zero & np.signbit(values))
+    fast &= ~(zero & negative)
+    digits = np.rint(y, out=y)
     carry = digits == 1e12
     x = e + carry
     fast &= (x >= -4) & (x <= 11)
     digits[carry] = 1e11
     digits[zero] = 0
     # Exact in floats: each quotient's fraction stays clear of the next integer.
-    high = np.floor(digits / 1e8)
-    rest = digits - high * 1e8
-    mid = np.floor(rest / 1e4)
-    high, mid, low = (q.astype(np.intp) for q in (high, mid, rest - mid * 1e4))
-    zeros = _QUAD_TRAILING_ZEROS
-    k = 12 - zeros[low] - (low == 0) * (zeros[mid] + (mid == 0) * zeros[high])
-    key = ((x + 4) * 13 + k) * 2 + np.signbit(values)
-    source = np.empty(values.shape + (4,), np.uint32)
-    source[..., 0] = _QUAD_WORDS[high]
-    source[..., 1] = _QUAD_WORDS[mid]
-    source[..., 2] = _QUAD_WORDS[low]
-    source[..., 3] = _SOURCE_TAIL
-    return fast, key, source
+    quads = np.empty((3,) + values.shape, np.intp)
+    for j, unit in enumerate((1e8, 1e4)):
+        quads[j] = quotient = np.floor(digits / unit)
+        digits -= quotient * unit
+    quads[2] = digits
+    zeros = _QUAD_TRAILING_ZEROS[quads]  # 4 for a group of 0
+    k = 12 - zeros[2] - (zeros[2] == 4) * (zeros[1] + (zeros[1] == 4) * zeros[0])
+    # The place of the point among the digits, 13 (none) when X < 0, and
+    # the digit bytes kept: through the last significant digit, or the units.
+    point = np.where(x < 0, np.int8(13), x + np.int8(1))
+    end = np.where(x < 0, k, np.maximum(point, k + (k > point)))
+    slots = np.empty((20,) + values.shape, np.uint8)  # byte 19 takes the points of none
+    np.multiply(negative, np.uint8(45), out=slots[0])  # '-'
+    np.multiply(x < _PREFIX_BELOW, _PREFIX, out=slots[1:6])
+    spread = np.zeros((14,) + values.shape, np.uint8)  # digit j at place j + 1
+    quads = np.take(_QUAD_DIGITS, quads, axis=0)  # the groups' text, 4 bytes each
+    spread[1:13].reshape(3, 4, *values.shape)[...] = np.moveaxis(quads, -1, 1)
+    text = slots[6:19]  # digit j at place j before the point, at j + 1 after it
+    np.multiply(spread[1:] - spread[:13], _PLACES < point, out=text)
+    text += spread[:13]
+    cells = np.arange(values.size).reshape(values.shape)
+    slots.reshape(-1)[(point + 6).astype(np.intp) * values.size + cells] = 46  # '.'
+    text *= _PLACES < end
+    return fast, slots[:19]
 
 
 def _count_text(n: int, trail: str) -> np.ndarray:
@@ -155,32 +149,31 @@ def _count_text(n: int, trail: str) -> np.ndarray:
     return text
 
 
-def _render_fast(key: np.ndarray, source: np.ndarray, trails: np.ndarray, labels,
-                 flagged: np.ndarray, texts: np.ndarray) -> bytes:
+def _render_fast(slots: np.ndarray, trails: np.ndarray, labels, flagged: np.ndarray,
+                 texts: np.ndarray) -> bytes:
     """The text of rows of cells, each cell followed by its column's trail.
 
-    ``key`` and ``source`` are ``_fixed_notation``'s. ``trails`` is
+    ``slots`` are ``_fixed_notation``'s, ``(19, rows, cols)``. ``trails`` is
     ``(columns, width)`` bytes and ``labels`` the blocks of bytes that lead
     each row, in order: each ``(width,)`` for every row or ``(rows, width)``,
     all padded with 0. The cells at the flat indices ``flagged`` take their
-    text from ``texts`` (``"S18"``) in place of their pattern's.
-    All are copied into one canvas of bytes, and the padding dropped.
+    text from ``texts`` (``"S19"``) in place of their slot's. All are
+    copied into one canvas of bytes, the slots by one transposed copy, and
+    the padding dropped.
     """
-    rows, cols = key.shape
+    _, rows, cols = slots.shape
     width = sum(block.shape[-1] for block in labels)
-    cell = 18 + trails.shape[1]
+    cell = 19 + trails.shape[1]
     canvas = np.empty((rows, width + cols * cell), np.uint8)
     at = 0
     for block in labels:
         canvas[:, at:at + block.shape[-1]] = block
         at += block.shape[-1]
     cells = canvas[:, width:].reshape(rows, cols, cell)  # a view: the split axis is contiguous
-    index = np.take(_NUMBER_PATTERNS, key, axis=0, mode="clip")  # a flagged key may be off it
-    index += 16 * np.arange(rows * cols).reshape(rows, cols, 1)
-    cells[..., :18] = np.take(source.view(np.uint8).ravel(), index)
-    cells[(*np.divmod(flagged, cols), slice(18))] = texts.view(np.uint8).reshape(-1, 18)
-    cells[..., 18:] = trails
-    return canvas[canvas != 0].tobytes()
+    cells[..., :19] = slots.transpose(1, 2, 0)
+    cells[(*np.divmod(flagged, cols), slice(19))] = texts.view(np.uint8).reshape(-1, 19)
+    cells[..., 19:] = trails
+    return canvas.tobytes().translate(None, b"\0")
 
 
 def _row_renderer(row: str, sep: str, n_rounds: int, n_nodes: int):
@@ -190,10 +183,11 @@ def _row_renderer(row: str, sep: str, n_rounds: int, n_nodes: int):
     trial, round and node. ``render(values, trial, start)`` takes the
     other cells of the trial's rows from ``start`` on (see
     ``_metric_chunks``). A chunk whose cells all pass ``_in_fixed_range`` is
-    built whole by ``_render_fast``: value cells from their digits, the rare
-    flagged cell (see ``_fixed_notation``) from its own %-format, the
-    trial's text in front of each row, and round and node, trails included,
-    by copy from a table of every (round, node)'s text, built once.
+    built whole by ``_render_fast``: value cells from the byte slots that
+    ``_fixed_notation`` builds from their digits, the rare flagged cell
+    from its own %-format in place of its slot, the trial's text in front
+    of each row, and round and node, trails included, by copy from a table
+    of every (round, node)'s text, built once.
     Any other chunk, with a cell in exponent notation, ``nan`` or ``inf``,
     goes whole through the template. A ``%d`` value cell takes the same
     path: integer-valued floats below 1e12 read the same in both formats.
@@ -216,12 +210,12 @@ def _row_renderer(row: str, sep: str, n_rounds: int, n_nodes: int):
             round_, node = np.divmod(np.arange(start, start + len(values)), n_nodes)
             cells = np.column_stack([np.full(len(values), trial), round_, node, values])
             return (sep.join([row] * len(values)) % tuple(cells.ravel().tolist())).encode()
-        fast, key, source = _fixed_notation(values, in_range)
+        fast, slots = _fixed_notation(values, in_range)
         flagged = np.flatnonzero(~fast)
         texts = [value_formats[i % values.shape[1]] % values.flat[i] for i in flagged.tolist()]
         labels = (np.frombuffer(f"{trial}{trails[0]}".encode(), np.uint8),
                   table[start:start + len(values)])  # trial, then round and node
-        text = _render_fast(key, source, trail_bytes, labels, flagged, np.array(texts, "S18"))
+        text = _render_fast(slots, trail_bytes, labels, flagged, np.array(texts, "S19"))
         return lead_bytes + text[:len(text) - joint]
 
     return render
@@ -234,9 +228,10 @@ class MetricsWriter:
     ``finish`` writes the tail; the row separator carries over from one
     group to the next. A chunk whose cells all lie in ``_in_fixed_range``
     is rendered with numpy (see ``_row_renderer``), byte for byte as the
-    %-template would write it: value cells from their digits, the rare tie
-    or -0.0 from its own %-format, the trial's text, and round and node by
-    copy from a table of their text, which each ``write`` builds once and drops.
+    %-template would write it: value cells from fixed 19-byte slots of their
+    digits, the rare tie or -0.0 from its own %-format, the trial's text,
+    and round and node by copy from a table of their text, which each
+    ``write`` builds once and drops; one pass drops the slots' padding.
     Any other chunk goes whole through the template. ``metrics.json`` is
     ``{"columns": [...], "rows": [[...], ...]}``, each cell a string with
     the CSV's text.

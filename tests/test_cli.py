@@ -1325,10 +1325,10 @@ class TestMetricsWriter:
     @example(0.0008271467107625)  # y is a half; x lies above it, rint(y) rounds to even
     def test_fast_cells_read_as_the_percent_template(self, x):
         values = np.array([[x]])
-        fast, key, source = output._fixed_notation(values)
+        fast, slots = output._fixed_notation(values)
         if fast[0, 0]:
-            unflagged = np.array([], np.intp), np.array([], "S18")
-            assert output._render_fast(key, source, np.zeros((1, 0), np.uint8), (),
+            unflagged = np.array([], np.intp), np.array([], "S19")
+            assert output._render_fast(slots, np.zeros((1, 0), np.uint8), (),
                                        *unflagged) == b"%.12g" % x
         render = output._row_renderer("%d,%d,%d,%.12g\n", "", 1, 1)
         assert render(values, 0, 0) == b"0,0,0,%.12g\n" % x
@@ -1422,3 +1422,45 @@ class TestMetricsWriter:
             peaks.append(peak_bytes(lambda: write_metrics(report, scenario, target, fmt)))
         assert max(peaks) < 128 * 2**10
         assert peaks[1] < 1.2 * peaks[0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_slot_chunks_read_as_the_percent_template(self, data):
+        # One chunk holds a cell of each sign at every exponent X in [-4, 11],
+        # with counts k of significant digits that run through 1..12 (every
+        # cell at X = 11 is integer-valued), zeros, and flagged cells: -0.0,
+        # ties, values just below 1e-4 and a carry to 1e12.
+        shift, rng = data.draw(st.integers(0, 11)), np.random.default_rng(data.draw(st.integers(0)))
+        cells = [0.0, 0.0]
+        for i, (x, sign) in enumerate(itertools.product(range(-4, 12), "+-")):
+            k = 1 + (i + shift) % 12
+            digits = int(rng.integers(10 ** (k - 1), 10**k))
+            cells.append(float(f"{sign}{digits + (digits % 10 == 0)}e{x - k + 1}"))
+        cells += data.draw(st.lists(st.sampled_from(_FLAGGED_CELLS + [
+            9.99999999999e-05, 999999999999.7, float(np.nextafter(1e12, 0))]), min_size=1))
+        cols = data.draw(st.integers(2, 7))
+        cells += [0.0] * (-len(cells) % cols)
+        values = rng.permutation(cells).reshape(-1, cols)
+        rows = len(values)
+        row, sep = _labelled_row(data.draw(st.sampled_from(["csv", "json"])), cols)
+        n_nodes = data.draw(st.integers(1, 11))
+        start = data.draw(st.integers(0, n_nodes * 3))
+        render = output._row_renderer(row, sep, -(-(start + rows) // n_nodes), n_nodes)
+        with mock.patch.object(output, "_render_fast", wraps=output._render_fast) as canvas:
+            text = render(values, 12, start)
+        assert canvas.call_count == 1
+        labelled = [[12, *divmod(start + r, n_nodes), *values[r].tolist()] for r in range(rows)]
+        assert text == (sep.join([row] * rows) % tuple(sum(labelled, []))).encode()
+
+    def test_peak_of_a_gaussian_chunk(self):
+        # A full chunk of 819 rows x 7 value cells: about 0.65 MB traced for
+        # its slots, canvas and text. An index of 18 intp per cell into its
+        # bytes took 1.3 MB.
+        scenario = _config_world(gaussian_config(n_rounds=410, trials=1))()
+        report = run_experiment(scenario)
+        n_cells = len(output._metric_columns(scenario)[1])
+        _, start, values = next(output._metric_chunks(scenario, 0, report.trial_results, n_cells))
+        assert values.shape == (819, 7) and output._in_fixed_range(values).all()
+        row = ",".join(output._metric_columns(scenario)[1]) + "\n"
+        render = output._row_renderer(row, "", scenario.n_rounds, scenario.graph.n_nodes)
+        assert peak_bytes(lambda: render(values, 0, start)) < 800_000

@@ -23,7 +23,9 @@ from peerlearn import (
     node_stream,
     run_experiment,
     run_trial,
+    separation_table,
     sim,
+    spectral_gap,
     validate_weight_matrix,
 )
 from peerlearn import beliefs, gaussian
@@ -1059,3 +1061,31 @@ class TestLearningRates:
         scaled = np.mean([r.variance_diag_history[-1] for r in report.trial_results], axis=0)
         np.testing.assert_allclose(scenario.n_rounds * scaled,
                                    np.broadcast_to(expected, scaled.shape), rtol=0.03)
+
+    def test_separation_table_weights_the_exact_expectations_by_v(self):
+        # Two nodes that see two of three contexts each, on a W whose v is
+        # (0.6, 0.4), by hand: 0.2 v_0 = 0.3 v_1. Each decoy matches the truth
+        # on one node's contexts; node 0's decoy sets the rate, 0.4 * 0.879,
+        # where uniform weights would read 0.5 * 0.879.
+        graph = validate_weight_matrix([[0.8, 0.2], [0.3, 0.7]])
+        star = [0.9, 0.1, 0.9]
+        models = [BernoulliContextModel(0, star, [0, 1]), BernoulliContextModel(1, star, [1, 2])]
+        points = np.array([star, [0.9, 0.1, 0.1], [0.1, 0.1, 0.9], [0.3, 0.7, 0.3], [0.1, 0.9, 0.1]])
+        draws = 200_000
+        table = separation_table(models, ParameterSet(points), spectral_gap(graph).stationary,
+                                 mc_samples=draws, seed=11)
+        exact = np.stack([exact_expected_kl(m, points) for m in models])
+        # A node's estimate averages two equally likely contexts' KLs over
+        # its draws, so its standard error is half their gap over sqrt(draws).
+        gaps = np.stack([np.subtract(*(exact_expected_kl(BernoulliContextModel(j, star, [x]),
+                                                         points) for x in m.visible))
+                         for j, m in enumerate(models)])
+        error = np.abs(gaps) / (2 * np.sqrt(draws)) + 1e-12  # plus rounding, for equal KLs
+        assert np.all(np.abs(table.kl_to_truth - exact) <= 5 * error)
+        assert table.global_optima == (0,)
+        v = np.array([0.6, 0.4])
+        weighted = v @ exact
+        assert weighted[0] == 0.0
+        rate_error = 5 * np.sqrt(v**2 @ error**2).max()
+        assert abs(table.separation_rate - weighted[1:].min()) <= rate_error
+        assert abs(0.5 * exact[:, 1:].sum(axis=0).min() - weighted[1:].min()) > 10 * rate_error
