@@ -68,6 +68,7 @@ _POW10 = np.array([float(10**j) for j in range(17)])
 _QUADS = np.arange(10**4)
 _QUAD_DIGITS = (48 + _QUADS[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
 _QUAD_TRAILING_ZEROS = sum(_QUADS % 10**j == 0 for j in range(1, 5)).astype(np.int8)
+_QUAD_UNITS = np.array([1e8, 1e4, 1.0]).reshape(3, 1, 1)
 _PREFIX = np.frombuffer(b"0.000", np.uint8).reshape(5, 1, 1)
 _PREFIX_BELOW = np.array([0, 0, -1, -2, -3], np.int8).reshape(5, 1, 1)  # kept where X is less
 _PLACES = np.arange(13, dtype=np.int8).reshape(13, 1, 1)
@@ -111,11 +112,9 @@ def _fixed_notation(values: np.ndarray, in_range=None):
     digits[carry] = 1e11
     digits[zero] = 0
     # Exact in floats: each quotient's fraction stays clear of the next integer.
-    quads = np.empty((3,) + values.shape, np.intp)
-    for j, unit in enumerate((1e8, 1e4)):
-        quads[j] = quotient = np.floor(digits / unit)
-        digits -= quotient * unit
-    quads[2] = digits
+    quads = np.floor(digits / _QUAD_UNITS)  # digits // 1e8, // 1e4 and // 1
+    quads[1:] -= 1e4 * quads[:-1]
+    quads = quads.astype(np.intp)
     zeros = _QUAD_TRAILING_ZEROS[quads]  # 4 for a group of 0
     k = 12 - zeros[2] - (zeros[2] == 4) * (zeros[1] + (zeros[1] == 4) * zeros[0])
     # The place of the point among the digits, 13 (none) when X < 0, and
@@ -125,12 +124,14 @@ def _fixed_notation(values: np.ndarray, in_range=None):
     slots = np.empty((20,) + values.shape, np.uint8)  # byte 19 takes the points of none
     np.multiply(negative, np.uint8(45), out=slots[0])  # '-'
     np.multiply(x < _PREFIX_BELOW, _PREFIX, out=slots[1:6])
-    spread = np.zeros((14,) + values.shape, np.uint8)  # digit j at place j + 1
+    # Digit j goes to place j + 1, then moves to place j before the point,
+    # which is never at place 0, so place 0 needs no value of its own.
+    text = slots[6:19]
     quads = np.take(_QUAD_DIGITS, quads, axis=0)  # the groups' text, 4 bytes each
-    spread[1:13].reshape(3, 4, *values.shape)[...] = np.moveaxis(quads, -1, 1)
-    text = slots[6:19]  # digit j at place j before the point, at j + 1 after it
-    np.multiply(spread[1:] - spread[:13], _PLACES < point, out=text)
-    text += spread[:13]
+    text[1:].reshape(3, 4, *values.shape)[...] = np.moveaxis(quads, -1, 1)
+    step = text[1:] - text[:-1]
+    step *= _PLACES[:-1] < point
+    text[:-1] += step
     cells = np.arange(values.size).reshape(values.shape)
     slots.reshape(-1)[(point + 6).astype(np.intp) * values.size + cells] = 46  # '.'
     text *= _PLACES < end
