@@ -9,10 +9,10 @@ import re
 import numpy as np
 
 # A chunk of the metrics table holds about this many cells, so writing it
-# takes memory independent of the trial count. Rendering takes about 100
-# bytes a value cell, at its peak while ``_fixed_notation`` builds the slots:
-# 0.59 MB a chunk of gaussian rows with 7 values and 3 labels, under 0.85 MB
-# for any chunk.
+# takes memory independent of the trial count. Rendering takes about 90
+# bytes a value cell (100 in JSON), most of it for the slots: 0.51 MB a chunk
+# of gaussian rows with 7 values and 3 labels, under 0.8 MB for any chunk of
+# 2**13 cells.
 _CHUNK_CELLS = 2**13
 
 

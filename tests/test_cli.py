@@ -1453,9 +1453,9 @@ class TestMetricsWriter:
         assert text == (sep.join([row] * rows) % tuple(sum(labelled, []))).encode()
 
     def test_peak_of_a_gaussian_chunk(self):
-        # A full chunk of 819 rows x 7 value cells: about 0.65 MB traced for
-        # its slots, canvas and text. An index of 18 intp per cell into its
-        # bytes took 1.3 MB.
+        # A full chunk of 819 rows x 7 value cells: about 0.51 MB traced for
+        # its digits, slots, canvas and text. An index of 18 intp per cell
+        # into its bytes took 1.3 MB.
         scenario = _config_world(gaussian_config(n_rounds=410, trials=1))()
         report = run_experiment(scenario)
         n_cells = len(output._metric_columns(scenario)[1])
