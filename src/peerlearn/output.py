@@ -96,7 +96,7 @@ def _fixed_notation(values: np.ndarray, in_range=None):
     raises X). A cell is not fast, and is flagged, when it is out of range,
     a half, -0.0 (``%d`` writes "0"), or in range by ``_in_fixed_range`` yet
     written in exponent notation: a carry to 1e+12, or a value just below
-    1e-4. A flagged cell's X may be -5 or 12, and its slot holds no text.
+    1e-4. A flagged cell's X may be -5 or 12; its %-text overwrites its slot.
     """
     fast = _in_fixed_range(values) if in_range is None else in_range
     zero, negative = values == 0, np.signbit(values)
