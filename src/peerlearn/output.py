@@ -119,7 +119,7 @@ def _fixed_notation(values: np.ndarray, in_range=None):
     k = 12 - zeros[2] - (zeros[2] == 4) * (zeros[1] + (zeros[1] == 4) * zeros[0])
     # The place of the point among the digits, 13 (none) when X < 0, and
     # the digit bytes kept: through the last significant digit, or the units.
-    point = np.where(x < 0, np.int8(13), x + np.int8(1))
+    point = np.where(x < 0, 13, x + 1)
     end = np.where(x < 0, k, np.maximum(point, k + (k > point)))
     slots = np.empty((20,) + values.shape, np.uint8)  # byte 19 takes the points of none
     np.multiply(negative, np.uint8(45), out=slots[0])  # '-'
