@@ -5,7 +5,7 @@ drawn once, each sample kept as its model's code (``log_likelihood_codes``).
 State is the log-beliefs ``(N, T, M)``: each round gathers every node's
 log-likelihoods by code straight into its ``(T, M)`` block of the publics,
 adds the privates (the Bayes update) and normalizes; if the scenario is
-cooperative, one product with the graph weights over ``(T, N, M)`` views
+cooperative, one product of the weights with the state as ``(N, T·M)``
 takes each node's weighted log-geometric mean of its in-neighbors. Either
 way the result is normalized again, each normalization's scratch the
 other, spent buffer. All arithmetic stays in natural-log space, so products
@@ -84,7 +84,6 @@ def run(scenario: sim.Scenario, trials, global_optima=None) -> list[sim.TrialRes
 
     private = np.full((n_nodes, n_trials, n_params), -np.log(n_params))
     public = np.empty_like(private)
-    private_t, public_t = private.transpose(1, 0, 2), public.transpose(1, 0, 2)  # (T, N, M)
     row_starts = np.arange(0, private.size, n_params)
     peak = np.empty((n_nodes, n_trials, 1))
     estimates = np.empty((n_trials, n_rounds, n_nodes), dtype=np.min_scalar_type(-n_params))
@@ -104,14 +103,15 @@ def run(scenario: sim.Scenario, trials, global_optima=None) -> list[sim.TrialRes
             row_normalize(public, private, peak, clamp_events)
             # Barrier: the merge only ever sees this round's publics.
             if scenario.cooperative:
-                np.matmul(scenario.graph.weights, public_t, out=private_t)
+                np.matmul(scenario.graph.weights, public.reshape(n_nodes, -1),
+                          out=private.reshape(n_nodes, -1))
             else:
-                private, public, private_t, public_t = public, private, public_t, private_t
+                private, public = public, private
             np.maximum.reduceat(private.reshape(-1), row_starts, out=peak.reshape(-1))
             row_normalize(private, public, peak, clamp_events)
             estimates[:, k] = private.argmax(axis=-1).T  # argmax copies a transposed view
             if beliefs is not None:
-                beliefs[:, k] = private_t
+                beliefs[:, k] = private.transpose(1, 0, 2)
     finally:
         np.setbufsize(bufsize)
 

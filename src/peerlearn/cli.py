@@ -281,7 +281,7 @@ def _scenario(raw, path: str = "scenario") -> tuple[Scenario, int]:
     if "parameters" in raw:
         _check_keys(raw["parameters"], f"{path}.parameters", {"points"}, set())
         points_path = f"{path}.parameters.points"
-        points = _matrix(raw["parameters"]["points"], points_path)
+        points = _matrix(raw["parameters"].pop("points"), points_path)  # frees its lists
         try:
             theta_set = ParameterSet(points)
         except ValueError as exc:
@@ -367,6 +367,7 @@ def parse_config(text) -> ConfigDocument:
         raise ConfigSyntaxError(
             f"config cannot be decoded: an integer has more than {sys.get_int_max_str_digits()}"
             " digits; set PYTHONINTMAXSTRDIGITS to raise the limit") from exc
+    del text  # freed before the scenario is built: only the tree is read from here on
 
     _check_keys(raw, "config", {"schema_version", "scenario"}, {"output"})
     version = _integer(raw["schema_version"], "config.schema_version")

@@ -20,9 +20,10 @@ one entry of it.
 The expected KL to the truth is Monte Carlo over the instance
 distribution, and all of one node's expectations share the same instance
 draws: ``instance_support`` reduces them to the distinct instances and
-their shares of the draws. The conditional KL is exact and evaluated once
-per distinct instance, then weighted by its share, so a context family's
-cost is bounded by its number of contexts, not by the number of draws.
+their shares of the draws, a context family's by counting its drawn
+indices. The conditional KL is exact and evaluated once per distinct
+instance, then weighted by its share, so a context family's cost is
+bounded by its number of contexts, not by the number of draws.
 
 Model instances carry their own sampling methods but no generator state.
 """
@@ -417,8 +418,15 @@ class SeparationTable:
 
 
 def instance_support(model, mc_samples: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """A node's distinct Monte Carlo instances and their shares of the draws."""
+    """A node's distinct Monte Carlo instances, ascending, and their shares of the draws.
+
+    A context model's indices into ``visible`` are counted: 8 bytes a draw, no sort.
+    """
     rng = np.random.default_rng([int(seed), int(model.node_id)])
+    if isinstance(model, ContextModel):  # the indices that ``sample_instances`` draws
+        counts = np.bincount(rng.integers(0, model.visible.size, size=mc_samples),
+                             minlength=model.visible.size)
+        return model.visible[counts > 0], counts[counts > 0] / mc_samples
     xs, counts = np.unique(model.sample_instances(rng, mc_samples), axis=0, return_counts=True)
     return xs, counts / mc_samples
 

@@ -172,7 +172,8 @@ def _render_fast(slots: np.ndarray, trails: np.ndarray, labels, flagged: np.ndar
         at += block.shape[-1]
     cells = canvas[:, width:].reshape(rows, cols, cell)  # a view: the split axis is contiguous
     cells[..., :19] = slots.transpose(1, 2, 0)
-    cells[(*np.divmod(flagged, cols), slice(19))] = texts.view(np.uint8).reshape(-1, 19)
+    if flagged.size:  # nearly every chunk has none
+        cells[(*np.divmod(flagged, cols), slice(19))] = texts.view(np.uint8).reshape(-1, 19)
     cells[..., 19:] = trails
     return canvas.tobytes().translate(None, b"\0")
 

@@ -362,6 +362,16 @@ class TestParseConfig:
         assert doc.scenario.theta_set.points.tolist() == expected
         assert np.signbit(doc.scenario.theta_set.points[2, 1])
 
+    def test_peak_is_that_of_decoding_a_grid_config(self):
+        # The decoded text and the point lists go before the parameter set is built.
+        axis = np.linspace(0.02, 0.98, 64).tolist()
+        text = json.dumps(discrete_config(
+            models=[{"family": "bernoulli", "true_probs": [axis[5], axis[9]], "visible": [i]}
+                    for i in range(2)],
+            parameters={"points": [[a, b] for a in axis for b in axis]})).encode()
+        parse_config(text)
+        assert peak_bytes(lambda: parse_config(text)) <= 1.1 * peak_bytes(lambda: json.loads(text))
+
     @pytest.mark.parametrize("command", ["run", "bound", "check-graph"])
     @pytest.mark.parametrize("repeat, message", [
         (('"trials": 2', '"trials": 2, "trials": 3'), "scenario.trials: duplicate key"),

@@ -142,6 +142,17 @@ class TestContextFamilies:
                                    per_sample_kl_mean(model.true_table, tables, xs),
                                    rtol=1e-12, atol=0)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(family=_FAMILIES, seed=_SEEDS, n_draws=st.integers(1, 3000))
+    def test_instance_support_is_the_unique_draws(self, family, seed, n_draws):
+        (model,), _, _ = _context_world(family, seed)
+        support, shares = instance_support(model, n_draws, seed)
+        xs = model.sample_instances(np.random.default_rng([seed, model.node_id]), n_draws)
+        expected, counts = np.unique(xs, axis=0, return_counts=True)
+        assert support.dtype == expected.dtype and shares.dtype == np.float64
+        np.testing.assert_array_equal(support, expected)
+        assert list(map(_bits, shares)) == list(map(_bits, counts / n_draws))
+
     @_WORLDS
     @given(seed=_SEEDS)
     def test_kl_to_truth_is_scipys_terms_summed(self, seed):
@@ -627,6 +638,12 @@ class TestLinearMemory:
         # The draws are reduced to their distinct contexts first, so a context
         # family's KL table is (M, n_contexts), never (M, mc_samples).
         assert self._separation_table_peak() < 4 * 2**20
+
+    def test_instance_support_holds_one_index_a_draw(self):
+        # A context family's draws are counted, not kept as contexts and sorted.
+        model = BernoulliContextModel(0, self.grid[1234], [0, 1])
+        n_draws = 200_000
+        assert peak_bytes(lambda: instance_support(model, n_draws, 5)) <= 9 * n_draws
 
     def test_kl_to_truth_peak_is_flat_in_the_context_count(self):
         # A categorical family's tables are a view of the points, so what the
