@@ -369,13 +369,19 @@ class LinearGaussianModel(LikelihoodModel):
         self.observed = sorted(set(int(i) for i in observed))
         if any(i < 0 or i >= self.ranges.shape[0] for i in self.observed):
             raise ValueError("observed coordinate index out of range")
-        if noise_std <= 0:
+        if not all(lo < hi and math.isfinite(hi - lo) for lo, hi in self.ranges.tolist()):
+            raise ValueError("every range must have low < high and a finite width")
+        if not noise_std > 0:
             raise ValueError("noise_std must be positive")
         self.noise_std = float(noise_std)
         self.noise_var = self.noise_std**2
+        if not 0.0 < self.noise_var < math.inf:
+            raise ValueError("noise_std's square, the noise variance, must be positive and finite")
         self.instance_dim = self.ranges.shape[0]
         if self.true_theta.shape != (self.instance_dim + 1,):
             raise ValueError("true_theta must have length instance_dim + 1")
+        if not np.isfinite(self.true_theta).all():
+            raise ValueError("true_theta must be finite")
         self.param_dim = self.instance_dim + 1
 
     def sample_instances(self, rng, size):

@@ -128,7 +128,6 @@ class Scenario:
             return
         mean = np.asarray(self.prior_mean, dtype=float)
         variances = np.asarray(self.prior_variance_diag, dtype=float)
-        _check(mean.ndim == 1, "prior_mean", "expected a vector")
         _check(variances.shape == mean.shape, "prior_variance_diag",
                "length must match prior.mean")
         for i, (m, v) in enumerate(zip(mean.tolist(), variances.tolist())):
@@ -309,19 +308,6 @@ def sample_bound(
     return table, inputs, n, bounds is None, None
 
 
-def _set_up(scenario: Scenario) -> ExperimentReport:
-    """A run's once-only part: validation, the spectral summary and, if discrete, the bound."""
-    scenario.validate()
-    report = ExperimentReport(engine=scenario.engine, trials=scenario.trials,
-                              spectral=spectral_gap(scenario.graph), trial_results=[])
-    if scenario.engine == "discrete":
-        (report.separation, report.bound_inputs, report.sample_bound,
-         report.assumption_violated, report.sample_bound_reason) = sample_bound(
-            scenario, report.spectral)
-        report.clamp_events = []
-    return report
-
-
 def _run_group(scenario: Scenario, trials, report: ExperimentReport):
     """The engines on one group of trials: its results, and its baselines' MSE curves or None."""
     if scenario.engine == "discrete":
@@ -336,65 +322,39 @@ def _run_group(scenario: Scenario, trials, report: ExperimentReport):
     return results, baselines
 
 
-class _Aggregates:
-    """The report's aggregates over trials, accumulated group by group."""
-
-    def __init__(self, report: ExperimentReport, scenario: Scenario):
-        self.report, self.scenario = report, scenario
-        self.failures = 0
-        self.all_ok = True  # per round, once a discrete group is in
-        self.curves = self.baseline_curve = 0.0
-
-    def add(self, results: list, baselines: list | None) -> None:
-        report = self.report
-        if report.engine == "discrete":
-            report.clamp_events += [r.clamp_events for r in results]
-            self.failures += sum(r.success is False for r in results)
-            optimal = bel.optimal(report.separation.global_optima,
-                                  report.separation.kl_to_truth.shape[1])
-            self.all_ok &= np.all([optimal.take(r.estimate_history).all(axis=1)
-                                   for r in results], axis=0)
-        elif baselines is not None:
-            # Summed in trial order from 0.0, group after group, and divided once, the
-            # curves have the bits of np.mean(axis=0): 0.0 + x is x, and no MSE is -0.0.
-            for result, baseline in zip(results, baselines):
-                self.curves += result.mse_history
-                self.baseline_curve += baseline
-
-    def finish(self) -> None:
-        report = self.report
-        if report.engine == "discrete":
-            report.empirical_error = self.failures / report.trials
-            report.first_all_success_round = (int(np.argmax(self.all_ok))
-                                              if self.all_ok.any() else None)
-        elif self.scenario.test_set is not None:
-            report.mean_mse_curves = self.curves / report.trials
-            report.final_mse_per_node = report.mean_mse_curves[-1].copy()
-            report.baseline_mse_curve = self.baseline_curve / report.trials
-            report.baseline_final_mse = float(report.baseline_mse_curve[-1])
-
-
 def run_experiment(scenario: Scenario, workers: int = 1, *, consume=None) -> ExperimentReport:
     """Run all trials with derived seeds and aggregate the results.
 
-    A run sets up once (``_set_up``), then runs the engines on each group
-    of ``_trial_groups`` (``_run_group``) and accumulates the aggregates
-    group by group. Each group's results go to ``consume(trials, results)``,
-    by default an append to ``report.trial_results``, and are dropped
-    before the next group runs, so a consumer that keeps none holds one
-    group at a time; ``runtime_seconds`` leaves out the time spent there.
-    If a gate fails, the later groups still run their engines, but nothing
-    more is consumed, and the failure raised is the one a single batch
-    would meet first (``_gate``). ``workers`` is accepted for compatibility
-    and has no effect. Gaussian runs with a test set first run the central
-    baseline, of which they keep the test-MSE curve, then the network.
+    A run validates the scenario and takes the spectral summary and, if
+    discrete, the bound, once. Then it runs the engines on each group of
+    ``_trial_groups`` (``_run_group``) and adds each trial to the totals:
+    per round, the count of trials whose every node holds a global optimum
+    (discrete), or the MSE curves (gaussian, with a test set). Each group's
+    results go to ``consume(trials, results)``, by default an append to
+    ``report.trial_results``, and are dropped before the next group runs,
+    so a consumer that keeps none holds one group at a time;
+    ``runtime_seconds`` leaves out the time spent there. If a gate fails,
+    the later groups still run their engines, but nothing more is consumed,
+    and the failure raised is the one a single batch would meet first
+    (``_gate``). ``workers`` is accepted for compatibility and has no
+    effect. Gaussian runs with a test set first run the central baseline,
+    of which they keep the test-MSE curve, then the network.
     """
     started = time.perf_counter()
-    report = _set_up(scenario)
+    scenario.validate()
+    report = ExperimentReport(engine=scenario.engine, trials=scenario.trials,
+                              spectral=spectral_gap(scenario.graph), trial_results=[])
+    discrete = scenario.engine == "discrete"
+    if discrete:
+        (report.separation, report.bound_inputs, report.sample_bound,
+         report.assumption_violated, report.sample_bound_reason) = sample_bound(
+            scenario, report.spectral)
+        report.clamp_events = []
     consume = consume or (lambda trials, results: report.trial_results.extend(results))
-    aggregates = _Aggregates(report, scenario)
-    consuming = 0.0
-    failure = None
+    # Summed trial by trial from zero, the curves have the bits of np.mean(axis=0) in any
+    # grouping: 0.0 + x is x, and no MSE is -0.0. No name below outlives its group.
+    optimal_count, curves, baseline_curve = 0, 0.0, 0.0
+    consuming, failure = 0.0, None
     for trials in _trial_groups(scenario):
         try:
             results, baselines = _run_group(scenario, trials, report)
@@ -405,13 +365,29 @@ def run_experiment(scenario: Scenario, workers: int = 1, *, consume=None) -> Exp
                 failure = exc
             continue
         if failure is None:
-            aggregates.add(results, baselines)
+            if discrete:
+                report.clamp_events += [r.clamp_events for r in results]
+                optimal = bel.optimal(report.separation.global_optima, scenario.theta_set.n_points)
+                optimal_count = sum((optimal.take(r.estimate_history).all(axis=1)
+                                     for r in results), optimal_count)
+                del optimal
+            elif baselines is not None:
+                curves = sum((r.mse_history for r in results), curves)
+                baseline_curve = sum(baselines, baseline_curve)
             clock = time.perf_counter()
             consume(trials, results)
             consuming += time.perf_counter() - clock
         del results, baselines  # before the next group runs
     if failure is not None:
         raise failure
-    aggregates.finish()
+    if discrete:  # integers divided: 1 - 47/50 is not 3/50 in floats
+        report.empirical_error = (report.trials - int(optimal_count[-1])) / report.trials
+        all_optimal = np.flatnonzero(optimal_count == report.trials)
+        report.first_all_success_round = int(all_optimal[0]) if all_optimal.size else None
+    elif scenario.test_set is not None:
+        report.mean_mse_curves = curves / report.trials
+        report.final_mse_per_node = report.mean_mse_curves[-1].copy()
+        report.baseline_mse_curve = baseline_curve / report.trials
+        report.baseline_final_mse = float(report.baseline_mse_curve[-1])
     report.runtime_seconds = time.perf_counter() - started - consuming
     return report

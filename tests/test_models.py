@@ -272,8 +272,19 @@ class TestContextFamilies:
     (lambda: separation_table([BernoulliContextModel(0, [0.8], [0])],
                               ParameterSet(np.array([[0.8], [0.3]])), [0.5, 0.5]),
      "stationary vector length must match the number of models"),
+    (lambda: LinearGaussianModel(0, [0.1, 0.2], [[-1, 1]], [0], math.nan),
+     "noise_std must be positive"),
+    *[(lambda std=std: LinearGaussianModel(0, [0.1, 0.2], [[-1, 1]], [0], std),
+       "noise_std's square, the noise variance, must be positive and finite")
+      for std in (math.inf, 1e-200)],
+    (lambda: LinearGaussianModel(0, [0.1, math.nan], [[-1, 1]], [0], 0.8),
+     "true_theta must be finite"),
+    *[(lambda row=row: LinearGaussianModel(0, [0.1, 0.2], [row], [0], 0.8),
+       "every range must have low < high and a finite width")
+      for row in ([1, -1], [math.nan, 1], [-1e308, 1e308])],
 ], ids=["1-d-parameter-set", "2-d-true-probs", "zero-noise-std", "negative-noise-std",
-        "stationary-length"])
+        "stationary-length", "nan-noise-std", "infinite-noise-std", "noise-std-underflow",
+        "nan-true-theta", "reversed-range", "nan-range", "range-width-overflow"])
 def test_a_malformed_argument_is_rejected(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()

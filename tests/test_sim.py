@@ -1,6 +1,7 @@
 """Round engine: determinism, barriers, learning behavior, baselines."""
 
 import dataclasses
+import weakref
 from pathlib import Path
 from statistics import NormalDist
 
@@ -512,7 +513,7 @@ def entry_major(precision: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 
 class TestMomentsKernel:
-    """``sim._moments``, the entry-wise Cholesky kernel, against the LAPACK oracle."""
+    """``gaussian._moments``, the entry-wise Cholesky kernel, against the LAPACK oracle."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 8),
@@ -944,6 +945,35 @@ class TestExperimentAggregation:
         # Both outcomes occur: failed trials over 20 rounds, a round from
         # which every trial succeeds over 80.
         assert (0.0 < error < 1.0, first is not None) == (n_rounds == 20, n_rounds == 80)
+
+    @pytest.mark.parametrize("world", ["discrete", "gaussian"])
+    def test_a_group_is_released_before_the_next_one_runs(self, monkeypatch, world):
+        # A name left bound in the run loop (a loop variable, say) would keep the
+        # last group's arrays alive while the next group runs, which no output shows.
+        if world == "gaussian":
+            scenario = regression_scenario(n_rounds=50, trials=3)
+        else:
+            scenario = floor_clamp_scenario(n_rounds=30, trials=3)
+        refs, checked = [], []
+        run_group = sim._run_group
+
+        def released(scenario, trials, report):
+            assert all(ref() is None for ref in refs), f"a group is alive at {trials}"
+            checked.append(len(refs))
+            return run_group(scenario, trials, report)
+
+        def consume(trials, results):
+            for result in results:
+                for array in (result.estimate_history, result.belief_history,
+                              result.mean_history, result.variance_diag_history,
+                              result.mse_history):
+                    if array is not None:
+                        refs.append(weakref.ref(array if array.base is None else array.base))
+
+        monkeypatch.setattr(sim, "_GROUP_BYTES", 1)  # one trial a group
+        monkeypatch.setattr(sim, "_run_group", released)
+        run_experiment(scenario, consume=consume)
+        assert len(checked) == scenario.trials and all(checked[1:])
 
     def test_gaussian_report_tracks_mse_and_baseline(self):
         scenario = regression_scenario(n_rounds=150, trials=2)
